@@ -1,8 +1,7 @@
 use crate::checkpoint::Checkpoint;
-use crate::faults::FaultInjector;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{MaarSolver, RejectoConfig};
-use kl::{CancelReason, CancelToken, KParam};
+use crate::{MaarSolver, RejectoConfig, SweepOutcome};
+use kl::KParam;
 use rejection::{AugmentedGraph, NodeId};
 use std::io;
 
@@ -174,17 +173,41 @@ impl DetectionReport {
 /// never the detection itself.
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&Checkpoint) -> io::Result<()>;
 
+/// A per-round cut solver: the seam between the one pruning loop
+/// ([`LoopState::run`]) and the runtime that finds each round's MAAR cut —
+/// the in-process pool sweep ([`MaarSolver`]) or the cluster sweep in
+/// `dataflow`. Both run the same [`crate::SweepPlan`] and kernel.
+pub trait CutSolver {
+    /// What a failed round reports ([`std::convert::Infallible`] in process).
+    type Error;
+
+    /// The configuration the loop reads its caps, budgets and faults from.
+    fn config(&self) -> &RejectoConfig;
+
+    /// The MAAR cut of the residual graph `g` with the seeds (in `g`'s
+    /// ids) pinned, under the budgets and faults of `ctx`.
+    fn solve_round(
+        &self,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
+    ) -> Result<SweepOutcome, Self::Error>;
+}
+
 /// Mid-run loop state: the report so far, the residual graph, and its
 /// mapping back to original ids. Built fresh for a new run or rebuilt from
 /// a [`Checkpoint`] for a resume.
-struct LoopState {
+#[derive(Debug, Clone)]
+pub struct LoopState {
     report: DetectionReport,
     current: AugmentedGraph,
     to_original: Vec<NodeId>,
 }
 
 impl LoopState {
-    fn fresh(g: &AugmentedGraph) -> LoopState {
+    /// The state before round 1 of a run on `g`.
+    pub(crate) fn fresh(g: &AugmentedGraph) -> LoopState {
         LoopState {
             report: DetectionReport::default(),
             current: g.clone(),
@@ -192,23 +215,196 @@ impl LoopState {
         }
     }
 
-    /// Rebuilds the state the uninterrupted run had after the checkpointed
-    /// round. Correct because `induced_subgraph` relabels survivors in
-    /// ascending order and composes: one induction on the checkpoint's
-    /// survivor set equals the run's sequence of per-round inductions.
-    fn from_checkpoint(g: &AugmentedGraph, ckpt: &Checkpoint) -> LoopState {
+    /// The state after the round `resume` checkpointed, or the state
+    /// before round 1 without one. A resume rebuilds the residual
+    /// graph with one induction on the checkpoint's survivors, which equals
+    /// the run's sequence of per-round inductions because
+    /// `induced_subgraph` relabels survivors in ascending order.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
+    /// checkpoint does not describe `g`.
+    pub fn start(
+        g: &AugmentedGraph,
+        resume: Option<&Checkpoint>,
+    ) -> Result<LoopState, RuntimeError> {
+        let Some(ckpt) = resume else { return Ok(LoopState::fresh(g)) };
+        ckpt.validate_against(g)?;
         let mut keep = vec![false; g.num_nodes()];
         for &u in &ckpt.remaining {
             keep[usize::try_from(u).expect("checkpoint ids validated against num_nodes")] = true;
         }
         let (current, to_original) = g.induced_subgraph(&keep);
-        LoopState { report: ckpt.report(), current, to_original }
+        Ok(LoopState { report: ckpt.report(), current, to_original })
+    }
+
+    /// The pruning loop (§IV-E), from this state to termination: each
+    /// round takes `solver`'s MAAR cut of the residual graph, records its
+    /// suspect region as a group, prunes it with its links and rejections,
+    /// and hands `sink` a checkpoint. Budgets stop the loop only at round
+    /// boundaries (an interrupted round is rolled back), so a resumed run
+    /// is byte-identical to the uninterrupted one. Stops at the first
+    /// round `solver` fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range of `g`.
+    pub fn run<S: CutSolver>(
+        self,
+        solver: &S,
+        obs: Option<&rejecto_obs::Obs>,
+        g: &AugmentedGraph,
+        seeds: &Seeds,
+        termination: Termination,
+        mut sink: Option<CheckpointSink<'_>>,
+    ) -> Result<DetectionReport, S::Error> {
+        let LoopState { mut report, mut current, mut to_original } = self;
+        let config = solver.config();
+        let mut ctx = RunContext::armed(config, obs.cloned());
+
+        let (budget, threshold) = match termination {
+            Termination::SuspectBudget(b) => (Some(b), None),
+            Termination::AcceptanceThreshold(t) => (None, Some(t)),
+            Termination::BudgetOrThreshold { budget, threshold } => {
+                (Some(budget), Some(threshold))
+            }
+        };
+
+        let partial = |completed_rounds, completed_k_indices, reason| Completion::Partial {
+            completed_rounds,
+            completed_k_indices,
+            reason,
+        };
+        let mut completion = Completion::Complete;
+        let _detect_span = obs.map(|o| o.span("detect"));
+
+        while report.rounds < config.max_rounds {
+            if config.budget.max_rounds.is_some_and(|limit| report.rounds >= limit) {
+                completion = partial(report.rounds, Vec::new(), InterruptReason::RoundBudget);
+                break;
+            }
+            if ctx.token.is_cancelled() {
+                completion = partial(report.rounds, Vec::new(), ctx.interrupt_reason());
+                break;
+            }
+            report.rounds += 1;
+            if budget.is_some_and(|b| report.num_suspects() >= b) {
+                break;
+            }
+
+            // Map seeds into residual-graph ids (pruned seeds drop out —
+            // a detected spammer seed has done its job). `to_original` is
+            // ascending: pruning relabels survivors in order.
+            let map = |ids: &[NodeId]| -> Vec<NodeId> {
+                ids.iter()
+                    .filter_map(|s| to_original.binary_search(s).ok().map(NodeId::from_index))
+                    .collect()
+            };
+            let legit = map(&seeds.legit);
+            let spammer = map(&seeds.spammer);
+
+            ctx.round = report.rounds;
+            let _round_span = obs.map(|o| o.span("detect/round"));
+            let outcome = solver.solve_round(&current, &legit, &spammer, &ctx)?;
+            report.failures.extend(outcome.failures);
+            if outcome.interrupted {
+                // The round did not finish; it does not count, and the
+                // sweep progress becomes the partial-report diagnostic.
+                report.rounds -= 1;
+                completion =
+                    partial(report.rounds, outcome.completed_k_indices, ctx.interrupt_reason());
+                break;
+            }
+            // Resource budget: would accepting this round's cut condemn
+            // more of the *original* graph than `max_suspect_frac` allows?
+            // Checked before the round counts, so the rollback leaves no
+            // trace in the report, and only for a cut the threshold would
+            // accept (otherwise the run stops Complete). The trip is a pure
+            // function of input and configuration, hence deterministic.
+            let accepted =
+                outcome.cut.as_ref().filter(|c| threshold.is_none_or(|t| c.acceptance_rate <= t));
+            if let (Some(frac), Some(cut)) = (config.resources.max_suspect_frac, accepted) {
+                let after = report.num_suspects() + cut.partition.suspect_count();
+                let cap = frac * g.num_nodes() as f64; // xtask-allow: lossy-cast: n < 2^53 converts exactly
+                if after as f64 > cap { // xtask-allow: lossy-cast: suspect count < 2^53 converts exactly
+                    report.rounds -= 1;
+                    if let Some(obs) = obs {
+                        obs.incr("res/suspect_frac_trips", 1);
+                    }
+                    let reason = InterruptReason::ResourceBudget;
+                    completion = partial(report.rounds, Vec::new(), reason);
+                    break;
+                }
+            }
+            // The round ran its sweep to completion — interrupted rounds
+            // (deadline, pass budget) are scheduling-dependent and must
+            // not reach the deterministic counters.
+            if let Some(obs) = obs {
+                obs.incr("detect/rounds", 1);
+            }
+            let Some(cut) = outcome.cut else {
+                break;
+            };
+            if threshold.is_some_and(|t| cut.acceptance_rate > t) {
+                break;
+            }
+
+            let local = cut.suspects();
+            let mut nodes: Vec<NodeId> =
+                local.iter().map(|u| to_original[u.index()]).collect();
+            nodes.sort_unstable();
+            report.groups.push(DetectedGroup {
+                nodes,
+                acceptance_rate: cut.acceptance_rate,
+                k: cut.k,
+                round: report.rounds,
+            });
+            #[cfg(feature = "debug-invariants")]
+            crate::invariants::assert_report_bookkeeping(g, &report);
+
+            // Prune the group with its links and rejections.
+            let mut keep = vec![true; current.num_nodes()];
+            for u in &local {
+                keep[u.index()] = false;
+            }
+            let (next, original_of_next) = current.induced_subgraph(&keep);
+            to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
+            current = next;
+
+            if let Some(write) = sink.as_mut() {
+                let ckpt = Checkpoint::capture(g, &report);
+                if let Some(obs) = obs {
+                    let bytes = u64::try_from(ckpt.to_json().len())
+                        .expect("checkpoint size fits in u64");
+                    obs.record("detect/checkpoint_bytes", bytes);
+                }
+                let result = if ctx.injector.should_fail_checkpoint(report.rounds) {
+                    Err(io::Error::other("injected checkpoint I/O error"))
+                } else {
+                    write(&ckpt)
+                };
+                if let Err(e) = result {
+                    report.failures.push(RuntimeError::CheckpointIo {
+                        round: report.rounds,
+                        message: e.to_string(),
+                    });
+                }
+            }
+        }
+        if let Some(obs) = obs {
+            obs.volatile_incr("cancel/polls", ctx.token.polls());
+        }
+        report.completion = completion;
+        Ok(report)
     }
 }
 
 /// The iterative MAAR-cut detector (§IV-E): repeatedly solve MAAR on the
 /// residual graph, record the suspect region as a spammer group, prune it
 /// with its links and rejections, and continue.
+///
+/// Every entry point panics if a seed id is out of range of the graph.
 #[derive(Debug, Clone)]
 pub struct IterativeDetector {
     solver: MaarSolver,
@@ -237,25 +433,19 @@ impl IterativeDetector {
     }
 
     /// Runs the full pipeline on `g` and returns the detected groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn detect(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
     ) -> DetectionReport {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), None)
+        let state = LoopState::fresh(g);
+        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, None);
+        report
     }
 
     /// [`IterativeDetector::detect`], calling `sink` with a [`Checkpoint`]
     /// after every completed pruning round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn detect_with_checkpoints(
         &self,
         g: &AugmentedGraph,
@@ -263,7 +453,9 @@ impl IterativeDetector {
         termination: Termination,
         sink: CheckpointSink<'_>,
     ) -> DetectionReport {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), Some(sink))
+        let (state, sink) = (LoopState::fresh(g), Some(sink));
+        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, sink);
+        report
     }
 
     /// Continues a run from `checkpoint`, exactly as if the original run
@@ -275,10 +467,6 @@ impl IterativeDetector {
     ///
     /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
     /// checkpoint does not describe `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn resume(
         &self,
         g: &AugmentedGraph,
@@ -286,8 +474,7 @@ impl IterativeDetector {
         termination: Termination,
         checkpoint: &Checkpoint,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self.run_loop(g, seeds, termination, LoopState::from_checkpoint(g, checkpoint), None))
+        self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
     /// [`IterativeDetector::resume`] with checkpointing of the continued
@@ -297,10 +484,6 @@ impl IterativeDetector {
     ///
     /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
     /// checkpoint does not describe `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn resume_with_checkpoints(
         &self,
         g: &AugmentedGraph,
@@ -309,226 +492,22 @@ impl IterativeDetector {
         checkpoint: &Checkpoint,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self.run_loop(
-            g,
-            seeds,
-            termination,
-            LoopState::from_checkpoint(g, checkpoint),
-            Some(sink),
-        ))
+        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
     }
 
-    /// The pruning loop. The clean-path statement order is exactly the
-    /// pre-budget implementation's — budget checks only *add* exits at
-    /// round boundaries — which is what keeps unbudgeted runs byte-
-    /// identical across this refactor and resumed runs byte-identical to
-    /// uninterrupted ones.
-    fn run_loop(
+    /// Every entry point in one: a fresh run or a resume, with or without
+    /// a checkpoint `sink`. Fails as [`IterativeDetector::resume`] does.
+    pub fn run(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
-        state: LoopState,
-        mut sink: Option<CheckpointSink<'_>>,
-    ) -> DetectionReport {
-        let LoopState { mut report, mut current, mut to_original } = state;
-        let config = self.solver.config();
-        let max_rounds = config.max_rounds;
-
-        let budget = match termination {
-            Termination::SuspectBudget(b) => Some(b),
-            Termination::AcceptanceThreshold(_) => None,
-            Termination::BudgetOrThreshold { budget, .. } => Some(budget),
-        };
-        let threshold = match termination {
-            Termination::SuspectBudget(_) => None,
-            Termination::AcceptanceThreshold(t) => Some(t),
-            Termination::BudgetOrThreshold { threshold, .. } => Some(threshold),
-        };
-
-        let token = CancelToken::new();
-        let injector = FaultInjector::new(&config.faults);
-        if let Some(deadline) = config.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(deadline) = injector.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = config.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let mut ctx = RunContext {
-            token: token.clone(),
-            injector: injector.clone(),
-            round: 0,
-            obs: self.obs.clone(),
-        };
-        let mut completion = Completion::Complete;
-        let _detect_span = self.obs.as_ref().map(|o| o.span("detect"));
-
-        while report.rounds < max_rounds {
-            if let Some(limit) = config.budget.max_rounds {
-                if report.rounds >= limit {
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::RoundBudget,
-                    };
-                    break;
-                }
-            }
-            if token.is_cancelled() {
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices: Vec::new(),
-                    reason: interrupt_reason(&token),
-                };
-                break;
-            }
-            report.rounds += 1;
-            if let Some(b) = budget {
-                if report.num_suspects() >= b {
-                    break;
-                }
-            }
-
-            // Map seeds into residual-graph ids (pruned seeds drop out —
-            // a detected spammer seed has done its job).
-            let mut current_index = vec![u32::MAX; g.num_nodes()];
-            for (i, &orig) in to_original.iter().enumerate() {
-                current_index[orig.index()] = u32::try_from(i).expect("node count fits in u32");
-            }
-            let map = |ids: &[NodeId]| -> Vec<NodeId> {
-                ids.iter()
-                    .filter_map(|s| {
-                        let m = current_index[s.index()];
-                        (m != u32::MAX).then_some(NodeId(m))
-                    })
-                    .collect()
-            };
-            let legit = map(&seeds.legit);
-            let spammer = map(&seeds.spammer);
-
-            ctx.round = report.rounds;
-            let _round_span = self.obs.as_ref().map(|o| o.span("detect/round"));
-            let outcome = self.solver.solve_monitored(&current, &legit, &spammer, &ctx);
-            report.failures.extend(outcome.failures);
-            if outcome.interrupted {
-                // The round did not finish; it does not count, and the
-                // sweep progress becomes the partial-report diagnostic.
-                report.rounds -= 1;
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices: outcome.completed_k_indices,
-                    reason: interrupt_reason(&token),
-                };
-                break;
-            }
-            // Resource budget: would accepting this round's cut condemn
-            // more of the *original* graph than `max_suspect_frac` allows?
-            // Checked before the round is counted so the rollback leaves
-            // no trace in the report; the trip is a pure function of input
-            // and configuration, so it is deterministic (and safe for the
-            // deterministic `res/*` counter below).
-            // A cut the threshold check would discard anyway cannot trip
-            // the budget: the run stops Complete there, not Partial.
-            let would_accept = |cut: &crate::MaarCut| -> bool {
-                threshold.is_none_or(|t| cut.acceptance_rate <= t)
-            };
-            if let (Some(frac), Some(cut)) =
-                (config.resources.max_suspect_frac, outcome.cut.as_ref().filter(|c| would_accept(c)))
-            {
-                let after = report
-                    .num_suspects()
-                    .checked_add(cut.suspects().len())
-                    .expect("suspect count fits in usize");
-                let cap = frac * g.num_nodes() as f64; // xtask-allow: lossy-cast: n < 2^53 converts exactly
-                if after as f64 > cap { // xtask-allow: lossy-cast: suspect count < 2^53 converts exactly
-                    report.rounds -= 1;
-                    if let Some(obs) = &self.obs {
-                        obs.incr("res/suspect_frac_trips", 1);
-                    }
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::ResourceBudget,
-                    };
-                    break;
-                }
-            }
-            // The round ran its sweep to completion — interrupted rounds
-            // (deadline, pass budget) are scheduling-dependent and must
-            // not reach the deterministic counters.
-            if let Some(obs) = &self.obs {
-                obs.incr("detect/rounds", 1);
-            }
-            let Some(cut) = outcome.cut else {
-                break;
-            };
-            if let Some(t) = threshold {
-                if cut.acceptance_rate > t {
-                    break;
-                }
-            }
-
-            let local = cut.suspects();
-            let mut nodes: Vec<NodeId> =
-                local.iter().map(|u| to_original[u.index()]).collect();
-            nodes.sort_unstable();
-            report.groups.push(DetectedGroup {
-                nodes,
-                acceptance_rate: cut.acceptance_rate,
-                k: cut.k,
-                round: report.rounds,
-            });
-            #[cfg(feature = "debug-invariants")]
-            crate::invariants::assert_report_bookkeeping(g, &report);
-
-            // Prune the group with its links and rejections.
-            let mut keep = vec![true; current.num_nodes()];
-            for u in &local {
-                keep[u.index()] = false;
-            }
-            let (next, original_of_next) = current.induced_subgraph(&keep);
-            to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = next;
-
-            if let Some(write) = sink.as_mut() {
-                let ckpt = Checkpoint::capture(g, &report);
-                if let Some(obs) = &self.obs {
-                    let bytes = u64::try_from(ckpt.to_json().len())
-                        .expect("checkpoint size fits in u64");
-                    obs.record("detect/checkpoint_bytes", bytes);
-                }
-                let result = if injector.should_fail_checkpoint(report.rounds) {
-                    Err(io::Error::other("injected checkpoint I/O error"))
-                } else {
-                    write(&ckpt)
-                };
-                if let Err(e) = result {
-                    report.failures.push(RuntimeError::CheckpointIo {
-                        round: report.rounds,
-                        message: e.to_string(),
-                    });
-                }
-            }
-        }
-        if let Some(obs) = &self.obs {
-            obs.volatile_incr("cancel/polls", token.polls());
-        }
-        report.completion = completion;
-        report
-    }
-}
-
-/// Maps the token's trip cause onto the report vocabulary.
-fn interrupt_reason(token: &CancelToken) -> InterruptReason {
-    match token.reason() {
-        Some(CancelReason::Deadline) => InterruptReason::Deadline,
-        Some(CancelReason::PassBudget) => InterruptReason::PassBudget,
-        _ => InterruptReason::Cancelled,
+        resume: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
+    ) -> Result<DetectionReport, RuntimeError> {
+        let state = LoopState::start(g, resume)?;
+        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, sink);
+        Ok(report)
     }
 }
 

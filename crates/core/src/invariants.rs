@@ -6,68 +6,27 @@
 //! cross-edge counters through `switch`, and
 //! [`crate::IterativeDetector::detect`] accumulates disjoint spammer groups
 //! across pruning rounds. The checkers here re-derive both from scratch and
-//! panic on the first disagreement. They are wired into [`crate::MaarSolver`]
-//! and the pruning loop, and public so tests (and `cargo xtask check`'s
-//! determinism harness) can apply them to arbitrary outputs.
+//! panic on the first disagreement. The partition check runs inside the
+//! extended-KL kernel on every cut it returns, in-process or on the
+//! cluster; the report check runs in the pruning loop. Both are public so
+//! tests (and `cargo xtask check`'s determinism harness) can apply them to
+//! arbitrary outputs.
 
 use crate::DetectionReport;
-use rejection::{AugmentedGraph, Partition, Region};
+use rejection::{AugmentedGraph, Partition};
 
 /// Re-derives a partition's incremental cut counters from the graph and
-/// asserts they match: coverage (`p` assigns a region to exactly the nodes
-/// of `g`), the suspect count, `cross_friendships` (friendships with
-/// endpoints in different regions), and `cross_rejections` (rejections cast
-/// by the legit region on the suspect region).
+/// asserts they match: coverage, the suspect count, `cross_friendships`
+/// and `cross_rejections` ([`kl::assert_partition_counts`] over the
+/// in-memory graph, the check the extended-KL kernel runs on every
+/// partition it returns).
 ///
 /// # Panics
 ///
 /// Panics on the first counter that disagrees with recomputation.
 pub fn assert_partition_bookkeeping(g: &AugmentedGraph, p: &Partition) {
-    assert_eq!(
-        p.len(),
-        g.num_nodes(),
-        "partition covers {} nodes, graph has {}",
-        p.len(),
-        g.num_nodes()
-    );
-    let suspects = g.nodes().filter(|&u| p.region(u) == Region::Suspect).count();
-    assert_eq!(
-        suspects,
-        p.suspect_count(),
-        "suspect_count {} but {suspects} nodes are in the suspect region",
-        p.suspect_count()
-    );
-
-    let mut cross_f = 0u64;
-    let mut cross_r = 0u64;
-    for u in g.nodes() {
-        for &v in g.friends(u) {
-            if u < v && p.region(u) != p.region(v) {
-                cross_f += 1;
-            }
-        }
-        // `u` rejected `v`: counts iff the rejector is Legit and the
-        // rejectee Suspect (the ⟨Ū, U⟩ direction of §IV-B).
-        if p.region(u) == Region::Legit {
-            for &v in g.rejected_by(u) {
-                if p.region(v) == Region::Suspect {
-                    cross_r += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(
-        p.cross_friendships(),
-        cross_f,
-        "cross_friendships counter {} but {cross_f} friendships cross the cut",
-        p.cross_friendships()
-    );
-    assert_eq!(
-        p.cross_rejections(),
-        cross_r,
-        "cross_rejections counter {} but {cross_r} rejections cross the cut",
-        p.cross_rejections()
-    );
+    let mut source = g;
+    let Ok(()) = kl::assert_partition_counts(&mut source, p);
 }
 
 /// Checks the pruning loop's accumulated state on the *original* graph `g`:

@@ -55,16 +55,16 @@ pub use chaos::{ChaosPlan, ChaosProfile, ChaosRng};
 pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_VERSION};
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{
-    CheckpointSink, Completion, DetectedGroup, DetectionReport, InterruptReason,
-    IterativeDetector, Seeds, Termination,
+    CheckpointSink, Completion, CutSolver, DetectedGroup, DetectionReport, InterruptReason,
+    IterativeDetector, LoopState, Seeds, Termination,
 };
 pub use faults::{ClusterFaults, Fault, FaultPlan, Mangle, StoreFaults};
 /// Re-exported so report consumers can name the exact rational sweep
 /// parameter [`DetectedGroup::k`] carries without depending on `kl`.
 pub use kl::KParam;
-pub use maar::{MaarCut, MaarSolver};
+pub use maar::{sweep_with_fallback, KResult, MaarCut, MaarSolver, SweepOutcome, SweepPlan};
 pub use resources::ResourceBudget;
-pub use runtime::RuntimeError;
+pub use runtime::{RunContext, RuntimeError};
 pub use store::{
     CheckpointStore, StoreError, StoreResume, DEFAULT_CHECKPOINT_KEEP,
 };

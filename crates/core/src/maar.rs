@@ -1,8 +1,9 @@
 use crate::faults::trigger_injected_panic;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{InitialPlacement, RejectoConfig};
-use kl::{ExtendedKl, ExtendedKlConfig, KParam};
-use rejection::{AugmentedGraph, NodeId, Partition, Region};
+use crate::{CutSolver, InitialPlacement, RejectoConfig};
+use kl::{Adjacency, ExtendedKl, ExtendedKlConfig, KParam};
+use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
@@ -23,8 +24,17 @@ impl MaarCut {
     }
 }
 
-/// What one sweep worker produced for its `k`.
-enum KResult {
+/// The largest admissible suspect-region size on an `n`-node residual
+/// graph. Clamped to at least 1: on small graphs
+/// `floor(max_suspect_fraction · n)` rounds to 0, which would silently
+/// reject *every* candidate cut — even a single blatant spammer.
+fn suspect_cap(config: &RejectoConfig, n: usize) -> usize {
+    ((config.max_suspect_fraction * n as f64).floor() as usize).max(1) // xtask-allow: lossy-cast: n < 2^53 converts exactly and the floored fraction lies in [0, n]
+}
+
+/// What one `k` of a sweep produced.
+#[derive(Debug)]
+pub enum KResult {
     /// A converged, admissible cut.
     Cut(MaarCut),
     /// Converged, but the cut was degenerate or inadmissible.
@@ -38,19 +48,206 @@ enum KResult {
 /// Everything one monitored sweep (or its warm-start fallback pair)
 /// produced, for the pruning loop's bookkeeping.
 #[derive(Debug)]
-pub(crate) struct SweepOutcome {
+pub struct SweepOutcome {
     /// The winning cut, when the sweep ran to completion and found one.
-    pub(crate) cut: Option<MaarCut>,
-    /// Sweep indices whose workers ran to convergence (including
-    /// successfully retried ones), ascending. On interruption this is the
-    /// progress record a `Partial` report carries.
-    pub(crate) completed_k_indices: Vec<usize>,
+    pub cut: Option<MaarCut>,
+    /// Sweep indices whose runs converged (including successfully retried
+    /// ones), ascending. On interruption this is the progress record a
+    /// `Partial` report carries.
+    pub completed_k_indices: Vec<usize>,
     /// Persistent per-`k` failures: the worker panicked *and* its
     /// deterministic serial retry panicked again, so the index was skipped.
-    pub(crate) failures: Vec<RuntimeError>,
+    pub failures: Vec<RuntimeError>,
     /// Whether the cancel token stopped the sweep before every `k`
     /// converged. When set, `cut` is `None`.
-    pub(crate) interrupted: bool,
+    pub interrupted: bool,
+}
+
+impl SweepOutcome {
+    /// Reduces per-`k` results, in sweep order, to the cut with the lowest
+    /// acceptance rate (earliest index wins ties). `None` marks a skipped
+    /// `k`; any interrupted `k` voids the cut.
+    pub fn reduce(
+        results: impl IntoIterator<Item = Option<KResult>>,
+        failures: Vec<RuntimeError>,
+    ) -> SweepOutcome {
+        let mut completed_k_indices = Vec::new();
+        let mut interrupted = false;
+        let mut best: Option<MaarCut> = None;
+        for (i, result) in results.into_iter().enumerate() {
+            match result {
+                None => {}
+                Some(KResult::Interrupted) => interrupted = true,
+                Some(result) => {
+                    completed_k_indices.push(i);
+                    if let KResult::Cut(cut) = result {
+                        if best.as_ref().is_none_or(|b| cut.acceptance_rate < b.acceptance_rate) {
+                            best = Some(cut);
+                        }
+                    }
+                }
+            }
+        }
+        SweepOutcome {
+            cut: if interrupted { None } else { best },
+            completed_k_indices,
+            failures,
+            interrupted,
+        }
+    }
+}
+
+/// The `k`-independent set-up of one sweep, shared by the in-process and
+/// the cluster sweep: the `k` values, the suspect cap, the seeds, and the
+/// initial partition every `k` starts from.
+#[derive(Debug, Clone)]
+pub struct SweepPlan {
+    ks: Vec<KParam>,
+    max_passes: usize,
+    cap: usize,
+    seeds: Vec<NodeId>,
+    initial: Partition,
+}
+
+impl SweepPlan {
+    /// Plans a sweep over a graph with these per-node `degrees`. A warm
+    /// start marks suspect the nodes at or above the rejection-ratio
+    /// threshold, highest first and at most the suspect cap of them; seeds
+    /// then override it and are pinned (§IV-F). `count` counts the cut of
+    /// the initial regions wherever the adjacency lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed id is out of range.
+    pub fn new<E>(
+        config: &RejectoConfig,
+        degrees: &[NodeDegrees],
+        legit_seeds: &[NodeId],
+        spammer_seeds: &[NodeId],
+        placement: InitialPlacement,
+        count: impl FnOnce(Vec<Region>) -> Result<Partition, E>,
+    ) -> Result<SweepPlan, E> {
+        let n = degrees.len();
+        let cap = suspect_cap(config, n);
+        let mut region = vec![Region::Legit; n];
+        if let InitialPlacement::RejectionRatio(threshold) = placement {
+            let mut candidates: Vec<(f64, usize)> = degrees
+                .iter()
+                .enumerate()
+                .filter_map(|(i, d)| Some((d.rejection_ratio()?, i)))
+                .filter(|&(ratio, _)| ratio >= threshold)
+                .collect();
+            candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for (_, i) in candidates.into_iter().take(cap) {
+                region[i] = Region::Suspect;
+            }
+        }
+        for &s in legit_seeds {
+            region[s.index()] = Region::Legit;
+        }
+        for &s in spammer_seeds {
+            region[s.index()] = Region::Suspect;
+        }
+        Ok(SweepPlan {
+            ks: config.k_sweep(),
+            max_passes: config.max_kl_passes,
+            cap,
+            seeds: legit_seeds.iter().chain(spammer_seeds).copied().collect(),
+            initial: count(region)?,
+        })
+    }
+
+    /// Number of `k` values in the sweep.
+    pub fn num_ks(&self) -> usize {
+        self.ks.len()
+    }
+
+    /// Runs sweep index `i` over `adj` — extended KL from the initial
+    /// partition under the context's token and metrics — and judges the
+    /// cut against the suspect cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `adj` has a different node count.
+    pub fn solve_k<A: Adjacency>(
+        &self,
+        adj: A,
+        i: usize,
+        ctx: &RunContext,
+    ) -> Result<KResult, A::Error> {
+        let _k_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
+        let k = self.ks[i];
+        let mut kl = ExtendedKl::new(adj, ExtendedKlConfig { k, max_passes: self.max_passes });
+        kl.set_cancel(ctx.token.clone());
+        if let Some(obs) = &ctx.obs {
+            kl.set_obs(obs.clone());
+        }
+        for &s in &self.seeds {
+            kl.lock(s);
+        }
+        let out = kl.try_run(self.initial.clone())?;
+        if out.interrupted {
+            return Ok(KResult::Interrupted);
+        }
+        let p = out.partition;
+        if p.suspect_count() == 0 || p.suspect_count() > self.cap {
+            return Ok(KResult::NoCut);
+        }
+        Ok(match p.acceptance_rate() {
+            Some(ac) => KResult::Cut(MaarCut { partition: p, acceptance_rate: ac, k }),
+            None => KResult::NoCut,
+        })
+    }
+}
+
+/// Runs `sweep` from the configured warm start and, when that finds no
+/// cut and was not interrupted, once more from all-legit. The warm start
+/// can steer every `k` past the admissible suspect region (KL optimizes
+/// unconstrained); the all-legit start grows cuts incrementally and stays
+/// small when small cuts suffice.
+pub fn sweep_with_fallback<E>(
+    config: &RejectoConfig,
+    mut sweep: impl FnMut(InitialPlacement) -> Result<SweepOutcome, E>,
+) -> Result<SweepOutcome, E> {
+    let first = sweep(config.initial_placement)?;
+    if first.cut.is_some()
+        || first.interrupted
+        || config.initial_placement == InitialPlacement::AllLegit
+    {
+        return Ok(first);
+    }
+    let mut fallback = sweep(InitialPlacement::AllLegit)?;
+    // Failures from the primary sweep stay on the record: a skipped k
+    // degrades the primary sweep's answer whether or not the fallback ran
+    // cleanly.
+    let mut failures = first.failures;
+    failures.append(&mut fallback.failures);
+    fallback.failures = failures;
+    Ok(fallback)
+}
+
+/// The in-process cut solver: the context's cancel token can interrupt the
+/// sweep at KL pass boundaries, its injector can detonate workers, and the
+/// outcome records per-`k` progress and failures instead of panicking or
+/// silently skipping.
+impl CutSolver for MaarSolver {
+    type Error = Infallible;
+
+    fn config(&self) -> &RejectoConfig {
+        &self.config
+    }
+
+    fn solve_round(
+        &self,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
+    ) -> Result<SweepOutcome, Infallible> {
+        sweep_with_fallback(&self.config, |placement| {
+            Ok(self.sweep(g, legit, spammer, placement, ctx))
+        })
+    }
 }
 
 /// Solves the MAAR problem on one augmented graph by sweeping `k` over a
@@ -91,60 +288,16 @@ impl MaarSolver {
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
     ) -> Option<MaarCut> {
-        self.solve_monitored(g, legit_seeds, spammer_seeds, &RunContext::unmonitored()).cut
+        let ctx = RunContext::unmonitored();
+        let Ok(outcome) = self.solve_round(g, legit_seeds, spammer_seeds, &ctx);
+        outcome.cut
     }
 
-    /// [`MaarSolver::solve`] under a [`RunContext`]: the context's cancel
-    /// token can interrupt the sweep at KL pass boundaries, its injector
-    /// can detonate workers, and the outcome records per-`k` progress and
-    /// failures instead of panicking or silently skipping.
-    pub(crate) fn solve_monitored(
-        &self,
-        g: &AugmentedGraph,
-        legit_seeds: &[NodeId],
-        spammer_seeds: &[NodeId],
-        ctx: &RunContext,
-    ) -> SweepOutcome {
-        let first = self.sweep(g, legit_seeds, spammer_seeds, self.config.initial_placement, ctx);
-        if first.cut.is_some()
-            || first.interrupted
-            || self.config.initial_placement == InitialPlacement::AllLegit
-        {
-            return first;
-        }
-        // The warm start can steer every k toward a cut larger than the
-        // admissible suspect region (KL optimizes unconstrained); fall back
-        // to the all-legit start, whose best-prefix mechanism grows cuts
-        // incrementally and stays small when small cuts suffice.
-        let mut fallback = self.sweep(g, legit_seeds, spammer_seeds, InitialPlacement::AllLegit, ctx);
-        // Failures from the primary sweep stay on the record: a skipped k
-        // degrades the primary sweep's answer whether or not the fallback
-        // ran cleanly.
-        let mut failures = first.failures;
-        failures.append(&mut fallback.failures);
-        fallback.failures = failures;
-        fallback
-    }
-
-    /// The largest admissible suspect-region size on an `n`-node residual
-    /// graph. Clamped to at least 1: on small graphs
-    /// `floor(max_suspect_fraction · n)` rounds to 0, which would silently
-    /// reject *every* candidate cut — even a single blatant spammer.
-    fn suspect_cap(&self, n: usize) -> usize {
-        ((self.config.max_suspect_fraction * n as f64).floor() as usize).max(1) // xtask-allow: lossy-cast: n < 2^53 converts exactly and the floored fraction lies in [0, n]
-    }
-
-    /// Sweeps every `k`, each an independent extended-KL run, and reduces
-    /// to the admissible cut with the lowest acceptance rate.
-    ///
-    /// The per-`k` runs execute on a fixed-size worker pool
+    /// Sweeps every `k` on a fixed-size worker pool
     /// ([`crate::pool::run_indexed`]) sized by
-    /// [`RejectoConfig::effective_threads`]; the graph is shared immutably
-    /// across workers and each run's result lands in its own sweep-index
-    /// slot. The reduction below then scans slots in sweep order and keeps
-    /// a candidate only when *strictly* better — exactly the serial loop's
-    /// tie-break (lowest acceptance rate, earliest sweep index wins) — so
-    /// thread count cannot change the winner.
+    /// [`RejectoConfig::effective_threads`]. Each run's result lands in its
+    /// own sweep-index slot and [`SweepOutcome::reduce`] scans the slots in
+    /// sweep order, so thread count cannot change the winner.
     ///
     /// Panicked slots are retried *serially in index order* before the
     /// reduction: a transient panic therefore yields the identical answer
@@ -159,49 +312,23 @@ impl MaarSolver {
         placement: InitialPlacement,
         ctx: &RunContext,
     ) -> SweepOutcome {
-        let cap = self.suspect_cap(g.num_nodes());
-        let ks = self.config.k_sweep();
         let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
+        let count = |region| Ok::<_, Infallible>(Partition::from_regions(g, region));
+        let degrees = NodeDegrees::of_graph(g);
+        let Ok(plan) =
+            SweepPlan::new(&self.config, &degrees, legit_seeds, spammer_seeds, placement, count);
         let solve_one = |i: usize| -> KResult {
+            // The injection probe runs before the k span opens: a
+            // detonated worker must record nothing, so its deterministic
+            // serial retry leaves the metrics identical to a clean run's.
             if ctx.injector.should_panic(i) {
                 trigger_injected_panic(i);
             }
-            // Opened only after the injection probe: a detonated worker
-            // must record nothing, so its deterministic serial retry leaves
-            // the metrics identical to a clean run's.
-            let _k_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
-            let k = ks[i];
-            let mut kl = ExtendedKl::new(
-                g,
-                ExtendedKlConfig { k, max_passes: self.config.max_kl_passes },
-            );
-            kl.set_cancel(ctx.token.clone());
-            if let Some(obs) = &ctx.obs {
-                kl.set_obs(obs.clone());
-            }
-            for &s in legit_seeds.iter().chain(spammer_seeds) {
-                kl.lock(s);
-            }
-            let init = self.initial_partition(g, legit_seeds, spammer_seeds, placement);
-            let out = kl.run(init);
-            if out.interrupted {
-                return KResult::Interrupted;
-            }
-            let p = out.partition;
-            #[cfg(feature = "debug-invariants")]
-            crate::invariants::assert_partition_bookkeeping(g, &p);
-            if p.suspect_count() == 0 || p.suspect_count() > cap {
-                return KResult::NoCut;
-            }
-            match p.acceptance_rate() {
-                Some(ac) => {
-                    KResult::Cut(MaarCut { partition: p, acceptance_rate: ac, k })
-                }
-                None => KResult::NoCut,
-            }
+            let Ok(result) = plan.solve_k(g, i, ctx);
+            result
         };
         let threads = self.config.effective_threads();
-        let mut slots = crate::pool::run_indexed(threads, ks.len(), &ctx.token, solve_one);
+        let mut slots = crate::pool::run_indexed(threads, plan.num_ks(), &ctx.token, solve_one);
 
         // Deterministic serial retry of panicked slots, in index order. A
         // retry that panics again records the failure and skips the index.
@@ -210,91 +337,22 @@ impl MaarSolver {
             if let crate::pool::JobOutcome::Panicked(_) = slot {
                 match catch_unwind(AssertUnwindSafe(|| solve_one(i))) {
                     Ok(result) => *slot = crate::pool::JobOutcome::Done(result),
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        failures.push(RuntimeError::WorkerFailed {
-                            round: ctx.round,
-                            k_index: i,
-                            message,
-                        });
-                    }
+                    Err(payload) => failures.push(RuntimeError::WorkerFailed {
+                        round: ctx.round,
+                        k_index: i,
+                        message: crate::pool::panic_message(payload),
+                    }),
                 }
             }
         }
-
-        let mut completed_k_indices = Vec::new();
-        let mut interrupted = false;
-        let mut best: Option<MaarCut> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                crate::pool::JobOutcome::Done(KResult::Interrupted)
-                | crate::pool::JobOutcome::Skipped => interrupted = true,
-                crate::pool::JobOutcome::Done(result) => {
-                    completed_k_indices.push(i);
-                    if let KResult::Cut(cut) = result {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => cut.acceptance_rate < b.acceptance_rate,
-                        };
-                        if better {
-                            best = Some(cut);
-                        }
-                    }
-                }
-                // Retried above: a surviving Panicked slot is a recorded
-                // failure, not a candidate.
-                crate::pool::JobOutcome::Panicked(_) => {}
-            }
-        }
-        SweepOutcome {
-            cut: if interrupted { None } else { best },
-            completed_k_indices,
-            failures,
-            interrupted,
-        }
-    }
-
-    fn initial_partition(
-        &self,
-        g: &AugmentedGraph,
-        legit_seeds: &[NodeId],
-        spammer_seeds: &[NodeId],
-        placement: InitialPlacement,
-    ) -> Partition {
-        let cap = self.suspect_cap(g.num_nodes());
-        let mut region = match placement {
-            InitialPlacement::AllLegit => vec![Region::Legit; g.num_nodes()],
-            InitialPlacement::RejectionRatio(threshold) => {
-                // Candidates above the threshold, capped at the admissible
-                // suspect-region size (highest ratios first) so the warm
-                // start never starts outside the feasible family.
-                let mut candidates: Vec<(f64, NodeId)> = g
-                    .nodes()
-                    .filter_map(|u| {
-                        g.rejection_ratio(u)
-                            .filter(|&r| r >= threshold)
-                            .map(|r| (r, u))
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut region = vec![Region::Legit; g.num_nodes()];
-                for (_, u) in candidates.into_iter().take(cap) {
-                    region[u.index()] = Region::Suspect;
-                }
-                region
-            }
-        };
-        for &s in legit_seeds {
-            region[s.index()] = Region::Legit;
-        }
-        for &s in spammer_seeds {
-            region[s.index()] = Region::Suspect;
-        }
-        Partition::from_regions(g, region)
+        let results = slots.into_iter().map(|slot| match slot {
+            crate::pool::JobOutcome::Done(result) => Some(result),
+            crate::pool::JobOutcome::Skipped => Some(KResult::Interrupted),
+            // Retried above: a surviving Panicked slot is a recorded
+            // failure, not a candidate.
+            crate::pool::JobOutcome::Panicked(_) => None,
+        });
+        SweepOutcome::reduce(results, failures)
     }
 }
 
@@ -426,7 +484,7 @@ mod tests {
             let solver = MaarSolver::new(config);
             let mut ctx = RunContext::unmonitored();
             ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
-            let out = solver.solve_monitored(&g, &[], &[], &ctx);
+            let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
             let cut = out.cut.expect("retried sweep still finds the cut");
@@ -446,7 +504,7 @@ mod tests {
             let mut ctx = RunContext::unmonitored();
             ctx.round = 1;
             ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
-            let out = solver.solve_monitored(&g, &[], &[], &ctx);
+            let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");
             assert_eq!(out.failures.len(), 1, "threads={threads}");
             match &out.failures[0] {

@@ -58,7 +58,7 @@ impl<T> JobOutcome<T> {
 
 /// Renders a panic payload: string payloads (the overwhelmingly common
 /// case — every `panic!("...")`) are preserved verbatim.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -141,28 +141,55 @@ impl fmt::Display for RuntimeError {
 
 impl Error for RuntimeError {}
 
-/// Per-run plumbing shared by the pruning loop and the sweep workers: the
-/// cancellation token budgets arm, the fault injector tests arm, and the
-/// current 1-based round for diagnostics.
+/// Per-run plumbing shared by the pruning loop and the cut solvers under
+/// it: the cancellation token the budgets arm, the fault injector tests
+/// arm, the metrics registry, and the current 1-based round for
+/// diagnostics.
 #[derive(Debug, Clone)]
-pub(crate) struct RunContext {
-    pub(crate) token: kl::CancelToken,
+pub struct RunContext {
+    /// Polled at every KL pass and sweep boundary; carries the run's
+    /// deadline and global KL pass budget.
+    pub token: kl::CancelToken,
     pub(crate) injector: crate::faults::FaultInjector,
+    /// 1-based pruning round being solved (0 outside the loop).
     pub(crate) round: usize,
     /// Metrics registry shared by the pruning loop and every sweep worker;
     /// `None` keeps the unmonitored hot path allocation-free.
-    pub(crate) obs: Option<rejecto_obs::Obs>,
+    pub obs: Option<rejecto_obs::Obs>,
 }
 
 impl RunContext {
     /// A context with no budgets armed and no faults planned — the exact
     /// legacy code path.
     pub(crate) fn unmonitored() -> Self {
-        RunContext {
-            token: kl::CancelToken::new(),
-            injector: crate::faults::FaultInjector::new(&crate::faults::FaultPlan::default()),
-            round: 0,
-            obs: None,
+        RunContext::armed(&crate::RejectoConfig::default(), None)
+    }
+
+    /// A context for one run under `config`: its deadline (the tighter of
+    /// the budget's and an injected `deadline` fault's) and its global KL
+    /// pass budget armed on a fresh token, and its fault plan armed.
+    pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
+        let token = kl::CancelToken::new();
+        let injector = crate::faults::FaultInjector::new(&config.faults);
+        if let Some(deadline) = config.budget.deadline {
+            token.set_deadline_in(deadline);
+        }
+        if let Some(deadline) = injector.deadline() {
+            // The token keeps the tighter of the two deadlines.
+            token.set_deadline_in(deadline);
+        }
+        if let Some(passes) = config.budget.max_kl_passes {
+            token.set_pass_budget(passes);
+        }
+        RunContext { token, injector, round: 0, obs }
+    }
+
+    /// Maps the token's trip cause onto the report vocabulary.
+    pub fn interrupt_reason(&self) -> crate::InterruptReason {
+        match self.token.reason() {
+            Some(kl::CancelReason::Deadline) => crate::InterruptReason::Deadline,
+            Some(kl::CancelReason::PassBudget) => crate::InterruptReason::PassBudget,
+            _ => crate::InterruptReason::Cancelled,
         }
     }
 }

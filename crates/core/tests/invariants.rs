@@ -21,9 +21,9 @@ fn fixture() -> AugmentedGraph {
 fn partition_checker_accepts_consistent_counters() {
     let g = fixture();
     let mut p = Partition::all_legit(&g);
-    p.switch(&g, NodeId(4));
-    p.switch(&g, NodeId(3));
-    p.switch(&g, NodeId(3)); // and back — counters must round-trip
+    p.switch(NodeId(4), g.neighbors(NodeId(4)));
+    p.switch(NodeId(3), g.neighbors(NodeId(3)));
+    p.switch(NodeId(3), g.neighbors(NodeId(3))); // and back — counters must round-trip
     assert_partition_bookkeeping(&g, &p);
 }
 

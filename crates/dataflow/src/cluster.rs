@@ -6,6 +6,16 @@
 //! Every master↔worker exchange is counted in [`IoStats`], so the Table-II
 //! harness can report both wall time and simulated network traffic.
 //!
+//! The master runs no algorithm of its own. Its `k` sweep builds the same
+//! [`SweepPlan`] as the in-process solver, from per-node degrees the
+//! workers report, and runs the one extended-KL kernel
+//! ([`kl::ExtendedKl`]) over [`ClusterAdjacency`]: an [`Adjacency`]
+//! source that answers a node lookup from the LRU buffer (fetching on a
+//! miss), prefetches the top of the bucket list in batches, and
+//! broadcasts each pass's initial-gain computation to the workers. The
+//! cut is therefore the in-process cut by construction; only the data
+//! layout and the traffic differ.
+//!
 //! # Failure model
 //!
 //! The cluster keeps the source graph as its **lineage** (the RDD model)
@@ -30,18 +40,16 @@
 use crate::error::ClusterError;
 use crate::LruCache;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use kl::{BucketList, CancelReason, CancelToken, KParam};
-use rejection::{AugmentedGraph, NodeId};
+use kl::{Adjacency, BucketList, KParam};
+use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
 use rejecto_core::{
-    ClusterFaults, Completion, InitialPlacement, InterruptReason, RejectoConfig, RuntimeError,
+    sweep_with_fallback, ClusterFaults, Completion, KResult, RejectoConfig, RunContext,
+    RuntimeError, SweepOutcome, SweepPlan,
 };
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-const LEGIT: u8 = 0;
-const SUSPECT: u8 = 1;
 
 /// Never tighten the per-request watchdog below this, even when the run
 /// deadline is about to expire: a healthy worker that needs a few
@@ -51,11 +59,21 @@ const WATCHDOG_FLOOR: Duration = Duration::from_millis(250);
 /// Per-node adjacency shipped from a worker to the master.
 #[derive(Debug, Clone, Default)]
 struct NodeData {
-    friends: Vec<u32>,
+    friends: Vec<NodeId>,
     /// Users whose requests this node rejected.
-    rejected_by: Vec<u32>,
+    rejected_by: Vec<NodeId>,
     /// Users who rejected this node's requests.
-    rejectors_of: Vec<u32>,
+    rejectors_of: Vec<NodeId>,
+}
+
+impl NodeData {
+    fn neighbors(&self) -> Neighbors<'_> {
+        Neighbors {
+            friends: &self.friends,
+            rejected_by: &self.rejected_by,
+            rejectors_of: &self.rejectors_of,
+        }
+    }
 }
 
 /// Cluster sizing and failure-handling knobs.
@@ -182,13 +200,12 @@ impl std::ops::AddAssign for IoStats {
 enum Request {
     /// Ship the adjacency of these owned nodes.
     Fetch(Vec<u32>),
-    /// Compute initial switching gains for the owned range under the given
-    /// region assignment and rational `k = num/den`.
-    InitGains { regions: Arc<Vec<u8>>, num: i64, den: i64 },
-    /// Compute `(friend_degree, rejections_received)` for the owned range.
+    /// Compute the switching gains of the owned range under a partition.
+    InitGains { partition: Arc<Partition>, k: KParam },
+    /// Report the adjacency sizes of the owned range.
     Stats,
     /// Count cross-cut friendships and rejections for the owned range.
-    CutCounts { regions: Arc<Vec<u8>> },
+    CutCounts { regions: Arc<Vec<Region>> },
     Shutdown,
 }
 
@@ -199,8 +216,8 @@ enum Response {
     Nodes(Vec<(u32, NodeData)>),
     /// Gains for the owned range, in id order.
     Gains { base: u32, gains: Vec<i64> },
-    /// `(friend_degree, rejections_received)` for the owned range.
-    Stats { base: u32, stats: Vec<(u32, u32)> },
+    /// Adjacency sizes for the owned range, in id order.
+    Stats { base: u32, stats: Vec<NodeDegrees> },
     /// `(cross_friendships_counted_once, cross_rejections)`.
     CutCounts { base: u32, len: u32, friends: u64, rejections: u64 },
 }
@@ -271,109 +288,44 @@ struct Shard {
 }
 
 impl Shard {
-    fn data(&self, id: u32) -> &NodeData {
-        &self.nodes[(id - self.base) as usize]
+    /// The owned nodes with their ids.
+    fn owned(&self) -> impl Iterator<Item = (NodeId, &NodeData)> + '_ {
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(self.base + i as u32), n))
     }
 
     fn serve(self, rx: Receiver<Request>, tx: Sender<Response>) {
         while let Ok(req) = rx.recv() { // xtask-allow: channel-discipline: shard serve loop parks until the owner sends a request; shutdown arrives as Request::Shutdown or a hangup, so blocking cannot wedge the cluster
-            match req {
+            let base = self.base;
+            let _ = tx.send(match req {
                 Request::Shutdown => break,
-                Request::Fetch(ids) => {
-                    let out =
-                        ids.into_iter().map(|id| (id, self.data(id).clone())).collect();
-                    let _ = tx.send(Response::Nodes(out));
-                }
-                Request::Stats => {
-                    let out = self
-                        .nodes
-                        .iter()
-                        .map(|n| (n.friends.len() as u32, n.rejectors_of.len() as u32))
-                        .collect();
-                    let _ = tx.send(Response::Stats { base: self.base, stats: out });
-                }
+                Request::Fetch(ids) => Response::Nodes(
+                    ids.into_iter()
+                        .map(|id| (id, self.nodes[(id - base) as usize].clone()))
+                        .collect(),
+                ),
+                Request::Stats => Response::Stats {
+                    base,
+                    stats: self.nodes.iter().map(|n| NodeDegrees::of(n.neighbors())).collect(),
+                },
                 Request::CutCounts { regions } => {
-                    let mut cf = 0u64;
-                    let mut cr = 0u64;
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        let u = self.base + i as u32;
-                        let ru = regions[u as usize];
-                        for &v in &n.friends {
-                            if u < v && ru != regions[v as usize] {
-                                cf += 1;
-                            }
-                        }
-                        if ru == LEGIT {
-                            for &s in &n.rejected_by {
-                                if regions[s as usize] == SUSPECT {
-                                    cr += 1;
-                                }
-                            }
-                        }
+                    let (mut friends, mut rejections) = (0u64, 0u64);
+                    for (u, n) in self.owned() {
+                        let (f, r) = Partition::cut_edges(&regions, u, n.neighbors());
+                        friends += f;
+                        rejections += r;
                     }
-                    let _ = tx.send(Response::CutCounts {
-                        base: self.base,
-                        len: self.nodes.len() as u32,
-                        friends: cf,
-                        rejections: cr,
-                    });
+                    Response::CutCounts { base, len: self.nodes.len() as u32, friends, rejections }
                 }
-                Request::InitGains { regions, num, den } => {
-                    let gains = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| {
-                            let u = self.base + i as u32;
-                            let (df, dr) = switch_delta(n, u, &regions);
-                            num * dr - den * df
-                        })
-                        .collect();
-                    let _ = tx.send(Response::Gains { base: self.base, gains });
-                }
-            }
+                Request::InitGains { partition, k } => Response::Gains {
+                    base,
+                    gains: self
+                        .owned()
+                        .map(|(u, n)| k.gain(partition.switch_delta(u, n.neighbors())))
+                        .collect(),
+                },
+            });
         }
     }
-}
-
-/// `(Δcross_friendships, Δcross_rejections)` if `u` switched regions —
-/// the same arithmetic as `rejection::Partition::switch_delta`, expressed
-/// over shipped [`NodeData`].
-fn switch_delta(n: &NodeData, u: u32, regions: &[u8]) -> (i64, i64) {
-    let from = regions[u as usize];
-    let mut df = 0i64;
-    for &v in &n.friends {
-        if regions[v as usize] == from {
-            df += 1;
-        } else {
-            df -= 1;
-        }
-    }
-    let mut dr = 0i64;
-    if from == LEGIT {
-        for &r in &n.rejectors_of {
-            if regions[r as usize] == LEGIT {
-                dr += 1;
-            }
-        }
-        for &s in &n.rejected_by {
-            if regions[s as usize] == SUSPECT {
-                dr -= 1;
-            }
-        }
-    } else {
-        for &r in &n.rejectors_of {
-            if regions[r as usize] == LEGIT {
-                dr -= 1;
-            }
-        }
-        for &s in &n.rejected_by {
-            if regions[s as usize] == SUSPECT {
-                dr += 1;
-            }
-        }
-    }
-    (df, dr)
 }
 
 fn spawn_worker(
@@ -393,9 +345,9 @@ fn spawn_worker(
                 .map(|id| {
                     let id = NodeId(id);
                     NodeData {
-                        friends: lineage.friends(id).iter().map(|v| v.0).collect(),
-                        rejected_by: lineage.rejected_by(id).iter().map(|v| v.0).collect(),
-                        rejectors_of: lineage.rejectors_of(id).iter().map(|v| v.0).collect(),
+                        friends: lineage.friends(id).to_vec(),
+                        rejected_by: lineage.rejected_by(id).to_vec(),
+                        rejectors_of: lineage.rejectors_of(id).to_vec(),
                     }
                 })
                 .collect();
@@ -780,83 +732,78 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Parallel per-node `(friend_degree, rejections_received)`.
-    fn stats(&self, io: &mut IoStats) -> Result<Vec<(u32, u32)>, ClusterError> {
+    /// Broadcasts `make` to every shard and hands each response to
+    /// `take`, which returns `false` on a response of the wrong kind.
+    fn gather(
+        &self,
+        what: &str,
+        make: &dyn Fn() -> Request,
+        io: &mut IoStats,
+        mut take: impl FnMut(Response) -> bool,
+    ) -> Result<(), ClusterError> {
         io.init_jobs += 1;
-        let mut out = vec![(0u32, 0u32); self.num_nodes];
-        for resp in self.broadcast(&|| Request::Stats, io)? {
-            match resp {
-                Response::Stats { base, stats } => {
-                    for (i, v) in stats.into_iter().enumerate() {
-                        out[base as usize + i] = v;
-                    }
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "stats broadcast yielded a non-Stats response".to_string(),
-                    })
-                }
+        for resp in self.broadcast(make, io)? {
+            if !take(resp) {
+                return Err(ClusterError::ProtocolViolation {
+                    message: format!("{what} broadcast yielded a mismatched response"),
+                });
             }
         }
+        Ok(())
+    }
+
+    /// Per-node adjacency sizes, gathered from every shard in parallel.
+    fn degrees(&self, io: &mut IoStats) -> Result<Vec<NodeDegrees>, ClusterError> {
+        let mut out = vec![NodeDegrees::default(); self.num_nodes];
+        self.gather("stats", &|| Request::Stats, io, |resp| match resp {
+            Response::Stats { base, stats } => {
+                out[base as usize..][..stats.len()].copy_from_slice(&stats);
+                true
+            }
+            _ => false,
+        })?;
         Ok(out)
     }
 
-    /// Parallel initial gains for all nodes under `regions`.
+    /// The switching gain of every node under `p`, computed on the shards
+    /// in parallel.
     fn init_gains(
         &self,
-        regions: &Arc<Vec<u8>>,
+        p: &Partition,
         k: KParam,
+        out: &mut [i64],
         io: &mut IoStats,
-    ) -> Result<Vec<i64>, ClusterError> {
-        io.init_jobs += 1;
-        let mut out = vec![0i64; self.num_nodes];
-        let make = || Request::InitGains {
-            regions: Arc::clone(regions),
-            num: k.num() as i64,
-            den: k.den() as i64,
-        };
-        for resp in self.broadcast(&make, io)? {
-            match resp {
-                Response::Gains { base, gains } => {
-                    for (i, v) in gains.into_iter().enumerate() {
-                        out[base as usize + i] = v;
-                    }
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "init-gains broadcast yielded a non-Gains response".to_string(),
-                    })
-                }
+    ) -> Result<(), ClusterError> {
+        let partition = Arc::new(p.clone());
+        let make = || Request::InitGains { partition: Arc::clone(&partition), k };
+        self.gather("init-gains", &make, io, |resp| match resp {
+            Response::Gains { base, gains } => {
+                out[base as usize..][..gains.len()].copy_from_slice(&gains);
+                true
             }
-        }
-        Ok(out)
+            _ => false,
+        })
     }
 
-    /// Parallel cross-cut counts under `regions`.
-    fn cut_counts(
+    /// The partition with these regions, its cut counted on the shards in
+    /// parallel.
+    fn partition(
         &self,
-        regions: &Arc<Vec<u8>>,
+        regions: Vec<Region>,
         io: &mut IoStats,
-    ) -> Result<(u64, u64), ClusterError> {
-        io.init_jobs += 1;
-        let mut cf = 0u64;
-        let mut cr = 0u64;
-        let make = || Request::CutCounts { regions: Arc::clone(regions) };
-        for resp in self.broadcast(&make, io)? {
-            match resp {
-                Response::CutCounts { friends, rejections, .. } => {
-                    cf += friends;
-                    cr += rejections;
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "cut-counts broadcast yielded a non-CutCounts response"
-                            .to_string(),
-                    })
-                }
+    ) -> Result<Partition, ClusterError> {
+        let regions = Arc::new(regions);
+        let (mut cf, mut cr) = (0u64, 0u64);
+        let make = || Request::CutCounts { regions: Arc::clone(&regions) };
+        self.gather("cut-counts", &make, io, |resp| match resp {
+            Response::CutCounts { friends, rejections, .. } => {
+                cf += friends;
+                cr += rejections;
+                true
             }
-        }
-        Ok((cf, cr))
+            _ => false,
+        })?;
+        Ok(Partition::from_parts(Arc::unwrap_or_clone(regions), cf, cr))
     }
 }
 
@@ -907,7 +854,7 @@ pub struct DistributedOutcome {
 #[derive(Debug, Clone)]
 pub struct DistributedMaar {
     cluster_config: ClusterConfig,
-    rejecto: RejectoConfig,
+    pub(crate) rejecto: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
 }
 
@@ -942,8 +889,9 @@ impl DistributedMaar {
         self.solve_on(&cluster, g.num_nodes())
     }
 
-    /// Solves MAAR against an existing cluster (graph already sharded),
-    /// arming the configured budgets and fault plan for this one solve.
+    /// Solves MAAR against an existing cluster (graph already sharded, with
+    /// `num_nodes` users), arming the configured budgets and fault plan for
+    /// this one solve.
     ///
     /// # Errors
     ///
@@ -953,365 +901,157 @@ impl DistributedMaar {
         cluster: &Cluster,
         num_nodes: usize,
     ) -> Result<DistributedOutcome, RuntimeError> {
-        let token = CancelToken::new();
-        if let Some(deadline) = self.rejecto.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = self.rejecto.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let faults = ClusterFaults::new(&self.rejecto.faults);
-        if let Some(deadline) = faults.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        cluster.arm_faults(faults);
-        self.solve_monitored_on(cluster, num_nodes, &[], &[], &token)
-    }
-
-    /// The monitored solve the distributed detector drives round by round:
-    /// budgets arrive through a shared `token` (armed by the caller) and
-    /// fault schedules through the cluster. Seed ids are in the cluster's
-    /// (residual) id space.
-    pub(crate) fn solve_monitored_on(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-        legit: &[NodeId],
-        spammer: &[NodeId],
-        token: &CancelToken,
-    ) -> Result<DistributedOutcome, RuntimeError> {
-        let out = self.solve_with_placement(
-            cluster,
-            num_nodes,
-            legit,
-            spammer,
-            self.rejecto.initial_placement,
-            token,
-        )?;
-        if !out.suspects.is_empty()
-            || matches!(out.completion, Completion::Partial { .. })
-            || self.rejecto.initial_placement == InitialPlacement::AllLegit
-        {
-            return Ok(out);
-        }
-        // Same fallback as the single-process solver: if the warm start
-        // steered every k past the admissible cut size, retry all-legit.
-        let mut retry = self.solve_with_placement(
-            cluster,
-            num_nodes,
-            legit,
-            spammer,
-            InitialPlacement::AllLegit,
-            token,
-        )?;
-        retry.io.merge(&out.io);
-        retry.elapsed += out.elapsed;
-        let mut failures = out.failures;
-        failures.extend(std::mem::take(&mut retry.failures));
-        retry.failures = failures;
-        Ok(retry)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn solve_with_placement(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-        legit: &[NodeId],
-        spammer: &[NodeId],
-        placement: InitialPlacement,
-        token: &CancelToken,
-    ) -> Result<DistributedOutcome, RuntimeError> {
+        debug_assert_eq!(num_nodes, cluster.num_nodes(), "solve_on node count mismatch");
         let start = rejecto_obs::Stopwatch::start();
+        let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
+        cluster.arm_faults(ClusterFaults::new(&self.rejecto.faults));
         let mut io = IoStats::default();
-        let faults = cluster.faults_handle();
-        let _sweep_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-
-        // Warm start needs per-node (degree, rejections) — an RDD job. As
-        // in the single-process solver, the warm suspect set is capped at
-        // the admissible region size (highest rejection ratios first) and
-        // seeds override the placement afterwards.
-        let stats = cluster.stats(&mut io)?;
-        let warm_cap =
-            (self.rejecto.max_suspect_fraction * num_nodes as f64).floor() as usize;
-        let mut warm: Vec<u8> = match placement {
-            InitialPlacement::AllLegit => vec![LEGIT; num_nodes],
-            InitialPlacement::RejectionRatio(t) => {
-                let mut candidates: Vec<(f64, usize)> = stats
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &(f, r))| {
-                        let total = f as f64 + r as f64;
-                        let ratio = if total > 0.0 { r as f64 / total } else { return None };
-                        (ratio >= t).then_some((ratio, i))
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut warm = vec![LEGIT; num_nodes];
-                for (_, i) in candidates.into_iter().take(warm_cap) {
-                    warm[i] = SUSPECT;
-                }
-                warm
-            }
-            #[allow(unreachable_patterns)]
-            _ => vec![LEGIT; num_nodes],
-        };
-        // Seeds are pinned: pre-placed in their region and locked out of
-        // the bucket list so KL can never switch them (§IV-F).
-        let mut locked = vec![false; num_nodes];
-        for s in legit {
-            warm[s.index()] = LEGIT;
-            locked[s.index()] = true;
-        }
-        for s in spammer {
-            warm[s.index()] = SUSPECT;
-            locked[s.index()] = true;
-        }
-        let gain_bound = {
-            let mut b = 1i64;
-            let max_num = (self.rejecto.k_max * self.rejecto.k_denominator as f64).ceil() as i64 + 1;
-            for &(f, r) in &stats {
-                // rejectors + rejectees both bounded by total incident
-                // rejections; use a safe overestimate.
-                b = b.max(
-                    self.rejecto.k_denominator as i64 * f as i64 + max_num * 2 * r as i64 + max_num,
-                );
-            }
-            b
-        };
-
-        let mut best: Option<(Vec<u8>, f64, KParam)> = None;
-        let cap = (self.rejecto.max_suspect_fraction * num_nodes as f64).floor() as usize;
-        // The buffer persists across the whole k sweep — the graph data it
-        // caches is k-independent ("we cache intermediate data sets and
-        // results in memory, reducing the cost of their future reuse").
-        let mut buffer: LruCache<NodeData> = LruCache::new(self.cluster_config.buffer_capacity);
-        let mut completed: Vec<usize> = Vec::new();
-        let mut interrupted = false;
-        for (idx, k) in self.rejecto.k_sweep().into_iter().enumerate() {
-            if token.is_cancelled() {
-                interrupted = true;
-                break;
-            }
-            // Bound a potential hang by the remaining run budget, and arm
-            // any injected hang scheduled for this sweep index.
-            if let Some(remaining) = token.time_remaining() {
-                cluster.tighten_watchdog(remaining);
-            }
-            if faults.take_hang(idx) {
-                cluster.arm_hang(1);
-            }
-            let _k_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
-            let Some((regions, cf, cr)) =
-                self.run_kl(cluster, num_nodes, &warm, &locked, k, gain_bound, &mut buffer, token, &mut io)?
-            else {
-                // A budget tripped mid-k: the half-finished k is rolled
-                // back (its tentative regions are discarded wholesale).
-                interrupted = true;
-                break;
-            };
-            completed.push(idx);
-            let suspects = regions.iter().filter(|&&r| r == SUSPECT).count();
-            if suspects == 0 || suspects > cap || cf + cr == 0 {
-                continue;
-            }
-            let ac = cf as f64 / (cf + cr) as f64;
-            if best.as_ref().is_none_or(|(_, b, _)| ac < *b) {
-                best = Some((regions, ac, k));
-            }
-        }
-
-        let completion = if interrupted {
+        let outcome = self.sweep_on(cluster, &[], &[], &ctx, &mut io)?;
+        let completion = if outcome.interrupted {
             Completion::Partial {
                 completed_rounds: 0,
-                completed_k_indices: completed,
-                reason: interrupt_reason(token),
+                completed_k_indices: outcome.completed_k_indices,
+                reason: ctx.interrupt_reason(),
             }
         } else {
             Completion::Complete
         };
-        let elapsed = start.elapsed();
-        // An interrupted sweep reports no cut, like the single-process
-        // solver: a partial sweep's best-so-far is not the MAAR cut.
-        let best = if interrupted { None } else { best };
-        Ok(match best {
-            Some((regions, ac, k)) => DistributedOutcome {
-                suspects: regions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &r)| r == SUSPECT)
-                    .map(|(i, _)| NodeId::from_index(i))
-                    .collect(),
-                acceptance_rate: Some(ac),
-                k: Some(k.value()),
-                k_exact: Some(k),
-                io,
-                elapsed,
-                completion,
-                failures: Vec::new(),
-            },
-            None => DistributedOutcome {
-                suspects: Vec::new(),
-                acceptance_rate: None,
-                k: None,
-                k_exact: None,
-                io,
-                elapsed,
-                completion,
-                failures: Vec::new(),
-            },
+        let cut = outcome.cut;
+        Ok(DistributedOutcome {
+            suspects: cut.as_ref().map(|c| c.suspects()).unwrap_or_default(),
+            acceptance_rate: cut.as_ref().map(|c| c.acceptance_rate),
+            k: cut.as_ref().map(|c| c.k.value()),
+            k_exact: cut.as_ref().map(|c| c.k),
+            io,
+            elapsed: start.elapsed(),
+            completion,
+            failures: outcome.failures,
         })
     }
 
-    /// One extended-KL optimization for a fixed `k` on the cluster.
-    /// Returns the final regions and cross-cut counts, or `None` when the
-    /// run budget tripped at a pass boundary (the k is rolled back).
-    #[allow(clippy::too_many_arguments)]
-    fn run_kl(
+    /// One round's MAAR cut on `cluster`, with the all-legit fallback. Seed
+    /// ids are in the cluster's id space; traffic is added to `io`.
+    pub(crate) fn sweep_on(
         &self,
         cluster: &Cluster,
-        num_nodes: usize,
-        warm: &[u8],
-        locked: &[bool],
-        k: KParam,
-        gain_bound: i64,
-        buffer: &mut LruCache<NodeData>,
-        token: &CancelToken,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
         io: &mut IoStats,
-    ) -> Result<Option<(Vec<u8>, u64, u64)>, RuntimeError> {
-        let num = k.num() as i64;
-        let den = k.den() as i64;
-        let mut regions = Arc::new(warm.to_vec());
-        let (mut cf, mut cr) = cluster.cut_counts(&regions, io)?;
-        let mut passes_run = 0u64;
-        let mut moves_committed = 0u64;
-        let mut bucket_adjusts = 0u64;
-
-        for _pass in 0..self.rejecto.max_kl_passes {
-            if !token.consume_pass() {
-                return Ok(None);
-            }
-            passes_run += 1;
-            let _pass_span =
-                self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            // Tentative state for this pass.
-            let mut tmp: Vec<u8> = regions.as_ref().clone();
-            let gains = cluster.init_gains(&regions, k, io)?;
-            let mut bucket = BucketList::new(num_nodes, -gain_bound, gain_bound);
-            for (i, &g) in gains.iter().enumerate() {
-                if !locked[i] {
-                    bucket.insert(i as u32, g);
+    ) -> Result<SweepOutcome, RuntimeError> {
+        sweep_with_fallback(&self.rejecto, |placement| {
+            let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
+            let degrees = cluster.degrees(io)?;
+            let plan = SweepPlan::new(&self.rejecto, &degrees, legit, spammer, placement, |r| {
+                cluster.partition(r, io)
+            })?;
+            // The buffer persists across the whole k sweep — the graph
+            // data it caches is k-independent ("we cache intermediate data
+            // sets and results in memory, reducing the cost of their
+            // future reuse").
+            let mut buffer = LruCache::new(self.cluster_config.buffer_capacity);
+            let faults = cluster.faults_handle();
+            let mut results = Vec::with_capacity(plan.num_ks());
+            for i in 0..plan.num_ks() {
+                if ctx.token.is_cancelled() {
+                    results.push(Some(KResult::Interrupted));
+                    break;
+                }
+                // Bound a potential hang by the remaining run budget, and
+                // arm any injected hang scheduled for this sweep index.
+                if let Some(remaining) = ctx.token.time_remaining() {
+                    cluster.tighten_watchdog(remaining);
+                }
+                if faults.take_hang(i) {
+                    cluster.arm_hang(1);
+                }
+                let adj = ClusterAdjacency {
+                    cluster,
+                    degrees: &degrees,
+                    buffer: &mut buffer,
+                    io: &mut *io,
+                    prefetch_batch: self.cluster_config.prefetch_batch,
+                };
+                results.push(Some(plan.solve_k(adj, i, ctx)?));
+                if matches!(results.last(), Some(Some(KResult::Interrupted))) {
+                    break;
                 }
             }
-
-            let mut seq: Vec<(u32, i64, i64, i64)> = Vec::with_capacity(num_nodes);
-            while !bucket.is_empty() {
-                // Ensure the next pops are resident: prefetch top-gain ids.
-                let top = bucket.peek_top(self.cluster_config.prefetch_batch);
-                let missing: Vec<u32> =
-                    top.iter().copied().filter(|id| !buffer.contains(id)).collect();
-                if !missing.is_empty() {
-                    io.buffer_misses += missing.len() as u64;
-                    for (id, data) in cluster.fetch(&missing, io)? {
-                        buffer.insert(id, data);
-                    }
-                }
-                for _ in 0..top.len() {
-                    let Some((u, gain)) = bucket.pop_max() else { break };
-                    if !buffer.contains(&u) {
-                        // Gain updates reorder the bucket between pops, so
-                        // the max can fall outside the prefetched set.
-                        io.buffer_misses += 1;
-                        let fetched = cluster.fetch(&[u], io)?;
-                        let d = fetched.into_iter().next().expect("owner must return node").1;
-                        buffer.insert(u, d);
-                    } else {
-                        io.buffer_hits += 1;
-                    }
-                    let data = buffer.get(&u).expect("just ensured present");
-                    let from = tmp[u as usize];
-                    let (df, dr) = switch_delta(data, u, &tmp);
-                    debug_assert_eq!(gain, num * dr - den * df, "stale distributed gain");
-                    tmp[u as usize] = 1 - from;
-                    let now_in = tmp[u as usize];
-                    seq.push((u, gain, df, dr));
-
-                    for &v in &data.friends {
-                        if bucket.contains(v) {
-                            let t = if tmp[v as usize] == from { 1 } else { -1 };
-                            bucket.adjust(v, 2 * den * t);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                    for &v in &data.rejected_by {
-                        if bucket.contains(v) {
-                            let da = if now_in == LEGIT { 1 } else { -1 };
-                            let s_v = if tmp[v as usize] == LEGIT { 1 } else { -1 };
-                            bucket.adjust(v, num * s_v * da);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                    for &v in &data.rejectors_of {
-                        if bucket.contains(v) {
-                            let db = if now_in == SUSPECT { 1 } else { -1 };
-                            let s_v = if tmp[v as usize] == LEGIT { 1 } else { -1 };
-                            bucket.adjust(v, -num * s_v * db);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                }
-            }
-
-            // Best strictly positive prefix.
-            let mut best: Option<usize> = None;
-            let mut best_gain = 0i64;
-            let mut cum = 0i64;
-            for (i, &(_, gain, _, _)) in seq.iter().enumerate() {
-                cum += gain;
-                if cum > best_gain {
-                    best_gain = cum;
-                    best = Some(i);
-                }
-            }
-            let Some(end) = best else { break };
-            let mut committed: Vec<u8> = regions.as_ref().clone();
-            for &(u, _, df, dr) in &seq[..=end] {
-                committed[u as usize] = 1 - committed[u as usize];
-                cf = cf.checked_add_signed(df).expect("cut counter underflow");
-                cr = cr.checked_add_signed(dr).expect("cut counter underflow");
-                moves_committed += 1;
-            }
-            regions = Arc::new(committed);
-        }
-        // Flushed only for a k that ran to convergence: a budget-tripped k
-        // is rolled back wholesale (the early return above), so its partial
-        // work must not leak into the deterministic counters either.
-        if let Some(obs) = &self.obs {
-            obs.incr("kl/passes", passes_run);
-            obs.incr("kl/moves_committed", moves_committed);
-            obs.incr("kl/bucket_adjusts", bucket_adjusts);
-        }
-        Ok(Some((
-            Arc::try_unwrap(regions).unwrap_or_else(|a| a.as_ref().clone()),
-            cf,
-            cr,
-        )))
+            Ok(SweepOutcome::reduce(results, Vec::new()))
+        })
     }
 }
 
-/// Maps the token's trip cause onto the report vocabulary.
-pub(crate) fn interrupt_reason(token: &CancelToken) -> InterruptReason {
-    match token.reason() {
-        Some(CancelReason::Deadline) => InterruptReason::Deadline,
-        Some(CancelReason::PassBudget) => InterruptReason::PassBudget,
-        _ => InterruptReason::Cancelled,
+/// The cluster as an [`Adjacency`] source for the extended-KL kernel: the
+/// master's view of the sharded graph through its LRU prefetch buffer.
+struct ClusterAdjacency<'a> {
+    cluster: &'a Cluster,
+    degrees: &'a [NodeDegrees],
+    buffer: &'a mut LruCache<NodeData>,
+    io: &'a mut IoStats,
+    prefetch_batch: usize,
+}
+
+impl Adjacency for ClusterAdjacency<'_> {
+    type Error = RuntimeError;
+
+    fn num_nodes(&self) -> usize {
+        self.cluster.num_nodes()
+    }
+
+    /// From the degrees the workers reported for the sweep plan, so sizing
+    /// the bucket list fetches nothing.
+    fn gain_bound(&mut self, k: KParam) -> Result<i64, RuntimeError> {
+        Ok(kl::gain_bound(k, self.degrees.iter().copied()))
+    }
+
+    /// Served from the buffer when resident; otherwise one fetch. Gain
+    /// updates reorder the bucket between pops, so a popped node can fall
+    /// outside the prefetched set.
+    fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, RuntimeError> {
+        if self.buffer.contains(&u.0) {
+            self.io.buffer_hits += 1;
+        } else {
+            self.io.buffer_misses += 1;
+            for (id, data) in self.cluster.fetch(&[u.0], self.io)? {
+                self.buffer.insert(id, data);
+            }
+        }
+        let missing = || ClusterError::ProtocolViolation {
+            message: format!("node {u} missing from the buffer right after its fetch"),
+        };
+        Ok(self.buffer.get(&u.0).ok_or_else(missing)?.neighbors())
+    }
+
+    /// One `InitGains` broadcast: every shard computes its own nodes' gains.
+    fn initial_gains(
+        &mut self,
+        p: &Partition,
+        k: KParam,
+        gains: &mut [i64],
+    ) -> Result<(), RuntimeError> {
+        Ok(self.cluster.init_gains(p, k, gains, self.io)?)
+    }
+
+    /// Fetches the non-resident ids among the top `prefetch_batch` of the
+    /// bucket list in one batch (§V: "the prefetched nodes are those with
+    /// the highest potential move gains").
+    fn prefetch(&mut self, upcoming: &BucketList) -> Result<usize, RuntimeError> {
+        let top = upcoming.peek_top(self.prefetch_batch);
+        let missing: Vec<u32> =
+            top.iter().copied().filter(|id| !self.buffer.contains(id)).collect();
+        self.io.buffer_misses += missing.len() as u64;
+        for (id, data) in self.cluster.fetch(&missing, self.io)? {
+            self.buffer.insert(id, data);
+        }
+        Ok(top.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rejecto_core::InitialPlacement;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rejecto_core::MaarSolver;
@@ -1337,11 +1077,8 @@ mod tests {
         assert_eq!(cluster.num_nodes(), 340);
         assert_eq!(cluster.num_workers(), 4);
         let mut io = IoStats::default();
-        let stats = cluster.stats(&mut io).expect("healthy cluster serves stats");
-        for u in g.nodes() {
-            assert_eq!(stats[u.index()].0 as usize, g.friend_degree(u));
-            assert_eq!(stats[u.index()].1 as usize, g.rejections_received(u));
-        }
+        let degrees = cluster.degrees(&mut io).expect("healthy cluster serves stats");
+        assert_eq!(degrees, NodeDegrees::of_graph(&g));
     }
 
     #[test]
@@ -1353,8 +1090,7 @@ mod tests {
         let fetched = cluster.fetch(&ids, &mut io).expect("healthy cluster serves fetches");
         assert_eq!(fetched.len(), 3);
         for (id, data) in fetched {
-            let expect: Vec<u32> = g.friends(NodeId(id)).iter().map(|v| v.0).collect();
-            assert_eq!(data.friends, expect, "node {id}");
+            assert_eq!(data.friends, g.friends(NodeId(id)), "node {id}");
         }
         assert_eq!(io.fetch_batches, 1);
         assert_eq!(io.nodes_fetched, 3);
@@ -1528,6 +1264,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use rejecto_core::InterruptReason;
     use std::time::Instant;
 
     use rand::SeedableRng;
@@ -1562,9 +1299,9 @@ mod fault_tests {
         let g = sim_graph();
         let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
         let mut io = IoStats::default();
-        let before = cluster.stats(&mut io).expect("healthy cluster serves stats");
+        let before = cluster.degrees(&mut io).expect("healthy cluster serves stats");
         cluster.fail_worker(2);
-        let after = cluster.stats(&mut io).expect("crash is recovered");
+        let after = cluster.degrees(&mut io).expect("crash is recovered");
         assert_eq!(before, after, "stats must survive a worker crash");
         assert_eq!(cluster.worker_restarts(), 1);
         assert_eq!(io.worker_restarts, 1);
@@ -1580,8 +1317,7 @@ mod fault_tests {
         let fetched = cluster.fetch(&[0, 170, 339], &mut io).expect("crashes are recovered");
         assert_eq!(fetched.len(), 3);
         for (id, data) in fetched {
-            let expect: Vec<u32> = g.friends(NodeId(id)).iter().map(|v| v.0).collect();
-            assert_eq!(data.friends, expect, "node {id} after recovery");
+            assert_eq!(data.friends, g.friends(NodeId(id)), "node {id} after recovery");
         }
         assert!(cluster.worker_restarts() >= 1);
     }
@@ -1610,7 +1346,7 @@ mod fault_tests {
         let mut io = IoStats::default();
         for _ in 0..3 {
             cluster.fail_worker(1);
-            let s = cluster.stats(&mut io).expect("each crash is recovered");
+            let s = cluster.degrees(&mut io).expect("each crash is recovered");
             assert_eq!(s.len(), g.num_nodes());
         }
         assert_eq!(cluster.worker_restarts(), 3);

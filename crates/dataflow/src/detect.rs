@@ -1,79 +1,71 @@
 //! Iterative detection on the distributed runtime (§IV-E on §V).
 //!
-//! [`DistributedDetector`] is the cluster-backed twin of
-//! `rejecto_core::IterativeDetector`: the same cut-and-prune loop, with
-//! every MAAR solve executed by [`DistributedMaar`] against a fresh
-//! per-round [`Cluster`] sharding the residual graph. Its statement order
-//! deliberately mirrors the single-process loop so that:
-//!
-//! * a run is **worker-count invariant** — the master's sweep is
-//!   sequential and placement-independent, so 1 worker and 16 workers
-//!   produce byte-identical reports;
-//! * a run under any injected fault plan that leaves a survivor is
-//!   byte-identical to the failure-free run (recovery replays requests
-//!   against immutable lineage);
-//! * a run resumed from a PR-4 checkpoint is byte-identical to the
-//!   uninterrupted run (same [`Checkpoint`] rebuild as the core
-//!   detector).
-//!
-//! Unlike the core detector, every entry point returns a `Result`: losing
-//! all workers is a [`RuntimeError::ClusterFailed`], not a panic.
+//! [`DistributedDetector`] runs the core crate's one pruning loop
+//! (`rejecto_core::LoopState::run`) with a cluster [`CutSolver`]: each
+//! round shards the residual graph across a fresh [`Cluster`] and sweeps
+//! `k` on its master through [`DistributedMaar`]. Loop, sweep plan and
+//! kernel are the in-process detector's own, so reports equal the
+//! in-process ones at every worker count and under any fault plan that
+//! leaves a survivor, and checkpoints are interchangeable. Every entry
+//! point returns a `Result`: losing all workers is a
+//! [`RuntimeError::ClusterFailed`], not a panic.
 
-use crate::cluster::interrupt_reason;
 use crate::{Cluster, ClusterConfig, DistributedMaar, IoStats};
-use kl::CancelToken;
 use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
+pub use rejecto_core::CheckpointSink;
 use rejecto_core::{
-    ClusterFaults, Completion, DetectedGroup, DetectionReport, InterruptReason, RejectoConfig,
-    RuntimeError, Seeds, Termination,
+    ClusterFaults, CutSolver, DetectionReport, LoopState, RejectoConfig, RunContext,
+    RuntimeError, Seeds, SweepOutcome, Termination,
 };
-use std::io;
+use std::cell::Cell;
 use std::sync::Arc;
-
-/// A checkpoint consumer, as in the core detector: called after every
-/// completed pruning round; errors are recorded on the report as
-/// [`RuntimeError::CheckpointIo`] and never stop the detection.
-pub type CheckpointSink<'a> = &'a mut dyn FnMut(&Checkpoint) -> io::Result<()>;
-
-/// Mid-run loop state (report so far, residual graph, mapping back to
-/// original ids) — fresh or rebuilt from a [`Checkpoint`].
-struct LoopState {
-    report: DetectionReport,
-    current: AugmentedGraph,
-    to_original: Vec<NodeId>,
-}
-
-impl LoopState {
-    fn fresh(g: &AugmentedGraph) -> LoopState {
-        LoopState {
-            report: DetectionReport::default(),
-            current: g.clone(),
-            to_original: g.nodes().collect(),
-        }
-    }
-
-    /// Rebuilds the state the uninterrupted run had after the checkpointed
-    /// round (one induction over the survivor set composes with the run's
-    /// per-round inductions — same argument as the core detector).
-    fn from_checkpoint(g: &AugmentedGraph, ckpt: &Checkpoint) -> LoopState {
-        let mut keep = vec![false; g.num_nodes()];
-        for &u in &ckpt.remaining {
-            keep[u as usize] = true;
-        }
-        let (current, to_original) = g.induced_subgraph(&keep);
-        LoopState { report: ckpt.report(), current, to_original }
-    }
-}
 
 /// The iterative MAAR-cut detector running on the Spark-substitute
 /// cluster.
+///
+/// Every entry point panics if a seed id is out of range of the graph.
 #[derive(Debug, Clone)]
 pub struct DistributedDetector {
     solver: DistributedMaar,
-    cluster_config: ClusterConfig,
-    config: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
+}
+
+/// The per-round cut solver of one distributed run. Its fault schedules
+/// are shared by every round's cluster, so each fires once per run.
+struct ClusterRounds<'a> {
+    solver: &'a DistributedMaar,
+    faults: ClusterFaults,
+    io: Cell<IoStats>,
+}
+
+impl CutSolver for ClusterRounds<'_> {
+    type Error = RuntimeError;
+
+    fn config(&self) -> &RejectoConfig {
+        &self.solver.rejecto
+    }
+
+    /// A fresh cluster shards the residual graph each round — the
+    /// distributed analogue of re-deriving the RDDs after a prune. Worker
+    /// count is capped by the shrinking graph.
+    fn solve_round(
+        &self,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
+    ) -> Result<SweepOutcome, RuntimeError> {
+        let base = self.solver.cluster_config();
+        let config =
+            ClusterConfig { num_workers: base.num_workers.min(g.num_nodes().max(1)), ..*base };
+        let cluster = Cluster::from_arc(Arc::new(g.clone()), &config)?;
+        cluster.arm_faults(self.faults.clone());
+        let mut io = self.io.get();
+        let outcome = self.solver.sweep_on(&cluster, legit, spammer, ctx, &mut io);
+        self.io.set(io);
+        outcome
+    }
 }
 
 impl DistributedDetector {
@@ -81,12 +73,7 @@ impl DistributedDetector {
     /// `cluster_config` (capped at the residual graph's node count as the
     /// graph shrinks).
     pub fn new(cluster_config: ClusterConfig, config: RejectoConfig) -> Self {
-        DistributedDetector {
-            solver: DistributedMaar::new(cluster_config, config.clone()),
-            cluster_config,
-            config,
-            obs: None,
-        }
+        DistributedDetector { solver: DistributedMaar::new(cluster_config, config), obs: None }
     }
 
     /// Attaches a metrics registry, shared with the underlying
@@ -107,17 +94,13 @@ impl DistributedDetector {
     ///
     /// [`RuntimeError::ClusterFailed`] when the cluster configuration is
     /// invalid or every worker is lost beyond recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn detect(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
     ) -> Result<DetectionReport, RuntimeError> {
-        Ok(self.run_loop(g, seeds, termination, LoopState::fresh(g), None)?.0)
+        self.run(g, seeds, termination, None, None)
     }
 
     /// [`DistributedDetector::detect`], also returning the aggregate
@@ -128,17 +111,13 @@ impl DistributedDetector {
     /// # Errors
     ///
     /// As [`DistributedDetector::detect`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn detect_with_io(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), None)
+        self.run_with_io(g, seeds, termination, None, None)
     }
 
     /// [`DistributedDetector::detect`], calling `sink` with a
@@ -147,10 +126,6 @@ impl DistributedDetector {
     /// # Errors
     ///
     /// As [`DistributedDetector::detect`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn detect_with_checkpoints(
         &self,
         g: &AugmentedGraph,
@@ -158,7 +133,7 @@ impl DistributedDetector {
         termination: Termination,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        Ok(self.run_loop(g, seeds, termination, LoopState::fresh(g), Some(sink))?.0)
+        self.run(g, seeds, termination, None, Some(sink))
     }
 
     /// Continues a run from `checkpoint` exactly as if the original run
@@ -172,10 +147,6 @@ impl DistributedDetector {
     /// checkpoint does not describe `g`;
     /// [`RuntimeError::ClusterFailed`] as in
     /// [`DistributedDetector::detect`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn resume(
         &self,
         g: &AugmentedGraph,
@@ -183,10 +154,7 @@ impl DistributedDetector {
         termination: Termination,
         checkpoint: &Checkpoint,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self
-            .run_loop(g, seeds, termination, LoopState::from_checkpoint(g, checkpoint), None)?
-            .0)
+        self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
     /// [`DistributedDetector::resume`] with checkpointing of the continued
@@ -195,10 +163,6 @@ impl DistributedDetector {
     /// # Errors
     ///
     /// As [`DistributedDetector::resume`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
     pub fn resume_with_checkpoints(
         &self,
         g: &AugmentedGraph,
@@ -207,223 +171,42 @@ impl DistributedDetector {
         checkpoint: &Checkpoint,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self
-            .run_loop(
-                g,
-                seeds,
-                termination,
-                LoopState::from_checkpoint(g, checkpoint),
-                Some(sink),
-            )?
-            .0)
+        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
     }
 
-    /// The pruning loop — the same statement order as the core detector's
-    /// `run_loop`, with the MAAR solve delegated to the cluster. Budgets
-    /// are armed once on a shared token; fault schedules are armed once
-    /// and shared across per-round clusters so each schedule fires exactly
-    /// once per run.
-    fn run_loop(
+    /// Every entry point in one: a fresh run or a resume, with or without
+    /// a checkpoint `sink`. Fails as [`DistributedDetector::resume`] does.
+    pub fn run(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
-        state: LoopState,
-        mut sink: Option<CheckpointSink<'_>>,
+        resume: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
+    ) -> Result<DetectionReport, RuntimeError> {
+        Ok(self.run_with_io(g, seeds, termination, resume, sink)?.0)
+    }
+
+    fn run_with_io(
+        &self,
+        g: &AugmentedGraph,
+        seeds: &Seeds,
+        termination: Termination,
+        resume: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        let LoopState { mut report, mut current, mut to_original } = state;
-        let config = &self.config;
-        let max_rounds = config.max_rounds;
-
-        let budget = match termination {
-            Termination::SuspectBudget(b) => Some(b),
-            Termination::AcceptanceThreshold(_) => None,
-            Termination::BudgetOrThreshold { budget, .. } => Some(budget),
-            #[allow(unreachable_patterns)]
-            _ => None,
+        let state = LoopState::start(g, resume)?;
+        let rounds = ClusterRounds {
+            solver: &self.solver,
+            faults: ClusterFaults::new(&self.solver.rejecto.faults),
+            io: Cell::default(),
         };
-        let threshold = match termination {
-            Termination::SuspectBudget(_) => None,
-            Termination::AcceptanceThreshold(t) => Some(t),
-            Termination::BudgetOrThreshold { threshold, .. } => Some(threshold),
-            #[allow(unreachable_patterns)]
-            _ => None,
-        };
-
-        let token = CancelToken::new();
-        let faults = ClusterFaults::new(&config.faults);
-        if let Some(deadline) = config.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(deadline) = faults.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = config.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let mut completion = Completion::Complete;
-        let mut total_io = IoStats::default();
-        let _detect_span = self.obs.as_ref().map(|o| o.span("detect"));
-
-        while report.rounds < max_rounds {
-            if let Some(limit) = config.budget.max_rounds {
-                if report.rounds >= limit {
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::RoundBudget,
-                    };
-                    break;
-                }
-            }
-            if token.is_cancelled() {
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices: Vec::new(),
-                    reason: interrupt_reason(&token),
-                };
-                break;
-            }
-            report.rounds += 1;
-            if let Some(b) = budget {
-                if report.num_suspects() >= b {
-                    break;
-                }
-            }
-
-            // Map seeds into residual-graph ids (pruned seeds drop out).
-            let mut current_index = vec![u32::MAX; g.num_nodes()];
-            for (i, &orig) in to_original.iter().enumerate() {
-                current_index[orig.index()] = i as u32;
-            }
-            let map = |ids: &[NodeId]| -> Vec<NodeId> {
-                ids.iter()
-                    .filter_map(|s| {
-                        let m = current_index[s.index()];
-                        (m != u32::MAX).then_some(NodeId(m))
-                    })
-                    .collect()
-            };
-            let legit = map(&seeds.legit);
-            let spammer = map(&seeds.spammer);
-
-            // A fresh cluster shards the residual graph each round — the
-            // distributed analogue of re-deriving the RDDs after a prune.
-            // Worker count is capped by the shrinking graph.
-            let round_config = ClusterConfig {
-                num_workers: self.cluster_config.num_workers.min(current.num_nodes().max(1)),
-                ..self.cluster_config
-            };
-            let cluster = Cluster::from_arc(Arc::new(current.clone()), &round_config)?;
-            cluster.arm_faults(faults.clone());
-            let _round_span = self.obs.as_ref().map(|o| o.span("detect/round"));
-            let outcome = self.solver.solve_monitored_on(
-                &cluster,
-                current.num_nodes(),
-                &legit,
-                &spammer,
-                &token,
-            )?;
-            total_io.merge(&outcome.io);
-            report.failures.extend(outcome.failures);
-            if let Completion::Partial { completed_k_indices, .. } = outcome.completion {
-                // The round did not finish; it does not count, and the
-                // sweep progress becomes the partial-report diagnostic.
-                report.rounds -= 1;
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices,
-                    reason: interrupt_reason(&token),
-                };
-                break;
-            }
-            // Resource budget — statement-for-statement mirror of the core
-            // detector's check: would accepting this round's cut condemn
-            // more of the *original* graph than `max_suspect_frac` allows?
-            // Checked before the round is counted so the rollback leaves no
-            // trace in the report, and skipped for cuts the threshold would
-            // discard anyway (the run stops Complete there, not Partial).
-            // The trip is a pure function of input and configuration, so it
-            // is deterministic across worker counts.
-            if let (Some(frac), Some(ac)) =
-                (config.resources.max_suspect_frac, outcome.acceptance_rate)
-            {
-                let admissible = threshold.is_none_or(|t| ac <= t);
-                let after = report
-                    .num_suspects()
-                    .checked_add(outcome.suspects.len())
-                    .expect("suspect count fits in usize");
-                let cap = frac * g.num_nodes() as f64;
-                if admissible && after as f64 > cap {
-                    report.rounds -= 1;
-                    if let Some(obs) = &self.obs {
-                        obs.incr("res/suspect_frac_trips", 1);
-                    }
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::ResourceBudget,
-                    };
-                    break;
-                }
-            }
-            // Only completed rounds count — same rule as the core
-            // detector, so interrupted (scheduling-dependent) rounds never
-            // reach the deterministic counters.
-            if let Some(obs) = &self.obs {
-                obs.incr("detect/rounds", 1);
-            }
-            let (Some(ac), Some(k)) = (outcome.acceptance_rate, outcome.k_exact) else {
-                break;
-            };
-            if let Some(t) = threshold {
-                if ac > t {
-                    break;
-                }
-            }
-
-            let local = outcome.suspects;
-            let mut nodes: Vec<NodeId> = local.iter().map(|u| to_original[u.index()]).collect();
-            nodes.sort_unstable();
-            report.groups.push(DetectedGroup {
-                nodes,
-                acceptance_rate: ac,
-                k,
-                round: report.rounds,
-            });
-
-            // Prune the group with its links and rejections.
-            let mut keep = vec![true; current.num_nodes()];
-            for u in &local {
-                keep[u.index()] = false;
-            }
-            let (next, original_of_next) = current.induced_subgraph(&keep);
-            to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = next;
-
-            if let Some(write) = sink.as_mut() {
-                let ckpt = Checkpoint::capture(g, &report);
-                if let Some(obs) = &self.obs {
-                    let bytes = u64::try_from(ckpt.to_json().len())
-                        .expect("checkpoint size fits in u64");
-                    obs.record("detect/checkpoint_bytes", bytes);
-                }
-                if let Err(e) = write(&ckpt) {
-                    report.failures.push(RuntimeError::CheckpointIo {
-                        round: report.rounds,
-                        message: e.to_string(),
-                    });
-                }
-            }
-        }
+        let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink)?;
+        let io = rounds.io.get();
         if let Some(obs) = &self.obs {
-            absorb_io(obs, &total_io);
-            obs.volatile_incr("cancel/polls", token.polls());
+            absorb_io(obs, &io);
         }
-        report.completion = completion;
-        Ok((report, total_io))
+        Ok((report, io))
     }
 }
 

@@ -13,17 +13,18 @@
 //!
 //! This crate reproduces that architecture in-process:
 //!
-//! * [`Partitioned`] — a minimal RDD-like partitioned dataset with parallel
-//!   `map`/`filter`/`reduce` over a thread pool;
 //! * [`LruCache`] — the prefetch buffer with LRU eviction;
 //! * [`Cluster`] / [`DistributedMaar`] — long-lived worker threads holding
-//!   graph shards, a master running the extended-KL sweep against them, and
-//!   [`IoStats`] counting simulated master↔worker traffic. The Table-II
-//!   harness measures wall time against graph size on this runtime.
-//! * [`DistributedDetector`] — the iterative cut-and-prune pipeline on the
-//!   cluster, with checkpoint/resume and a [`ClusterError`]-based failure
-//!   model (respawn from lineage, watchdog for hung workers, shard
-//!   rebalancing onto survivors) instead of panics.
+//!   graph shards, a master running the `k` sweep against them, and
+//!   [`IoStats`] counting simulated master↔worker traffic. The master runs
+//!   the core crates' one sweep plan and one extended-KL kernel, reading
+//!   adjacency through the prefetch buffer. The Table-II harness measures
+//!   wall time against graph size on this runtime.
+//! * [`DistributedDetector`] — the core crate's one pruning loop driven by
+//!   a per-round cluster solver, with checkpoint/resume and a
+//!   [`ClusterError`]-based failure model (respawn from lineage, watchdog
+//!   for hung workers, shard rebalancing onto survivors) instead of
+//!   panics.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +32,8 @@ mod cluster;
 mod detect;
 mod error;
 mod lru;
-mod rdd;
 
 pub use cluster::{Cluster, ClusterConfig, DistributedMaar, DistributedOutcome, IoStats};
 pub use detect::{CheckpointSink, DistributedDetector};
 pub use error::ClusterError;
 pub use lru::LruCache;
-pub use rdd::Partitioned;

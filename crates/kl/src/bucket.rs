@@ -238,8 +238,7 @@ impl BucketList {
     /// order), without removing them. Used by the distributed runtime to
     /// decide which nodes to prefetch (§V: "the prefetched nodes are those
     /// with the highest potential move gains in the bucket list").
-    pub fn peek_top(&mut self, n: usize) -> Vec<u32> {
-        self.settle_high();
+    pub fn peek_top(&self, n: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(n.min(self.len));
         if self.len == 0 || n == 0 {
             return out;

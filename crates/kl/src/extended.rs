@@ -1,15 +1,89 @@
 use crate::{BucketList, CancelToken, KParam};
-use rejection::{AugmentedGraph, NodeId, Partition, Region};
+use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
+use std::convert::Infallible;
 
 /// Exact conversion for the scaled-objective arithmetic. Weights and
 /// edge counts all live far below `i64::MAX`; if one ever did not, the
 /// gain products would overflow anyway, so this is where the range
 /// assumption is enforced rather than silently wrapped.
-fn obj_i64<T>(x: T) -> i64
+pub(crate) fn obj_i64<T>(x: T) -> i64
 where
     i64: TryFrom<T>,
 {
     i64::try_from(x).ok().expect("objective operand exceeds i64 range")
+}
+
+/// The largest `|gain|` a node with these degrees can reach under `k`:
+/// `den` per friend plus `num` per rejection, cast or received. The
+/// maximum over all nodes (at least 1) sizes the [`BucketList`].
+pub fn gain_bound(k: KParam, degrees: impl IntoIterator<Item = NodeDegrees>) -> i64 {
+    let (den, num) = (obj_i64(k.den()), obj_i64(k.num()));
+    degrees
+        .into_iter()
+        .map(|d| {
+            den * i64::from(d.friends)
+                + num * (i64::from(d.rejected_by) + i64::from(d.rejectors_of))
+        })
+        .fold(1, i64::max)
+}
+
+/// Where [`ExtendedKl`] reads adjacency from, one node at a time: an
+/// in-memory [`AugmentedGraph`], or a cluster whose lookups may fetch over
+/// the network and fail (§V). Every hook defaults to the per-node path.
+pub trait Adjacency {
+    /// What a failed lookup reports.
+    type Error;
+
+    /// Number of nodes; ids are `0..num_nodes()`.
+    fn num_nodes(&self) -> usize;
+
+    /// The three adjacency lists of `u`.
+    fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, Self::Error>;
+
+    /// The bucket-list range for `k`: [`gain_bound`](fn@crate::gain_bound)
+    /// over every node's degrees, asked once per run.
+    fn gain_bound(&mut self, k: KParam) -> Result<i64, Self::Error> {
+        let mut degrees = Vec::with_capacity(self.num_nodes());
+        for i in 0..self.num_nodes() {
+            degrees.push(NodeDegrees::of(self.neighbors(NodeId::from_index(i))?));
+        }
+        Ok(gain_bound(k, degrees))
+    }
+
+    /// Bulk hook, once per pass: fills `gains[u]` with the switching gain
+    /// of every node `u` under `p`.
+    fn initial_gains(
+        &mut self,
+        p: &Partition,
+        k: KParam,
+        gains: &mut [i64],
+    ) -> Result<(), Self::Error> {
+        for (i, gain) in gains.iter_mut().enumerate() {
+            let u = NodeId::from_index(i);
+            *gain = k.gain(p.switch_delta(u, self.neighbors(u)?));
+        }
+        Ok(())
+    }
+
+    /// Prefetch hook, called before the pass pops from `upcoming`; returns
+    /// how many pops may follow before the next call.
+    fn prefetch(&mut self, upcoming: &BucketList) -> Result<usize, Self::Error> {
+        Ok(upcoming.len())
+    }
+}
+
+impl Adjacency for &AugmentedGraph {
+    type Error = Infallible;
+
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        AugmentedGraph::num_nodes(self)
+    }
+
+    #[inline]
+    fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, Infallible> {
+        Ok(AugmentedGraph::neighbors(self, u))
+    }
 }
 
 /// Configuration for one [`ExtendedKl`] run.
@@ -24,7 +98,7 @@ pub struct ExtendedKlConfig {
 }
 
 impl ExtendedKlConfig {
-    /// A config with the given `k` and the default pass cap (16).
+    /// A config with the default pass cap (16).
     pub fn new(k: KParam) -> Self {
         ExtendedKlConfig { k, max_passes: 16 }
     }
@@ -66,6 +140,9 @@ pub struct KlOutcome {
 /// edges", then commits the prefix of switches with the largest positive
 /// cumulative gain. Passes repeat until no positive prefix exists.
 ///
+/// The kernel is generic over its [`Adjacency`] source, so the in-process
+/// and the distributed runtimes take exactly the same moves.
+///
 /// ```
 /// use kl::{ExtendedKl, ExtendedKlConfig, KParam};
 /// use rejection::{AugmentedGraphBuilder, NodeId, Partition};
@@ -82,18 +159,23 @@ pub struct KlOutcome {
 /// assert_eq!(out.partition.suspects(), vec![NodeId(2)]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ExtendedKl<'a> {
-    g: &'a AugmentedGraph,
+pub struct ExtendedKl<A> {
+    adj: A,
     cfg: ExtendedKlConfig,
     locked: Vec<bool>,
     cancel: Option<CancelToken>,
     obs: Option<rejecto_obs::Obs>,
 }
 
-impl<'a> ExtendedKl<'a> {
-    /// Creates a solver over `g` with no locked nodes.
-    pub fn new(g: &'a AugmentedGraph, cfg: ExtendedKlConfig) -> Self {
-        ExtendedKl { g, cfg, locked: vec![false; g.num_nodes()], cancel: None, obs: None }
+/// A tentative switch: node, gain, and cut delta (so a commit needs no
+/// second adjacency lookup).
+type Move = (NodeId, i64, (i64, i64));
+
+impl<A: Adjacency> ExtendedKl<A> {
+    /// Creates a solver over `adj` with no locked nodes.
+    pub fn new(adj: A, cfg: ExtendedKlConfig) -> Self {
+        let locked = vec![false; adj.num_nodes()];
+        ExtendedKl { adj, cfg, locked, cancel: None, obs: None }
     }
 
     /// Attaches a [`CancelToken`] polled at every pass boundary. Each pass
@@ -139,39 +221,22 @@ impl<'a> ExtendedKl<'a> {
         den * obj_i64(p.cross_friendships()) - num * obj_i64(p.cross_rejections())
     }
 
-    /// Gain (objective reduction) of switching `u` in `p`.
-    fn gain(&self, p: &Partition, u: NodeId) -> i64 {
-        let (df, dr) = p.switch_delta(self.g, u);
-        obj_i64(self.cfg.k.num()) * dr - obj_i64(self.cfg.k.den()) * df
-    }
-
-    /// Largest possible |gain| over all nodes, used to size the bucket list.
-    fn gain_bound(&self) -> i64 {
-        let den = obj_i64(self.cfg.k.den());
-        let num = obj_i64(self.cfg.k.num());
-        let mut bound = 1i64;
-        for u in self.g.nodes() {
-            let b = den * obj_i64(self.g.friend_degree(u))
-                + num * obj_i64(self.g.rejectors_of(u).len() + self.g.rejected_by(u).len());
-            bound = bound.max(b);
-        }
-        bound
-    }
-
     /// Runs the optimization from `initial` and returns the refined
-    /// partition.
+    /// partition, or the first failed adjacency lookup.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` does not cover exactly the nodes of the graph.
-    pub fn run(&self, initial: Partition) -> KlOutcome {
-        assert_eq!(initial.len(), self.g.num_nodes(), "partition size mismatch");
+    /// Panics if `initial` does not cover exactly the source's nodes.
+    pub fn try_run(&mut self, initial: Partition) -> Result<KlOutcome, A::Error> {
+        assert_eq!(initial.len(), self.locked.len(), "partition size mismatch");
         let mut p = initial;
-        let bound = self.gain_bound();
+        let mut gains = vec![0i64; p.len()];
+        let obs = self.obs.clone();
         let mut passes = 0usize;
         let mut moves_committed = 0u64;
         let mut bucket_adjusts = 0u64;
         let mut interrupted = false;
+        let bound = self.adj.gain_bound(self.cfg.k)?;
 
         while passes < self.cfg.max_passes {
             if let Some(token) = &self.cancel {
@@ -181,13 +246,13 @@ impl<'a> ExtendedKl<'a> {
                 }
             }
             passes += 1;
-            let _pass_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            let (seq, best_prefix, adjusts) = self.one_pass(&p, bound);
+            let _pass_span = obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
+            let (seq, best_prefix, adjusts) = self.one_pass(&p, &mut gains, bound)?;
             bucket_adjusts += adjusts;
             match best_prefix {
                 Some(end) => {
-                    for &(u, _) in &seq[..=end] {
-                        p.switch(self.g, NodeId(u));
+                    for &(u, _, delta) in &seq[..=end] {
+                        p.apply_switch(u, delta);
                         moves_committed += 1;
                     }
                 }
@@ -195,80 +260,99 @@ impl<'a> ExtendedKl<'a> {
             }
         }
 
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &obs {
             let passes_u64 =
                 u64::try_from(passes).expect("pass count exceeds u64 range");
             obs.incr("kl/passes", passes_u64);
             obs.incr("kl/moves_committed", moves_committed);
             obs.incr("kl/bucket_adjusts", bucket_adjusts);
         }
+        #[cfg(feature = "debug-invariants")]
+        crate::invariants::assert_partition_counts(&mut self.adj, &p)?;
         let objective = self.objective(&p);
-        KlOutcome { partition: p, objective, passes, moves_committed, interrupted }
+        Ok(KlOutcome { partition: p, objective, passes, moves_committed, interrupted })
     }
 
     /// Verifies the incremental gain index against recomputation from
     /// scratch: every node still indexed in `bucket` must carry exactly the
-    /// gain [`Partition::switch_delta`] derives under `p`, and the bucket's
-    /// own chain structure must be sound ([`BucketList::assert_consistent`]).
-    /// This is the full-strength version of the spot check `one_pass` makes
-    /// at pop time — `O(n·deg)` per call, so it is compiled only under the
-    /// `debug-invariants` feature, where `one_pass` runs it after the
-    /// initial fill and after every move's neighbor adjustments. Public so
-    /// tests can aim it at a deliberately corrupted index.
+    /// gain the source's [`Adjacency::initial_gains`] derives under `p`,
+    /// and the bucket's own chain structure must be sound
+    /// ([`BucketList::assert_consistent`]). This is the full-strength
+    /// version of the spot check a pass makes at pop time — `O(n·deg)` per
+    /// call, so it is compiled only under the `debug-invariants` feature,
+    /// where every pass runs it after the initial fill and after every
+    /// move's neighbor adjustments, over whichever source the kernel runs
+    /// on. Public so tests can aim it at a deliberately corrupted index.
     ///
     /// # Panics
     ///
     /// Panics on the first indexed node whose gain disagrees with the
     /// recomputed value, or on bucket-chain corruption.
     #[cfg(feature = "debug-invariants")]
-    pub fn assert_gain_index(&self, p: &Partition, bucket: &BucketList) {
+    pub fn assert_gain_index(
+        &mut self,
+        p: &Partition,
+        bucket: &BucketList,
+    ) -> Result<(), A::Error> {
         bucket.assert_consistent();
-        for u in self.g.nodes() {
+        let mut fresh = vec![0i64; p.len()];
+        self.adj.initial_gains(p, self.cfg.k, &mut fresh)?;
+        for (u, &fresh) in fresh.iter().enumerate() {
+            let u = NodeId::from_index(u);
             if !bucket.contains(u.0) {
                 continue;
             }
-            let fresh = self.gain(p, u);
             let indexed = bucket.gain_of(u.0);
             assert_eq!(
                 indexed, fresh,
                 "gain index corrupt: node {u} indexed at {indexed}, recomputed {fresh}"
             );
         }
+        Ok(())
     }
 
-    /// One greedy pass: returns the full switching sequence with per-move
-    /// gains, the index of the best strictly positive prefix (if any), and
-    /// the number of incremental gain-bucket adjustments performed.
-    fn one_pass(&self, p: &Partition, bound: i64) -> (Vec<(u32, i64)>, Option<usize>, u64) {
-        let g = self.g;
-        let num = obj_i64(self.cfg.k.num());
-        let den = obj_i64(self.cfg.k.den());
+    /// One greedy pass: returns the full switching sequence, the index of
+    /// the best strictly positive prefix (if any), and the number of
+    /// incremental gain-bucket adjustments performed.
+    fn one_pass(
+        &mut self,
+        p: &Partition,
+        gains: &mut [i64],
+        bound: i64,
+    ) -> Result<(Vec<Move>, Option<usize>, u64), A::Error> {
+        let k = self.cfg.k;
+        let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
         let mut p_tmp = p.clone();
-        let mut bucket = BucketList::new(g.num_nodes(), -bound, bound);
-        for u in g.nodes() {
-            if !self.locked[u.index()] {
-                bucket.insert(u.0, self.gain(&p_tmp, u));
+        self.adj.initial_gains(&p_tmp, k, gains)?;
+        let mut bucket = BucketList::new(gains.len(), -bound, bound);
+        for (u, &gain) in gains.iter().enumerate() {
+            if !self.locked[u] {
+                bucket.insert(NodeId::from_index(u).0, gain);
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.assert_gain_index(&p_tmp, &bucket);
+        self.assert_gain_index(&p_tmp, &bucket)?;
 
-        let mut seq: Vec<(u32, i64)> = Vec::with_capacity(bucket.len());
+        let mut seq: Vec<Move> = Vec::with_capacity(bucket.len());
         let mut adjusts = 0u64;
-        while let Some((u, gain)) = bucket.pop_max() {
-            let u_id = NodeId(u);
-            debug_assert_eq!(
-                gain,
-                self.gain(&p_tmp, u_id),
-                "stale gain for node {u} — incremental update bug"
-            );
-            seq.push((u, gain));
-            let from = p_tmp.region(u_id);
-            let now_in = p_tmp.switch(g, u_id);
+        let mut prefetched = 0usize;
+        loop {
+            if prefetched == 0 && !bucket.is_empty() {
+                prefetched = self.adj.prefetch(&bucket)?.max(1);
+            }
+            let Some((u, gain)) = bucket.pop_max() else { break };
+            prefetched -= 1;
+            let u = NodeId(u);
+            let n = self.adj.neighbors(u)?;
+            let delta = p_tmp.switch_delta(u, n);
+            debug_assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
+            seq.push((u, gain, delta));
+            let from = p_tmp.region(u);
+            let now_in = p_tmp.apply_switch(u, delta);
 
             // Incremental gain updates for u's still-indexed neighbors.
             // Friendship edges: the (v, u) term of v's Δfriendship flips.
-            for &v in g.friends(u_id) {
+            for &v in n.friends {
                 if bucket.contains(v.0) {
                     let t = if p_tmp.region(v) == from { 1 } else { -1 };
                     bucket.adjust(v.0, 2 * den * t);
@@ -277,7 +361,7 @@ impl<'a> ExtendedKl<'a> {
             }
             // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
             // Legit" count changed by ±1.
-            for &v in g.rejected_by(u_id) {
+            for &v in n.rejected_by {
                 if bucket.contains(v.0) {
                     let da = if now_in == Region::Legit { 1 } else { -1 };
                     let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
@@ -287,7 +371,7 @@ impl<'a> ExtendedKl<'a> {
             }
             // v rejected u  ⇒  u is in v's rejected set: v's "rejectees in
             // Suspect" count changed by ±1.
-            for &v in g.rejectors_of(u_id) {
+            for &v in n.rejectors_of {
                 if bucket.contains(v.0) {
                     let db = if now_in == Region::Suspect { 1 } else { -1 };
                     let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
@@ -296,21 +380,30 @@ impl<'a> ExtendedKl<'a> {
                 }
             }
             #[cfg(feature = "debug-invariants")]
-            self.assert_gain_index(&p_tmp, &bucket);
+            self.assert_gain_index(&p_tmp, &bucket)?;
         }
 
         // Best strictly positive cumulative-gain prefix.
         let mut best: Option<usize> = None;
         let mut best_gain = 0i64;
         let mut cum = 0i64;
-        for (i, &(_, gain)) in seq.iter().enumerate() {
+        for (i, &(_, gain, _)) in seq.iter().enumerate() {
             cum += gain;
             if cum > best_gain {
                 best_gain = cum;
                 best = Some(i);
             }
         }
-        (seq, best, adjusts)
+        Ok((seq, best, adjusts))
+    }
+}
+
+impl<A: Adjacency<Error = Infallible> + Clone> ExtendedKl<A> {
+    /// [`ExtendedKl::try_run`] over a source that cannot fail, such as an
+    /// in-memory graph.
+    pub fn run(&self, initial: Partition) -> KlOutcome {
+        let Ok(out) = self.clone().try_run(initial);
+        out
     }
 }
 
@@ -337,7 +430,7 @@ mod tests {
         b.build()
     }
 
-    fn solver(g: &AugmentedGraph, num: u64, den: u64) -> ExtendedKl<'_> {
+    fn solver(g: &AugmentedGraph, num: u64, den: u64) -> ExtendedKl<&AugmentedGraph> {
         ExtendedKl::new(g, ExtendedKlConfig::new(KParam::new(num, den)))
     }
 

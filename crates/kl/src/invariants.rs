@@ -1,12 +1,13 @@
 //! Release-strength structural checks, compiled only under the
 //! `debug-invariants` feature.
 //!
-//! The hot-path bookkeeping in [`BucketList`] guards its preconditions
-//! with `debug_assert!` (the kernel sits inside every worker's sweep and
-//! must not abort release runs on a recoverable slip). The functions
-//! here are the counterweight: full-structure walks that re-derive every
-//! summary the `O(1)` operations maintain incrementally, and `assert!`
-//! hard when the structure is corrupted. This module is the sanctioned
+//! The hot-path bookkeeping in [`BucketList`] and the cut counters
+//! [`ExtendedKl`](crate::ExtendedKl) keeps in its [`Partition`] guard
+//! their preconditions with `debug_assert!` (the kernel sits inside every
+//! worker's sweep and must not abort release runs on a recoverable slip).
+//! The functions here are the counterweight: full-structure walks that
+//! re-derive every summary the `O(1)` operations maintain incrementally,
+//! and `assert!` hard when the structure is corrupted. This module is the sanctioned
 //! home for such aborts — a corrupted structure has no degraded answer
 //! to give — and is exempted from the `no-panic`/`lossy-cast` lint
 //! tiers by path (`cargo xtask check` skips `*invariants*` modules).
@@ -14,6 +15,8 @@
 #![cfg(feature = "debug-invariants")]
 
 use crate::bucket::{BucketList, NIL};
+use crate::Adjacency;
+use rejection::{NodeId, Partition, Region};
 
 /// Walks every gain chain of `b` and checks:
 ///
@@ -55,4 +58,48 @@ pub fn assert_bucket_consistent(b: &BucketList) {
     assert_eq!(reached, b.len, "{reached} nodes reachable but len = {}", b.len);
     let present = b.present.iter().filter(|&&p| p).count();
     assert_eq!(present, b.len, "{present} present flags but len = {}", b.len);
+}
+
+/// Re-derives a partition's incremental cut counters from scratch, node by
+/// node over `adj`, and asserts they match: coverage (`p` assigns a region
+/// to exactly the source's nodes), the suspect count, `cross_friendships`
+/// (friendships with endpoints in different regions), and
+/// `cross_rejections` (rejections cast by the legit region on the suspect
+/// region). [`ExtendedKl`](crate::ExtendedKl) runs it on every partition
+/// it returns, over whichever source it ran on.
+///
+/// # Panics
+///
+/// Panics on the first counter that disagrees with recomputation.
+pub fn assert_partition_counts<A: Adjacency>(adj: &mut A, p: &Partition) -> Result<(), A::Error> {
+    let n = adj.num_nodes();
+    assert_eq!(p.len(), n, "partition covers {} nodes, graph has {n}", p.len());
+    let regions: Vec<Region> = (0..n).map(|i| p.region(NodeId::from_index(i))).collect();
+    let suspects = regions.iter().filter(|&&r| r == Region::Suspect).count();
+    assert_eq!(
+        suspects,
+        p.suspect_count(),
+        "suspect_count {} but {suspects} nodes are in the suspect region",
+        p.suspect_count()
+    );
+    let (mut cross_f, mut cross_r) = (0u64, 0u64);
+    for i in 0..n {
+        let u = NodeId::from_index(i);
+        let (f, r) = Partition::cut_edges(&regions, u, adj.neighbors(u)?);
+        cross_f += f;
+        cross_r += r;
+    }
+    assert_eq!(
+        p.cross_friendships(),
+        cross_f,
+        "cross_friendships counter {} but {cross_f} friendships cross the cut",
+        p.cross_friendships()
+    );
+    assert_eq!(
+        p.cross_rejections(),
+        cross_r,
+        "cross_rejections counter {} but {cross_r} rejections cross the cut",
+        p.cross_rejections()
+    );
+    Ok(())
 }

@@ -56,6 +56,12 @@ impl KParam {
         self.den
     }
 
+    /// The switching gain `num·ΔR − den·ΔF` of a move with cut delta
+    /// `(ΔF, ΔR)`: how much the objective `den·|F| − num·|R|` drops.
+    pub fn gain(&self, (df, dr): (i64, i64)) -> i64 {
+        crate::extended::obj_i64(self.num) * dr - crate::extended::obj_i64(self.den) * df
+    }
+
     /// The value `num/den` as a float.
     pub fn value(&self) -> f64 {
         self.num as f64 / self.den as f64 // xtask-allow: lossy-cast: display-precision conversion only; exact comparisons go through Ord

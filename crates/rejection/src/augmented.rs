@@ -1,5 +1,61 @@
 use socialgraph::{Graph, NodeId};
 
+/// One user's three adjacency lists: everything a switch of that user
+/// reads. [`AugmentedGraph::neighbors`] hands them out by reference; the
+/// distributed runtime hands out the same view over adjacency fetched
+/// from a worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Neighbors<'a> {
+    /// Sorted friends.
+    pub friends: &'a [NodeId],
+    /// Sorted users whose requests this user rejected.
+    pub rejected_by: &'a [NodeId],
+    /// Sorted users who rejected this user's requests.
+    pub rejectors_of: &'a [NodeId],
+}
+
+/// The sizes of one user's three adjacency lists: what sizing the gain
+/// range and placing the warm start read of the graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeDegrees {
+    /// Friendship degree.
+    pub friends: u32,
+    /// Rejections the user cast.
+    pub rejected_by: u32,
+    /// Rejections the user received.
+    pub rejectors_of: u32,
+}
+
+impl NodeDegrees {
+    /// The degrees of one adjacency view.
+    pub fn of(n: Neighbors<'_>) -> Self {
+        let len = |l: &[NodeId]| u32::try_from(l.len()).expect("degree fits the u32 id space");
+        NodeDegrees {
+            friends: len(n.friends),
+            rejected_by: len(n.rejected_by),
+            rejectors_of: len(n.rejectors_of),
+        }
+    }
+
+    /// The degrees of every node of `g`, in id order.
+    pub fn of_graph(g: &AugmentedGraph) -> Vec<Self> {
+        g.nodes().map(|u| NodeDegrees::of(g.neighbors(u))).collect()
+    }
+
+    /// The request *rejection ratio*: rejections received over
+    /// (friendships + rejections received), or `None` for a user with
+    /// neither.
+    pub fn rejection_ratio(&self) -> Option<f64> {
+        let f = f64::from(self.friends);
+        let r = f64::from(self.rejectors_of);
+        if f + r == 0.0 {
+            None
+        } else {
+            Some(r / (f + r))
+        }
+    }
+}
+
 /// The rejection-augmented social graph `G = (V, F, R⃗)`.
 ///
 /// Friendships are undirected and deduplicated. Rejections are directed:
@@ -71,6 +127,20 @@ impl AugmentedGraph {
         &self.rejectors_of_me[u.index()]
     }
 
+    /// All three adjacency lists of `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub fn neighbors(&self, u: NodeId) -> Neighbors<'_> {
+        Neighbors {
+            friends: &self.friends[u.index()],
+            rejected_by: &self.rejected_by_me[u.index()],
+            rejectors_of: &self.rejectors_of_me[u.index()],
+        }
+    }
+
     /// Friendship degree of `u`.
     ///
     /// # Panics
@@ -128,13 +198,7 @@ impl AugmentedGraph {
     ///
     /// Panics if `u` is out of range.
     pub fn rejection_ratio(&self, u: NodeId) -> Option<f64> {
-        let f = self.friend_degree(u) as f64; // xtask-allow: lossy-cast: a degree is < 2^53 and converts exactly
-        let r = self.rejections_received(u) as f64; // xtask-allow: lossy-cast: a degree is < 2^53 and converts exactly
-        if f + r == 0.0 {
-            None
-        } else {
-            Some(r / (f + r))
-        }
+        NodeDegrees::of(self.neighbors(u)).rejection_ratio()
     }
 
     /// The induced augmented subgraph on the nodes where `keep[u]` is true,

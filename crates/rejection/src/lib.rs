@@ -36,6 +36,6 @@ mod augmented;
 pub mod io;
 mod partition;
 
-pub use augmented::{AugmentedGraph, AugmentedGraphBuilder};
+pub use augmented::{AugmentedGraph, AugmentedGraphBuilder, Neighbors, NodeDegrees};
 pub use partition::{Partition, Region};
 pub use socialgraph::NodeId;

@@ -1,4 +1,4 @@
-use crate::{AugmentedGraph, NodeId};
+use crate::{AugmentedGraph, Neighbors, NodeId};
 
 /// Which side of the cut a node is on.
 ///
@@ -62,28 +62,55 @@ impl Partition {
     /// Panics if `region.len() != g.num_nodes()`.
     pub fn from_regions(g: &AugmentedGraph, region: Vec<Region>) -> Self {
         assert_eq!(region.len(), g.num_nodes(), "region vector has wrong length");
-        let suspect_count = region.iter().filter(|&&r| r == Region::Suspect).count();
         let mut cross_friendships = 0u64;
         let mut cross_rejections = 0u64;
         for u in g.nodes() {
-            for &v in g.friends(u) {
-                if u < v && region[u.index()] != region[v.index()] {
-                    cross_friendships = cross_friendships
-                        .checked_add(1)
-                        .expect("cross friendship counter fits in u64");
-                }
+            let (f, r) = Self::cut_edges(&region, u, g.neighbors(u));
+            cross_friendships = cross_friendships
+                .checked_add(f)
+                .expect("cross friendship counter fits in u64");
+            cross_rejections = cross_rejections
+                .checked_add(r)
+                .expect("cross rejection counter fits in u64");
+        }
+        Self::from_parts(region, cross_friendships, cross_rejections)
+    }
+
+    /// Builds a partition whose cut counters were tallied elsewhere, e.g.
+    /// summed over graph shards with [`Partition::cut_edges`]. The counters
+    /// are trusted: they must be what [`Partition::from_regions`] would
+    /// count.
+    pub fn from_parts(region: Vec<Region>, cross_friendships: u64, cross_rejections: u64) -> Self {
+        let suspect_count = region.iter().filter(|&&r| r == Region::Suspect).count();
+        Partition { region, suspect_count, cross_friendships, cross_rejections }
+    }
+
+    /// The cut edges node `u` accounts for under `region`: friendships to
+    /// higher-id neighbors across the cut (so each friendship is counted
+    /// once over all nodes) and, when `u` is legit, its rejections of
+    /// suspect users. Summing this over every node gives the partition's
+    /// `(cross_friendships, cross_rejections)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or a neighbor is out of range of `region`.
+    pub fn cut_edges(region: &[Region], u: NodeId, n: Neighbors<'_>) -> (u64, u64) {
+        let ru = region[u.index()];
+        let mut f = 0u64;
+        for &v in n.friends {
+            if u < v && ru != region[v.index()] {
+                f += 1;
             }
-            if region[u.index()] == Region::Legit {
-                for &v in g.rejected_by(u) {
-                    if region[v.index()] == Region::Suspect {
-                        cross_rejections = cross_rejections
-                            .checked_add(1)
-                            .expect("cross rejection counter fits in u64");
-                    }
+        }
+        let mut r = 0u64;
+        if ru == Region::Legit {
+            for &v in n.rejected_by {
+                if region[v.index()] == Region::Suspect {
+                    r += 1;
                 }
             }
         }
-        Partition { region, suspect_count, cross_friendships, cross_rejections }
+        (f, r)
     }
 
     /// A partition with every node in `Legit` (the all-`Ū` starting point).
@@ -160,16 +187,29 @@ impl Partition {
             .collect()
     }
 
-    /// Moves `u` to the other region, updating the cut counters in
-    /// `O(deg(u))`. Returns the region `u` now occupies.
+    /// Moves `u`, whose adjacency is `n`, to the other region, updating
+    /// the cut counters in `O(deg(u))`. Returns the region `u` now
+    /// occupies.
     ///
     /// # Panics
     ///
-    /// Panics if `u` is out of range.
-    pub fn switch(&mut self, g: &AugmentedGraph, u: NodeId) -> Region {
-        let from = self.region[u.index()];
-        let to = from.other();
-        let (df, dr) = self.switch_delta(g, u);
+    /// Panics if `u` or a neighbor is out of range.
+    pub fn switch(&mut self, u: NodeId, n: Neighbors<'_>) -> Region {
+        let delta = self.switch_delta(u, n);
+        self.apply_switch(u, delta)
+    }
+
+    /// Moves `u` to the other region, applying a `(Δcross_friendships,
+    /// Δcross_rejections)` that [`Partition::switch_delta`] computed for
+    /// `u` in this same state. `O(1)`: this is how the KL kernel commits
+    /// moves it has already previewed without reading adjacency again.
+    /// Returns the region `u` now occupies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range or the delta underflows a counter.
+    pub fn apply_switch(&mut self, u: NodeId, (df, dr): (i64, i64)) -> Region {
+        let to = self.region[u.index()].other();
         self.cross_friendships = self
             .cross_friendships
             .checked_add_signed(df)
@@ -192,19 +232,19 @@ impl Partition {
         to
     }
 
-    /// The `(Δcross_friendships, Δcross_rejections)` that switching `u`
-    /// *would* cause, without applying it. This is the primitive the
-    /// extended-KL gain computation builds on.
+    /// The `(Δcross_friendships, Δcross_rejections)` that switching `u`,
+    /// whose adjacency is `n`, *would* cause, without applying it. This is
+    /// the primitive the extended-KL gain computation builds on.
     ///
     /// # Panics
     ///
-    /// Panics if `u` is out of range.
-    pub fn switch_delta(&self, g: &AugmentedGraph, u: NodeId) -> (i64, i64) {
+    /// Panics if `u` or a neighbor is out of range.
+    pub fn switch_delta(&self, u: NodeId, n: Neighbors<'_>) -> (i64, i64) {
         let from = self.region[u.index()];
         // Friendships: edges to same-region neighbors become cross (+1),
         // edges to other-region neighbors become internal (−1).
         let mut df = 0i64;
-        for &v in g.friends(u) {
+        for &v in n.friends {
             if self.region[v.index()] == from {
                 df += 1;
             } else {
@@ -218,12 +258,12 @@ impl Partition {
                 // u: Legit → Suspect.
                 // + rejections u received from Legit users (now Legit→Suspect)
                 // − rejections u cast on Suspect users (no longer Legit→Suspect)
-                for &r in g.rejectors_of(u) {
+                for &r in n.rejectors_of {
                     if self.region[r.index()] == Region::Legit && r != u {
                         dr += 1;
                     }
                 }
-                for &s in g.rejected_by(u) {
+                for &s in n.rejected_by {
                     if self.region[s.index()] == Region::Suspect {
                         dr -= 1;
                     }
@@ -231,12 +271,12 @@ impl Partition {
             }
             Region::Suspect => {
                 // u: Suspect → Legit (mirror of the above).
-                for &r in g.rejectors_of(u) {
+                for &r in n.rejectors_of {
                     if self.region[r.index()] == Region::Legit {
                         dr -= 1;
                     }
                 }
-                for &s in g.rejected_by(u) {
+                for &s in n.rejected_by {
                     if self.region[s.index()] == Region::Suspect && s != u {
                         dr += 1;
                     }
@@ -310,13 +350,13 @@ mod tests {
         let g = scenario();
         let mut p = Partition::all_legit(&g);
         // Move fake 4 into the suspect region.
-        p.switch(&g, NodeId(4));
+        p.switch(NodeId(4), g.neighbors(NodeId(4)));
         // Cross friendships: 4's edges to 5 and 0 are both cross now.
         assert_eq!(p.cross_friendships(), 2);
         // Rejections 1→4 and 2→4 are now Legit→Suspect.
         assert_eq!(p.cross_rejections(), 2);
         // Move fake 5 too: edge 4-5 becomes internal.
-        p.switch(&g, NodeId(5));
+        p.switch(NodeId(5), g.neighbors(NodeId(5)));
         assert_eq!(p.cross_friendships(), 1);
         assert_eq!(p.cross_rejections(), 2);
     }
@@ -326,7 +366,7 @@ mod tests {
         let g = scenario();
         let mut p = Partition::all_legit(&g);
         for u in [4u32, 1, 5, 4, 0, 2, 1].map(NodeId) {
-            p.switch(&g, u);
+            p.switch(u, g.neighbors(u));
             let recount = Partition::from_regions(&g, (0..6).map(|i| p.region(NodeId(i))).collect());
             assert_eq!(p.cross_friendships(), recount.cross_friendships(), "after moving {u}");
             assert_eq!(p.cross_rejections(), recount.cross_rejections(), "after moving {u}");
@@ -338,9 +378,9 @@ mod tests {
     fn switch_delta_previews_switch() {
         let g = scenario();
         let mut p = Partition::from_fn(&g, fake_region);
-        let (df, dr) = p.switch_delta(&g, NodeId(4));
+        let (df, dr) = p.switch_delta(NodeId(4), g.neighbors(NodeId(4)));
         let (f0, r0) = (p.cross_friendships() as i64, p.cross_rejections() as i64);
-        p.switch(&g, NodeId(4));
+        p.switch(NodeId(4), g.neighbors(NodeId(4)));
         assert_eq!(p.cross_friendships() as i64, f0 + df);
         assert_eq!(p.cross_rejections() as i64, r0 + dr);
     }
@@ -350,8 +390,8 @@ mod tests {
         let g = scenario();
         let mut p = Partition::from_fn(&g, fake_region);
         let before = p.clone();
-        p.switch(&g, NodeId(2));
-        p.switch(&g, NodeId(2));
+        p.switch(NodeId(2), g.neighbors(NodeId(2)));
+        p.switch(NodeId(2), g.neighbors(NodeId(2)));
         assert_eq!(p, before);
     }
 

@@ -33,7 +33,7 @@ proptest! {
         let mut p = Partition::all_legit(&g);
         for m in moves {
             let u = NodeId(m % g.num_nodes() as u32);
-            p.switch(&g, u);
+            p.switch(u, g.neighbors(u));
             let regions: Vec<Region> = g.nodes().map(|x| p.region(x)).collect();
             let fresh = Partition::from_regions(&g, regions);
             prop_assert_eq!(p.cross_friendships(), fresh.cross_friendships());
@@ -55,9 +55,9 @@ proptest! {
             .map(|i| if presuspect[i % presuspect.len()] { Region::Suspect } else { Region::Legit })
             .collect();
         let mut p = Partition::from_regions(&g, regions);
-        let (df, dr) = p.switch_delta(&g, u);
+        let (df, dr) = p.switch_delta(u, g.neighbors(u));
         let (f0, r0) = (p.cross_friendships() as i64, p.cross_rejections() as i64);
-        p.switch(&g, u);
+        p.switch(u, g.neighbors(u));
         prop_assert_eq!(p.cross_friendships() as i64, f0 + df);
         prop_assert_eq!(p.cross_rejections() as i64, r0 + dr);
     }
@@ -68,8 +68,8 @@ proptest! {
         let u = NodeId(node % g.num_nodes() as u32);
         let mut p = Partition::all_legit(&g);
         let before = p.clone();
-        p.switch(&g, u);
-        p.switch(&g, u);
+        p.switch(u, g.neighbors(u));
+        p.switch(u, g.neighbors(u));
         prop_assert_eq!(p, before);
     }
 

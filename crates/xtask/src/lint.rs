@@ -116,13 +116,10 @@ pub const RNG_EXEMPT_CRATES: &[&str] = &["bench"];
 /// The only first-party modules allowed to spawn OS threads
 /// (**no-ad-hoc-threads**). Everything else must route parallelism
 /// through these: `core/pool.rs` is the deterministic MAAR-sweep worker
-/// pool; the `dataflow` pair is the scoped map/reduce substrate and the
-/// master/worker cluster. Repo-relative paths.
-pub const THREAD_POOL_MODULES: &[&str] = &[
-    "crates/core/src/pool.rs",
-    "crates/dataflow/src/cluster.rs",
-    "crates/dataflow/src/rdd.rs",
-];
+/// pool; `dataflow/cluster.rs` is the master/worker cluster.
+/// Repo-relative paths.
+pub const THREAD_POOL_MODULES: &[&str] =
+    &["crates/core/src/pool.rs", "crates/dataflow/src/cluster.rs"];
 
 /// Crates whose runtime paths are subject to **float-determinism**: the
 /// detection kernels and every ranking baseline whose scores get compared
@@ -181,11 +178,10 @@ pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "obs-discipline", "du
 /// Crates whose runtime paths are subject to **channel-discipline**.
 pub const CHANNEL_CRATES: &[&str] = &["dataflow"];
 
-/// The sanctioned homes for lock primitives inside the
-/// [`CHANNEL_CRATES`]: the cluster master/worker runtime and the scoped
-/// map/reduce substrate. Repo-relative paths.
-pub const SYNC_PRIMITIVE_MODULES: &[&str] =
-    &["crates/dataflow/src/cluster.rs", "crates/dataflow/src/rdd.rs"];
+/// The sanctioned home for lock primitives inside the
+/// [`CHANNEL_CRATES`]: the cluster master/worker runtime. Repo-relative
+/// paths.
+pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
 
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.

@@ -4,8 +4,9 @@ use super::args::{ArgError, Args};
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::store::atomic_write;
 use rejecto_core::{
-    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultPlan, InterruptReason,
-    IterativeDetector, RejectoConfig, ResourceBudget, Seeds, StoreFaults, Termination,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan,
+    InterruptReason, IterativeDetector, RejectoConfig, ResourceBudget, Seeds, StoreFaults,
+    Termination,
 };
 use rejection::io::LoadStats;
 use rejection::AugmentedGraph;
@@ -233,66 +234,6 @@ fn interrupt_name(reason: InterruptReason) -> &'static str {
     }
 }
 
-/// The one checkpoint sink both runtimes share: every generation goes
-/// through the durable store (integrity frame + atomic write + retention),
-/// and store failures surface through the runtime's structured
-/// `CheckpointIo` failure path. Replaces two copy-pasted closures whose
-/// `expect("sink only installed when a path was given")` was a latent
-/// panic waiting for the call sites to drift apart.
-fn checkpoint_sink(store: &CheckpointStore) -> impl FnMut(&Checkpoint) -> std::io::Result<()> + '_ {
-    |ckpt| store.save(ckpt).map_err(std::io::Error::other)
-}
-
-/// Runs the detector in whichever of the four detect/resume ×
-/// with/without-checkpoints modes the flags selected.
-fn run_detector(
-    detector: &IterativeDetector,
-    g: &AugmentedGraph,
-    seeds: &Seeds,
-    termination: Termination,
-    resume_from: Option<&Checkpoint>,
-    store: Option<&CheckpointStore>,
-) -> Result<DetectionReport, CliError> {
-    match (resume_from, store) {
-        (None, None) => Ok(detector.detect(g, seeds, termination)),
-        (None, Some(s)) => {
-            let mut sink = checkpoint_sink(s);
-            Ok(detector.detect_with_checkpoints(g, seeds, termination, &mut sink))
-        }
-        (Some(c), None) => Ok(detector.resume(g, seeds, termination, c)?),
-        (Some(c), Some(s)) => {
-            let mut sink = checkpoint_sink(s);
-            Ok(detector.resume_with_checkpoints(g, seeds, termination, c, &mut sink)?)
-        }
-    }
-}
-
-/// The distributed twin of [`run_detector`]: the same four modes on the
-/// cluster runtime. Checkpoints are interchangeable between the two — the
-/// wire format records algorithm state, not deployment — and both feed
-/// the same durable store.
-fn run_distributed_detector(
-    detector: &DistributedDetector,
-    g: &AugmentedGraph,
-    seeds: &Seeds,
-    termination: Termination,
-    resume_from: Option<&Checkpoint>,
-    store: Option<&CheckpointStore>,
-) -> Result<DetectionReport, CliError> {
-    match (resume_from, store) {
-        (None, None) => Ok(detector.detect(g, seeds, termination)?),
-        (None, Some(s)) => {
-            let mut sink = checkpoint_sink(s);
-            Ok(detector.detect_with_checkpoints(g, seeds, termination, &mut sink)?)
-        }
-        (Some(c), None) => Ok(detector.resume(g, seeds, termination, c)?),
-        (Some(c), Some(s)) => {
-            let mut sink = checkpoint_sink(s);
-            Ok(detector.resume_with_checkpoints(g, seeds, termination, c, &mut sink)?)
-        }
-    }
-}
-
 fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     let graph_path = args.require("graph")?;
     let budget: Option<usize> = args.get_opt("budget")?;
@@ -444,6 +385,13 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         None => None,
     };
     let resume_from = resumed.as_ref().map(|r| r.checkpoint.clone());
+    // Every checkpoint generation goes through the durable store; a failed
+    // save surfaces as the runtime's structured `CheckpointIo` failure.
+    let mut sink = store
+        .as_ref()
+        .map(|s| |c: &Checkpoint| s.save(c).map_err(std::io::Error::other));
+    let sink = sink.as_mut().map(|s| s as CheckpointSink<'_>);
+    let (seeds, resume_from) = (Seeds::default(), resume_from.as_ref());
     let mut report = if distributed {
         let mut cluster = ClusterConfig::default();
         if let Some(w) = workers {
@@ -456,27 +404,13 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }
-        run_distributed_detector(
-            &detector,
-            &g,
-            &Seeds::default(),
-            termination,
-            resume_from.as_ref(),
-            store.as_ref(),
-        )?
+        detector.run(&g, &seeds, termination, resume_from, sink)?
     } else {
         let mut detector = IterativeDetector::new(config);
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }
-        run_detector(
-            &detector,
-            &g,
-            &Seeds::default(),
-            termination,
-            resume_from.as_ref(),
-            store.as_ref(),
-        )?
+        detector.run(&g, &seeds, termination, resume_from, sink)?
     };
     // Corrupt-generation skips belong to this run's story: they render as
     // the same degraded/failure lines every other runtime failure uses.

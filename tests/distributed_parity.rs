@@ -2,8 +2,11 @@
 //! solver: identical cuts on varied scenarios, cluster shapes, and buffer
 //! configurations.
 
-use rejecto::dataflow::{ClusterConfig, DistributedMaar};
-use rejecto::rejecto_core::{MaarSolver, RejectoConfig};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
+use rejecto::rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
+use rejecto::rejecto_core::{
+    FaultPlan, IterativeDetector, MaarSolver, RejectoConfig, Seeds, Termination,
+};
 use rejecto::simulator::{Scenario, ScenarioConfig, SelfRejectionConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
 
@@ -82,4 +85,66 @@ fn parity_with_more_workers_than_meaningful_shards() {
         ClusterConfig { num_workers: 64, ..ClusterConfig::default() },
         25,
     );
+}
+
+/// Detector-level parity: `DistributedDetector` at 1 and 3 workers must
+/// return `Ok` with a report equal to `IterativeDetector`'s. Both run with
+/// a checkpoint sink that discards every checkpoint, so an injected
+/// checkpoint fault shows up in the report's failures on both runtimes.
+fn assert_detector_parity(g: &AugmentedGraph, config: RejectoConfig, termination: Termination) {
+    let seeds = Seeds::default();
+    let local = IterativeDetector::new(config.clone()).detect_with_checkpoints(
+        g,
+        &seeds,
+        termination,
+        &mut |_| Ok(()),
+    );
+    for workers in [1, 3] {
+        let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
+        let dist = DistributedDetector::new(cluster, config.clone())
+            .detect_with_checkpoints(g, &seeds, termination, &mut |_| Ok(()))
+            .expect("healthy cluster must detect");
+        assert_eq!(dist, local, "workers={workers}");
+    }
+}
+
+/// Node 0 rejected ten accounts and befriended one more: its rejections
+/// *cast* dominate its gain, so a gain bound that counts only rejections
+/// received is too small for it.
+#[test]
+fn detector_parity_when_one_user_casts_many_rejections() {
+    let mut b = AugmentedGraphBuilder::new(12);
+    for v in 1..=10u32 {
+        b.add_rejection(NodeId(0), NodeId(v));
+    }
+    b.add_friendship(NodeId(0), NodeId(11));
+    assert_detector_parity(&b.build(), RejectoConfig::default(), Termination::SuspectBudget(10));
+}
+
+/// Three legit friends reject one spammer. With `max_suspect_fraction`
+/// 0.2 the unclamped cap floors to 0 on 4 nodes; the clamped cap is 1.
+fn single_spammer_graph() -> AugmentedGraph {
+    let mut b = AugmentedGraphBuilder::new(4);
+    b.add_friendship(NodeId(0), NodeId(1));
+    b.add_friendship(NodeId(1), NodeId(2));
+    b.add_friendship(NodeId(0), NodeId(2));
+    for r in 0..3u32 {
+        b.add_rejection(NodeId(r), NodeId(3));
+    }
+    b.build()
+}
+
+#[test]
+fn detector_parity_on_a_graph_whose_suspect_cap_clamps_to_one() {
+    let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
+    assert_detector_parity(&single_spammer_graph(), config, Termination::SuspectBudget(1));
+}
+
+#[test]
+fn detector_parity_under_an_injected_checkpoint_fault() {
+    let config = RejectoConfig {
+        faults: FaultPlan::parse("io_error@round=1").expect("plan is well-formed"),
+        ..RejectoConfig::default()
+    };
+    assert_detector_parity(&single_spammer_graph(), config, Termination::SuspectBudget(1));
 }
