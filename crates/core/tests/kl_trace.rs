@@ -1,0 +1,170 @@
+//! Move-for-move pin of the extended-KL kernel.
+//!
+//! For every `k` of the default sweep, on one seeded simulated graph, the
+//! kernel's pass count, committed moves, bucket adjustments and resulting
+//! suspect count are compared against figures recorded from the kernel
+//! before its storage was reworked (CSR graph, one-record bucket list,
+//! in-place passes with rollback). Any change to the order in which the
+//! kernel pops, files or commits nodes moves at least one of these
+//! counters, so a layout or scratch-buffer change that is meant to be
+//! invisible must leave this table untouched.
+//!
+//! The `debug-invariants` checkers re-derive the whole gain index after
+//! every move (`O(n·deg)` each), which turns this 2,000-node sweep into
+//! hours; the invariant run covers the kernel on the smaller fixtures of
+//! `kl` and `rejecto-core` instead.
+#![cfg(not(feature = "debug-invariants"))]
+
+use kl::{ExtendedKl, ExtendedKlConfig};
+use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition};
+use rejecto_core::{KResult, RejectoConfig, RunContext, SweepPlan};
+use simulator::{Scenario, ScenarioConfig};
+use socialgraph::surrogates::Surrogate;
+use std::convert::Infallible;
+
+/// The Facebook surrogate at scale 0.1 (1,000 users) plus 1,000 fakes.
+fn graph() -> AugmentedGraph {
+    let host = Surrogate::Facebook.generate_scaled(42, 0.1);
+    let config = ScenarioConfig { num_fakes: 1_000, ..ScenarioConfig::default() };
+    Scenario::new(config).run(&host, 42).graph
+}
+
+/// One k's counters: `(num, den, passes, moves_committed, bucket_adjusts,
+/// suspect count, suspect-set checksum)`.
+type Row = (u64, u64, u64, u64, u64, usize, u64);
+
+/// An order-sensitive checksum of an ascending suspect list, so two cuts
+/// of the same size but different members tell apart.
+fn checksum(suspects: &[NodeId]) -> u64 {
+    suspects
+        .iter()
+        .fold(0u64, |h, u| h.wrapping_mul(1_000_003).wrapping_add(u64::from(u.0) + 1))
+}
+
+fn render(rows: &[Row]) -> String {
+    rows.iter().map(|r| format!("    {r:?},\n")).collect()
+}
+
+fn assert_rows(what: &str, got: &[Row], want: &[Row]) {
+    assert!(
+        got == want,
+        "{what}: kernel trace changed; the run now gives\n{}",
+        render(got)
+    );
+}
+
+/// Every 50th legitimate user, pinned legit: the sweep's seeds shape
+/// which nodes the kernel may pop.
+fn legit_seeds(g: &AugmentedGraph) -> Vec<NodeId> {
+    g.nodes().filter(|u| u.index() < 1_000 && u.index() % 50 == 0).collect()
+}
+
+/// The kernel alone, from all-legit with pinned seeds.
+#[test]
+fn kernel_trace_from_all_legit_is_pinned() {
+    let g = graph();
+    let seeds = legit_seeds(&g);
+    let config = RejectoConfig::default();
+    let rows: Vec<Row> = config
+        .k_sweep()
+        .into_iter()
+        .map(|k| {
+            let mut kl =
+                ExtendedKl::new(&g, ExtendedKlConfig { k, max_passes: config.max_kl_passes });
+            let obs = rejecto_obs::Obs::new();
+            kl.set_obs(obs.clone());
+            for &s in &seeds {
+                kl.lock(s);
+            }
+            let out = kl.run(Partition::all_legit(&g));
+            assert_eq!(obs.counter("kl/moves_committed"), out.moves_committed);
+            (
+                k.num(),
+                k.den(),
+                obs.counter("kl/passes"),
+                out.moves_committed,
+                obs.counter("kl/bucket_adjusts"),
+                out.partition.suspect_count(),
+                checksum(&out.partition.suspects()),
+            )
+        })
+        .collect();
+    assert_rows("all-legit start", &rows, ALL_LEGIT);
+}
+
+/// The sweep as the detector runs it: the default rejection-ratio warm
+/// start, every k through `SweepPlan::solve_k`. Inadmissible cuts report
+/// 0 suspects.
+#[test]
+fn sweep_trace_from_the_warm_start_is_pinned() {
+    let g = graph();
+    let seeds = legit_seeds(&g);
+    let config = RejectoConfig::default();
+    let degrees = NodeDegrees::of_graph(&g);
+    let plan = SweepPlan::new(&config, &degrees, &seeds, &[], config.initial_placement, |r| {
+        Ok::<_, Infallible>(Partition::from_regions(&g, r))
+    })
+    .unwrap_or_else(|e: Infallible| match e {});
+    let rows: Vec<Row> = (0..plan.num_ks())
+        .map(|i| {
+            let obs = rejecto_obs::Obs::new();
+            let ctx = RunContext::armed(&config, Some(obs.clone()));
+            let Ok(result) = plan.solve_k(&g, i, &ctx);
+            let (k, suspects) = match result {
+                KResult::Cut(cut) => (cut.k, cut.partition.suspects()),
+                KResult::NoCut => (config.k_sweep()[i], Vec::new()),
+                KResult::Interrupted => panic!("an unbudgeted run was interrupted"),
+            };
+            (
+                k.num(),
+                k.den(),
+                obs.counter("kl/passes"),
+                obs.counter("kl/moves_committed"),
+                obs.counter("kl/bucket_adjusts"),
+                suspects.len(),
+                checksum(&suspects),
+            )
+        })
+        .collect();
+    assert_rows("warm start", &rows, WARM_START);
+}
+
+/// Recorded before the storage rework; see the module docs.
+const ALL_LEGIT: &[Row] = &[
+    (3, 64, 1, 0, 30462, 0, 0),
+    (5, 64, 1, 0, 30462, 0, 0),
+    (7, 64, 1, 0, 30462, 0, 0),
+    (11, 64, 1, 0, 30462, 0, 0),
+    (1, 4, 1, 0, 30462, 0, 0),
+    (3, 8, 2, 2, 60924, 2, 1924007725),
+    (9, 16, 3, 1041, 91386, 1035, 9135714391364097567),
+    (55, 64, 2, 1009, 60924, 1009, 9097000934406346618),
+    (41, 32, 2, 1003, 60924, 1003, 8038332954253721697),
+    (123, 64, 2, 1002, 60924, 1002, 3787620270207640436),
+    (185, 64, 2, 1000, 60924, 1000, 5844108594825303524),
+    (277, 64, 2, 1000, 60924, 1000, 5844108594825303524),
+    (415, 64, 2, 1000, 60924, 1000, 5844108594825303524),
+    (623, 64, 2, 1000, 60924, 1000, 5844108594825303524),
+    (467, 32, 2, 1000, 60924, 1000, 5844108594825303524),
+    (20, 1, 2, 1000, 60924, 1000, 5844108594825303524),
+];
+
+/// Recorded before the storage rework; see the module docs.
+const WARM_START: &[Row] = &[
+    (3, 64, 2, 354, 60924, 0, 0),
+    (5, 64, 2, 354, 60924, 0, 0),
+    (7, 64, 2, 354, 60924, 0, 0),
+    (11, 64, 2, 354, 60924, 0, 0),
+    (1, 4, 2, 354, 60924, 0, 0),
+    (3, 8, 2, 352, 60924, 2, 1924007725),
+    (9, 16, 5, 1417, 152310, 1035, 9135714391364097567),
+    (55, 64, 2, 655, 60924, 1009, 9097000934406346618),
+    (41, 32, 2, 649, 60924, 1003, 8038332954253721697),
+    (123, 64, 2, 648, 60924, 1002, 3787620270207640436),
+    (185, 64, 2, 646, 60924, 1000, 5844108594825303524),
+    (277, 64, 2, 646, 60924, 1000, 5844108594825303524),
+    (415, 64, 2, 646, 60924, 1000, 5844108594825303524),
+    (623, 64, 2, 646, 60924, 1000, 5844108594825303524),
+    (467, 32, 2, 646, 60924, 1000, 5844108594825303524),
+    (20, 1, 2, 646, 60924, 1000, 5844108594825303524),
+];

@@ -33,16 +33,27 @@ pub struct BucketList {
     pub(crate) min_gain: i64,
     /// `heads[g - min_gain]` = first node in the gain-`g` list, or `NIL`.
     pub(crate) heads: Vec<u32>,
-    pub(crate) prev: Vec<u32>,
-    pub(crate) next: Vec<u32>,
-    pub(crate) gain: Vec<i64>,
-    pub(crate) present: Vec<bool>,
+    /// One record per node, indexed by id.
+    pub(crate) slots: Vec<Slot>,
     /// Highest bucket index that may be non-empty.
     pub(crate) high: usize,
     pub(crate) len: usize,
 }
 
+/// A node's chain links and gain: 16 bytes, so one cache line holds four
+/// nodes' records. `prev == ABSENT` marks a node that is not indexed; its
+/// `gain` then keeps the last value it was filed under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) prev: u32,
+    pub(crate) next: u32,
+    pub(crate) gain: i64,
+}
+
+/// End of a chain.
 pub(crate) const NIL: u32 = u32::MAX;
+/// `Slot::prev` of a node that is not indexed.
+pub(crate) const ABSENT: u32 = u32::MAX - 1;
 
 /// Node ids are `u32` by construction; every slot array is indexed by id.
 #[inline]
@@ -56,17 +67,19 @@ impl BucketList {
     ///
     /// # Panics
     ///
-    /// Panics if `min_gain > max_gain`.
+    /// Panics if `min_gain > max_gain`, or if `num_nodes` reaches the
+    /// link sentinels at the top of the `u32` id space.
     pub fn new(num_nodes: usize, min_gain: i64, max_gain: i64) -> Self {
         let span = usize::try_from(max_gain.saturating_sub(min_gain).saturating_add(1))
             .expect("empty gain range: min_gain must be <= max_gain");
+        u32::try_from(num_nodes)
+            .ok()
+            .filter(|&n| n <= ABSENT)
+            .expect("node count collides with the bucket list's link sentinels");
         BucketList {
             min_gain,
             heads: vec![NIL; span],
-            prev: vec![NIL; num_nodes],
-            next: vec![NIL; num_nodes],
-            gain: vec![0; num_nodes],
-            present: vec![false; num_nodes],
+            slots: vec![Slot { prev: ABSENT, next: NIL, gain: 0 }; num_nodes],
             high: 0,
             len: 0,
         }
@@ -91,7 +104,7 @@ impl BucketList {
     /// Panics if `node` is out of range.
     #[inline]
     pub fn contains(&self, node: u32) -> bool {
-        self.present[ix(node)]
+        self.slots[ix(node)].prev != ABSENT
     }
 
     /// Current gain of an indexed node.
@@ -103,8 +116,8 @@ impl BucketList {
     /// gain).
     #[inline]
     pub fn gain_of(&self, node: u32) -> i64 {
-        debug_assert!(self.present[ix(node)], "node {node} not in bucket list");
-        self.gain[ix(node)]
+        debug_assert!(self.contains(node), "node {node} not in bucket list");
+        self.slots[ix(node)].gain
     }
 
     /// Maps a gain to its bucket index, rejecting gains outside the
@@ -118,7 +131,38 @@ impl BucketList {
             .expect("gain outside range configured at construction")
     }
 
-    /// Indexes `node` with `gain`.
+    /// Files the unindexed `node` at the head of the gain-`gain` chain.
+    #[inline]
+    fn link(&mut self, node: u32, gain: i64) {
+        let b = self.bucket_of(gain);
+        let head = self.heads[b];
+        if head != NIL {
+            self.slots[ix(head)].prev = node;
+        }
+        self.slots[ix(node)] = Slot { prev: NIL, next: head, gain };
+        self.heads[b] = node;
+        self.high = self.high.max(b);
+        self.len += 1;
+    }
+
+    /// Takes the indexed `node`, whose record is `slot`, out of its chain.
+    #[inline]
+    fn unlink(&mut self, node: u32, slot: Slot) {
+        let Slot { prev, next, gain } = slot;
+        if prev != NIL {
+            self.slots[ix(prev)].next = next;
+        } else {
+            let b = self.bucket_of(gain);
+            self.heads[b] = next;
+        }
+        if next != NIL {
+            self.slots[ix(next)].prev = prev;
+        }
+        self.slots[ix(node)].prev = ABSENT;
+        self.len -= 1;
+    }
+
+    /// Indexes `node` with `gain`, at the head of its gain's chain.
     ///
     /// # Panics
     ///
@@ -127,68 +171,77 @@ impl BucketList {
     /// not already indexed (a double insert in release corrupts the
     /// chain, which `assert_consistent` detects).
     pub fn insert(&mut self, node: u32, gain: i64) {
-        debug_assert!(!self.present[ix(node)], "node {node} already in bucket list");
-        let b = self.bucket_of(gain);
-        let head = self.heads[b];
-        self.next[ix(node)] = head;
-        self.prev[ix(node)] = NIL;
-        if head != NIL {
-            self.prev[ix(head)] = node;
-        }
-        self.heads[b] = node;
-        self.gain[ix(node)] = gain;
-        self.present[ix(node)] = true;
-        self.high = self.high.max(b);
-        self.len += 1;
+        debug_assert!(!self.contains(node), "node {node} already in bucket list");
+        self.link(node, gain);
     }
 
-    /// Removes `node` from the index.
+    /// Removes `node` from the index; a node that is not indexed is left
+    /// alone.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range; debug builds additionally assert
     /// that `node` is indexed.
     pub fn remove(&mut self, node: u32) {
-        debug_assert!(self.present[ix(node)], "node {node} not in bucket list");
-        let b = self.bucket_of(self.gain[ix(node)]);
-        let (p, n) = (self.prev[ix(node)], self.next[ix(node)]);
-        if p != NIL {
-            self.next[ix(p)] = n;
-        } else {
-            self.heads[b] = n;
+        debug_assert!(self.contains(node), "node {node} not in bucket list");
+        let slot = self.slots[ix(node)];
+        if slot.prev != ABSENT {
+            self.unlink(node, slot);
         }
-        if n != NIL {
-            self.prev[ix(n)] = p;
-        }
-        self.present[ix(node)] = false;
-        self.len -= 1;
     }
 
-    /// Changes the gain of an indexed node (no-op if unchanged).
+    /// Files `node` under `gain`: a node that is not indexed is inserted,
+    /// an indexed one moves to the head of the new gain's chain, and an
+    /// indexed one already at `gain` stays where it is.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range or `gain` is outside the
     /// configured range.
     pub fn update(&mut self, node: u32, gain: i64) {
-        if self.gain[ix(node)] == gain && self.present[ix(node)] {
-            return;
+        let slot = self.slots[ix(node)];
+        if slot.prev != ABSENT {
+            if slot.gain == gain {
+                return;
+            }
+            self.unlink(node, slot);
         }
-        self.remove(node);
-        self.insert(node, gain);
+        self.link(node, gain);
     }
 
     /// Adds `delta` to the gain of an indexed node.
     ///
     /// # Panics
     ///
-    /// Panics as in [`update`](Self::update).
+    /// Panics as in [`update`](Self::update); debug builds additionally
+    /// assert that `node` is indexed (release builds leave an unindexed
+    /// node alone).
     pub fn adjust(&mut self, node: u32, delta: i64) {
-        if delta == 0 {
-            return;
+        let indexed = self.adjust_if_present(node, delta);
+        debug_assert!(indexed, "node {node} not in bucket list");
+    }
+
+    /// Adds `delta` to the gain of `node` if it is indexed, moving it to
+    /// the head of the new gain's chain (a zero `delta` leaves it where it
+    /// is). Returns whether `node` was indexed. This is the KL inner loop's
+    /// one call per neighbour: one record read decides membership and
+    /// yields the old gain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or the new gain is outside the
+    /// configured range.
+    #[inline]
+    pub fn adjust_if_present(&mut self, node: u32, delta: i64) -> bool {
+        let slot = self.slots[ix(node)];
+        if slot.prev == ABSENT {
+            return false;
         }
-        let g = self.gain_of(node);
-        self.update(node, g + delta);
+        if delta != 0 {
+            self.unlink(node, slot);
+            self.link(node, slot.gain + delta);
+        }
+        true
     }
 
     /// The maximum gain among indexed nodes, if any.
@@ -201,7 +254,8 @@ impl BucketList {
         }
     }
 
-    /// Removes and returns a node with the maximum gain.
+    /// Removes and returns a node with the maximum gain: the one filed
+    /// last among those at that gain.
     pub fn pop_max(&mut self) -> Option<(u32, i64)> {
         self.settle_high();
         if self.len == 0 {
@@ -209,9 +263,9 @@ impl BucketList {
         }
         let node = self.heads[self.high];
         debug_assert_ne!(node, NIL);
-        let gain = self.gain[ix(node)];
-        self.remove(node);
-        Some((node, gain))
+        let slot = self.slots[ix(node)];
+        self.unlink(node, slot);
+        Some((node, slot.gain))
     }
 
     /// Walks every gain chain and re-derives the summary state the `O(1)`
@@ -235,9 +289,11 @@ impl BucketList {
     }
 
     /// Ids of up to `n` highest-gain nodes in gain order (ties in list
-    /// order), without removing them. Used by the distributed runtime to
-    /// decide which nodes to prefetch (§V: "the prefetched nodes are those
-    /// with the highest potential move gains in the bucket list").
+    /// order, last filed first), without removing them: the order
+    /// [`pop_max`](Self::pop_max) would return them in. Used by the
+    /// distributed runtime to decide which nodes to prefetch (§V: "the
+    /// prefetched nodes are those with the highest potential move gains in
+    /// the bucket list").
     pub fn peek_top(&self, n: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(n.min(self.len));
         if self.len == 0 || n == 0 {
@@ -249,7 +305,7 @@ impl BucketList {
             let mut cur = self.heads[b];
             while cur != NIL && out.len() < n {
                 out.push(cur);
-                cur = self.next[ix(cur)];
+                cur = self.slots[ix(cur)].next;
             }
         }
         out

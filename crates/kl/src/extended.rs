@@ -224,6 +224,11 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// Runs the optimization from `initial` and returns the refined
     /// partition, or the first failed adjacency lookup.
     ///
+    /// The run allocates its scratch once: the gain buffer, the bucket
+    /// list (every pass drains it, so the next pass starts from an empty
+    /// index) and the move buffer. Each pass switches nodes in `p` itself
+    /// and then rolls back the moves after its best prefix.
+    ///
     /// # Panics
     ///
     /// Panics if `initial` does not cover exactly the source's nodes.
@@ -237,6 +242,8 @@ impl<A: Adjacency> ExtendedKl<A> {
         let mut bucket_adjusts = 0u64;
         let mut interrupted = false;
         let bound = self.adj.gain_bound(self.cfg.k)?;
+        let mut bucket = BucketList::new(p.len(), -bound, bound);
+        let mut seq: Vec<Move> = Vec::with_capacity(p.len());
 
         while passes < self.cfg.max_passes {
             if let Some(token) = &self.cancel {
@@ -247,17 +254,17 @@ impl<A: Adjacency> ExtendedKl<A> {
             }
             passes += 1;
             let _pass_span = obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            let (seq, best_prefix, adjusts) = self.one_pass(&p, &mut gains, bound)?;
-            bucket_adjusts += adjusts;
-            match best_prefix {
-                Some(end) => {
-                    for &(u, _, delta) in &seq[..=end] {
-                        p.apply_switch(u, delta);
-                        moves_committed += 1;
-                    }
-                }
-                None => break,
+            bucket_adjusts += self.one_pass(&mut p, &mut gains, &mut bucket, &mut seq)?;
+            let kept = best_prefix_len(&seq);
+            // Undo the tail newest first, so every intermediate state is
+            // one the pass went through and no counter dips below zero.
+            for &(u, _, (df, dr)) in seq[kept..].iter().rev() {
+                p.apply_switch(u, (-df, -dr));
             }
+            if kept == 0 {
+                break;
+            }
+            moves_committed += u64::try_from(kept).expect("move count exceeds u64 range");
         }
 
         if let Some(obs) = &obs {
@@ -311,91 +318,87 @@ impl<A: Adjacency> ExtendedKl<A> {
         Ok(())
     }
 
-    /// One greedy pass: returns the full switching sequence, the index of
-    /// the best strictly positive prefix (if any), and the number of
-    /// incremental gain-bucket adjustments performed.
+    /// One greedy pass: switches every unlocked node of `p` once, in
+    /// max-gain order, recording each move in `seq`, and returns the
+    /// number of incremental gain-bucket adjustments performed. `bucket`
+    /// comes in empty and leaves empty.
     fn one_pass(
         &mut self,
-        p: &Partition,
+        p: &mut Partition,
         gains: &mut [i64],
-        bound: i64,
-    ) -> Result<(Vec<Move>, Option<usize>, u64), A::Error> {
+        bucket: &mut BucketList,
+        seq: &mut Vec<Move>,
+    ) -> Result<u64, A::Error> {
         let k = self.cfg.k;
         let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
-        let mut p_tmp = p.clone();
-        self.adj.initial_gains(&p_tmp, k, gains)?;
-        let mut bucket = BucketList::new(gains.len(), -bound, bound);
+        debug_assert!(bucket.is_empty(), "a pass starts from an empty bucket list");
+        self.adj.initial_gains(p, k, gains)?;
         for (u, &gain) in gains.iter().enumerate() {
             if !self.locked[u] {
                 bucket.insert(NodeId::from_index(u).0, gain);
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.assert_gain_index(&p_tmp, &bucket)?;
+        self.assert_gain_index(p, bucket)?;
 
-        let mut seq: Vec<Move> = Vec::with_capacity(bucket.len());
+        seq.clear();
         let mut adjusts = 0u64;
         let mut prefetched = 0usize;
         loop {
             if prefetched == 0 && !bucket.is_empty() {
-                prefetched = self.adj.prefetch(&bucket)?.max(1);
+                prefetched = self.adj.prefetch(bucket)?.max(1);
             }
             let Some((u, gain)) = bucket.pop_max() else { break };
             prefetched -= 1;
             let u = NodeId(u);
             let n = self.adj.neighbors(u)?;
-            let delta = p_tmp.switch_delta(u, n);
+            let delta = p.switch_delta(u, n);
             debug_assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
             seq.push((u, gain, delta));
-            let from = p_tmp.region(u);
-            let now_in = p_tmp.apply_switch(u, delta);
+            let from = p.region(u);
+            let now_in = p.apply_switch(u, delta);
 
             // Incremental gain updates for u's still-indexed neighbors.
             // Friendship edges: the (v, u) term of v's Δfriendship flips.
             for &v in n.friends {
-                if bucket.contains(v.0) {
-                    let t = if p_tmp.region(v) == from { 1 } else { -1 };
-                    bucket.adjust(v.0, 2 * den * t);
-                    adjusts += 1;
-                }
+                let t = if p.region(v) == from { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, 2 * den * t));
             }
             // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
             // Legit" count changed by ±1.
+            let da = if now_in == Region::Legit { 1 } else { -1 };
             for &v in n.rejected_by {
-                if bucket.contains(v.0) {
-                    let da = if now_in == Region::Legit { 1 } else { -1 };
-                    let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
-                    bucket.adjust(v.0, num * s_v * da);
-                    adjusts += 1;
-                }
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, num * s_v * da));
             }
             // v rejected u  ⇒  u is in v's rejected set: v's "rejectees in
             // Suspect" count changed by ±1.
+            let db = if now_in == Region::Suspect { 1 } else { -1 };
             for &v in n.rejectors_of {
-                if bucket.contains(v.0) {
-                    let db = if now_in == Region::Suspect { 1 } else { -1 };
-                    let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
-                    bucket.adjust(v.0, -num * s_v * db);
-                    adjusts += 1;
-                }
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, -num * s_v * db));
             }
             #[cfg(feature = "debug-invariants")]
-            self.assert_gain_index(&p_tmp, &bucket)?;
+            self.assert_gain_index(p, bucket)?;
         }
-
-        // Best strictly positive cumulative-gain prefix.
-        let mut best: Option<usize> = None;
-        let mut best_gain = 0i64;
-        let mut cum = 0i64;
-        for (i, &(_, gain, _)) in seq.iter().enumerate() {
-            cum += gain;
-            if cum > best_gain {
-                best_gain = cum;
-                best = Some(i);
-            }
-        }
-        Ok((seq, best, adjusts))
+        Ok(adjusts)
     }
+}
+
+/// Length of the switching sequence's best strictly positive
+/// cumulative-gain prefix; 0 when no prefix gains.
+fn best_prefix_len(seq: &[Move]) -> usize {
+    let mut best = 0usize;
+    let mut best_gain = 0i64;
+    let mut cum = 0i64;
+    for (i, &(_, gain, _)) in seq.iter().enumerate() {
+        cum += gain;
+        if cum > best_gain {
+            best_gain = cum;
+            best = i + 1;
+        }
+    }
+    best
 }
 
 impl<A: Adjacency<Error = Infallible> + Clone> ExtendedKl<A> {

@@ -14,17 +14,17 @@
 
 #![cfg(feature = "debug-invariants")]
 
-use crate::bucket::{BucketList, NIL};
+use crate::bucket::{BucketList, ABSENT, NIL};
 use crate::Adjacency;
 use rejection::{NodeId, Partition, Region};
 
 /// Walks every gain chain of `b` and checks:
 ///
-/// * each chained node is marked present and filed under the bucket its
-///   recorded gain maps to, with correct back-links;
+/// * each chained node's record is not marked absent, is filed under the
+///   bucket its recorded gain maps to, and carries the correct back-link;
 /// * the chains reach exactly `len` nodes (no orphans, no cycles);
 /// * no bucket above the high-water mark is non-empty;
-/// * the present-flag population equals `len`.
+/// * the records not marked absent number exactly `len`.
 ///
 /// # Panics
 ///
@@ -40,24 +40,24 @@ pub fn assert_bucket_consistent(b: &BucketList) {
         let mut prev = NIL;
         let mut cur = head;
         while cur != NIL {
-            let i = cur as usize;
-            assert!(b.present[i], "chained node {cur} not marked present");
+            let slot = b.slots[cur as usize];
+            assert_ne!(slot.prev, ABSENT, "chained node {cur} marked absent");
             assert_eq!(
-                b.gain[i] - b.min_gain,
+                slot.gain - b.min_gain,
                 bi as i64,
                 "node {cur} with gain {} filed in bucket {bi}",
-                b.gain[i]
+                slot.gain
             );
-            assert_eq!(b.prev[i], prev, "broken back-link at node {cur}");
+            assert_eq!(slot.prev, prev, "broken back-link at node {cur}");
             reached += 1;
             assert!(reached <= b.len, "cycle or orphan chain in bucket {bi}");
             prev = cur;
-            cur = b.next[i];
+            cur = slot.next;
         }
     }
     assert_eq!(reached, b.len, "{reached} nodes reachable but len = {}", b.len);
-    let present = b.present.iter().filter(|&&p| p).count();
-    assert_eq!(present, b.len, "{present} present flags but len = {}", b.len);
+    let present = b.slots.iter().filter(|s| s.prev != ABSENT).count();
+    assert_eq!(present, b.len, "{present} records present but len = {}", b.len);
 }
 
 /// Re-derives a partition's incremental cut counters from scratch, node by

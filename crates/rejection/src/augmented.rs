@@ -64,23 +64,58 @@ impl NodeDegrees {
 /// §III-A). Both rejection directions are indexed so cut bookkeeping and
 /// gain updates are `O(deg)`.
 ///
+/// Storage is compressed sparse rows: one `adj` array holding, node after
+/// node, each user's sorted friends, then the users it rejected, then the
+/// users who rejected it. `offsets[3u..3u + 4]` bound those three segments,
+/// so one switch reads one contiguous run of memory.
+///
 /// Construct with [`AugmentedGraphBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AugmentedGraph {
-    friends: Vec<Vec<NodeId>>,
-    /// `rejected_by_me[u]` = users whose requests `u` rejected.
-    rejected_by_me: Vec<Vec<NodeId>>,
-    /// `rejectors_of_me[u]` = users who rejected `u`'s requests.
-    rejectors_of_me: Vec<Vec<NodeId>>,
+    /// `3·n + 1` segment bounds into `adj`: node `u`'s friends are
+    /// `adj[offsets[3u]..offsets[3u + 1]]`, the users it rejected follow up
+    /// to `offsets[3u + 2]`, and the users who rejected it up to
+    /// `offsets[3u + 3]`.
+    offsets: Vec<usize>,
+    adj: Vec<NodeId>,
     num_friendships: u64,
     num_rejections: u64,
 }
 
+/// Segment positions within a node's `offsets` window.
+const FRIENDS: usize = 0;
+const REJECTED_BY: usize = 1;
+const REJECTORS_OF: usize = 2;
+
+impl Default for AugmentedGraph {
+    /// The graph with no users.
+    fn default() -> Self {
+        AugmentedGraph::from_csr(vec![0], Vec::new())
+    }
+}
+
 impl AugmentedGraph {
+    /// Wraps finished segments, counting the edges they hold.
+    ///
+    /// Edge counting uses checked arithmetic end to end: a hostile input
+    /// cannot wrap the degree sums into silently-wrong totals.
+    fn from_csr(offsets: Vec<usize>, adj: Vec<NodeId>) -> Self {
+        let (mut friend_ends, mut num_rejections) = (0u64, 0u64);
+        for o in offsets.chunks_exact(3) {
+            let deg = |s: usize| u64::try_from(o[s + 1] - o[s]).expect("degree fits in u64");
+            friend_ends =
+                friend_ends.checked_add(deg(FRIENDS)).expect("friendship degree sum fits in u64");
+            num_rejections = num_rejections
+                .checked_add(deg(REJECTED_BY))
+                .expect("rejection degree sum fits in u64");
+        }
+        AugmentedGraph { offsets, adj, num_friendships: friend_ends / 2, num_rejections }
+    }
+
     /// Number of users.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.friends.len()
+        self.offsets.len() / 3
     }
 
     /// Number of undirected friendships `|F|`.
@@ -102,7 +137,7 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn friends(&self, u: NodeId) -> &[NodeId] {
-        &self.friends[u.index()]
+        self.segment(u, FRIENDS)
     }
 
     /// Sorted list of users whose requests `u` rejected (out-edges of `u`
@@ -113,7 +148,7 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn rejected_by(&self, u: NodeId) -> &[NodeId] {
-        &self.rejected_by_me[u.index()]
+        self.segment(u, REJECTED_BY)
     }
 
     /// Sorted list of users who rejected `u`'s requests (in-edges of `u`
@@ -124,7 +159,14 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn rejectors_of(&self, u: NodeId) -> &[NodeId] {
-        &self.rejectors_of_me[u.index()]
+        self.segment(u, REJECTORS_OF)
+    }
+
+    /// Segment `s` of `u`'s adjacency.
+    #[inline]
+    fn segment(&self, u: NodeId, s: usize) -> &[NodeId] {
+        let i = 3 * u.index() + s;
+        &self.adj[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// All three adjacency lists of `u`.
@@ -134,11 +176,11 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> Neighbors<'_> {
-        Neighbors {
-            friends: &self.friends[u.index()],
-            rejected_by: &self.rejected_by_me[u.index()],
-            rejectors_of: &self.rejectors_of_me[u.index()],
-        }
+        let o = &self.offsets[3 * u.index()..3 * u.index() + 4];
+        let all = &self.adj[o[0]..o[3]];
+        let (friends, rest) = all.split_at(o[1] - o[0]);
+        let (rejected_by, rejectors_of) = rest.split_at(o[2] - o[1]);
+        Neighbors { friends, rejected_by, rejectors_of }
     }
 
     /// Friendship degree of `u`.
@@ -148,7 +190,7 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn friend_degree(&self, u: NodeId) -> usize {
-        self.friends[u.index()].len()
+        self.friends(u).len()
     }
 
     /// Number of rejections `u` received.
@@ -158,7 +200,7 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn rejections_received(&self, u: NodeId) -> usize {
-        self.rejectors_of_me[u.index()].len()
+        self.rejectors_of(u).len()
     }
 
     /// Whether `u` and `v` are friends.
@@ -168,7 +210,7 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn are_friends(&self, u: NodeId, v: NodeId) -> bool {
-        self.friends[u.index()].binary_search(&v).is_ok()
+        self.friends(u).binary_search(&v).is_ok()
     }
 
     /// Whether the rejection edge `⟨u, v⟩` (u rejected v) exists.
@@ -178,12 +220,12 @@ impl AugmentedGraph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn has_rejection(&self, u: NodeId, v: NodeId) -> bool {
-        self.rejected_by_me[u.index()].binary_search(&v).is_ok()
+        self.rejected_by(u).binary_search(&v).is_ok()
     }
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let n = u32::try_from(self.friends.len()).expect("node count fits the u32 id space");
+        let n = u32::try_from(self.num_nodes()).expect("node count fits the u32 id space");
         (0..n).map(NodeId)
     }
 
@@ -206,6 +248,9 @@ impl AugmentedGraph {
     /// new id to its old id. Used when pruning detected spammer groups
     /// "with their links and rejections" (§IV-E).
     ///
+    /// One filter pass over the segments: the relabeling preserves id
+    /// order, so every kept segment stays sorted and deduplicated.
+    ///
     /// # Panics
     ///
     /// Panics if `keep.len() != self.num_nodes()`.
@@ -220,23 +265,18 @@ impl AugmentedGraph {
                 original.push(u);
             }
         }
-        let mut b = AugmentedGraphBuilder::new(original.len());
-        for (i, &orig) in original.iter().enumerate() {
-            let i = NodeId::from_index(i);
-            for &v in self.friends(orig) {
-                let nv = new_id[v.index()];
-                if nv != u32::MAX && orig < v {
-                    b.add_friendship(i, NodeId(nv));
-                }
-            }
-            for &v in self.rejected_by(orig) {
-                let nv = new_id[v.index()];
-                if nv != u32::MAX {
-                    b.add_rejection(i, NodeId(nv));
-                }
+        let mut offsets = Vec::with_capacity(3 * original.len() + 1);
+        offsets.push(0);
+        // An upper bound: pages the filter never writes are never touched.
+        let mut adj = Vec::with_capacity(self.adj.len());
+        for &orig in &original {
+            for s in [FRIENDS, REJECTED_BY, REJECTORS_OF] {
+                let kept = self.segment(orig, s).iter().map(|v| new_id[v.index()]);
+                adj.extend(kept.filter(|&nv| nv != u32::MAX).map(NodeId));
+                offsets.push(adj.len());
             }
         }
-        (b.build(), original)
+        (AugmentedGraph::from_csr(offsets, adj), original)
     }
 
     /// The friendship graph alone, as a [`socialgraph::Graph`] (used to hand
@@ -360,38 +400,26 @@ impl AugmentedGraphBuilder {
     }
 
     /// Finalizes into an immutable [`AugmentedGraph`], sorting and
-    /// deduplicating all adjacency lists.
-    ///
-    /// Edge counting uses checked arithmetic end to end: a hostile input
-    /// cannot wrap the degree sums into silently-wrong totals.
-    pub fn build(mut self) -> AugmentedGraph {
-        let mut num_friendships = 0u64;
-        for list in &mut self.friends {
-            list.sort_unstable();
-            list.dedup();
-            let deg = u64::try_from(list.len()).expect("degree fits in u64");
-            num_friendships =
-                num_friendships.checked_add(deg).expect("friendship degree sum fits in u64");
+    /// deduplicating all adjacency lists and flattening them into one
+    /// array.
+    pub fn build(self) -> AugmentedGraph {
+        let total = [&self.friends, &self.rejected_by_me, &self.rejectors_of_me]
+            .iter()
+            .flat_map(|lists| lists.iter().map(Vec::len))
+            .fold(0usize, |acc, len| acc.checked_add(len).expect("edge total fits in usize"));
+        let mut offsets = Vec::with_capacity(3 * self.num_nodes() + 1);
+        offsets.push(0);
+        let mut adj = Vec::with_capacity(total);
+        let lists = self.friends.into_iter().zip(self.rejected_by_me).zip(self.rejectors_of_me);
+        for ((friends, rejected), rejectors) in lists {
+            for mut list in [friends, rejected, rejectors] {
+                list.sort_unstable();
+                list.dedup();
+                adj.extend_from_slice(&list);
+                offsets.push(adj.len());
+            }
         }
-        let mut num_rejections = 0u64;
-        for list in &mut self.rejected_by_me {
-            list.sort_unstable();
-            list.dedup();
-            let deg = u64::try_from(list.len()).expect("degree fits in u64");
-            num_rejections =
-                num_rejections.checked_add(deg).expect("rejection degree sum fits in u64");
-        }
-        for list in &mut self.rejectors_of_me {
-            list.sort_unstable();
-            list.dedup();
-        }
-        AugmentedGraph {
-            friends: self.friends,
-            rejected_by_me: self.rejected_by_me,
-            rejectors_of_me: self.rejectors_of_me,
-            num_friendships: num_friendships / 2,
-            num_rejections,
-        }
+        AugmentedGraph::from_csr(offsets, adj)
     }
 }
 

@@ -7,7 +7,8 @@
 //! This crate provides:
 //!
 //! * [`AugmentedGraph`] / [`AugmentedGraphBuilder`] — storage for `(V, F, R⃗)`
-//!   with both rejection directions indexed;
+//!   with both rejection directions indexed, each user's three lists one
+//!   contiguous run of a compressed-sparse-row array;
 //! * [`Partition`] — a two-region node assignment
 //!   ([`Region::Legit`] / [`Region::Suspect`]) with **incremental cross-cut
 //!   counters** so switching one node is `O(deg)`:

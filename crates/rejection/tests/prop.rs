@@ -116,3 +116,86 @@ proptest! {
         }
     }
 }
+
+/// Asserts the storage invariants every [`AugmentedGraph`] holds: each
+/// segment strictly ascending (sorted, no duplicates, no self-loop),
+/// friendships symmetric, the rejected and rejectors segments mirror
+/// images, `neighbors` the three segments, and the edge counts their
+/// sizes.
+fn assert_well_formed(g: &AugmentedGraph) {
+    let (mut friend_ends, mut cast, mut received) = (0u64, 0u64, 0u64);
+    for u in g.nodes() {
+        let n = g.neighbors(u);
+        prop_assert_eq!(n.friends, g.friends(u));
+        prop_assert_eq!(n.rejected_by, g.rejected_by(u));
+        prop_assert_eq!(n.rejectors_of, g.rejectors_of(u));
+        for list in [n.friends, n.rejected_by, n.rejectors_of] {
+            let ascending = list.windows(2).all(|w| w[0] < w[1]);
+            prop_assert!(ascending, "segment of {} not strictly ascending", u);
+            prop_assert!(!list.contains(&u), "self-loop at {}", u);
+        }
+        for &v in n.friends {
+            prop_assert!(g.are_friends(v, u), "friendship {}-{} one-sided", u, v);
+        }
+        for &v in n.rejected_by {
+            let mirrored = g.rejectors_of(v).binary_search(&u).is_ok();
+            prop_assert!(mirrored, "rejection {}->{} not mirrored", u, v);
+        }
+        for &v in n.rejectors_of {
+            prop_assert!(g.has_rejection(v, u), "rejection {}->{} not mirrored", v, u);
+        }
+        friend_ends += n.friends.len() as u64;
+        cast += n.rejected_by.len() as u64;
+        received += n.rejectors_of.len() as u64;
+    }
+    prop_assert_eq!(g.num_friendships() * 2, friend_ends);
+    prop_assert_eq!(g.num_rejections(), cast);
+    prop_assert_eq!(g.num_rejections(), received);
+}
+
+/// The oracle for `induced_subgraph`: the kept edges, relabeled densely in
+/// id order, fed through the builder.
+fn rebuilt_subgraph(g: &AugmentedGraph, keep: &[bool]) -> AugmentedGraph {
+    let mut new_id = vec![None; g.num_nodes()];
+    let mut kept = 0u32;
+    for u in g.nodes() {
+        if keep[u.index()] {
+            new_id[u.index()] = Some(NodeId(kept));
+            kept += 1;
+        }
+    }
+    let mut b = AugmentedGraphBuilder::new(kept as usize);
+    for u in g.nodes() {
+        let Some(nu) = new_id[u.index()] else { continue };
+        for &v in g.friends(u) {
+            if let Some(nv) = new_id[v.index()] {
+                b.add_friendship(nu, nv);
+            }
+        }
+        for &v in g.rejected_by(u) {
+            if let Some(nv) = new_id[v.index()] {
+                b.add_rejection(nu, nv);
+            }
+        }
+    }
+    b.build()
+}
+
+proptest! {
+    /// The flattened layout holds every storage invariant, and the
+    /// one-pass induced subgraph is exactly the graph the builder makes
+    /// from the kept edges.
+    #[test]
+    fn csr_layout_matches_the_builder(
+        g in augmented_graph(24),
+        keep_bits in proptest::collection::vec(any::<bool>(), 24),
+    ) {
+        assert_well_formed(&g);
+        let keep: Vec<bool> = (0..g.num_nodes()).map(|i| keep_bits[i % keep_bits.len()]).collect();
+        let (sub, original) = g.induced_subgraph(&keep);
+        assert_well_formed(&sub);
+        prop_assert_eq!(&sub, &rebuilt_subgraph(&g, &keep));
+        let expect: Vec<NodeId> = g.nodes().filter(|u| keep[u.index()]).collect();
+        prop_assert_eq!(original, expect);
+    }
+}
