@@ -13,10 +13,12 @@
 //!
 //! This crate reproduces that architecture in-process:
 //!
-//! * [`LruCache`] — the prefetch buffer with LRU eviction;
-//! * [`Cluster`] / [`DistributedMaar`] — long-lived worker threads holding
-//!   graph shards, a master running the `k` sweep against them, and
-//!   [`IoStats`] counting simulated master↔worker traffic. The master runs
+//! * [`LruCache`] — the prefetch buffer with LRU eviction, indexed densely
+//!   by node id;
+//! * [`Cluster`] / [`DistributedMaar`] — long-lived worker threads serving
+//!   contiguous shards of one shared graph, a master running the `k`
+//!   sweep against them, and [`IoStats`] counting simulated
+//!   master↔worker traffic. The master runs
 //!   the core crates' one sweep plan and one extended-KL kernel, reading
 //!   adjacency through the prefetch buffer. The Table-II harness measures
 //!   wall time against graph size on this runtime.

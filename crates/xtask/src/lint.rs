@@ -13,8 +13,9 @@
 //!    destroys run-to-run reproducibility; every RNG in the pipeline must
 //!    be seeded (`ChaCha8Rng::seed_from_u64`).
 //! 3. **no-hash-collections** — the deterministic kernels (`socialgraph`,
-//!    `kl`, `core`) may not use `HashMap`/`HashSet`: iteration order is
-//!    hasher-seed-dependent. Use `BTreeMap`/`BTreeSet` or sorted `Vec`s.
+//!    `kl`, `core`) and the distributed runtime (`dataflow`) may not use
+//!    `HashMap`/`HashSet`: iteration order is hasher-seed-dependent. Use
+//!    `BTreeMap`/`BTreeSet`, sorted `Vec`s, or dense id-indexed arrays.
 //! 4. **forbid-unsafe** — every crate root must carry
 //!    `#![forbid(unsafe_code)]`.
 //! 5. **no-panic** — library *runtime* paths (the `/src/` trees of the
@@ -94,8 +95,10 @@ pub const NO_UNWRAP_CRATES: &[&str] = &[
     "obs",
 ];
 
-/// Crates whose kernels must stay free of hash collections entirely.
-pub const NO_HASH_CRATES: &[&str] = &["socialgraph", "kl", "core"];
+/// Crates whose kernels must stay free of hash collections entirely:
+/// the deterministic kernels, and `dataflow`, whose prefetch buffer
+/// indexes node ids with a dense array.
+pub const NO_HASH_CRATES: &[&str] = &["socialgraph", "kl", "core", "dataflow"];
 
 /// Crates whose runtime paths may not use `assert!` at all (**no-panic**):
 /// `dataflow` because the distributed runtime must degrade through the
@@ -952,6 +955,7 @@ mod tests {
         let src = "use std::collections::HashMap;\n";
         let v = lint_file(&file("socialgraph", src));
         assert_eq!(rules(&v), ["no-hash-collections"]);
+        assert_eq!(rules(&lint_file(&file("dataflow", src))), ["no-hash-collections"]);
         assert!(lint_file(&file("eval", src)).is_empty());
     }
 

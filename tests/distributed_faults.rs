@@ -4,11 +4,14 @@
 //! leave the detection report byte-identical to a failure-free run (or to
 //! yield a well-formed `Completion::Partial`, never a crash).
 
-use rejecto::dataflow::{ClusterConfig, DistributedDetector};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
 use rejecto::rejecto_core::{
     Checkpoint, FaultPlan, RejectoConfig, RuntimeError, Seeds, Termination,
 };
 use rejecto::simulator::{Scenario, ScenarioConfig, SimOutput};
+use rejecto::socialgraph::generators::BarabasiAlbert;
 use rejecto::socialgraph::surrogates::Surrogate;
 use std::time::Duration;
 
@@ -209,5 +212,41 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
             assert!(message.contains("no survivor"), "unhelpful message: {message}");
         }
         other => panic!("expected ClusterFailed, got {other}"),
+    }
+}
+
+/// The fetch protocol, pinned: each fetch round trip ticks the clock that
+/// every `worker_death@fetch=N` schedule keys on, so a buffer or record
+/// layout change that moves any of these counts moves every fault
+/// schedule too. The graph is the `dataflow` unit tests' fixture (a
+/// 300-user Barabási–Albert host plus 40 fakes). The `debug-invariants`
+/// checkers look nodes up through the same buffer, so these counts hold
+/// only without them, which is why the pin lives in this package.
+#[test]
+fn fetch_protocol_counts_are_pinned() {
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let host = BarabasiAlbert::new(300, 4).generate(&mut rng);
+    let g = Scenario::new(ScenarioConfig {
+        num_fakes: 40,
+        requests_per_spammer: 12,
+        ..ScenarioConfig::default()
+    })
+    .run(&host, 11)
+    .graph;
+    // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
+    for (config, want) in [
+        (ClusterConfig::default(), [59u64, 340, 14_223, 340, 44]),
+        (
+            ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
+            [9_168, 16_790, 8_678, 16_790, 44],
+        ),
+    ] {
+        let io = DistributedMaar::new(config, RejectoConfig::default())
+            .solve(&g)
+            .expect("healthy cluster must solve")
+            .io;
+        let got =
+            [io.fetch_batches, io.nodes_fetched, io.buffer_hits, io.buffer_misses, io.init_jobs];
+        assert_eq!(got, want, "{config:?}");
     }
 }
