@@ -380,6 +380,8 @@ mod tests {
         assert!(!b.contains(0));
     }
 
+    /// `insert` asserts against a double insert in debug builds only.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "already in bucket list")]
     fn double_insert_panics() {

@@ -295,130 +295,215 @@ impl AugmentedGraph {
 }
 
 /// Incremental constructor for [`AugmentedGraph`].
+///
+/// Edges are recorded in one insertion-order log, two endpoints and a
+/// kind bit each, and [`build`](Self::build) counting-sorts the log into
+/// the CSR segments. Self-loops are never logged; duplicates are dropped
+/// at build time.
 #[derive(Debug, Clone, Default)]
 pub struct AugmentedGraphBuilder {
-    friends: Vec<Vec<NodeId>>,
-    rejected_by_me: Vec<Vec<NodeId>>,
-    rejectors_of_me: Vec<Vec<NodeId>>,
+    num_nodes: usize,
+    /// Every recorded edge in insertion order: `[u, v]` of a friendship,
+    /// `[rejector, rejectee]` of a rejection.
+    edges: Vec<[NodeId; 2]>,
+    /// Bit `i` is set when `edges[i]` is a rejection.
+    rejection_bits: Vec<u64>,
 }
 
 impl AugmentedGraphBuilder {
     /// Creates a builder for `num_nodes` users with no edges.
     pub fn new(num_nodes: usize) -> Self {
-        AugmentedGraphBuilder {
-            friends: vec![Vec::new(); num_nodes],
-            rejected_by_me: vec![Vec::new(); num_nodes],
-            rejectors_of_me: vec![Vec::new(); num_nodes],
-        }
+        AugmentedGraphBuilder { num_nodes, ..AugmentedGraphBuilder::default() }
     }
 
     /// Preloads all edges of `g` as friendships.
     pub fn from_graph(g: &Graph) -> Self {
         let mut b = AugmentedGraphBuilder::new(g.num_nodes());
         for (u, v) in g.edges() {
-            b.friends[u.index()].push(v);
-            b.friends[v.index()].push(u);
+            b.add_friendship(u, v);
         }
         b
     }
 
     /// Number of users.
     pub fn num_nodes(&self) -> usize {
-        self.friends.len()
+        self.num_nodes
     }
 
     /// Appends `extra` isolated users, returning the first new id.
     pub fn add_nodes(&mut self, extra: usize) -> NodeId {
-        let first = self.friends.len();
-        self.friends.resize(first + extra, Vec::new());
-        self.rejected_by_me.resize(first + extra, Vec::new());
-        self.rejectors_of_me.resize(first + extra, Vec::new());
+        let first = self.num_nodes;
+        self.num_nodes = first.checked_add(extra).expect("node count fits in usize");
         NodeId::from_index(first)
     }
 
-    /// Records the friendship `(u, v)` (an accepted request). Duplicates and
-    /// self-loops are dropped at [`build`](Self::build) time.
+    /// Records the friendship `(u, v)` (an accepted request). A self-loop
+    /// is dropped here, a duplicate at [`build`](Self::build) time.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range.
     pub fn add_friendship(&mut self, u: NodeId, v: NodeId) {
         assert!(
-            u.index() < self.friends.len() && v.index() < self.friends.len(),
+            u.index() < self.num_nodes && v.index() < self.num_nodes,
             "friendship ({u}, {v}) out of range for {} nodes",
-            self.friends.len()
+            self.num_nodes
         );
-        if u == v {
-            return;
+        if u != v {
+            self.record(false, u, v);
         }
-        self.friends[u.index()].push(v);
-        self.friends[v.index()].push(u);
     }
 
     /// Records the rejection `⟨rejector, rejectee⟩`: `rejector` rejected a
-    /// request sent by `rejectee`. Duplicates of the same ordered pair and
-    /// self-rejections are dropped at [`build`](Self::build) time.
+    /// request sent by `rejectee`. A self-rejection is dropped here, a
+    /// duplicate of the same ordered pair at [`build`](Self::build) time.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range.
     pub fn add_rejection(&mut self, rejector: NodeId, rejectee: NodeId) {
         assert!(
-            rejector.index() < self.friends.len() && rejectee.index() < self.friends.len(),
+            rejector.index() < self.num_nodes && rejectee.index() < self.num_nodes,
             "rejection ({rejector}, {rejectee}) out of range for {} nodes",
-            self.friends.len()
+            self.num_nodes
         );
-        if rejector == rejectee {
-            return;
+        if rejector != rejectee {
+            self.record(true, rejector, rejectee);
         }
-        self.rejected_by_me[rejector.index()].push(rejectee);
-        self.rejectors_of_me[rejectee.index()].push(rejector);
     }
 
-    /// Whether the friendship `(u, v)` has already been recorded (either
-    /// endpoint order). Loaders use this to give hostile inputs a typed
-    /// duplicate-edge rejection instead of silently collapsing at build
-    /// time. `O(deg)` probe over the unsorted pending list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn contains_friendship(&self, u: NodeId, v: NodeId) -> bool {
-        self.friends[u.index()].contains(&v)
+    fn record(&mut self, rejection: bool, u: NodeId, v: NodeId) {
+        let i = self.edges.len();
+        if i.is_multiple_of(64) {
+            self.rejection_bits.push(0);
+        }
+        self.set_kind(i, rejection);
+        self.edges.push([u, v]);
     }
 
-    /// Whether the directed rejection `⟨rejector, rejectee⟩` has already
-    /// been recorded. Loaders use this to reject duplicate rejection lines
-    /// and friend+rejection conflicts with a typed error. `O(deg)` probe
-    /// over the unsorted pending list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rejector` is out of range.
-    pub fn contains_rejection(&self, rejector: NodeId, rejectee: NodeId) -> bool {
-        self.rejected_by_me[rejector.index()].contains(&rejectee)
+    fn is_rejection(&self, i: usize) -> bool {
+        (self.rejection_bits[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Finalizes into an immutable [`AugmentedGraph`], sorting and
-    /// deduplicating all adjacency lists and flattening them into one
-    /// array.
+    /// Sets or clears kind bit `i`: [`retain`](Self::retain) leaves stale
+    /// bits past the kept edges.
+    fn set_kind(&mut self, i: usize, rejection: bool) {
+        let (word, bit) = (&mut self.rejection_bits[i / 64], 1 << (i % 64));
+        if rejection {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// Number of logged edges, duplicates included.
+    pub(crate) fn logged(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// The logged edges in insertion order, each with its kind (`true`
+    /// for a rejection).
+    pub(crate) fn log(&self) -> impl Iterator<Item = (bool, [NodeId; 2])> + '_ {
+        self.edges.iter().enumerate().map(|(i, &e)| (self.is_rejection(i), e))
+    }
+
+    /// Keeps the logged edges whose insertion index `keep` accepts, in
+    /// order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.edges.len() {
+            if !keep(i) {
+                continue;
+            }
+            self.set_kind(kept, self.is_rejection(i));
+            self.edges[kept] = self.edges[i];
+            kept += 1;
+        }
+        self.edges.truncate(kept);
+        self.rejection_bits.truncate(kept.div_ceil(64));
+    }
+
+    /// Finalizes into an immutable [`AugmentedGraph`]: counting-sorts the
+    /// edge log into the CSR segments, then sorts and deduplicates each
+    /// segment in place.
     pub fn build(self) -> AugmentedGraph {
-        let total = [&self.friends, &self.rejected_by_me, &self.rejectors_of_me]
-            .iter()
-            .flat_map(|lists| lists.iter().map(Vec::len))
-            .fold(0usize, |acc, len| acc.checked_add(len).expect("edge total fits in usize"));
-        let mut offsets = Vec::with_capacity(3 * self.num_nodes() + 1);
-        offsets.push(0);
-        let mut adj = Vec::with_capacity(total);
-        let lists = self.friends.into_iter().zip(self.rejected_by_me).zip(self.rejectors_of_me);
-        for ((friends, rejected), rejectors) in lists {
-            for mut list in [friends, rejected, rejectors] {
-                list.sort_unstable();
-                list.dedup();
-                adj.extend_from_slice(&list);
-                offsets.push(adj.len());
+        self.build_flagging(false, |_, _| {})
+    }
+
+    /// [`build`](Self::build), calling `flag(u, v)` with `u < v` for every
+    /// pair the log holds a repeat of: the same friendship or the same
+    /// rejection twice, or, when `conflicts` is set, a friendship and a
+    /// rejection in either direction. A pair may be flagged more than
+    /// once.
+    pub(crate) fn build_flagging(
+        &self,
+        conflicts: bool,
+        mut flag: impl FnMut(NodeId, NodeId),
+    ) -> AugmentedGraph {
+        let segments = 3 * self.num_nodes;
+        // The segment of `u` that holds `v`, and the one of `v` that holds `u`.
+        let segments_of = |rejection: bool, [u, v]: [NodeId; 2]| {
+            let (su, sv) = if rejection { (REJECTED_BY, REJECTORS_OF) } else { (FRIENDS, FRIENDS) };
+            [3 * u.index() + su, 3 * v.index() + sv]
+        };
+        // Count each segment's entries, then turn the counts into segment
+        // ends; scattering walks each end back to its segment's start.
+        let mut offsets = vec![0usize; segments + 1];
+        for (rejection, e) in self.log() {
+            for s in segments_of(rejection, e) {
+                offsets[s] += 1;
             }
         }
+        let mut end = 0usize;
+        for o in &mut offsets[..segments] {
+            end = end.checked_add(*o).expect("edge total fits in usize");
+            *o = end;
+        }
+        offsets[segments] = end;
+        let mut adj = vec![NodeId(0); end];
+        for (rejection, [u, v]) in self.log() {
+            for (s, id) in segments_of(rejection, [u, v]).into_iter().zip([v, u]) {
+                offsets[s] -= 1;
+                adj[offsets[s]] = id;
+            }
+        }
+        // Sort each segment and compact it left past the repeats dropped
+        // so far; `offsets[i + 1]` still holds the old start of segment
+        // `i + 1` when segment `i` is compacted.
+        let mut w = 0;
+        for u in 0..self.num_nodes {
+            let node = NodeId::from_index(u);
+            for s in [FRIENDS, REJECTED_BY, REJECTORS_OF] {
+                let (start, stop) = (offsets[3 * u + s], offsets[3 * u + s + 1]);
+                adj[start..stop].sort_unstable();
+                let first = w;
+                offsets[3 * u + s] = first;
+                for r in start..stop {
+                    let v = adj[r];
+                    if w > first && adj[w - 1] == v {
+                        // Each pair is flagged from one side only.
+                        if s == REJECTED_BY || (s == FRIENDS && node < v) {
+                            flag(node.min(v), node.max(v));
+                        }
+                        continue;
+                    }
+                    adj[w] = v;
+                    w += 1;
+                }
+            }
+            if conflicts {
+                let o = &offsets[3 * u..3 * u + 3];
+                let (friends, rejections) = adj[o[0]..w].split_at(o[1] - o[0]);
+                let (cast, received) = rejections.split_at(o[2] - o[1]);
+                for &v in friends.iter().filter(|&&v| node < v) {
+                    if cast.binary_search(&v).is_ok() || received.binary_search(&v).is_ok() {
+                        flag(node, v);
+                    }
+                }
+            }
+        }
+        offsets[segments] = w;
+        adj.truncate(w);
         AugmentedGraph::from_csr(offsets, adj)
     }
 }

@@ -10,6 +10,37 @@
 //!
 //! OSN operators export their (friendship, rejection) logs in this shape
 //! and run the detector offline; the CLI's `detect` subcommand consumes it.
+//!
+//! # How a file is loaded
+//!
+//! A load is one streaming pass and one build:
+//!
+//! * **Scan.** Lines are read into one reused buffer, never the whole
+//!   file, and each is checked for UTF-8 as [`BufRead::lines`] checks it.
+//!   The canonical edge line (`F` or `R`, two plain decimal ids, spaces
+//!   or tabs between them) is parsed straight from its bytes; every other
+//!   line goes through the one general parser, which is the only source
+//!   of [`AugmentedIoError::Parse`].
+//! * **Log.** Each in-range edge that is not a self-loop is appended to
+//!   the [`AugmentedGraphBuilder`]'s insertion-order edge log, with no
+//!   look at the edges before it. Parse errors, out-of-range ids and
+//!   self-loops are settled on their own line.
+//! * **Build.** The builder counting-sorts the log into the CSR segments
+//!   and sorts and deduplicates each one. A repeated neighbour in a
+//!   segment, or (with [`IngestGuards::reject_conflicts`]) a friend that
+//!   also sits in one of the node's rejection segments, flags the pair.
+//!
+//! Duplicates and conflicts depend on earlier lines, and so do budget
+//! trips, which count accepted edges only. The log is replayed in line
+//! order, over the pairs that repeat, only when the build flags a pair,
+//! when a budget's raw count passes its limit, or when the load is about
+//! to stop at an error. The replay gives every line the verdict a
+//! line-at-a-time loader gives it: the first hostile line in strict
+//! mode, the skip count and first skipped line in lenient mode, and a
+//! budget trip at its exact line in both. Lenient mode then drops the
+//! hostile edges from the log, so under edge budgets the log stays
+//! within about twice their sum; without one it grows with the input,
+//! as a clean file of that size does.
 
 use crate::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 use std::fmt;
@@ -293,39 +324,262 @@ fn parse_augmented_line(
     Ok((kind, u, v))
 }
 
-/// Classifies a parsed edge against what the builder has already recorded.
-/// Returns the hostile-edge `kind` or `None` for a clean, novel edge.
-fn hostile_kind(
-    b: &AugmentedGraphBuilder,
-    kind: &EdgeKind,
-    u: NodeId,
-    v: NodeId,
-    guards: IngestGuards,
-) -> Option<&'static str> {
-    if u == v {
-        return Some("self-loop");
+/// Parses the canonical edge line `F|R <id> <id>` straight from bytes: the
+/// three fields separated by runs of spaces or tabs, nothing before or
+/// after them, each id plain ASCII digits that fit a `u32` and lie below
+/// `n`. Every other line, malformed or merely unusual (Unicode
+/// whitespace, `+7`, an extra token), yields `None` and goes through
+/// [`parse_augmented_line`], the one general parser.
+fn canonical_edge(line: &[u8], n: usize) -> Option<(EdgeKind, u32, u32)> {
+    let (kind, rest) = match line.split_first()? {
+        (b'F', rest) => (EdgeKind::Friend, rest),
+        (b'R', rest) => (EdgeKind::Reject, rest),
+        _ => return None,
+    };
+    let (u, rest) = canonical_id(rest, n)?;
+    let (v, rest) = canonical_id(rest, n)?;
+    rest.is_empty().then_some((kind, u, v))
+}
+
+/// One run of spaces or tabs followed by an id below `n`, and what is
+/// left of the line after it.
+fn canonical_id(s: &[u8], n: usize) -> Option<(u32, &[u8])> {
+    let start = s.iter().position(|b| !matches!(b, b' ' | b'\t')).filter(|&i| i > 0)?;
+    let s = &s[start..];
+    let len = s.iter().position(|b| !b.is_ascii_digit()).unwrap_or(s.len());
+    let mut id = 0u32;
+    for &d in &s[..len] {
+        id = id.checked_mul(10)?.checked_add(u32::from(d - b'0'))?;
     }
-    match kind {
-        EdgeKind::Friend => {
-            if b.contains_friendship(u, v) {
-                Some("duplicate edge")
-            } else if guards.reject_conflicts
-                && (b.contains_rejection(u, v) || b.contains_rejection(v, u))
-            {
-                Some("conflicting friend+rejection pair")
-            } else {
-                None
+    let in_range = usize::try_from(id).is_ok_and(|i| i < n);
+    (len > 0 && in_range).then_some((id, &s[len..]))
+}
+
+/// Reads the next line into `buf` and returns it without its `\n` or
+/// `\r\n`, or `None` at the end of the input, exactly as
+/// [`BufRead::lines`] would, but without allocating a `String` per line.
+fn next_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<&'a str>> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let mut line = buf.as_slice();
+    if let Some(rest) = line.strip_suffix(b"\n") {
+        line = rest.strip_suffix(b"\r").unwrap_or(rest);
+    }
+    std::str::from_utf8(line).map(Some).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
+}
+
+/// Input line numbers of the edge log's entries, as runs of consecutive
+/// lines `(first log index, its line)`. A file without comments, blanks
+/// or skipped lines is one run.
+#[derive(Debug, Default)]
+struct LineMap(Vec<(usize, usize)>);
+
+impl LineMap {
+    /// Records that log entry `index`, the next one, came from `line`.
+    fn note(&mut self, index: usize, line: usize) {
+        if self.0.last().is_none_or(|&(i, l)| l + (index - i) != line) {
+            self.0.push((index, line));
+        }
+    }
+
+    /// The line log entry `index` came from.
+    fn line(&self, index: usize) -> usize {
+        let (i, l) = self.0[self.0.partition_point(|&(i, _)| i <= index) - 1];
+        l + (index - i)
+    }
+}
+
+/// `(min, max)` of an unordered pair as one sortable key.
+fn pair_key(u: NodeId, v: NodeId) -> u64 {
+    (u64::from(u.0.min(v.0)) << 32) | u64::from(u.0.max(v.0))
+}
+
+/// Counts a skipped line. Hostile edges are found after the lines that
+/// follow them, so the first skipped line is a minimum, not the first
+/// line recorded.
+fn skip(stats: &mut LoadStats, line: usize) {
+    stats.skipped_lines += 1;
+    stats.first_skipped = Some(stats.first_skipped.map_or(line, |first| first.min(line)));
+}
+
+/// Seen-edge bits of one pair in [`Load::settle`]'s replay.
+const SEEN_FRIENDSHIP: u8 = 1;
+const SEEN_REJECTION_UP: u8 = 2;
+const SEEN_REJECTION_DOWN: u8 = 4;
+
+/// The verdict on one edge of a pair whose earlier accepted edges are
+/// `seen`: `None` accepts it and records it in `seen`. `up` tells a
+/// rejection cast by the pair's smaller id from one cast by its larger.
+fn classify(seen: &mut u8, rejection: bool, up: bool, conflicts: bool) -> Option<&'static str> {
+    let (bit, other) = match (rejection, up) {
+        (false, _) => (SEEN_FRIENDSHIP, SEEN_REJECTION_UP | SEEN_REJECTION_DOWN),
+        (true, true) => (SEEN_REJECTION_UP, SEEN_FRIENDSHIP),
+        (true, false) => (SEEN_REJECTION_DOWN, SEEN_FRIENDSHIP),
+    };
+    if *seen & bit != 0 {
+        Some("duplicate edge")
+    } else if conflicts && *seen & other != 0 {
+        Some("conflicting friend+rejection pair")
+    } else {
+        *seen |= bit;
+        None
+    }
+}
+
+const RESOURCES: [&str; 2] = ["friendships", "rejections"];
+
+/// One load after its header: the edge log and what settling it needs
+/// (see the module docs).
+struct Load {
+    b: AugmentedGraphBuilder,
+    lines: LineMap,
+    lenient: bool,
+    conflicts: bool,
+    /// Friendship and rejection budgets.
+    limits: [Option<u64>; 2],
+    /// Friendships and rejections in the log, hostile ones included.
+    raw: [u64; 2],
+    /// A budget past its limit is settled once the log has this many
+    /// edges: twice what the last settle kept, so a duplicate flood costs
+    /// `O(L log L)` while the log stays within about twice the budgets.
+    rearm: usize,
+    stats: LoadStats,
+}
+
+impl Load {
+    /// Logs one parsed edge line.
+    fn edge(
+        &mut self,
+        line: usize,
+        (kind, ur, vr): (EdgeKind, u32, u32),
+    ) -> Result<(), AugmentedIoError> {
+        if ur == vr {
+            let e = AugmentedIoError::HostileEdge { line, kind: "self-loop", u: ur, v: vr };
+            return self.line_error(line, e);
+        }
+        self.lines.note(self.b.logged(), line);
+        let (u, v) = (NodeId(ur), NodeId(vr));
+        let k = match kind {
+            EdgeKind::Friend => {
+                self.b.add_friendship(u, v);
+                0
+            }
+            EdgeKind::Reject => {
+                self.b.add_rejection(u, v);
+                1
+            }
+        };
+        self.raw[k] = self.raw[k].checked_add(1).expect("edge count fits in u64");
+        if self.over_budget() && self.b.logged() >= self.rearm {
+            let repeated = self.repeated_pairs();
+            self.settle(repeated)?;
+        }
+        Ok(())
+    }
+
+    /// A line that is bad on its own: skipped and counted in lenient
+    /// mode, the end of a strict load.
+    fn line_error(&mut self, line: usize, e: AugmentedIoError) -> Result<(), AugmentedIoError> {
+        if self.lenient {
+            skip(&mut self.stats, line);
+            Ok(())
+        } else {
+            Err(self.fail(e))
+        }
+    }
+
+    /// The error a load stopped by `e` returns: a hostile edge or a budget
+    /// trip on an earlier line comes first.
+    fn fail(&mut self, e: AugmentedIoError) -> AugmentedIoError {
+        let repeated = self.repeated_pairs();
+        self.settle(repeated).err().unwrap_or(e)
+    }
+
+    fn over_budget(&self) -> bool {
+        self.raw.iter().zip(self.limits).any(|(&raw, limit)| limit.is_some_and(|l| raw > l))
+    }
+
+    /// Every pair the log holds more than once, found by sorting the
+    /// log's pair keys, so its cost does not grow with the declared node
+    /// count. A pair may be listed more than once.
+    fn repeated_pairs(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.b.log().map(|(_, [u, v])| pair_key(u, v)).collect();
+        keys.sort_unstable();
+        keys.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect()
+    }
+
+    /// Replays the log in line order, judging the edges of the `flagged`
+    /// pairs as a line-at-a-time loader would and counting every accepted
+    /// edge against its budget. Edges of other pairs are accepted
+    /// unexamined: a pair that is never repeated cannot hold a hostile
+    /// edge. Strict mode fails at the first hostile edge; both modes fail
+    /// at a budget trip. Lenient mode drops the hostile edges from the log.
+    fn settle(&mut self, mut flagged: Vec<u64>) -> Result<(), AugmentedIoError> {
+        flagged.sort_unstable();
+        flagged.dedup();
+        let mut seen = vec![0u8; flagged.len()];
+        let mut accepted = [0u64; 2];
+        let mut hostile = Vec::new();
+        for (i, (rejection, [u, v])) in self.b.log().enumerate() {
+            let verdict = flagged
+                .binary_search(&pair_key(u, v))
+                .ok()
+                .and_then(|p| classify(&mut seen[p], rejection, u < v, self.conflicts));
+            if let Some(kind) = verdict {
+                let line = self.lines.line(i);
+                if !self.lenient {
+                    return Err(AugmentedIoError::HostileEdge { line, kind, u: u.0, v: v.0 });
+                }
+                skip(&mut self.stats, line);
+                hostile.push(i);
+                continue;
+            }
+            let k = usize::from(rejection);
+            accepted[k] = accepted[k].checked_add(1).expect("edge count fits in u64");
+            if let Some(limit) = self.limits[k].filter(|&l| accepted[k] > l) {
+                return Err(AugmentedIoError::ResourceExhausted {
+                    resource: RESOURCES[k],
+                    limit,
+                    observed: accepted[k],
+                });
             }
         }
-        EdgeKind::Reject => {
-            if b.contains_rejection(u, v) {
-                Some("duplicate edge")
-            } else if guards.reject_conflicts && b.contains_friendship(u, v) {
-                Some("conflicting friend+rejection pair")
-            } else {
-                None
-            }
+        if !hostile.is_empty() {
+            let mut dropped = hostile.into_iter().peekable();
+            let (old, mut lines, mut kept) = (&self.lines, LineMap::default(), 0);
+            self.b.retain(|i| {
+                if dropped.next_if_eq(&i).is_some() {
+                    return false;
+                }
+                lines.note(kept, old.line(i));
+                kept += 1;
+                true
+            });
+            self.lines = lines;
         }
+        self.raw = accepted;
+        self.rearm = self.b.logged().checked_mul(2).expect("log length fits in usize");
+        Ok(())
+    }
+
+    /// Builds the graph, settling the log first if the build flags a
+    /// repeated pair or a budget's raw count is past its limit.
+    fn finish(mut self) -> Result<(AugmentedGraph, LoadStats), AugmentedIoError> {
+        let mut flagged = Vec::new();
+        let g = self.b.build_flagging(self.conflicts, |u, v| flagged.push(pair_key(u, v)));
+        if flagged.is_empty() && !self.over_budget() {
+            return Ok((g, self.stats));
+        }
+        drop(g);
+        self.settle(flagged)?;
+        Ok((self.b.build(), self.stats))
     }
 }
 
@@ -334,20 +588,19 @@ fn read_augmented_impl<R: Read>(
     lenient: bool,
     guards: IngestGuards,
 ) -> Result<(AugmentedGraph, LoadStats), AugmentedIoError> {
-    let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .transpose()?
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    let header = next_line(&mut reader, &mut buf)?
         .ok_or_else(|| AugmentedIoError::BadHeader { found: "<empty file>".to_string() })?;
     let n: usize = header
         .strip_prefix(HEADER_PREFIX)
         .and_then(|rest| rest.trim().parse().ok())
-        .ok_or_else(|| AugmentedIoError::BadHeader { found: header.clone() })?;
+        .ok_or_else(|| AugmentedIoError::BadHeader { found: header.to_string() })?;
 
-    // Gate the declared node count BEFORE the builder allocates three
-    // `Vec`s of `n` lists: a hostile header is the cheapest way to demand
-    // unbounded memory. The dense `u32` id space is a structural ceiling
-    // even with no configured budget.
+    // Gate the declared node count BEFORE anything is sized by it (the
+    // build's `3·n + 1` segment offsets): a hostile header is the
+    // cheapest way to demand unbounded memory. The dense `u32` id space
+    // is a structural ceiling even with no configured budget.
     let declared = u64::try_from(n).expect("declared node count fits in u64");
     if declared > u64::from(u32::MAX) {
         return Err(AugmentedIoError::ResourceExhausted {
@@ -366,80 +619,44 @@ fn read_augmented_impl<R: Read>(
         }
     }
 
-    let mut b = AugmentedGraphBuilder::new(n);
-    let mut stats = LoadStats::default();
-    let mut friendships = 0u64;
-    let mut rejections = 0u64;
-    for (i, line) in lines.enumerate() {
-        let lineno = i + 2;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        // parse_augmented_line only yields Parse / NodeOutOfRange, both of
-        // which lenient mode downgrades to a skip; Io stays fatal above,
-        // and budget trips below stay fatal in both modes.
-        match parse_augmented_line(trimmed, lineno, n) {
-            Ok((kind, ur, vr)) => {
-                let (u, v) = (NodeId(ur), NodeId(vr));
-                if let Some(hostile) = hostile_kind(&b, &kind, u, v, guards) {
-                    if lenient {
-                        stats.record(lineno);
-                        continue;
-                    }
-                    return Err(AugmentedIoError::HostileEdge {
-                        line: lineno,
-                        kind: hostile,
-                        u: ur,
-                        v: vr,
-                    });
-                }
-                match kind {
-                    EdgeKind::Friend => {
-                        if let Some(max) = guards.max_friendships {
-                            if friendships >= max {
-                                return Err(AugmentedIoError::ResourceExhausted {
-                                    resource: "friendships",
-                                    limit: max,
-                                    observed: friendships
-                                        .checked_add(1)
-                                        .expect("friendship count fits in u64"),
-                                });
-                            }
-                        }
-                        friendships =
-                            friendships.checked_add(1).expect("friendship count fits in u64");
-                        b.add_friendship(u, v);
-                    }
-                    EdgeKind::Reject => {
-                        if let Some(max) = guards.max_rejections {
-                            if rejections >= max {
-                                return Err(AugmentedIoError::ResourceExhausted {
-                                    resource: "rejections",
-                                    limit: max,
-                                    observed: rejections
-                                        .checked_add(1)
-                                        .expect("rejection count fits in u64"),
-                                });
-                            }
-                        }
-                        rejections =
-                            rejections.checked_add(1).expect("rejection count fits in u64");
-                        b.add_rejection(u, v);
-                    }
-                }
-            }
-            Err(e) => {
-                if lenient {
-                    stats.record(lineno);
+    let mut load = Load {
+        b: AugmentedGraphBuilder::new(n),
+        lines: LineMap::default(),
+        lenient,
+        conflicts: guards.reject_conflicts,
+        limits: [guards.max_friendships, guards.max_rejections],
+        raw: [0; 2],
+        rearm: 0,
+        stats: LoadStats::default(),
+    };
+    let mut lineno = 1;
+    loop {
+        lineno += 1;
+        let line = match next_line(&mut reader, &mut buf) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            // I/O errors are fatal in both modes.
+            Err(e) => return Err(load.fail(e.into())),
+        };
+        let edge = match canonical_edge(line.as_bytes(), n) {
+            Some(edge) => edge,
+            None => {
+                let trimmed = line.trim();
+                if trimmed.is_empty() || trimmed.starts_with('#') {
                     continue;
                 }
-                return Err(e);
+                match parse_augmented_line(trimmed, lineno, n) {
+                    Ok(edge) => edge,
+                    Err(e) => {
+                        load.line_error(lineno, e)?;
+                        continue;
+                    }
+                }
             }
-        }
+        };
+        load.edge(lineno, edge)?;
     }
-    Ok((b.build(), stats))
+    load.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,12 @@
 //! Property-based tests for the augmented graph and partition invariants.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId, Partition, Region};
+use socialgraph::Graph;
+use std::collections::BTreeSet;
 
 /// Strategy: a random augmented graph with up to `n` nodes plus edge lists.
 fn augmented_graph(n: usize) -> impl Strategy<Value = AugmentedGraph> {
@@ -181,15 +186,121 @@ fn rebuilt_subgraph(g: &AugmentedGraph, keep: &[bool]) -> AugmentedGraph {
     b.build()
 }
 
+/// One builder call of a generated script: `(op, a, b)`, with `a` and `b`
+/// taken modulo the node count at that point.
+type BuilderOp = (u8, u32, u32);
+
+/// The node count and the edges a script records, deduplicated:
+/// friendships as `(min, max)`, rejections as `(rejector, rejectee)`,
+/// self-loops dropped.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct EdgeSets {
+    nodes: usize,
+    friendships: BTreeSet<(u32, u32)>,
+    rejections: BTreeSet<(u32, u32)>,
+}
+
+/// Runs a script on a builder preloaded from `host`: friendships in both
+/// orientations, rejections, a repeat of the previous call, and
+/// `add_nodes` between edges. Returns the graph, every edge call in the
+/// order made (`true` for a rejection), and the node count and
+/// deduplicated edge sets it should have.
+fn run_script(
+    host: &Graph,
+    ops: &[BuilderOp],
+) -> (AugmentedGraph, Vec<(bool, NodeId, NodeId)>, EdgeSets) {
+    let mut b = AugmentedGraphBuilder::from_graph(host);
+    let mut calls: Vec<(bool, NodeId, NodeId)> = host.edges().map(|(u, v)| (false, u, v)).collect();
+    let mut sets = EdgeSets { nodes: host.num_nodes(), ..EdgeSets::default() };
+    for &(op, a, c) in ops {
+        let n = sets.nodes as u32;
+        let (u, v) = (NodeId(a % n), NodeId(c % n));
+        let call = match op {
+            0..=2 => (false, u, v),
+            3 => (false, v, u),
+            4..=5 => (true, u, v),
+            6 => match calls.last() {
+                Some(&last) => last,
+                None => continue,
+            },
+            _ => {
+                let first = b.add_nodes(a as usize % 3);
+                assert_eq!(first.index(), sets.nodes);
+                sets.nodes += a as usize % 3;
+                continue;
+            }
+        };
+        calls.push(call);
+        match call {
+            (false, u, v) => b.add_friendship(u, v),
+            (true, u, v) => b.add_rejection(u, v),
+        }
+    }
+    for &(rejection, u, v) in calls.iter().filter(|(_, u, v)| u != v) {
+        if rejection {
+            sets.rejections.insert((u.0, v.0));
+        } else {
+            sets.friendships.insert((u.0.min(v.0), u.0.max(v.0)));
+        }
+    }
+    (b.build(), calls, sets)
+}
+
+/// The edge sets an [`AugmentedGraph`] holds.
+fn edge_sets(g: &AugmentedGraph) -> EdgeSets {
+    let mut sets = EdgeSets { nodes: g.num_nodes(), ..EdgeSets::default() };
+    for u in g.nodes() {
+        sets.friendships.extend(g.friends(u).iter().filter(|&&v| u < v).map(|v| (u.0, v.0)));
+        sets.rejections.extend(g.rejected_by(u).iter().map(|v| (u.0, v.0)));
+    }
+    sets
+}
+
 proptest! {
     /// The flattened layout holds every storage invariant, and the
     /// one-pass induced subgraph is exactly the graph the builder makes
     /// from the kept edges.
+    ///
+    /// The builder itself is checked on scripts full of what it must
+    /// drop: repeated friendships in both orientations, repeated
+    /// rejections and self-loops, with `add_nodes` between edges and a
+    /// `from_graph` start. Each build equals the graph built from the
+    /// deduplicated edge set, and so does a build of the same calls in a
+    /// shuffled order.
     #[test]
     fn csr_layout_matches_the_builder(
         g in augmented_graph(24),
         keep_bits in proptest::collection::vec(any::<bool>(), 24),
+        (host_n, host_edges) in (1usize..10).prop_flat_map(|n| {
+            let edge = (0..n as u32, 0..n as u32);
+            (Just(n), proptest::collection::vec(edge, 0..n * 2))
+        }),
+        ops in proptest::collection::vec((0u8..8, 0u32..64, 0u32..64), 0..64),
+        shuffle_seed in any::<u32>(),
     ) {
+        let host = Graph::from_edges(host_n, host_edges);
+        let (scripted, mut calls, sets) = run_script(&host, &ops);
+        assert_well_formed(&scripted);
+        prop_assert_eq!(&edge_sets(&scripted), &sets);
+        let mut dedup = AugmentedGraphBuilder::new(sets.nodes);
+        for &(u, v) in &sets.friendships {
+            dedup.add_friendship(NodeId(u), NodeId(v));
+        }
+        for &(u, v) in &sets.rejections {
+            dedup.add_rejection(NodeId(u), NodeId(v));
+        }
+        prop_assert_eq!(&scripted, &dedup.build());
+        calls.shuffle(&mut ChaCha8Rng::seed_from_u64(u64::from(shuffle_seed)));
+        let mut shuffled = AugmentedGraphBuilder::new(sets.nodes);
+        for (rejection, u, v) in calls {
+            if rejection {
+                shuffled.add_rejection(u, v);
+            } else {
+                shuffled.add_friendship(u, v);
+            }
+        }
+        prop_assert_eq!(&scripted, &shuffled.build());
+
         assert_well_formed(&g);
         let keep: Vec<bool> = (0..g.num_nodes()).map(|i| keep_bits[i % keep_bits.len()]).collect();
         let (sub, original) = g.induced_subgraph(&keep);
