@@ -205,7 +205,9 @@ impl IngestGuards {
     }
 }
 
-/// Writes `g` in the v1 text format.
+/// Writes `g` in the v1 text format: the header, then node by node its
+/// friendships to higher ids and the rejections it cast, each in
+/// ascending neighbour order.
 ///
 /// # Errors
 ///
@@ -216,15 +218,49 @@ pub fn write_augmented<W: Write>(g: &AugmentedGraph, writer: W) -> Result<(), Au
     for u in g.nodes() {
         for &v in g.friends(u) {
             if u < v {
-                writeln!(w, "F {u} {v}")?;
+                write_edge_line(&mut w, b'F', u, v)?;
             }
         }
         for &v in g.rejected_by(u) {
-            writeln!(w, "R {u} {v}")?;
+            write_edge_line(&mut w, b'R', u, v)?;
         }
     }
     w.flush()?;
     Ok(())
+}
+
+/// Longest edge line: a kind byte, two spaces, two 10-digit `u32` ids
+/// and the newline.
+const EDGE_LINE_MAX: usize = 1 + 1 + 10 + 1 + 10 + 1;
+
+/// Writes `<kind> <u> <v>\n`, the bytes `writeln!` gives, rendered back
+/// to front into one stack buffer and handed over in one `write_all`.
+fn write_edge_line<W: Write>(w: &mut W, kind: u8, u: NodeId, v: NodeId) -> std::io::Result<()> {
+    let mut line = [0u8; EDGE_LINE_MAX];
+    let mut at = EDGE_LINE_MAX - 1;
+    line[at] = b'\n';
+    at = put_decimal_before(&mut line, at, v.0);
+    at -= 1;
+    line[at] = b' ';
+    at = put_decimal_before(&mut line, at, u.0);
+    at -= 1;
+    line[at] = b' ';
+    at -= 1;
+    line[at] = kind;
+    w.write_all(&line[at..])
+}
+
+/// Writes the decimal digits of `n` so that they end just before `end`
+/// and returns where they start.
+fn put_decimal_before(buf: &mut [u8], mut end: usize, mut n: u32) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8; // xtask-allow: lossy-cast: a remainder mod 10 fits u8
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
+    }
 }
 
 /// Reads a v1 augmented-graph file.
@@ -785,6 +821,25 @@ mod tests {
         let data = format!("{HEADER_PREFIX}2\n\n# comment\nF 0 1\n");
         let g = read_augmented(data.as_bytes()).expect("fixture parses");
         assert_eq!(g.num_friendships(), 1);
+    }
+
+    #[test]
+    fn edge_lines_match_writeln_at_every_digit_width() {
+        let mut ids = vec![0u32, u32::MAX - 1, u32::MAX];
+        for p in 1..=9 {
+            let x = 10u32.pow(p);
+            ids.extend([x - 1, x, x + 1]);
+        }
+        for &u in &ids {
+            for &v in &ids {
+                for kind in [b'F', b'R'] {
+                    let mut got = Vec::new();
+                    write_edge_line(&mut got, kind, NodeId(u), NodeId(v)).expect("Vec write");
+                    let want = format!("{} {u} {v}\n", char::from(kind));
+                    assert_eq!(String::from_utf8(got).expect("ASCII line"), want);
+                }
+            }
+        }
     }
 
     #[test]

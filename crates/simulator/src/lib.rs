@@ -4,7 +4,7 @@
 //! simulated OSN the paper evaluates on:
 //!
 //! * a Sybil region grafted onto the host graph (each arriving fake
-//!   connects to 6 earlier fakes by default);
+//!   connects to 6 distinct earlier fakes by default, Floyd-sampled);
 //! * friend spam: each spamming fake sends `requests_per_spammer` requests
 //!   to random legitimate users, rejected at `spam_rejection_rate`;
 //! * rejections among legitimate users derived from the legit rejection
@@ -43,6 +43,6 @@ pub mod timeline;
 
 pub use purchased::{FriendProfile, PurchasedAccount, PurchasedStudy, PurchasedStudyConfig};
 pub use requests::{Request, RequestLog};
-pub use scenario::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
+pub use scenario::{InvalidScenario, Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 pub use seeds::{sample_seeds, sample_seeds_community};
 pub use timeline::{TimedRequest, Timeline, TimelineConfig};

@@ -74,25 +74,73 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// Why a [`ScenarioConfig`] cannot be simulated; see
+/// [`ScenarioConfig::check`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct InvalidScenario(String);
+
+impl std::fmt::Display for InvalidScenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for InvalidScenario {}
+
 impl ScenarioConfig {
-    fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.spammer_fraction), "spammer_fraction out of [0,1]");
-        assert!(
-            (0.0..=1.0).contains(&self.spam_rejection_rate),
-            "spam_rejection_rate out of [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.legit_rejection_rate) && self.legit_rejection_rate < 1.0,
-            "legit_rejection_rate out of [0,1)"
-        );
-        assert!((0.0..=1.0).contains(&self.careless_fraction), "careless_fraction out of [0,1]");
-        if let Some(sr) = &self.self_rejection {
-            assert!(sr.whitewashed <= self.num_fakes, "whitewashed exceeds num_fakes");
-            assert!(
-                (0.0..=1.0).contains(&sr.rejection_rate),
-                "self-rejection rate out of [0,1]"
-            );
+    /// Checks the rates and counts [`Scenario::new`] relies on: every
+    /// rate and fraction in `[0, 1]` (the legitimate rejection rate in
+    /// `[0, 1)`, since the simulator divides by `1 − ρ`), and no more
+    /// whitewashed accounts than fakes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated bound, naming the field and its value.
+    pub fn check(&self) -> Result<(), InvalidScenario> {
+        let unit = |name: &str, x: f64| {
+            if (0.0..=1.0).contains(&x) {
+                Ok(())
+            } else {
+                Err(InvalidScenario(format!("{name} out of [0,1]: {x}")))
+            }
+        };
+        unit("spammer_fraction", self.spammer_fraction)?;
+        unit("spam_rejection_rate", self.spam_rejection_rate)?;
+        if !(0.0..1.0).contains(&self.legit_rejection_rate) {
+            return Err(InvalidScenario(format!(
+                "legit_rejection_rate out of [0,1): {}",
+                self.legit_rejection_rate
+            )));
         }
+        unit("careless_fraction", self.careless_fraction)?;
+        if let Some(sr) = &self.self_rejection {
+            if sr.whitewashed > self.num_fakes {
+                return Err(InvalidScenario(format!(
+                    "whitewashed exceeds num_fakes: {} > {}",
+                    sr.whitewashed, self.num_fakes
+                )));
+            }
+            unit("self-rejection rate", sr.rejection_rate)?;
+        }
+        Ok(())
+    }
+}
+
+/// Floyd's sampling: fills `picked` (cleared first) with `m` distinct
+/// indices from `0..n`, every `m`-subset equally likely, in `m` draws.
+/// Draw `j` takes a uniform `t` in `0..=j` and keeps it, or keeps `j`
+/// itself when `t` is already taken (`j` cannot be: earlier draws never
+/// exceed their own, smaller `j`).
+///
+/// # Panics
+///
+/// Panics if `m > n`.
+fn floyd_sample<R: Rng>(rng: &mut R, n: usize, m: usize, picked: &mut Vec<usize>) {
+    assert!(m <= n, "cannot pick {m} distinct indices from 0..{n}");
+    picked.clear();
+    for j in n - m..n {
+        let t = rng.gen_range(0..=j);
+        picked.push(if picked.contains(&t) { j } else { t });
     }
 }
 
@@ -151,10 +199,13 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (rates outside `[0, 1]`,
-    /// whitewashed count exceeding `num_fakes`).
+    /// Panics if [`ScenarioConfig::check`] rejects the configuration
+    /// (rates outside `[0, 1]`, whitewashed count exceeding `num_fakes`).
+    /// Callers holding untrusted input call `check` first.
     pub fn new(config: ScenarioConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         Scenario { config }
     }
 
@@ -228,15 +279,11 @@ impl Scenario {
         let mut fig15_rejections = 0u64;
 
         // Sybil-region topology: each arriving fake sends accepted requests
-        // to `fake_intra_edges` random earlier fakes.
+        // to `fake_intra_edges` distinct random earlier fakes.
+        let mut targets = Vec::with_capacity(cfg.fake_intra_edges);
         for (i, &f) in fakes.iter().enumerate() {
-            if i == 0 {
-                continue;
-            }
-            let want = cfg.fake_intra_edges.min(i);
-            let mut targets: Vec<usize> = (0..i).collect();
-            targets.shuffle(&mut rng);
-            for &t in targets.iter().take(want) {
+            floyd_sample(&mut rng, i, cfg.fake_intra_edges.min(i), &mut targets);
+            for &t in &targets {
                 log.push(f, fakes[t], true);
                 intra_fake_edges += 1;
             }
@@ -606,6 +653,101 @@ mod tests {
         .run(&host(200), 9);
         // All spam rejected + no careless users ⇒ no attack edges.
         assert_eq!(sim.attack_edges(), 0);
+    }
+
+    #[test]
+    fn floyd_sample_is_uniform_over_the_earlier_fakes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        let mut picked = Vec::new();
+        let mut values = [0usize; 10];
+        let mut subsets = std::collections::BTreeMap::<Vec<usize>, usize>::new();
+        for _ in 0..30_000 {
+            floyd_sample(&mut rng, 10, 3, &mut picked);
+            for &t in &picked {
+                values[t] += 1;
+            }
+            let mut key = picked.clone();
+            key.sort_unstable();
+            *subsets.entry(key).or_default() += 1;
+        }
+        // Each value is expected 9,000 times (sd ≈ 79); ±4 % is about
+        // 4.5 sd. Drawing from `0..j` instead of `0..=j` starves the top
+        // values (7, 8, 9 fall to ~6,600).
+        for (t, &c) in values.iter().enumerate() {
+            assert!((8_640..=9_360).contains(&c), "value {t} picked {c} times: {values:?}");
+        }
+        // Every 3-subset, not just every value, is equally likely: each of
+        // the C(10,3) = 120 is expected 250 times (sd ≈ 15.8).
+        assert_eq!(subsets.len(), 120);
+        for (subset, &c) in &subsets {
+            assert!((180..=320).contains(&c), "subset {subset:?} drawn {c} times");
+        }
+    }
+
+    #[test]
+    fn floyd_sample_takes_everything_or_nothing_at_the_ends() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut picked = vec![99];
+        floyd_sample(&mut rng, 0, 0, &mut picked);
+        assert!(picked.is_empty());
+        floyd_sample(&mut rng, 5, 0, &mut picked);
+        assert!(picked.is_empty());
+        floyd_sample(&mut rng, 7, 7, &mut picked);
+        picked.sort_unstable();
+        assert_eq!(picked, (0..7).collect::<Vec<_>>());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Exactly `m` distinct indices, all below `n`, whatever the
+        /// stream and the scratch buffer held before.
+        #[test]
+        fn floyd_sample_picks_m_distinct_indices_below_n(
+            n in 0usize..64,
+            m_frac in 0.0f64..=1.0,
+            seed in 0u64..10_000,
+            stale in proptest::collection::vec(0usize..1_000, 0..8),
+        ) {
+            let m = (n as f64 * m_frac).floor() as usize;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut picked = stale;
+            floyd_sample(&mut rng, n, m, &mut picked);
+            proptest::prop_assert_eq!(picked.len(), m);
+            let mut sorted = picked.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            proptest::prop_assert_eq!(sorted.len(), m, "repeated index in {:?}", picked);
+            proptest::prop_assert!(picked.iter().all(|&t| t < n), "{:?} not below {}", picked, n);
+        }
+    }
+
+    #[test]
+    fn check_rejects_out_of_range_rates_and_counts() {
+        let bad = [
+            ScenarioConfig { spam_rejection_rate: 1.5, ..ScenarioConfig::default() },
+            ScenarioConfig { legit_rejection_rate: 1.0, ..ScenarioConfig::default() },
+            ScenarioConfig { careless_fraction: f64::NAN, ..ScenarioConfig::default() },
+            ScenarioConfig { spammer_fraction: -0.1, ..ScenarioConfig::default() },
+            ScenarioConfig {
+                num_fakes: 60,
+                self_rejection: Some(SelfRejectionConfig {
+                    whitewashed: 100,
+                    requests_per_sender: 1,
+                    rejection_rate: 0.5,
+                }),
+                ..ScenarioConfig::default()
+            },
+        ];
+        for cfg in bad {
+            assert!(cfg.check().is_err(), "accepted {cfg:?}");
+        }
+        assert!(ScenarioConfig::default().check().is_ok());
+        let msg = ScenarioConfig { spam_rejection_rate: 1.5, ..ScenarioConfig::default() }
+            .check()
+            .expect_err("1.5 is not a rate")
+            .to_string();
+        assert_eq!(msg, "spam_rejection_rate out of [0,1]: 1.5");
     }
 
     #[test]

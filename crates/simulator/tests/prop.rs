@@ -116,6 +116,38 @@ proptest! {
         );
     }
 
+    /// The Sybil region: the `i`-th arriving fake sends accepted requests
+    /// to exactly `min(fake_intra_edges, i)` distinct earlier fakes, and
+    /// `sim/intra_fake_edges` counts exactly those requests. Without
+    /// self-rejection they are the only fake-to-fake requests.
+    #[test]
+    fn each_fake_befriends_min_m_i_distinct_earlier_fakes(
+        cfg in small_config(),
+        seed in 0u64..1000,
+    ) {
+        let h = host(40, 6);
+        let obs = rejecto_obs::Obs::default();
+        let sim = Scenario::new(cfg.clone()).run_observed(&h, seed, &obs);
+        let mut targets: Vec<Vec<usize>> = vec![Vec::new(); cfg.num_fakes];
+        for r in sim.log.requests() {
+            if sim.is_fake[r.from.index()] && sim.is_fake[r.to.index()] {
+                prop_assert!(r.accepted);
+                targets[r.from.index() - sim.num_legit].push(r.to.index() - sim.num_legit);
+            }
+        }
+        let mut expected_total = 0u64;
+        for (i, t) in targets.iter_mut().enumerate() {
+            let want = cfg.fake_intra_edges.min(i);
+            expected_total += want as u64;
+            prop_assert_eq!(t.len(), want, "fake #{} sent {:?}", i, t);
+            prop_assert!(t.iter().all(|&j| j < i), "fake #{} targets a later fake: {:?}", i, t);
+            t.sort_unstable();
+            t.dedup();
+            prop_assert_eq!(t.len(), want, "fake #{} repeats a target", i);
+        }
+        prop_assert_eq!(obs.counter("sim/intra_fake_edges"), expected_total);
+    }
+
     /// Host friendships always survive into the simulated graph.
     #[test]
     fn host_graph_is_preserved(cfg in small_config(), seed in 0u64..1000) {

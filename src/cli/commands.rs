@@ -165,6 +165,7 @@ fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     };
     let seed: u64 = args.get_or("seed", 42)?;
     args.finish()?;
+    config.check().map_err(|e| CliError(format!("invalid scenario: {e}")))?;
 
     let sim = Scenario::new(config).run(&host, seed);
 

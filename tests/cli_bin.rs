@@ -117,3 +117,22 @@ fn sybilrank_over_edge_list() {
     let lines: Vec<&str> = out.lines().skip(1).collect();
     assert_eq!(lines.len(), 3, "{out}");
 }
+
+#[test]
+fn invalid_scenario_is_a_usage_error_not_a_panic() {
+    let dir = workdir("bad-scenario");
+    let stem = dir.join("bad");
+    let stem = stem.to_str().unwrap();
+    for (extra, want) in [
+        (["--whitewashed", "100"], "whitewashed exceeds num_fakes: 100 > 60"),
+        (["--spam-rejection", "1.5"], "spam_rejection_rate out of [0,1]: 1.5"),
+    ] {
+        let mut cmd = bin();
+        cmd.args(["simulate", "--out", stem, "--scale", "0.02", "--fakes", "60"]).args(extra);
+        let out = cmd.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: invalid scenario: {want}"), "{extra:?}");
+        assert!(!dir.join("bad.rjg").exists(), "{extra:?} wrote a graph");
+    }
+}

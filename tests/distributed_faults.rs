@@ -235,10 +235,10 @@ fn fetch_protocol_counts_are_pinned() {
     .graph;
     // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
     for (config, want) in [
-        (ClusterConfig::default(), [59u64, 340, 14_223, 340, 44]),
+        (ClusterConfig::default(), [54u64, 340, 12_188, 340, 38]),
         (
             ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
-            [9_168, 16_790, 8_678, 16_790, 44],
+            [7_740, 14_347, 7_560, 14_347, 38],
         ),
     ] {
         let io = DistributedMaar::new(config, RejectoConfig::default())
