@@ -1,5 +1,4 @@
 use crate::faults::FaultPlan;
-use crate::resources::ResourceBudget;
 use kl::KParam;
 use std::time::Duration;
 
@@ -7,13 +6,16 @@ use std::time::Duration;
 /// [`RunBudget::unlimited`] (the default) reproduces the legacy behavior
 /// exactly. A run that exhausts any budget stops at the next safe boundary
 /// and returns a well-formed report marked
-/// [`crate::Completion::Partial`] — it never aborts.
+/// [`crate::Completion::Partial`] — it never aborts. Ingest ceilings are
+/// not run limits: they bound the loader before a graph exists
+/// (`rejection::io::IngestGuards`), and the checkpoint ceiling bounds the
+/// store ([`crate::CheckpointStore::with_limit`]).
 ///
 /// These budgets are deliberately distinct from the *convergence caps*
 /// ([`RejectoConfig::max_kl_passes`], [`RejectoConfig::max_rounds`]): a
 /// run that hits a cap has still converged per configuration and reports
 /// [`crate::Completion::Complete`]; a run that hits a budget was cut short.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunBudget {
     /// Wall-clock deadline for the whole run, polled at KL pass and sweep
     /// boundaries. Interruption points depend on elapsed time, so the
@@ -29,17 +31,22 @@ pub struct RunBudget {
     /// (the round boundary is a pure function of the input), which makes
     /// it the interruption mode of choice for kill-and-resume tests.
     pub max_rounds: Option<usize>,
+    /// Hard ceiling on the cumulative suspect fraction across pruning
+    /// rounds: if accepting a round's cut would push
+    /// `total suspects / initial nodes` past this, the round is rolled
+    /// back and the run reports `Partial` with
+    /// [`crate::InterruptReason::ResourceBudget`]. Deterministic, like
+    /// `max_rounds`. Distinct from
+    /// [`RejectoConfig::max_suspect_fraction`], which discards individual
+    /// over-wide *candidate cuts* inside a sweep; this budget bounds what
+    /// the whole run may condemn.
+    pub max_suspect_frac: Option<f64>,
 }
 
 impl RunBudget {
     /// No limits — the legacy run-to-completion behavior.
     pub fn unlimited() -> Self {
         RunBudget::default()
-    }
-
-    /// Whether any limit is armed.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.max_kl_passes.is_some() || self.max_rounds.is_some()
     }
 }
 
@@ -95,16 +102,13 @@ pub struct RejectoConfig {
     /// for every value — the sweep's reduction is ordered by sweep index,
     /// not completion order — so this is purely a wall-clock knob.
     pub threads: usize,
-    /// Runtime budgets (deadline / global KL passes / total rounds). The
-    /// default is unlimited, which reproduces the legacy behavior exactly.
+    /// Runtime budgets (deadline / global KL passes / total rounds /
+    /// cumulative suspect fraction). The default is unlimited, which
+    /// reproduces the legacy behavior exactly.
     pub budget: RunBudget,
     /// Synthetic faults to arm for this run ([`crate::faults`]); empty by
     /// default. Used by the fault-injection tests and the CI fault matrix.
     pub faults: FaultPlan,
-    /// Resource ceilings (node/edge counts, checkpoint bytes, cumulative
-    /// suspect fraction). The default is unlimited, which reproduces the
-    /// legacy behavior exactly; see [`ResourceBudget`].
-    pub resources: ResourceBudget,
 }
 
 impl Default for RejectoConfig {
@@ -125,7 +129,6 @@ impl Default for RejectoConfig {
             threads: 0,
             budget: RunBudget::unlimited(),
             faults: FaultPlan::none(),
-            resources: ResourceBudget::unlimited(),
         }
     }
 }

@@ -4,6 +4,7 @@ use crate::{MaarSolver, RejectoConfig, SweepOutcome};
 use kl::KParam;
 use rejection::{AugmentedGraph, NodeId};
 use std::io;
+use std::sync::Arc;
 
 /// Manually inspected ground-truth users the OSN provider supplies
 /// (§III-B, §IV-F). Ids refer to the *original* graph handed to
@@ -49,7 +50,7 @@ pub enum InterruptReason {
     PassBudget,
     /// The round budget ([`crate::RunBudget::max_rounds`]) was reached.
     RoundBudget,
-    /// A resource ceiling ([`crate::ResourceBudget::max_suspect_frac`])
+    /// The suspect-fraction ceiling ([`crate::RunBudget::max_suspect_frac`])
     /// would have been exceeded by accepting the round's cut; the round
     /// was rolled back. Unlike the wall-clock reasons this trip is a pure
     /// function of input and configuration, so it is deterministic.
@@ -185,10 +186,12 @@ pub trait CutSolver {
     fn config(&self) -> &RejectoConfig;
 
     /// The MAAR cut of the residual graph `g` with the seeds (in `g`'s
-    /// ids) pinned, under the budgets and faults of `ctx`.
+    /// ids) pinned, under the budgets and the armed fault table of `ctx`.
+    /// `g` is shared, so a runtime that keeps the graph (the cluster's
+    /// lineage) takes a handle rather than a copy.
     fn solve_round(
         &self,
-        g: &AugmentedGraph,
+        g: &Arc<AugmentedGraph>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
@@ -201,7 +204,7 @@ pub trait CutSolver {
 #[derive(Debug, Clone)]
 pub struct LoopState {
     report: DetectionReport,
-    current: AugmentedGraph,
+    current: Arc<AugmentedGraph>,
     to_original: Vec<NodeId>,
 }
 
@@ -210,7 +213,7 @@ impl LoopState {
     pub(crate) fn fresh(g: &AugmentedGraph) -> LoopState {
         LoopState {
             report: DetectionReport::default(),
-            current: g.clone(),
+            current: Arc::new(g.clone()),
             to_original: g.nodes().collect(),
         }
     }
@@ -236,7 +239,7 @@ impl LoopState {
             keep[usize::try_from(u).expect("checkpoint ids validated against num_nodes")] = true;
         }
         let (current, to_original) = g.induced_subgraph(&keep);
-        Ok(LoopState { report: ckpt.report(), current, to_original })
+        Ok(LoopState { report: ckpt.report(), current: Arc::new(current), to_original })
     }
 
     /// The pruning loop (§IV-E), from this state to termination: each
@@ -324,7 +327,7 @@ impl LoopState {
             // function of input and configuration, hence deterministic.
             let accepted =
                 outcome.cut.as_ref().filter(|c| threshold.is_none_or(|t| c.acceptance_rate <= t));
-            if let (Some(frac), Some(cut)) = (config.resources.max_suspect_frac, accepted) {
+            if let (Some(frac), Some(cut)) = (config.budget.max_suspect_frac, accepted) {
                 let after = report.num_suspects() + cut.partition.suspect_count();
                 let cap = frac * g.num_nodes() as f64; // xtask-allow: lossy-cast: n < 2^53 converts exactly
                 if after as f64 > cap { // xtask-allow: lossy-cast: suspect count < 2^53 converts exactly
@@ -370,7 +373,7 @@ impl LoopState {
             }
             let (next, original_of_next) = current.induced_subgraph(&keep);
             to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = next;
+            current = Arc::new(next);
 
             if let Some(write) = sink.as_mut() {
                 let ckpt = Checkpoint::capture(g, &report);
@@ -379,7 +382,7 @@ impl LoopState {
                         .expect("checkpoint size fits in u64");
                     obs.record("detect/checkpoint_bytes", bytes);
                 }
-                let result = if ctx.injector.should_fail_checkpoint(report.rounds) {
+                let result = if ctx.faults.checkpoint_io_error(report.rounds) {
                     Err(io::Error::other("injected checkpoint I/O error"))
                 } else {
                     write(&ckpt)
@@ -733,7 +736,6 @@ mod tests {
 
     #[test]
     fn suspect_frac_budget_rolls_back_the_offending_round() {
-        use crate::ResourceBudget;
         let g = self_rejection_scenario();
         let full = IterativeDetector::new(RejectoConfig::default()).detect(
             &g,
@@ -745,10 +747,7 @@ mod tests {
         // Cap at 30% of 8 nodes = 2.4: round 1 (2 suspects) is admitted,
         // round 2 would push the total to 4 and is rolled back.
         let config = RejectoConfig {
-            resources: ResourceBudget {
-                max_suspect_frac: Some(0.3),
-                ..ResourceBudget::unlimited()
-            },
+            budget: RunBudget { max_suspect_frac: Some(0.3), ..RunBudget::unlimited() },
             ..RejectoConfig::default()
         };
         let capped = IterativeDetector::new(config).detect(
@@ -769,10 +768,7 @@ mod tests {
 
         // A budget nothing fits under rolls back round 1 itself.
         let config = RejectoConfig {
-            resources: ResourceBudget {
-                max_suspect_frac: Some(0.1),
-                ..ResourceBudget::unlimited()
-            },
+            budget: RunBudget { max_suspect_frac: Some(0.1), ..RunBudget::unlimited() },
             ..RejectoConfig::default()
         };
         let empty = IterativeDetector::new(config).detect(
@@ -790,17 +786,13 @@ mod tests {
 
     #[test]
     fn suspect_frac_budget_is_deterministic_across_threads() {
-        use crate::ResourceBudget;
         let g = self_rejection_scenario();
         let reports: Vec<DetectionReport> = [1usize, 4]
             .into_iter()
             .map(|threads| {
                 let config = RejectoConfig {
                     threads,
-                    resources: ResourceBudget {
-                        max_suspect_frac: Some(0.3),
-                        ..ResourceBudget::unlimited()
-                    },
+                    budget: RunBudget { max_suspect_frac: Some(0.3), ..RunBudget::unlimited() },
                     ..RejectoConfig::default()
                 };
                 IterativeDetector::new(config).detect(

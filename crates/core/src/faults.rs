@@ -12,9 +12,13 @@
 //! A plan is declarative ([`FaultPlan`], parsed from
 //! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms` or the
 //! `REJECTO_INJECT` environment variable) and carried in
-//! [`crate::RejectoConfig::faults`]; the runtime consults a shared
-//! [`FaultInjector`] built from it. An empty plan is free: every probe is
-//! a single cheap check against an empty table.
+//! [`crate::RejectoConfig::faults`]. A run arms it once as one [`Faults`]
+//! table on its [`crate::RunContext`], which the sweep workers, the
+//! pruning loop and the cluster master all probe; the checkpoint store is
+//! armed with the same type. The injected deadline is read off the plan
+//! ([`FaultPlan::deadline`]) when the context arms its token. An empty
+//! plan is free: every probe is a single cheap check against an empty
+//! table.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -69,7 +73,7 @@ pub enum Fault {
     /// `round` (1-based): only the first half of the framed bytes reach
     /// disk, as if the process died mid-write on a filesystem without the
     /// atomic-rename protocol. Parsed from `torn_write@round=<r>`;
-    /// consumed by [`crate::StoreFaults`].
+    /// probed by the checkpoint store.
     TornWrite {
         /// 1-based round whose generation file is truncated.
         round: usize,
@@ -77,7 +81,7 @@ pub enum Fault {
     /// Flip one bit in the middle of the framed checkpoint generation for
     /// round `round` (1-based) before it reaches disk — silent media
     /// corruption that only the CRC32 envelope can catch. Parsed from
-    /// `bit_flip@round=<r>`; consumed by [`crate::StoreFaults`].
+    /// `bit_flip@round=<r>`; probed by the checkpoint store.
     BitFlip {
         /// 1-based round whose generation file is corrupted.
         round: usize,
@@ -299,6 +303,18 @@ impl FaultPlan {
         Ok(plan)
     }
 
+    /// The injected wall-clock deadline: the tightest `deadline` fault of
+    /// the plan, if it has one.
+    pub fn deadline(&self) -> Option<Duration> {
+        self.faults
+            .iter()
+            .filter_map(|f| match *f {
+                Fault::Deadline { millis } => Some(Duration::from_millis(millis)),
+                _ => None,
+            })
+            .min()
+    }
+
     /// Reads a plan from the `REJECTO_INJECT` environment variable; unset
     /// or empty means the empty plan.
     ///
@@ -313,288 +329,79 @@ impl FaultPlan {
     }
 }
 
-#[derive(Debug)]
-struct ArmedPanic {
-    k_index: usize,
-    persistent: bool,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ArmedIoError {
-    round: usize,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct InjectorState {
-    panics: Vec<ArmedPanic>,
-    io_errors: Vec<ArmedIoError>,
-}
-
-/// The runtime side of a [`FaultPlan`]: probes the workers and the
-/// checkpoint sink call at their trigger points. Clones share state, so a
-/// one-shot fault fires exactly once per run no matter how many workers
-/// probe it concurrently.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultInjector {
-    inner: Arc<Mutex<InjectorState>>,
-    deadline: Option<Duration>,
-}
-
-impl FaultInjector {
-    /// Arms every fault in `plan` for one run.
-    pub(crate) fn new(plan: &FaultPlan) -> Self {
-        let mut panics = Vec::new();
-        let mut io_errors = Vec::new();
-        let mut deadline: Option<Duration> = None;
-        for &fault in plan.faults() {
-            match fault {
-                Fault::WorkerPanic { k_index, persistent } => {
-                    panics.push(ArmedPanic { k_index, persistent, spent: false });
-                }
-                Fault::CheckpointIoError { round } => {
-                    io_errors.push(ArmedIoError { round, spent: false });
-                }
-                Fault::Deadline { millis } => {
-                    let d = Duration::from_millis(millis);
-                    deadline = Some(deadline.map_or(d, |prev| prev.min(d)));
-                }
-                // Distributed-only injection points; the single-process
-                // runtime has no fetches or cluster requests to kill.
-                // They are consumed by [`ClusterFaults`] instead.
-                Fault::WorkerDeath { .. } | Fault::WorkerHang { .. } => {}
-                // Durable-store injection points, consumed by
-                // [`StoreFaults`] in the checkpoint store.
-                Fault::TornWrite { .. } | Fault::BitFlip { .. } => {}
-            }
-        }
-        FaultInjector {
-            inner: Arc::new(Mutex::new(InjectorState { panics, io_errors })),
-            deadline,
-        }
-    }
-
-    /// The injected wall-clock deadline, if the plan armed one.
-    pub(crate) fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Whether the worker solving sweep index `k_index` should panic now.
-    /// One-shot faults are consumed by the first probe that fires.
-    pub(crate) fn should_panic(&self, k_index: usize) -> bool {
-        let mut state = self.inner.lock().expect("fault-injector mutex poisoned");
-        for armed in &mut state.panics {
-            if armed.k_index != k_index {
-                continue;
-            }
-            if armed.persistent {
-                return true;
-            }
-            if !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether the checkpoint write after `round` should fail. Consumed by
-    /// the first probe that fires.
-    pub(crate) fn should_fail_checkpoint(&self, round: usize) -> bool {
-        let mut state = self.inner.lock().expect("fault-injector mutex poisoned");
-        for armed in &mut state.io_errors {
-            if armed.round == round && !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-#[derive(Debug)]
-struct ArmedDeath {
-    fetch: u64,
-    deaths: u32,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ArmedHang {
-    k_index: usize,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ClusterFaultState {
-    deaths: Vec<ArmedDeath>,
-    hangs: Vec<ArmedHang>,
-}
-
-/// The distributed-runtime side of a [`FaultPlan`]: the cluster master
-/// probes it at fetch batches and sweep boundaries. Public (unlike the
-/// crate-private [`FaultInjector`]) because the probing runtime lives in
-/// `crates/dataflow`, outside this crate.
-///
-/// Clones share consumption state, so a schedule fires exactly once per
-/// run regardless of how many rounds or clusters probe it.
-#[derive(Debug, Clone)]
-pub struct ClusterFaults {
-    inner: Arc<Mutex<ClusterFaultState>>,
-    deadline: Option<Duration>,
-}
-
-impl Default for ClusterFaults {
-    fn default() -> Self {
-        ClusterFaults::new(&FaultPlan::default())
-    }
-}
-
-impl ClusterFaults {
-    /// Arms the distributed faults (and the injected deadline) of `plan`.
-    /// Non-distributed faults in the plan are ignored here.
-    pub fn new(plan: &FaultPlan) -> Self {
-        let mut deaths = Vec::new();
-        let mut hangs = Vec::new();
-        let mut deadline: Option<Duration> = None;
-        for &fault in plan.faults() {
-            match fault {
-                Fault::WorkerDeath { fetch, deaths: n } => {
-                    deaths.push(ArmedDeath { fetch, deaths: n, spent: false });
-                }
-                Fault::WorkerHang { k_index } => {
-                    hangs.push(ArmedHang { k_index, spent: false });
-                }
-                Fault::Deadline { millis } => {
-                    let d = Duration::from_millis(millis);
-                    deadline = Some(deadline.map_or(d, |prev| prev.min(d)));
-                }
-                // Single-process injection points, consumed by the
-                // crate-private [`FaultInjector`]; store-level mangles
-                // are consumed by [`StoreFaults`].
-                Fault::WorkerPanic { .. }
-                | Fault::CheckpointIoError { .. }
-                | Fault::TornWrite { .. }
-                | Fault::BitFlip { .. } => {}
-            }
-        }
-        ClusterFaults {
-            inner: Arc::new(Mutex::new(ClusterFaultState { deaths, hangs })),
-            deadline,
-        }
-    }
-
-    /// The injected wall-clock deadline, if the plan armed one.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Whether the plan injects nothing distributed (no deaths, no hangs).
-    pub fn is_empty(&self) -> bool {
-        let state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        state.deaths.is_empty() && state.hangs.is_empty()
-    }
-
-    /// Consecutive worker deaths scheduled to start at fetch batch
-    /// `fetch_seq` (1-based). Consumes the matching schedule: it fires for
-    /// exactly one fetch batch per run.
-    pub fn deaths_at(&self, fetch_seq: u64) -> u32 {
-        let mut state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        let mut total = 0;
-        for armed in &mut state.deaths {
-            if armed.fetch == fetch_seq && !armed.spent {
-                armed.spent = true;
-                total += armed.deaths;
-            }
-        }
-        total
-    }
-
-    /// Whether one request of sweep index `k_index` should hang. One-shot:
-    /// consumed by the first probe that fires.
-    pub fn take_hang(&self, k_index: usize) -> bool {
-        let mut state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        for armed in &mut state.hangs {
-            if armed.k_index == k_index && !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// How an armed store fault corrupts a just-encoded frame. The store
 /// applies it to the in-memory bytes right before the atomic write, so the
 /// corruption is deterministic and the write path itself stays honest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mangle {
+pub(crate) enum Mangle {
     /// Keep only the first half of the bytes (a torn write).
     TornWrite,
     /// XOR the low bit of the middle byte (silent media corruption).
     BitFlip,
 }
 
-#[derive(Debug)]
-struct ArmedMangle {
-    round: usize,
-    mangle: Mangle,
-    spent: bool,
+/// The runtime side of a [`FaultPlan`]: one table of armed faults that
+/// every injection point probes — the sweep workers, the pruning loop's
+/// checkpoint write, the cluster master and the checkpoint store. A probe
+/// takes the first live fault of its own kind at its position; one-shot
+/// faults are spent by that probe, `:always` panics stay live. Clones
+/// share the table, so a one-shot fault fires exactly once per run no
+/// matter how many workers, rounds or clusters probe it.
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    armed: Arc<Mutex<Vec<(Fault, bool)>>>,
 }
 
-/// The durable-store side of a [`FaultPlan`]: the checkpoint store probes
-/// it once per generation write. Public because the CLI builds the store
-/// and arms it from the parsed plan.
-///
-/// Clones share consumption state, so a mangle fires exactly once per run
-/// no matter how many saves probe it.
-#[derive(Debug, Clone)]
-pub struct StoreFaults {
-    inner: Arc<Mutex<Vec<ArmedMangle>>>,
-}
-
-impl Default for StoreFaults {
-    fn default() -> Self {
-        StoreFaults::new(&FaultPlan::default())
-    }
-}
-
-impl StoreFaults {
-    /// Arms the store-level faults of `plan` (`torn_write@round=N`,
-    /// `bit_flip@round=N`). Other faults in the plan are ignored here.
+impl Faults {
+    /// Arms every fault of `plan` for one run.
     pub fn new(plan: &FaultPlan) -> Self {
-        let mut armed = Vec::new();
-        for &fault in plan.faults() {
-            match fault {
-                Fault::TornWrite { round } => {
-                    armed.push(ArmedMangle { round, mangle: Mangle::TornWrite, spent: false });
-                }
-                Fault::BitFlip { round } => {
-                    armed.push(ArmedMangle { round, mangle: Mangle::BitFlip, spent: false });
-                }
-                _ => {}
-            }
-        }
-        StoreFaults { inner: Arc::new(Mutex::new(armed)) }
+        let armed = plan.faults().iter().map(|&fault| (fault, false)).collect();
+        Faults { armed: Arc::new(Mutex::new(armed)) }
     }
 
-    /// Whether the plan arms no store-level faults.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().expect("store-fault mutex poisoned").is_empty()
+    /// The one take rule: the first unspent fault `hit` selects, spent
+    /// unless it is an `:always` panic.
+    fn take(&self, hit: impl Fn(Fault) -> bool) -> Option<Fault> {
+        let mut armed = self.armed.lock().expect("fault-table mutex poisoned");
+        let (fault, spent) = armed.iter_mut().find(|(fault, spent)| !*spent && hit(*fault))?;
+        *spent = !matches!(fault, Fault::WorkerPanic { persistent: true, .. });
+        Some(*fault)
     }
 
-    /// The mangle armed for the generation of `round`, if any. One-shot:
-    /// consumed by the first save that writes that round's generation.
-    pub fn take_mangle(&self, round: usize) -> Option<Mangle> {
-        let mut state = self.inner.lock().expect("store-fault mutex poisoned");
-        for armed in state.iter_mut() {
-            if armed.round == round && !armed.spent {
-                armed.spent = true;
-                return Some(armed.mangle);
-            }
+    /// Whether the sweep worker solving sweep index `k_index` panics now.
+    pub(crate) fn sweep_panic(&self, k_index: usize) -> bool {
+        self.take(|f| matches!(f, Fault::WorkerPanic { k_index: k, .. } if k == k_index)).is_some()
+    }
+
+    /// Whether the checkpoint write after `round` fails.
+    pub(crate) fn checkpoint_io_error(&self, round: usize) -> bool {
+        self.take(|f| f == Fault::CheckpointIoError { round }).is_some()
+    }
+
+    /// Consecutive worker deaths scheduled to start at the 1-based fetch
+    /// batch `fetch`; each schedule fires for one fetch batch per run.
+    pub fn deaths_at(&self, fetch: u64) -> u32 {
+        let at_fetch = |f: Fault| matches!(f, Fault::WorkerDeath { fetch: at, .. } if at == fetch);
+        let mut total = 0;
+        while let Some(Fault::WorkerDeath { deaths, .. }) = self.take(at_fetch) {
+            total += deaths;
         }
-        None
+        total
+    }
+
+    /// Whether one cluster request of sweep index `k_index` hangs.
+    pub fn hang_at(&self, k_index: usize) -> bool {
+        self.take(|f| f == Fault::WorkerHang { k_index }).is_some()
+    }
+
+    /// The mangle armed for the checkpoint generation of `round`, if any.
+    pub(crate) fn mangle_at(&self, round: usize) -> Option<Mangle> {
+        let mangle = |f: Fault| match f {
+            Fault::TornWrite { round: r } if r == round => Some(Mangle::TornWrite),
+            Fault::BitFlip { round: r } if r == round => Some(Mangle::BitFlip),
+            _ => None,
+        };
+        self.take(|f| mangle(f).is_some()).and_then(mangle)
     }
 }
 
@@ -690,99 +497,110 @@ mod tests {
     }
 
     #[test]
-    fn store_faults_are_one_shot_and_shared() {
+    fn store_mangles_are_one_shot_and_shared() {
         let plan = FaultPlan::parse("torn_write@round=2,bit_flip@round=4")
             .expect("spec is well-formed");
-        let faults = StoreFaults::new(&plan);
+        let faults = Faults::new(&plan);
         let clone = faults.clone();
-        assert!(!faults.is_empty());
-        assert_eq!(faults.take_mangle(1), None);
-        assert_eq!(clone.take_mangle(2), Some(Mangle::TornWrite));
-        assert_eq!(faults.take_mangle(2), None, "clone must consume the shared mangle");
-        assert_eq!(faults.take_mangle(4), Some(Mangle::BitFlip));
+        assert_eq!(faults.mangle_at(1), None);
+        assert_eq!(clone.mangle_at(2), Some(Mangle::TornWrite));
+        assert_eq!(faults.mangle_at(2), None, "clone must consume the shared mangle");
+        assert_eq!(faults.mangle_at(4), Some(Mangle::BitFlip));
     }
 
     #[test]
-    fn store_faults_ignore_other_fault_kinds() {
-        let plan = FaultPlan::parse("worker_panic@k=1,worker_death@fetch=2")
-            .expect("spec is well-formed");
-        assert!(StoreFaults::new(&plan).is_empty());
-    }
-
-    #[test]
-    fn injectors_ignore_store_faults() {
-        let plan = FaultPlan::parse("torn_write@round=1,bit_flip@round=2")
-            .expect("spec is well-formed");
-        assert!(ClusterFaults::new(&plan).is_empty());
-        let inj = FaultInjector::new(&plan);
-        assert!(!inj.should_fail_checkpoint(1));
-        assert!(!inj.should_panic(1));
-    }
-
-    #[test]
-    fn cluster_faults_consume_death_schedules_once() {
+    fn death_schedules_are_consumed_once() {
         let plan = FaultPlan::parse("worker_death@fetch=2:x3").expect("spec is well-formed");
-        let faults = ClusterFaults::new(&plan);
-        assert!(!faults.is_empty());
+        let faults = Faults::new(&plan);
         assert_eq!(faults.deaths_at(1), 0);
         assert_eq!(faults.deaths_at(2), 3);
         assert_eq!(faults.deaths_at(2), 0, "a schedule fires for one fetch batch only");
     }
 
     #[test]
-    fn cluster_faults_hangs_are_one_shot_and_shared() {
+    fn hangs_are_one_shot_and_shared() {
         let plan = FaultPlan::parse("worker_hang@k=4,deadline=30ms").expect("spec is well-formed");
-        let faults = ClusterFaults::new(&plan);
+        let faults = Faults::new(&plan);
         let clone = faults.clone();
-        assert_eq!(faults.deadline(), Some(Duration::from_millis(30)));
-        assert!(!faults.take_hang(3));
-        assert!(clone.take_hang(4));
-        assert!(!faults.take_hang(4), "clone must consume the shared hang");
+        assert_eq!(plan.deadline(), Some(Duration::from_millis(30)));
+        assert!(!faults.hang_at(3));
+        assert!(clone.hang_at(4));
+        assert!(!faults.hang_at(4), "clone must consume the shared hang");
     }
 
+    /// One plan arms every fault kind at its own position of `0..=8`; each
+    /// probe must fire at its own positions only (never at another kind's),
+    /// and a one-shot fault taken through a clone is spent for the original.
     #[test]
-    fn cluster_faults_ignore_single_process_faults() {
-        let plan = FaultPlan::parse("worker_panic@k=1,io_error@round=2").expect("well-formed");
-        assert!(ClusterFaults::new(&plan).is_empty());
+    fn each_probe_fires_only_for_its_own_kind() {
+        let plan = FaultPlan::parse(
+            "deadline=30ms,worker_panic@k=1,io_error@round=2,worker_death@fetch=3:x2,\
+             worker_hang@k=4,torn_write@round=5,bit_flip@round=6,worker_panic@k=7:always",
+        )
+        .expect("spec is well-formed");
+        let faults = Faults::new(&plan);
+        let clone = faults.clone();
+        type Probe = fn(&Faults, usize) -> bool;
+        let rows: [(&str, Probe, &[usize], &[usize]); 5] = [
+            ("sweep panic", |f, i| f.sweep_panic(i), &[1, 7], &[7]),
+            ("checkpoint I/O error", |f, i| f.checkpoint_io_error(i), &[2], &[]),
+            (
+                "deaths at a fetch",
+                |f, i| f.deaths_at(u64::try_from(i).expect("small fetch")) > 0,
+                &[3],
+                &[],
+            ),
+            ("hang at a k", |f, i| f.hang_at(i), &[4], &[]),
+            ("store mangle at a round", |f, i| f.mangle_at(i).is_some(), &[5, 6], &[]),
+        ];
+        for (name, probe, first, again) in rows {
+            let fired: Vec<usize> = (0..=8).filter(|&i| probe(&clone, i)).collect();
+            assert_eq!(fired, first, "{name}: first probe through the clone");
+            let fired: Vec<usize> = (0..=8).filter(|&i| probe(&faults, i)).collect();
+            assert_eq!(fired, again, "{name}: one-shot faults are spent");
+        }
+        for _ in 0..3 {
+            assert!(faults.sweep_panic(7), "an :always panic keeps firing");
+        }
     }
 
     #[test]
     fn one_shot_panic_fires_exactly_once() {
         let plan = FaultPlan::parse("worker_panic@k=2").expect("spec is well-formed");
-        let inj = FaultInjector::new(&plan);
-        assert!(!inj.should_panic(1));
-        assert!(inj.should_panic(2));
-        assert!(!inj.should_panic(2), "one-shot fault must be consumed");
+        let faults = Faults::new(&plan);
+        assert!(!faults.sweep_panic(1));
+        assert!(faults.sweep_panic(2));
+        assert!(!faults.sweep_panic(2), "one-shot fault must be consumed");
     }
 
     #[test]
     fn persistent_panic_keeps_firing() {
         let plan = FaultPlan::parse("worker_panic@k=2:always").expect("spec is well-formed");
-        let inj = FaultInjector::new(&plan);
-        assert!(inj.should_panic(2));
-        assert!(inj.should_panic(2));
+        let faults = Faults::new(&plan);
+        assert!(faults.sweep_panic(2));
+        assert!(faults.sweep_panic(2));
     }
 
     #[test]
     fn clones_share_consumption_state() {
         let plan = FaultPlan::parse("io_error@round=1").expect("spec is well-formed");
-        let inj = FaultInjector::new(&plan);
-        let clone = inj.clone();
-        assert!(clone.should_fail_checkpoint(1));
-        assert!(!inj.should_fail_checkpoint(1), "clone must consume the shared fault");
+        let faults = Faults::new(&plan);
+        let clone = faults.clone();
+        assert!(clone.checkpoint_io_error(1));
+        assert!(!faults.checkpoint_io_error(1), "clone must consume the shared fault");
     }
 
     #[test]
     fn tightest_injected_deadline_wins() {
         // parse() rejects duplicate deadline directives, so multi-deadline
-        // plans can only be built programmatically; the injector still
-        // keeps the tightest.
+        // plans can only be built programmatically; the plan still
+        // reports the tightest.
         let mut plan = FaultPlan::none();
         plan.push(Fault::Deadline { millis: 80 });
         plan.push(Fault::Deadline { millis: 50 });
         plan.push(Fault::Deadline { millis: 90 });
-        let inj = FaultInjector::new(&plan);
-        assert_eq!(inj.deadline(), Some(Duration::from_millis(50)));
+        assert_eq!(plan.deadline(), Some(Duration::from_millis(50)));
+        assert_eq!(FaultPlan::none().deadline(), None);
     }
 
     #[test]

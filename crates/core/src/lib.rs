@@ -47,7 +47,6 @@ pub mod faults;
 pub mod invariants;
 mod maar;
 mod pool;
-pub mod resources;
 mod runtime;
 pub mod store;
 
@@ -58,12 +57,11 @@ pub use detect::{
     CheckpointSink, Completion, CutSolver, DetectedGroup, DetectionReport, InterruptReason,
     IterativeDetector, LoopState, Seeds, Termination,
 };
-pub use faults::{ClusterFaults, Fault, FaultPlan, Mangle, StoreFaults};
+pub use faults::{Fault, FaultPlan, Faults};
 /// Re-exported so report consumers can name the exact rational sweep
 /// parameter [`DetectedGroup::k`] carries without depending on `kl`.
 pub use kl::KParam;
 pub use maar::{sweep_with_fallback, KResult, MaarCut, MaarSolver, SweepOutcome, SweepPlan};
-pub use resources::ResourceBudget;
 pub use runtime::{RunContext, RuntimeError};
 pub use store::{
     CheckpointStore, StoreError, StoreResume, DEFAULT_CHECKPOINT_KEEP,

@@ -5,6 +5,7 @@ use kl::{Adjacency, ExtendedKl, ExtendedKlConfig, KParam};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
 #[derive(Debug, Clone)]
@@ -227,7 +228,7 @@ pub fn sweep_with_fallback<E>(
 }
 
 /// The in-process cut solver: the context's cancel token can interrupt the
-/// sweep at KL pass boundaries, its injector can detonate workers, and the
+/// sweep at KL pass boundaries, its fault table can detonate workers, and the
 /// outcome records per-`k` progress and failures instead of panicking or
 /// silently skipping.
 impl CutSolver for MaarSolver {
@@ -239,14 +240,12 @@ impl CutSolver for MaarSolver {
 
     fn solve_round(
         &self,
-        g: &AugmentedGraph,
+        g: &Arc<AugmentedGraph>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, Infallible> {
-        sweep_with_fallback(&self.config, |placement| {
-            Ok(self.sweep(g, legit, spammer, placement, ctx))
-        })
+        Ok(self.outcome(g, legit, spammer, ctx))
     }
 }
 
@@ -288,9 +287,21 @@ impl MaarSolver {
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
     ) -> Option<MaarCut> {
-        let ctx = RunContext::unmonitored();
-        let Ok(outcome) = self.solve_round(g, legit_seeds, spammer_seeds, &ctx);
-        outcome.cut
+        self.outcome(g, legit_seeds, spammer_seeds, &RunContext::unmonitored()).cut
+    }
+
+    /// One round's sweep with the all-legit fallback, under `ctx`.
+    fn outcome(
+        &self,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
+    ) -> SweepOutcome {
+        let Ok(outcome) = sweep_with_fallback(&self.config, |placement| {
+            Ok::<_, Infallible>(self.sweep(g, legit, spammer, placement, ctx))
+        });
+        outcome
     }
 
     /// Sweeps every `k` on a fixed-size worker pool
@@ -321,7 +332,7 @@ impl MaarSolver {
             // The injection probe runs before the k span opens: a
             // detonated worker must record nothing, so its deterministic
             // serial retry leaves the metrics identical to a clean run's.
-            if ctx.injector.should_panic(i) {
+            if ctx.faults.sweep_panic(i) {
                 trigger_injected_panic(i);
             }
             let Ok(result) = plan.solve_k(g, i, ctx);
@@ -474,7 +485,7 @@ mod tests {
 
     #[test]
     fn one_shot_injected_panic_is_retried_to_the_clean_answer() {
-        let g = scenario();
+        let g = Arc::new(scenario());
         let clean = MaarSolver::new(RejectoConfig::default())
             .solve(&g, &[], &[])
             .expect("scenario admits a cut");
@@ -482,8 +493,7 @@ mod tests {
             let plan = FaultPlan::parse("worker_panic@k=3").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
             let solver = MaarSolver::new(config);
-            let mut ctx = RunContext::unmonitored();
-            ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
+            let ctx = RunContext::armed(solver.config(), None);
             let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
@@ -495,15 +505,14 @@ mod tests {
 
     #[test]
     fn persistent_injected_panic_degrades_deterministically() {
-        let g = scenario();
+        let g = Arc::new(scenario());
         let mut reference: Option<(Vec<NodeId>, Vec<usize>)> = None;
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3:always").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
             let solver = MaarSolver::new(config);
-            let mut ctx = RunContext::unmonitored();
+            let mut ctx = RunContext::armed(solver.config(), None);
             ctx.round = 1;
-            ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
             let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");
             assert_eq!(out.failures.len(), 1, "threads={threads}");

@@ -74,11 +74,11 @@ pub enum RuntimeError {
         /// The underlying error, rendered.
         message: String,
     },
-    /// An input or artifact would grow a resource past an explicit
-    /// [`crate::ResourceBudget`] limit (or a structural ceiling such as the
-    /// `u32` dense-id space), so the runtime refused to keep allocating.
-    /// Over-budget growth surfaces here instead of ballooning memory until
-    /// the allocator aborts.
+    /// An input or artifact would grow a resource past an explicit limit
+    /// (a loader ingest guard, the checkpoint store's byte ceiling) or a
+    /// structural ceiling such as the `u32` dense-id space, so the runtime
+    /// refused to keep allocating. Over-budget growth surfaces here
+    /// instead of ballooning memory until the allocator aborts.
     ResourceExhausted {
         /// Which resource ran out (`"nodes"`, `"edges"`, `"rejections"`,
         /// `"checkpoint bytes"`, `"suspect fraction"`, ...).
@@ -142,15 +142,17 @@ impl fmt::Display for RuntimeError {
 impl Error for RuntimeError {}
 
 /// Per-run plumbing shared by the pruning loop and the cut solvers under
-/// it: the cancellation token the budgets arm, the fault injector tests
-/// arm, the metrics registry, and the current 1-based round for
+/// it: the cancellation token the budgets arm, the run's one armed fault
+/// table, the metrics registry, and the current 1-based round for
 /// diagnostics.
 #[derive(Debug, Clone)]
 pub struct RunContext {
     /// Polled at every KL pass and sweep boundary; carries the run's
     /// deadline and global KL pass budget.
     pub token: kl::CancelToken,
-    pub(crate) injector: crate::faults::FaultInjector,
+    /// The run's armed [`crate::FaultPlan`], probed by the sweep workers,
+    /// the loop's checkpoint write and the cluster master.
+    pub faults: crate::Faults,
     /// 1-based pruning round being solved (0 outside the loop).
     pub(crate) round: usize,
     /// Metrics registry shared by the pruning loop and every sweep worker;
@@ -166,22 +168,21 @@ impl RunContext {
     }
 
     /// A context for one run under `config`: its deadline (the tighter of
-    /// the budget's and an injected `deadline` fault's) and its global KL
-    /// pass budget armed on a fresh token, and its fault plan armed.
+    /// the budget's and the plan's injected one) and its global KL pass
+    /// budget armed on a fresh token, and its fault plan armed.
     pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
         let token = kl::CancelToken::new();
-        let injector = crate::faults::FaultInjector::new(&config.faults);
         if let Some(deadline) = config.budget.deadline {
             token.set_deadline_in(deadline);
         }
-        if let Some(deadline) = injector.deadline() {
+        if let Some(deadline) = config.faults.deadline() {
             // The token keeps the tighter of the two deadlines.
             token.set_deadline_in(deadline);
         }
         if let Some(passes) = config.budget.max_kl_passes {
             token.set_pass_budget(passes);
         }
-        RunContext { token, injector, round: 0, obs }
+        RunContext { token, faults: crate::Faults::new(&config.faults), round: 0, obs }
     }
 
     /// Maps the token's trip cause onto the report vocabulary.

@@ -26,12 +26,12 @@
 //!   one round of progress, never the run.
 //!
 //! Fault injection ([`crate::FaultPlan`] forms `torn_write@round=N` and
-//! `bit_flip@round=N`, consumed through [`crate::StoreFaults`]) mangles
+//! `bit_flip@round=N`, probed through the store's [`crate::Faults`] table) mangles
 //! a just-written generation deterministically, which is how the xtask
 //! harness and CI prove the fallback chain end-to-end.
 
 use crate::checkpoint::Checkpoint;
-use crate::faults::{Mangle, StoreFaults};
+use crate::faults::{Faults, Mangle};
 use crate::runtime::RuntimeError;
 use std::fmt;
 use std::fs::File;
@@ -448,7 +448,7 @@ impl StoreResume {
 pub struct CheckpointStore {
     stem: PathBuf,
     keep: usize,
-    faults: StoreFaults,
+    faults: Faults,
     obs: Option<rejecto_obs::Obs>,
     limit: Option<u64>,
 }
@@ -460,7 +460,7 @@ impl CheckpointStore {
         CheckpointStore {
             stem: stem.into(),
             keep: DEFAULT_CHECKPOINT_KEEP,
-            faults: StoreFaults::default(),
+            faults: Faults::default(),
             obs: None,
             limit: None,
         }
@@ -473,11 +473,11 @@ impl CheckpointStore {
         self
     }
 
-    /// Arms the store-level faults of a plan (`torn_write@round=N`,
-    /// `bit_flip@round=N`): the matching generation is mangled right
-    /// after encoding, before it reaches disk.
+    /// Arms a plan's fault table; the store probes its store-level faults
+    /// (`torn_write@round=N`, `bit_flip@round=N`): the matching generation
+    /// is mangled right after encoding, before it reaches disk.
     #[must_use]
-    pub fn with_faults(mut self, faults: StoreFaults) -> Self {
+    pub fn with_faults(mut self, faults: Faults) -> Self {
         self.faults = faults;
         self
     }
@@ -490,8 +490,8 @@ impl CheckpointStore {
         self
     }
 
-    /// Arms a `max_checkpoint_bytes` budget
-    /// ([`crate::ResourceBudget::max_checkpoint_bytes`]): saves refuse to
+    /// Arms a checkpoint byte ceiling (the CLI's
+    /// `--max-checkpoint-bytes`): saves refuse to
     /// write a larger frame, and loads refuse (on file metadata, before
     /// reading) to pull a larger artifact into memory. `None` disarms.
     #[must_use]
@@ -534,7 +534,7 @@ impl CheckpointStore {
             &gen_path,
             u64::try_from(bytes.len()).expect("frame size fits in u64"),
         )?;
-        if let Some(mangle) = self.faults.take_mangle(round) {
+        if let Some(mangle) = self.faults.mangle_at(round) {
             apply_mangle(&mut bytes, mangle);
         }
         atomic_write(&gen_path, &bytes)?;
@@ -1047,7 +1047,7 @@ mod tests {
         let dir = tmpdir("torn");
         let plan = crate::FaultPlan::parse("torn_write@round=2").expect("plan parses");
         let store = CheckpointStore::new(dir.join("run.ckpt"))
-            .with_faults(StoreFaults::new(&plan));
+            .with_faults(Faults::new(&plan));
         store.save(&sample_checkpoint(1)).expect("save succeeds");
         store.save(&sample_checkpoint(2)).expect("save succeeds");
         let resume = store.load_latest_valid().expect("fallback survives the tear");
@@ -1066,7 +1066,7 @@ mod tests {
         let dir = tmpdir("flip");
         let plan = crate::FaultPlan::parse("bit_flip@round=2").expect("plan parses");
         let store = CheckpointStore::new(dir.join("run.ckpt"))
-            .with_faults(StoreFaults::new(&plan));
+            .with_faults(Faults::new(&plan));
         store.save(&sample_checkpoint(1)).expect("save succeeds");
         store.save(&sample_checkpoint(2)).expect("save succeeds");
         let resume = store.load_latest_valid().expect("fallback survives the flip");

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use rejecto_core::store::{atomic_write, decode_frame, encode_frame, CheckpointStore, StoreError};
 use rejecto_core::{
-    Checkpoint, DetectionReport, FaultPlan, IterativeDetector, RejectoConfig, RuntimeError, Seeds,
-    StoreFaults, Termination,
+    Checkpoint, DetectionReport, FaultPlan, Faults, IterativeDetector, RejectoConfig, RuntimeError,
+    Seeds, Termination,
 };
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 use std::path::PathBuf;
@@ -182,7 +182,7 @@ fn mangled_newest_generation_resumes_identically() {
             let dir = tmpdir(&format!("e2e-{threads}-{form}"));
             let plan = FaultPlan::parse(spec).expect("spec is well-formed");
             let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(StoreFaults::new(&plan));
+                .with_faults(Faults::new(&plan));
             let faulted = run_with_store(&detector(threads), &g, &store);
             assert_eq!(faulted, clean, "{spec}: the mangle must not touch the live run");
 
@@ -232,7 +232,7 @@ fn fallback_counters_reconcile_with_injected_faults() {
     let dir = tmpdir("obs");
     let plan = FaultPlan::parse("bit_flip@round=2").expect("spec is well-formed");
     let store = CheckpointStore::new(dir.join("run.ckpt"))
-        .with_faults(StoreFaults::new(&plan));
+        .with_faults(Faults::new(&plan));
     run_with_store(&detector(1), &g, &store);
 
     let obs = rejecto_obs::Obs::default();

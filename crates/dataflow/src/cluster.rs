@@ -44,8 +44,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use kl::{Adjacency, BucketList, KParam};
 use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
 use rejecto_core::{
-    sweep_with_fallback, ClusterFaults, Completion, KResult, RejectoConfig, RunContext,
-    RuntimeError, SweepOutcome, SweepPlan,
+    sweep_with_fallback, Completion, Faults, KResult, RejectoConfig, RunContext, RuntimeError,
+    SweepOutcome, SweepPlan,
 };
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -270,8 +270,6 @@ pub struct Cluster {
     watchdog: Cell<Duration>,
     max_respawns: usize,
     backoff_base: Duration,
-    /// Armed distributed fault schedules (empty by default).
-    faults: RefCell<ClusterFaults>,
     /// 1-based fetch batch counter, the clock injected deaths key on.
     fetch_seq: Cell<u64>,
     /// Injected deaths left to fire (kill-before-send), armed by a
@@ -424,7 +422,6 @@ impl Cluster {
             watchdog: Cell::new(config.request_deadline),
             max_respawns: config.max_respawns,
             backoff_base: config.backoff_base,
-            faults: RefCell::new(ClusterFaults::default()),
             fetch_seq: Cell::new(0),
             pending_deaths: Cell::new(0),
             pending_hangs: Cell::new(0),
@@ -449,19 +446,6 @@ impl Cluster {
     /// Total shards merged onto a survivor so far.
     pub fn shards_rebalanced(&self) -> u64 {
         self.rebalances.get()
-    }
-
-    /// Arms the distributed fault schedules of a plan on this cluster
-    /// (probes are free when the schedule is empty). Clones of one
-    /// [`ClusterFaults`] share consumption state, so a schedule armed on
-    /// successive per-round clusters still fires exactly once per run.
-    pub fn arm_faults(&self, faults: ClusterFaults) {
-        *self.faults.borrow_mut() = faults;
-    }
-
-    /// A shared handle to the armed fault schedules.
-    pub(crate) fn faults_handle(&self) -> ClusterFaults {
-        self.faults.borrow().clone()
     }
 
     /// Arms `n` injected hangs: each swallows one request so only the
@@ -702,14 +686,20 @@ impl Cluster {
     }
 
     /// Fetches adjacency for `ids` (grouped by owner; one fan-out counts as
-    /// one batch in the stats).
-    fn fetch(&self, ids: &[u32], io: &mut IoStats) -> Result<Vec<(u32, NodeData)>, ClusterError> {
+    /// one batch in the stats), first probing `faults` for worker deaths
+    /// scheduled at this batch.
+    fn fetch(
+        &self,
+        ids: &[u32],
+        faults: &Faults,
+        io: &mut IoStats,
+    ) -> Result<Vec<(u32, NodeData)>, ClusterError> {
         if ids.is_empty() {
             return Ok(Vec::new());
         }
         // Injected death schedules are keyed on this 1-based fetch clock.
         self.fetch_seq.set(self.fetch_seq.get() + 1);
-        let due = self.faults.borrow().deaths_at(self.fetch_seq.get());
+        let due = faults.deaths_at(self.fetch_seq.get());
         if due > 0 {
             self.pending_deaths.set(self.pending_deaths.get() + due);
         }
@@ -908,7 +898,6 @@ impl DistributedMaar {
         debug_assert_eq!(num_nodes, cluster.num_nodes(), "solve_on node count mismatch");
         let start = rejecto_obs::Stopwatch::start();
         let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
-        cluster.arm_faults(ClusterFaults::new(&self.rejecto.faults));
         let mut io = IoStats::default();
         let outcome = self.sweep_on(cluster, &[], &[], &ctx, &mut io)?;
         let completion = if outcome.interrupted {
@@ -955,7 +944,6 @@ impl DistributedMaar {
             // future reuse").
             let mut buffer =
                 LruCache::new(cluster.num_nodes(), self.cluster_config.buffer_capacity);
-            let faults = cluster.faults_handle();
             let mut results = Vec::with_capacity(plan.num_ks());
             for i in 0..plan.num_ks() {
                 if ctx.token.is_cancelled() {
@@ -967,11 +955,12 @@ impl DistributedMaar {
                 if let Some(remaining) = ctx.token.time_remaining() {
                     cluster.tighten_watchdog(remaining);
                 }
-                if faults.take_hang(i) {
+                if ctx.faults.hang_at(i) {
                     cluster.arm_hang(1);
                 }
                 let adj = ClusterAdjacency {
                     cluster,
+                    faults: &ctx.faults,
                     degrees: &degrees,
                     buffer: &mut buffer,
                     io: &mut *io,
@@ -991,6 +980,8 @@ impl DistributedMaar {
 /// master's view of the sharded graph through its LRU prefetch buffer.
 struct ClusterAdjacency<'a> {
     cluster: &'a Cluster,
+    /// The run's fault table, probed for worker deaths at each fetch.
+    faults: &'a Faults,
     degrees: &'a [NodeDegrees],
     buffer: &'a mut LruCache<NodeData>,
     io: &'a mut IoStats,
@@ -1018,7 +1009,7 @@ impl Adjacency for ClusterAdjacency<'_> {
             self.io.buffer_hits += 1;
         } else {
             self.io.buffer_misses += 1;
-            for (id, data) in self.cluster.fetch(&[u.0], self.io)? {
+            for (id, data) in self.cluster.fetch(&[u.0], self.faults, self.io)? {
                 self.buffer.insert(id, data);
             }
         }
@@ -1048,7 +1039,7 @@ impl Adjacency for ClusterAdjacency<'_> {
         let missing: Vec<u32> =
             top.iter().copied().filter(|&id| !self.buffer.contains(id)).collect();
         self.io.buffer_misses += missing.len() as u64;
-        for (id, data) in self.cluster.fetch(&missing, self.io)? {
+        for (id, data) in self.cluster.fetch(&missing, self.faults, self.io)? {
             self.buffer.insert(id, data);
         }
         Ok(top.len())
@@ -1120,7 +1111,8 @@ mod tests {
     pub(super) fn assert_fetches_every_node(g: &AugmentedGraph, cluster: &Cluster) -> IoStats {
         let mut io = IoStats::default();
         let ids: Vec<u32> = (0..g.num_nodes() as u32).collect();
-        let mut fetched = cluster.fetch(&ids, &mut io).expect("cluster serves fetches");
+        let mut fetched =
+            cluster.fetch(&ids, &Faults::default(), &mut io).expect("cluster serves fetches");
         fetched.sort_by_key(|&(id, _)| id);
         assert_eq!(fetched.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids);
         for (id, data) in &fetched {

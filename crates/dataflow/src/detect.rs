@@ -15,8 +15,8 @@ use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
 pub use rejecto_core::CheckpointSink;
 use rejecto_core::{
-    ClusterFaults, CutSolver, DetectionReport, LoopState, RejectoConfig, RunContext,
-    RuntimeError, Seeds, SweepOutcome, Termination,
+    CutSolver, DetectionReport, LoopState, RejectoConfig, RunContext, RuntimeError, Seeds,
+    SweepOutcome, Termination,
 };
 use std::cell::Cell;
 use std::sync::Arc;
@@ -31,11 +31,11 @@ pub struct DistributedDetector {
     obs: Option<rejecto_obs::Obs>,
 }
 
-/// The per-round cut solver of one distributed run. Its fault schedules
-/// are shared by every round's cluster, so each fires once per run.
+/// The per-round cut solver of one distributed run. Every round's cluster
+/// probes the run's one fault table through the loop's [`RunContext`], so
+/// each fault fires once per run.
 struct ClusterRounds<'a> {
     solver: &'a DistributedMaar,
-    faults: ClusterFaults,
     io: Cell<IoStats>,
 }
 
@@ -47,11 +47,12 @@ impl CutSolver for ClusterRounds<'_> {
     }
 
     /// A fresh cluster shards the residual graph each round — the
-    /// distributed analogue of re-deriving the RDDs after a prune. Worker
-    /// count is capped by the shrinking graph.
+    /// distributed analogue of re-deriving the RDDs after a prune — and
+    /// keeps a handle on it as its lineage. Worker count is capped by the
+    /// shrinking graph.
     fn solve_round(
         &self,
-        g: &AugmentedGraph,
+        g: &Arc<AugmentedGraph>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
@@ -59,8 +60,7 @@ impl CutSolver for ClusterRounds<'_> {
         let base = self.solver.cluster_config();
         let config =
             ClusterConfig { num_workers: base.num_workers.min(g.num_nodes().max(1)), ..*base };
-        let cluster = Cluster::from_arc(Arc::new(g.clone()), &config)?;
-        cluster.arm_faults(self.faults.clone());
+        let cluster = Cluster::from_arc(Arc::clone(g), &config)?;
         let mut io = self.io.get();
         let outcome = self.solver.sweep_on(&cluster, legit, spammer, ctx, &mut io);
         self.io.set(io);
@@ -196,11 +196,7 @@ impl DistributedDetector {
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
         let state = LoopState::start(g, resume)?;
-        let rounds = ClusterRounds {
-            solver: &self.solver,
-            faults: ClusterFaults::new(&self.solver.rejecto.faults),
-            io: Cell::default(),
-        };
+        let rounds = ClusterRounds { solver: &self.solver, io: Cell::default() };
         let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink)?;
         let io = rounds.io.get();
         if let Some(obs) = &self.obs {

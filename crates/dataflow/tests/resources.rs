@@ -8,8 +8,7 @@
 
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
-    Completion, InterruptReason, IterativeDetector, RejectoConfig, ResourceBudget, Seeds,
-    Termination,
+    Completion, InterruptReason, IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
 };
 use simulator::{Scenario, ScenarioConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
@@ -32,11 +31,11 @@ fn snappy_cluster(workers: usize) -> ClusterConfig {
 
 fn budgeted_config() -> RejectoConfig {
     RejectoConfig {
-        resources: ResourceBudget {
+        budget: RunBudget {
             // Far below any real spam group, so the very first admissible
             // cut trips the budget and the run rolls it back.
             max_suspect_frac: Some(0.001),
-            ..ResourceBudget::unlimited()
+            ..RunBudget::unlimited()
         },
         ..RejectoConfig::default()
     }

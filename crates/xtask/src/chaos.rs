@@ -18,8 +18,8 @@
 //! 3. **Metrics reconciliation** — `strip_timings` metrics documents are
 //!    byte-equal across all compared legs.
 //!
-//! Some seeds additionally arm resource budgets (`max_suspect_frac`, a
-//! tiny checkpoint byte ceiling) so the `ResourceExhausted` /
+//! Some seeds additionally arm the suspect-fraction budget
+//! (`RunBudget::max_suspect_frac`) or a tiny checkpoint byte ceiling so the `ResourceExhausted` /
 //! `Partial(ResourceBudget)` paths soak alongside the fault paths.
 //!
 //! Everything is a pure function of the seed base, so a failing seed
@@ -31,7 +31,7 @@ use dataflow::DistributedDetector;
 use rejecto_core::chaos::{ChaosPlan, ChaosProfile, ChaosRng};
 use rejecto_core::{
     CheckpointStore, Completion, DetectionReport, InterruptReason, IterativeDetector,
-    RejectoConfig, ResourceBudget, Seeds, StoreFaults, Termination,
+    Faults, RejectoConfig, RunBudget, Seeds, Termination,
 };
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
@@ -156,12 +156,12 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
         let mut rng = ChaosRng::new(seed ^ 0xB0D6_E7ED);
         let suspect_frac = rng.chance(1, 3).then(|| 0.05 + (rng.below(30) as f64) / 100.0);
         let ckpt_limit = rng.chance(1, 8).then(|| 24 + rng.below(40));
-        let resources = ResourceBudget { max_suspect_frac: suspect_frac, ..ResourceBudget::unlimited() };
+        let budget = RunBudget { max_suspect_frac: suspect_frac, ..RunBudget::unlimited() };
 
         let config = |threads: usize| RejectoConfig {
             threads,
             faults: plan.faults.clone(),
-            resources,
+            budget,
             ..RejectoConfig::default()
         };
 
@@ -325,7 +325,7 @@ fn resume_leg(
 ) -> Result<String, String> {
     let dir = scratch(&format!("chaos-{seed}-t{threads}"));
     let store = CheckpointStore::new(dir.join("run.ckpt"))
-        .with_faults(StoreFaults::new(&config.faults))
+        .with_faults(Faults::new(&config.faults))
         .with_limit(ckpt_limit);
 
     let mut halted_config = config.clone();

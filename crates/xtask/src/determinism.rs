@@ -19,8 +19,8 @@
 
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
-    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultPlan, IterativeDetector,
-    RejectoConfig, Seeds, StoreFaults, Termination,
+    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultPlan, Faults,
+    IterativeDetector, RejectoConfig, Seeds, Termination,
 };
 use rejection::io::write_augmented;
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
@@ -260,7 +260,7 @@ fn durable_store_legs() -> Result<(), String> {
         for threads in THREAD_COUNTS {
             let dir = scratch(&format!("local-{threads}-{form}"));
             let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(StoreFaults::new(&plan));
+                .with_faults(Faults::new(&plan));
             let mut sink =
                 |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
             IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
@@ -302,7 +302,7 @@ fn durable_store_legs() -> Result<(), String> {
         for workers in WORKER_COUNTS {
             let dir = scratch(&format!("dist-{workers}-{form}"));
             let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(StoreFaults::new(&plan));
+                .with_faults(Faults::new(&plan));
             let mut sink =
                 |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
             DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())

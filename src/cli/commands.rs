@@ -4,11 +4,10 @@ use super::args::{ArgError, Args};
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::store::atomic_write;
 use rejecto_core::{
-    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan,
-    InterruptReason, IterativeDetector, RejectoConfig, ResourceBudget, Seeds, StoreFaults,
-    Termination,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan, Faults,
+    InterruptReason, IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
 };
-use rejection::io::LoadStats;
+use rejection::io::{IngestGuards, LoadStats};
 use rejection::AugmentedGraph;
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig};
 use socialgraph::surrogates::Surrogate;
@@ -284,19 +283,16 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         }
     }
 
-    // Resource ceilings (space), distinct from the `--deadline-ms` /
-    // `--max-passes` / `--max-rounds` run budgets (time). The ingest
-    // guards bound the loader *before* allocation; the rest ride the
-    // config into the detection loop and the checkpoint store.
-    let resources = ResourceBudget {
+    // Input ceilings bound the loader *before* allocation; the checkpoint
+    // ceiling bounds the store, and the suspect fraction rides the run
+    // budget into the detection loop.
+    let guards = IngestGuards {
         max_nodes,
-        max_edges,
+        max_friendships: max_edges,
         max_rejections,
-        max_checkpoint_bytes,
-        max_suspect_frac,
+        reject_conflicts: false,
     };
-
-    let (g, load_stats) = load_augmented(&graph_path, lenient, resources.ingest_guards())?;
+    let (g, load_stats) = load_augmented(&graph_path, lenient, guards)?;
     if load_stats.is_degraded() {
         if let Some(obs) = &obs {
             let skipped =
@@ -328,27 +324,23 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         (None, Some(t)) => Termination::AcceptanceThreshold(t),
         (None, None) => Termination::AcceptanceThreshold(0.5),
     };
-    let mut config = RejectoConfig { threads, ..RejectoConfig::default() };
-    if let Some(ms) = deadline_ms {
-        config.budget.deadline = Some(Duration::from_millis(ms));
-    }
-    if let Some(p) = max_passes {
-        config.budget.max_kl_passes = Some(p);
-    }
-    if let Some(r) = max_rounds {
-        config.budget.max_rounds = Some(r);
-    }
+    let budget = RunBudget {
+        deadline: deadline_ms.map(Duration::from_millis),
+        max_kl_passes: max_passes,
+        max_rounds,
+        max_suspect_frac,
+    };
+    let mut config = RejectoConfig { threads, budget, ..RejectoConfig::default() };
     if let Some(spec) = &inject_spec {
         config.faults = FaultPlan::parse(spec).map_err(|e| CliError(format!("--inject: {e}")))?;
     }
-    config.resources = resources;
 
     // The durable store behind `--checkpoint`: generation files plus a
     // framed manifest, with any armed torn-write/bit-flip mangles and the
     // metrics registry attached.
     let store = checkpoint_path.as_ref().map(|p| {
         let mut s = CheckpointStore::new(p)
-            .with_faults(StoreFaults::new(&config.faults))
+            .with_faults(Faults::new(&config.faults))
             .with_limit(max_checkpoint_bytes);
         if let Some(keep) = checkpoint_keep {
             s = s.with_keep(keep);

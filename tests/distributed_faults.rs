@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
 use rejecto::rejecto_core::{
-    Checkpoint, FaultPlan, RejectoConfig, RuntimeError, Seeds, Termination,
+    Checkpoint, Completion, FaultPlan, InterruptReason, RejectoConfig, RuntimeError, Seeds,
+    Termination,
 };
 use rejecto::simulator::{Scenario, ScenarioConfig, SimOutput};
 use rejecto::socialgraph::generators::BarabasiAlbert;
@@ -124,6 +125,31 @@ fn zero_deadline_budget_yields_a_partial_report() {
     assert!(report.is_partial(), "zero deadline must interrupt the run");
     assert_eq!(report.rounds, 0, "no round can complete under a zero deadline");
     assert!(report.groups.is_empty());
+}
+
+/// An injected `deadline=0ms` reaches the cluster through the run's one
+/// armed fault table and reads exactly like a zero deadline budget.
+#[test]
+fn injected_zero_deadline_matches_the_budget_deadline() {
+    let sim = scenario();
+    let run = |config| {
+        DistributedDetector::new(snappy(2), config)
+            .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+            .expect("a tripped deadline is a partial report, not an error")
+    };
+    let injected = run(RejectoConfig { faults: plan("deadline=0ms"), ..RejectoConfig::default() });
+    assert!(
+        matches!(
+            injected.completion,
+            Completion::Partial { reason: InterruptReason::Deadline, .. }
+        ),
+        "injected deadline must interrupt the run, got {:?}",
+        injected.completion
+    );
+    assert!(injected.groups.is_empty());
+    let mut budgeted = RejectoConfig::default();
+    budgeted.budget.deadline = Some(Duration::ZERO);
+    assert_eq!(injected, run(budgeted));
 }
 
 #[test]
