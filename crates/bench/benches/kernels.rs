@@ -3,9 +3,9 @@
 //! that the bucket list makes KL effectively linear per pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use kl::{BucketList, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
 use rejecto_core::{MaarSolver, RejectoConfig};
-use rejection::Partition;
+use rejection::{NodeDegrees, Partition};
 use simulator::{Scenario, ScenarioConfig};
 use socialgraph::surrogates::Surrogate;
 use std::hint::black_box;
@@ -79,6 +79,7 @@ fn bench_extended_kl(c: &mut Criterion) {
                 let kl = ExtendedKl::new(
                     &sim.graph,
                     ExtendedKlConfig::new(KParam::approximate(0.56, 64)),
+                    &DegreeSummary::new(NodeDegrees::of_graph(&sim.graph)),
                 );
                 b.iter(|| {
                     let out = kl.run(Partition::all_legit(&sim.graph));

@@ -1,7 +1,7 @@
 use crate::faults::trigger_injected_panic;
 use crate::runtime::{RunContext, RuntimeError};
 use crate::{CutSolver, InitialPlacement, RejectoConfig};
-use kl::{Adjacency, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,11 +99,13 @@ impl SweepOutcome {
 }
 
 /// The `k`-independent set-up of one sweep, shared by the in-process and
-/// the cluster sweep: the `k` values, the suspect cap, the seeds, and the
-/// initial partition every `k` starts from.
+/// the cluster sweep: the `k` values, the suspect cap, the seeds, the
+/// degree summary every `k`'s kernel is sized from, and the initial
+/// partition every `k` starts from.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     ks: Vec<KParam>,
+    degrees: DegreeSummary,
     max_passes: usize,
     cap: usize,
     seeds: Vec<NodeId>,
@@ -151,6 +153,7 @@ impl SweepPlan {
         }
         Ok(SweepPlan {
             ks: config.k_sweep(),
+            degrees: DegreeSummary::new(degrees.iter().copied()),
             max_passes: config.max_kl_passes,
             cap,
             seeds: legit_seeds.iter().chain(spammer_seeds).copied().collect(),
@@ -178,7 +181,8 @@ impl SweepPlan {
     ) -> Result<KResult, A::Error> {
         let _k_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
         let k = self.ks[i];
-        let mut kl = ExtendedKl::new(adj, ExtendedKlConfig { k, max_passes: self.max_passes });
+        let cfg = ExtendedKlConfig { k, max_passes: self.max_passes };
+        let mut kl = ExtendedKl::new(adj, cfg, &self.degrees);
         kl.set_cancel(ctx.token.clone());
         if let Some(obs) = &ctx.obs {
             kl.set_obs(obs.clone());

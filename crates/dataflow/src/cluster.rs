@@ -961,7 +961,6 @@ impl DistributedMaar {
                 let adj = ClusterAdjacency {
                     cluster,
                     faults: &ctx.faults,
-                    degrees: &degrees,
                     buffer: &mut buffer,
                     io: &mut *io,
                     prefetch_batch: self.cluster_config.prefetch_batch,
@@ -982,7 +981,6 @@ struct ClusterAdjacency<'a> {
     cluster: &'a Cluster,
     /// The run's fault table, probed for worker deaths at each fetch.
     faults: &'a Faults,
-    degrees: &'a [NodeDegrees],
     buffer: &'a mut LruCache<NodeData>,
     io: &'a mut IoStats,
     prefetch_batch: usize,
@@ -993,12 +991,6 @@ impl Adjacency for ClusterAdjacency<'_> {
 
     fn num_nodes(&self) -> usize {
         self.cluster.num_nodes()
-    }
-
-    /// From the degrees the workers reported for the sweep plan, so sizing
-    /// the bucket list fetches nothing.
-    fn gain_bound(&mut self, k: KParam) -> Result<i64, RuntimeError> {
-        Ok(kl::gain_bound(k, self.degrees.iter().copied()))
     }
 
     /// Served from the buffer when resident; otherwise one fetch. Gain

@@ -244,6 +244,23 @@ impl BucketList {
         true
     }
 
+    /// Unindexes every node, in `O(len)` plus the buckets at or below the
+    /// high-water mark that it walks to find them.
+    pub(crate) fn clear(&mut self) {
+        let mut b = self.high + 1;
+        while self.len > 0 && b > 0 {
+            b -= 1;
+            let mut cur = std::mem::replace(&mut self.heads[b], NIL);
+            while cur != NIL {
+                let slot = &mut self.slots[ix(cur)];
+                slot.prev = ABSENT;
+                cur = slot.next;
+                self.len -= 1;
+            }
+        }
+        self.high = 0;
+    }
+
     /// The maximum gain among indexed nodes, if any.
     pub fn peek_max_gain(&mut self) -> Option<i64> {
         self.settle_high();
@@ -401,6 +418,21 @@ mod tests {
     #[should_panic(expected = "empty gain range")]
     fn inverted_gain_range_panics() {
         let _ = BucketList::new(1, 1, -1);
+    }
+
+    #[test]
+    fn clear_unindexes_everything() {
+        let mut b = BucketList::new(4, -5, 5);
+        for (n, g) in [(0u32, 3i64), (1, -2), (2, 3), (3, 5)] {
+            b.insert(n, g);
+        }
+        let _ = b.pop_max();
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!(b.peek_max_gain(), None);
+        assert!((0..4).all(|n| !b.contains(n)));
+        b.insert(1, -4);
+        assert_eq!(b.pop_max(), Some((1, -4)));
     }
 
     #[test]

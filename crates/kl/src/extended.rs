@@ -13,18 +13,71 @@ where
     i64::try_from(x).ok().expect("objective operand exceeds i64 range")
 }
 
-/// The largest `|gain|` a node with these degrees can reach under `k`:
-/// `den` per friend plus `num` per rejection, cast or received. The
-/// maximum over all nodes (at least 1) sizes the [`BucketList`].
-pub fn gain_bound(k: KParam, degrees: impl IntoIterator<Item = NodeDegrees>) -> i64 {
-    let (den, num) = (obj_i64(k.den()), obj_i64(k.num()));
-    degrees
-        .into_iter()
-        .map(|d| {
-            den * i64::from(d.friends)
-                + num * (i64::from(d.rejected_by) + i64::from(d.rejectors_of))
-        })
-        .fold(1, i64::max)
+/// What an [`ExtendedKl`] run is sized from, read once per sweep from
+/// the per-node degrees so that no `k` rescans the graph: the Pareto
+/// front of `(friends, rejections cast and received)` over all nodes,
+/// and the rejection total.
+///
+/// ```
+/// use kl::{DegreeSummary, KParam};
+/// use rejection::NodeDegrees;
+///
+/// let degrees = [
+///     NodeDegrees { friends: 4, rejected_by: 0, rejectors_of: 1 },
+///     NodeDegrees { friends: 1, rejected_by: 2, rejectors_of: 3 },
+/// ];
+/// let summary = DegreeSummary::new(degrees);
+/// assert_eq!(summary.rejections(), 2);
+/// // max(2·4 + 1·1, 2·1 + 1·5) under k = 1/2.
+/// assert_eq!(summary.gain_bound(KParam::new(1, 2)), 9);
+/// ```
+#[derive(Debug, Clone)]
+pub struct DegreeSummary {
+    /// `(friends, rejections)` pairs no node dominates, friends
+    /// descending: the maximum of any positive weighting lies on them.
+    front: Vec<(u32, u64)>,
+    rejections: u64,
+}
+
+impl DegreeSummary {
+    /// Summarises every node's degrees in `O(n + max friend degree)`.
+    pub fn new(degrees: impl IntoIterator<Item = NodeDegrees>) -> Self {
+        // most[f]: the most rejections of any node with f friends (0 where
+        // no node has f friends: the entry for the top degree dominates it).
+        let mut most: Vec<u64> = Vec::new();
+        let mut rejections = 0u64;
+        for d in degrees {
+            rejections += u64::from(d.rejected_by);
+            let f = usize::try_from(d.friends).expect("degree fits usize");
+            if most.len() <= f {
+                most.resize(f + 1, 0);
+            }
+            most[f] = most[f].max(u64::from(d.rejected_by) + u64::from(d.rejectors_of));
+        }
+        let mut front: Vec<(u32, u64)> = Vec::new();
+        for (f, &r) in most.iter().enumerate().rev() {
+            if front.last().is_none_or(|&(_, top)| r > top) {
+                front.push((u32::try_from(f).expect("degree came from a u32"), r));
+            }
+        }
+        DegreeSummary { front, rejections }
+    }
+
+    /// The largest `|gain|` any node can reach under `k`: `den` per friend
+    /// plus `num` per rejection, cast or received, maximised over nodes
+    /// (at least 1). It sizes the [`BucketList`].
+    pub fn gain_bound(&self, k: KParam) -> i64 {
+        let (den, num) = (obj_i64(k.den()), obj_i64(k.num()));
+        self.front
+            .iter()
+            .map(|&(f, r)| den * i64::from(f) + num * obj_i64(r))
+            .fold(1, i64::max)
+    }
+
+    /// Number of rejections in the graph.
+    pub fn rejections(&self) -> u64 {
+        self.rejections
+    }
 }
 
 /// Where [`ExtendedKl`] reads adjacency from, one node at a time: an
@@ -39,16 +92,6 @@ pub trait Adjacency {
 
     /// The three adjacency lists of `u`.
     fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, Self::Error>;
-
-    /// The bucket-list range for `k`: [`gain_bound`](fn@crate::gain_bound)
-    /// over every node's degrees, asked once per run.
-    fn gain_bound(&mut self, k: KParam) -> Result<i64, Self::Error> {
-        let mut degrees = Vec::with_capacity(self.num_nodes());
-        for i in 0..self.num_nodes() {
-            degrees.push(NodeDegrees::of(self.neighbors(NodeId::from_index(i))?));
-        }
-        Ok(gain_bound(k, degrees))
-    }
 
     /// Bulk hook, once per pass: fills `gains[u]` with the switching gain
     /// of every node `u` under `p`.
@@ -135,17 +178,21 @@ pub struct KlOutcome {
 ///   steers the search away from spurious low-ratio cuts inside the
 ///   legitimate region.
 ///
-/// Each pass tentatively switches **every** unlocked node exactly once in
+/// Each pass tentatively switches the unlocked nodes one at a time in
 /// greedy max-gain order, "even if that leads to increment of the cross-part
 /// edges", then commits the prefix of switches with the largest positive
-/// cumulative gain. Passes repeat until no positive prefix exists.
+/// cumulative gain. Passes repeat until no positive prefix exists. A pass
+/// ends before it has switched every unlocked node once a lower bound on
+/// the objective of every state it could still reach proves that no later
+/// prefix gains more than the best one so far: it commits exactly the
+/// prefix the full pass would have committed.
 ///
 /// The kernel is generic over its [`Adjacency`] source, so the in-process
 /// and the distributed runtimes take exactly the same moves.
 ///
 /// ```
-/// use kl::{ExtendedKl, ExtendedKlConfig, KParam};
-/// use rejection::{AugmentedGraphBuilder, NodeId, Partition};
+/// use kl::{DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
+/// use rejection::{AugmentedGraphBuilder, NodeDegrees, NodeId, Partition};
 ///
 /// // One spammer (node 2) rejected by both legitimate users.
 /// let mut b = AugmentedGraphBuilder::new(3);
@@ -154,7 +201,9 @@ pub struct KlOutcome {
 /// b.add_rejection(NodeId(1), NodeId(2));
 /// let g = b.build();
 ///
-/// let kl = ExtendedKl::new(&g, ExtendedKlConfig::new(KParam::new(1, 1)));
+/// let cfg = ExtendedKlConfig::new(KParam::new(1, 1));
+/// let degrees = DegreeSummary::new(NodeDegrees::of_graph(&g));
+/// let kl = ExtendedKl::new(&g, cfg, &degrees);
 /// let out = kl.run(Partition::all_legit(&g));
 /// assert_eq!(out.partition.suspects(), vec![NodeId(2)]);
 /// ```
@@ -162,6 +211,10 @@ pub struct KlOutcome {
 pub struct ExtendedKl<A> {
     adj: A,
     cfg: ExtendedKlConfig,
+    /// The bucket list's gain range, `±gain_bound(k)`.
+    gain_bound: i64,
+    /// The source's rejection total, where every pass's bound starts.
+    rejections: i64,
     locked: Vec<bool>,
     cancel: Option<CancelToken>,
     obs: Option<rejecto_obs::Obs>,
@@ -172,10 +225,20 @@ pub struct ExtendedKl<A> {
 type Move = (NodeId, i64, (i64, i64));
 
 impl<A: Adjacency> ExtendedKl<A> {
-    /// Creates a solver over `adj` with no locked nodes.
-    pub fn new(adj: A, cfg: ExtendedKlConfig) -> Self {
+    /// Creates a solver over `adj` with no locked nodes, sized from the
+    /// source's `degrees`. A summary of another graph makes runs panic on
+    /// an out-of-range gain or stop passes early on a wrong bound.
+    pub fn new(adj: A, cfg: ExtendedKlConfig, degrees: &DegreeSummary) -> Self {
         let locked = vec![false; adj.num_nodes()];
-        ExtendedKl { adj, cfg, locked, cancel: None, obs: None }
+        ExtendedKl {
+            adj,
+            cfg,
+            gain_bound: degrees.gain_bound(cfg.k),
+            rejections: obj_i64(degrees.rejections()),
+            locked,
+            cancel: None,
+            obs: None,
+        }
     }
 
     /// Attaches a [`CancelToken`] polled at every pass boundary. Each pass
@@ -225,9 +288,10 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// partition, or the first failed adjacency lookup.
     ///
     /// The run allocates its scratch once: the gain buffer, the bucket
-    /// list (every pass drains it, so the next pass starts from an empty
-    /// index) and the move buffer. Each pass switches nodes in `p` itself
-    /// and then rolls back the moves after its best prefix.
+    /// list (every pass empties it, so the next pass starts from an empty
+    /// index), the per-node bound costs and the move buffer. Each pass
+    /// switches nodes in `p` itself and then rolls back the moves after its
+    /// best prefix.
     ///
     /// # Panics
     ///
@@ -235,15 +299,17 @@ impl<A: Adjacency> ExtendedKl<A> {
     pub fn try_run(&mut self, initial: Partition) -> Result<KlOutcome, A::Error> {
         assert_eq!(initial.len(), self.locked.len(), "partition size mismatch");
         let mut p = initial;
-        let mut gains = vec![0i64; p.len()];
         let obs = self.obs.clone();
         let mut passes = 0usize;
         let mut moves_committed = 0u64;
         let mut bucket_adjusts = 0u64;
         let mut interrupted = false;
-        let bound = self.adj.gain_bound(self.cfg.k)?;
-        let mut bucket = BucketList::new(p.len(), -bound, bound);
-        let mut seq: Vec<Move> = Vec::with_capacity(p.len());
+        let mut scratch = Scratch {
+            gains: vec![0; p.len()],
+            side: vec![[0; 2]; p.len()],
+            bucket: BucketList::new(p.len(), -self.gain_bound, self.gain_bound),
+            seq: Vec::with_capacity(p.len()),
+        };
 
         while passes < self.cfg.max_passes {
             if let Some(token) = &self.cancel {
@@ -254,11 +320,11 @@ impl<A: Adjacency> ExtendedKl<A> {
             }
             passes += 1;
             let _pass_span = obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            bucket_adjusts += self.one_pass(&mut p, &mut gains, &mut bucket, &mut seq)?;
-            let kept = best_prefix_len(&seq);
+            bucket_adjusts += self.one_pass(&mut p, &mut scratch)?;
+            let kept = best_prefix_len(&scratch.seq);
             // Undo the tail newest first, so every intermediate state is
             // one the pass went through and no counter dips below zero.
-            for &(u, _, (df, dr)) in seq[kept..].iter().rev() {
+            for &(u, _, (df, dr)) in scratch.seq[kept..].iter().rev() {
                 p.apply_switch(u, (-df, -dr));
             }
             if kept == 0 {
@@ -318,17 +384,31 @@ impl<A: Adjacency> ExtendedKl<A> {
         Ok(())
     }
 
-    /// One greedy pass: switches every unlocked node of `p` once, in
-    /// max-gain order, recording each move in `seq`, and returns the
-    /// number of incremental gain-bucket adjustments performed. `bucket`
-    /// comes in empty and leaves empty.
-    fn one_pass(
-        &mut self,
-        p: &mut Partition,
-        gains: &mut [i64],
-        bucket: &mut BucketList,
-        seq: &mut Vec<Move>,
-    ) -> Result<u64, A::Error> {
+    /// One greedy pass: switches unlocked nodes of `p` in max-gain order,
+    /// recording each move in `scratch.seq`, until every one has switched
+    /// or the pass bound shows that no later prefix can gain more than the
+    /// best one so far. Returns the number of incremental gain-bucket
+    /// adjustments performed. The bucket list comes in empty and leaves
+    /// empty.
+    ///
+    /// The bound is a floor `L` on the objective of every state the rest
+    /// of the pass can reach: the popped nodes keep their new regions, and
+    /// the still-indexed ones may end in either.
+    ///
+    /// * `fixed` is the cost of the edges between two popped nodes;
+    /// * `side[v]` holds, for a still-indexed `v`, the cost of its edges to
+    ///   popped nodes if `v` ends Legit and if it ends Suspect, and
+    ///   `sum_min` the sum of their minima;
+    /// * `open` counts the rejections neither of those covers, each worth
+    ///   at least `−num`; an uncovered friendship is worth at least 0.
+    ///
+    /// An edge is charged to `side` at the first pop of its two ends when
+    /// the other end is still indexed, so an edge to a locked node is never
+    /// charged: its friendship counts as 0 and its rejection stays open.
+    /// Once `obj0 − L` is at most the best cumulative gain, no later prefix
+    /// can be strictly better, which is all [`best_prefix_len`] commits.
+    fn one_pass(&mut self, p: &mut Partition, scratch: &mut Scratch) -> Result<u64, A::Error> {
+        let Scratch { gains, side, bucket, seq } = scratch;
         let k = self.cfg.k;
         let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
         debug_assert!(bucket.is_empty(), "a pass starts from an empty bucket list");
@@ -342,6 +422,10 @@ impl<A: Adjacency> ExtendedKl<A> {
         self.assert_gain_index(p, bucket)?;
 
         seq.clear();
+        side.fill([0; 2]);
+        let obj0 = self.objective(p);
+        let (mut fixed, mut sum_min, mut open) = (0i64, 0i64, self.rejections);
+        let (mut cum, mut best) = (0i64, 0i64);
         let mut adjusts = 0u64;
         let mut prefetched = 0usize;
         loop {
@@ -357,32 +441,99 @@ impl<A: Adjacency> ExtendedKl<A> {
             seq.push((u, gain, delta));
             let from = p.region(u);
             let now_in = p.apply_switch(u, delta);
+            let costs = side[u.index()];
+            fixed += costs[side_of(now_in)];
+            sum_min -= costs[0].min(costs[1]);
 
             // Incremental gain updates for u's still-indexed neighbors.
             // Friendship edges: the (v, u) term of v's Δfriendship flips.
+            // The edge is cut if v ends in the region u left.
             for &v in n.friends {
                 let t = if p.region(v) == from { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, 2 * den * t));
+                if bucket.adjust_if_present(v.0, 2 * den * t) {
+                    adjusts += 1;
+                    charge(side, &mut sum_min, v, from, den);
+                }
             }
             // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
-            // Legit" count changed by ±1.
+            // Legit" count changed by ±1. The rejection counts if u stays
+            // Legit and v ends Suspect.
             let da = if now_in == Region::Legit { 1 } else { -1 };
             for &v in n.rejected_by {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, num * s_v * da));
+                if bucket.adjust_if_present(v.0, num * s_v * da) {
+                    adjusts += 1;
+                    open -= 1;
+                    if now_in == Region::Legit {
+                        charge(side, &mut sum_min, v, Region::Suspect, -num);
+                    }
+                }
             }
             // v rejected u  ⇒  u is in v's rejected set: v's "rejectees in
-            // Suspect" count changed by ±1.
+            // Suspect" count changed by ±1. The rejection counts if u stays
+            // Suspect and v ends Legit.
             let db = if now_in == Region::Suspect { 1 } else { -1 };
             for &v in n.rejectors_of {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, -num * s_v * db));
+                if bucket.adjust_if_present(v.0, -num * s_v * db) {
+                    adjusts += 1;
+                    open -= 1;
+                    if now_in == Region::Suspect {
+                        charge(side, &mut sum_min, v, Region::Legit, -num);
+                    }
+                }
             }
             #[cfg(feature = "debug-invariants")]
             self.assert_gain_index(p, bucket)?;
+
+            cum += gain;
+            best = best.max(cum);
+            let floor = fixed + sum_min - num * open;
+            #[cfg(feature = "debug-invariants")]
+            crate::invariants::assert_pass_bound(
+                floor,
+                obj0 - cum,
+                self.objective(p),
+                bucket.is_empty() && !self.locked.contains(&true),
+            );
+            if obj0 - floor <= best {
+                bucket.clear();
+                break;
+            }
         }
         Ok(adjusts)
     }
+}
+
+/// The per-run scratch every pass reuses.
+#[derive(Debug)]
+struct Scratch {
+    /// Each node's switching gain at the start of a pass.
+    gains: Vec<i64>,
+    /// Per still-indexed node, the cost of its edges to popped nodes if it
+    /// ends Legit (`[0]`) and if it ends Suspect (`[1]`).
+    side: Vec<[i64; 2]>,
+    bucket: BucketList,
+    seq: Vec<Move>,
+}
+
+/// The index of `r` in a `side` record.
+#[inline]
+fn side_of(r: Region) -> usize {
+    match r {
+        Region::Legit => 0,
+        Region::Suspect => 1,
+    }
+}
+
+/// Adds `cost` to `v`'s cost of ending in `region`, keeping `sum_min` the
+/// sum of the records' minima.
+#[inline]
+fn charge(side: &mut [[i64; 2]], sum_min: &mut i64, v: NodeId, region: Region, cost: i64) {
+    let c = &mut side[v.index()];
+    let before = c[0].min(c[1]);
+    c[side_of(region)] += cost;
+    *sum_min += c[0].min(c[1]) - before;
 }
 
 /// Length of the switching sequence's best strictly positive
@@ -434,7 +585,8 @@ mod tests {
     }
 
     fn solver(g: &AugmentedGraph, num: u64, den: u64) -> ExtendedKl<&AugmentedGraph> {
-        ExtendedKl::new(g, ExtendedKlConfig::new(KParam::new(num, den)))
+        let cfg = ExtendedKlConfig::new(KParam::new(num, den));
+        ExtendedKl::new(g, cfg, &DegreeSummary::new(NodeDegrees::of_graph(g)))
     }
 
     #[test]

@@ -103,3 +103,21 @@ pub fn assert_partition_counts<A: Adjacency>(adj: &mut A, p: &Partition) -> Resu
     );
     Ok(())
 }
+
+/// Checks an extended-KL pass bound after a pop: the `objective` the pass
+/// tracks (`obj0 − cum`) must match the partition's cut counters
+/// (`counted`), and the `floor` on every reachable state's objective must
+/// not exceed it. With no locked node, once every node has popped, every
+/// edge is charged and the floor is the objective itself (`exact`).
+///
+/// # Panics
+///
+/// Panics when the floor is above the objective, or not equal to it when
+/// `exact` is set.
+pub fn assert_pass_bound(floor: i64, objective: i64, counted: i64, exact: bool) {
+    assert_eq!(objective, counted, "pass objective drifted from the cut counters");
+    assert!(floor <= objective, "pass bound {floor} above the objective {objective}");
+    if exact {
+        assert_eq!(floor, objective, "a full unlocked pass charges every edge");
+    }
+}

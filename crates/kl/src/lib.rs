@@ -30,7 +30,7 @@ mod kparam;
 
 pub use bucket::BucketList;
 pub use cancel::{CancelReason, CancelToken};
-pub use extended::{gain_bound, Adjacency, ExtendedKl, ExtendedKlConfig, KlOutcome};
+pub use extended::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KlOutcome};
 #[cfg(feature = "debug-invariants")]
 pub use invariants::assert_partition_counts;
 pub use kparam::KParam;

@@ -3,8 +3,8 @@
 //! the feature is on (`cargo test --features debug-invariants -p kl`).
 #![cfg(feature = "debug-invariants")]
 
-use kl::{BucketList, ExtendedKl, ExtendedKlConfig, KParam};
-use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId, Partition};
+use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
+use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeDegrees, NodeId, Partition};
 
 /// Three legit users in a path; one spammer rejected by two of them.
 fn fixture() -> AugmentedGraph {
@@ -28,6 +28,10 @@ fn true_gain(g: &AugmentedGraph, p: &Partition, u: NodeId) -> i64 {
     k().num() as i64 * dr - k().den() as i64 * df
 }
 
+fn solver(g: &AugmentedGraph) -> ExtendedKl<&AugmentedGraph> {
+    ExtendedKl::new(g, ExtendedKlConfig::new(k()), &DegreeSummary::new(NodeDegrees::of_graph(g)))
+}
+
 fn faithful_index(g: &AugmentedGraph, p: &Partition) -> BucketList {
     let mut bucket = BucketList::new(g.num_nodes(), -16, 16);
     for u in g.nodes() {
@@ -39,7 +43,7 @@ fn faithful_index(g: &AugmentedGraph, p: &Partition) -> BucketList {
 #[test]
 fn gain_checker_accepts_a_faithful_index() {
     let g = fixture();
-    let mut kl = ExtendedKl::new(&g, ExtendedKlConfig::new(k()));
+    let mut kl = solver(&g);
     let p = Partition::all_legit(&g);
     let bucket = faithful_index(&g, &p);
     kl.assert_gain_index(&p, &bucket).expect("in-memory source"); // must not panic
@@ -49,7 +53,7 @@ fn gain_checker_accepts_a_faithful_index() {
 #[should_panic(expected = "gain index corrupt")]
 fn gain_checker_catches_a_corrupted_bucket() {
     let g = fixture();
-    let mut kl = ExtendedKl::new(&g, ExtendedKlConfig::new(k()));
+    let mut kl = solver(&g);
     let p = Partition::all_legit(&g);
     let mut bucket = faithful_index(&g, &p);
     // Deliberate corruption: nudge one node's indexed gain off the value
@@ -64,7 +68,7 @@ fn gain_checker_catches_a_corrupted_bucket() {
 #[should_panic(expected = "gain index corrupt")]
 fn gain_checker_catches_a_stale_index_after_partition_moves() {
     let g = fixture();
-    let mut kl = ExtendedKl::new(&g, ExtendedKlConfig::new(k()));
+    let mut kl = solver(&g);
     let mut p = Partition::all_legit(&g);
     let bucket = faithful_index(&g, &p);
     // Move a node without refreshing the index: neighbors' gains go stale.
@@ -92,7 +96,7 @@ fn full_kl_run_passes_the_checkers_on_every_pass() {
     // and after every single move. A wrong incremental update anywhere
     // would panic here rather than silently degrade cut quality.
     let g = fixture();
-    let kl = ExtendedKl::new(&g, ExtendedKlConfig::new(k()));
+    let kl = solver(&g);
     let out = kl.run(Partition::all_legit(&g));
     assert_eq!(out.partition.suspects(), vec![NodeId(3)]);
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the bucket list and the extended KL solver.
 
-use kl::{BucketList, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
 use proptest::prelude::*;
-use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId, Partition};
+use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeDegrees, NodeId, Partition, Region};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -189,7 +189,8 @@ proptest! {
         num in 1u64..12,
         den in 1u64..12,
     ) {
-        let kl = ExtendedKl::new(&g, ExtendedKlConfig::new(KParam::new(num, den)));
+        let cfg = ExtendedKlConfig::new(KParam::new(num, den));
+        let kl = ExtendedKl::new(&g, cfg, &DegreeSummary::new(NodeDegrees::of_graph(&g)));
         let init = Partition::all_legit(&g);
         let before = kl.objective(&init);
         let out = kl.run(init);
@@ -207,7 +208,8 @@ proptest! {
         num in 1u64..8,
     ) {
         let n = g.num_nodes();
-        let mut kl = ExtendedKl::new(&g, ExtendedKlConfig::new(KParam::new(num, 2)));
+        let cfg = ExtendedKlConfig::new(KParam::new(num, 2));
+        let mut kl = ExtendedKl::new(&g, cfg, &DegreeSummary::new(NodeDegrees::of_graph(&g)));
         let locked: Vec<bool> = (0..n).map(|i| locked_bits[i % locked_bits.len()]).collect();
         for (i, &l) in locked.iter().enumerate() {
             if l {
@@ -220,9 +222,188 @@ proptest! {
             if l {
                 prop_assert_eq!(
                     out.partition.region(NodeId(i as u32)),
-                    rejection::Region::Legit
+                    Region::Legit
                 );
             }
         }
+    }
+}
+
+/// The full-pass extended-KL kernel the pass bound must agree with: every
+/// pass switches every unlocked node once in max-gain order, then keeps
+/// its best strictly positive prefix. Returns the final partition and
+/// `(passes, moves_committed, bucket_adjusts)`.
+fn full_pass_reference(
+    g: &AugmentedGraph,
+    k: KParam,
+    max_passes: usize,
+    locked: &[bool],
+    initial: Partition,
+) -> (Partition, usize, u64, u64) {
+    let (num, den) = (k.num() as i64, k.den() as i64);
+    let bound = g
+        .nodes()
+        .map(|u| {
+            den * g.friends(u).len() as i64
+                + num * (g.rejected_by(u).len() + g.rejectors_of(u).len()) as i64
+        })
+        .fold(1, i64::max);
+    let mut p = initial;
+    let mut bucket = BucketList::new(p.len(), -bound, bound);
+    let mut seq: Vec<(NodeId, i64, (i64, i64))> = Vec::new();
+    let (mut passes, mut moves, mut adjusts) = (0usize, 0u64, 0u64);
+    while passes < max_passes {
+        passes += 1;
+        for u in g.nodes() {
+            if !locked[u.index()] {
+                bucket.insert(u.0, k.gain(p.switch_delta(u, g.neighbors(u))));
+            }
+        }
+        seq.clear();
+        while let Some((u, gain)) = bucket.pop_max() {
+            let u = NodeId(u);
+            let n = g.neighbors(u);
+            let delta = p.switch_delta(u, n);
+            assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
+            seq.push((u, gain, delta));
+            let from = p.region(u);
+            let now_in = p.apply_switch(u, delta);
+            for &v in n.friends {
+                let t = if p.region(v) == from { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, 2 * den * t));
+            }
+            let da = if now_in == Region::Legit { 1 } else { -1 };
+            for &v in n.rejected_by {
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, num * s_v * da));
+            }
+            let db = if now_in == Region::Suspect { 1 } else { -1 };
+            for &v in n.rejectors_of {
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                adjusts += u64::from(bucket.adjust_if_present(v.0, -num * s_v * db));
+            }
+        }
+        let (mut kept, mut best, mut cum) = (0usize, 0i64, 0i64);
+        for (i, &(_, gain, _)) in seq.iter().enumerate() {
+            cum += gain;
+            if cum > best {
+                best = cum;
+                kept = i + 1;
+            }
+        }
+        for &(u, _, (df, dr)) in seq[kept..].iter().rev() {
+            p.apply_switch(u, (-df, -dr));
+        }
+        if kept == 0 {
+            break;
+        }
+        moves += kept as u64;
+    }
+    (p, passes, moves, adjusts)
+}
+
+/// A small augmented graph whose edge list mixes plain friendships and
+/// rejections with self-rejections (which the builder drops) and pairs
+/// that are both friends and a rejection, plus a starting region and a
+/// lock flag per node.
+fn kl_case() -> impl Strategy<Value = (AugmentedGraph, Vec<Region>, Vec<bool>)> {
+    (2usize..14).prop_flat_map(|n| {
+        let id = 0..n as u32;
+        let pairs = |max| proptest::collection::vec((id.clone(), id.clone()), 0..max);
+        (
+            Just(n),
+            pairs(n * 3),
+            pairs(n * 3),
+            pairs(n),
+            proptest::collection::vec(id.clone(), 0..3),
+            proptest::collection::vec(any::<bool>(), n),
+            proptest::collection::vec(0u8..8, n),
+        )
+            .prop_map(|(n, friend, reject, both, selfish, suspect, lock)| {
+                let mut b = AugmentedGraphBuilder::new(n);
+                for (u, v) in friend {
+                    b.add_friendship(NodeId(u), NodeId(v));
+                }
+                for (u, v) in reject {
+                    b.add_rejection(NodeId(u), NodeId(v));
+                }
+                for (u, v) in both {
+                    b.add_friendship(NodeId(u), NodeId(v));
+                    b.add_rejection(NodeId(v), NodeId(u));
+                }
+                for u in selfish {
+                    b.add_rejection(NodeId(u), NodeId(u));
+                }
+                let region = suspect
+                    .into_iter()
+                    .map(|s| if s { Region::Suspect } else { Region::Legit })
+                    .collect();
+                (b.build(), region, lock.into_iter().map(|l| l == 0).collect())
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+    /// The bound-pruned kernel takes exactly the full-pass kernel's
+    /// moves: same partition, objective, pass count and committed moves,
+    /// with no more bucket adjustments, from random starts with locked
+    /// nodes on both sides. Under `debug-invariants` the kernel also
+    /// checks its pass bound against the exact objective after every pop.
+    #[test]
+    fn pass_bound_changes_no_move(
+        (g, region, locked) in kl_case(),
+        num in 1u64..12,
+        den in 1u64..12,
+        max_passes in 1usize..8,
+    ) {
+        let k = KParam::new(num, den);
+        let degrees = DegreeSummary::new(NodeDegrees::of_graph(&g));
+        let initial = Partition::from_regions(&g, region);
+        let (want, passes, moves, adjusts) =
+            full_pass_reference(&g, k, max_passes, &locked, initial.clone());
+
+        let mut kl = ExtendedKl::new(&g, ExtendedKlConfig { k, max_passes }, &degrees);
+        for u in g.nodes().filter(|u| locked[u.index()]) {
+            kl.lock(u);
+        }
+        let obs = rejecto_obs::Obs::new();
+        kl.set_obs(obs.clone());
+        let out = kl.run(initial);
+
+        prop_assert_eq!(out.partition.suspects(), want.suspects());
+        prop_assert_eq!(out.partition.cross_friendships(), want.cross_friendships());
+        prop_assert_eq!(out.partition.cross_rejections(), want.cross_rejections());
+        prop_assert_eq!(out.objective, kl.objective(&want));
+        prop_assert_eq!(out.passes, passes);
+        prop_assert_eq!(out.moves_committed, moves);
+        prop_assert!(
+            obs.counter("kl/bucket_adjusts") <= adjusts,
+            "{} adjusts against the full pass's {adjusts}",
+            obs.counter("kl/bucket_adjusts")
+        );
+    }
+
+    /// The bucket range a summary gives is the per-node maximum of
+    /// `den·friends + num·(rejections cast + received)`, at least 1.
+    #[test]
+    fn degree_summary_gain_bound_is_the_per_node_maximum(
+        g in augmented_graph(16),
+        num in 1u64..12,
+        den in 1u64..12,
+    ) {
+        let k = KParam::new(num, den);
+        let want = g
+            .nodes()
+            .map(|u| {
+                (k.den() * g.friends(u).len() as u64
+                    + k.num() * (g.rejected_by(u).len() + g.rejectors_of(u).len()) as u64)
+                    as i64
+            })
+            .fold(1, i64::max);
+        let summary = DegreeSummary::new(NodeDegrees::of_graph(&g));
+        prop_assert_eq!(summary.gain_bound(k), want);
+        prop_assert_eq!(summary.rejections(), g.num_rejections());
     }
 }

@@ -16,9 +16,9 @@
 //! cargo run --release --example theorem1_demo
 //! ```
 
-use rejecto::kl::{ExtendedKl, ExtendedKlConfig, KParam};
+use rejecto::kl::{DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
 use rejecto::rejecto_core::exact;
-use rejecto::rejection::{AugmentedGraphBuilder, NodeId, Partition};
+use rejecto::rejection::{AugmentedGraphBuilder, NodeDegrees, NodeId, Partition};
 
 fn main() {
     // 5 legit users in a dense cluster, 3 fakes in a triangle, one attack
@@ -49,7 +49,8 @@ fn main() {
     println!("k          exact linear minimizer      objective   extended-KL suspects");
     for (num, den) in [(1u64, 12u64), (1, 8), (1, 6), (1, 4), (1, 2), (1, 1), (2, 1)] {
         let (cut, obj) = exact::exact_linear_cut(&g, num as i64, den as i64);
-        let kl = ExtendedKl::new(&g, ExtendedKlConfig::new(KParam::new(num, den)));
+        let cfg = ExtendedKlConfig::new(KParam::new(num, den));
+        let kl = ExtendedKl::new(&g, cfg, &DegreeSummary::new(NodeDegrees::of_graph(&g)));
         let heur = kl.run(Partition::all_legit(&g));
         let cut_str = if cut.is_empty() {
             "∅ (empty cut optimal)".to_string()

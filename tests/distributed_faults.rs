@@ -261,10 +261,10 @@ fn fetch_protocol_counts_are_pinned() {
     .graph;
     // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
     for (config, want) in [
-        (ClusterConfig::default(), [54u64, 340, 12_188, 340, 38]),
+        (ClusterConfig::default(), [56u64, 340, 7_741, 340, 38]),
         (
             ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
-            [7_740, 14_347, 7_560, 14_347, 38],
+            [5_160, 9_360, 4_600, 9_360, 38],
         ),
     ] {
         let io = DistributedMaar::new(config, RejectoConfig::default())
