@@ -68,7 +68,8 @@ pub struct ChaosProfile {
     pub max_round: usize,
     /// Sweep-indexed faults draw indices in `0..max_k_index`.
     pub max_k_index: usize,
-    /// Worker deaths draw fetch batches in `1..=max_fetch`.
+    /// Worker deaths draw fetch batches in `1..max_fetch`; hangs always
+    /// land on fetch 1.
     pub max_fetch: u64,
     /// Whether `deadline=` directives may be drawn. Deadline trips are
     /// wall-clock dependent, so plans carrying one forfeit every
@@ -133,10 +134,9 @@ impl ChaosPlan {
                     fetch: rng.range(1, profile.max_fetch.max(2)),
                     deaths: u32::try_from(rng.range(1, 4)).expect("death count fits in u32"),
                 },
-                3 => Fault::WorkerHang {
-                    k_index: usize::try_from(rng.below(as_u64(profile.max_k_index.max(1))))
-                        .expect("sweep index fits in usize"),
-                },
+                // Fetch 1 is the one fetch every distributed round makes
+                // (these fixtures often make no second), so the hang fires.
+                3 => Fault::WorkerHang { fetch: 1 },
                 4 => Fault::TornWrite {
                     round: usize::try_from(rng.range(1, as_u64(profile.max_round) + 1))
                         .expect("round fits in usize"),

@@ -10,9 +10,8 @@
 //! fault matrix can assert the degraded outputs byte-for-byte.
 //!
 //! A plan is declarative ([`FaultPlan`], parsed from
-//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms` or the
-//! `REJECTO_INJECT` environment variable) and carried in
-//! [`crate::RejectoConfig::faults`]. A run arms it once as one [`Faults`]
+//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms`) and carried
+//! in [`crate::RejectoConfig::faults`]. A run arms it once as one [`Faults`]
 //! table on its [`crate::RunContext`], which the sweep workers, the
 //! pruning loop and the cluster master all probe; the checkpoint store is
 //! armed with the same type. The injected deadline is read off the plan
@@ -61,13 +60,15 @@ pub enum Fault {
         /// Consecutive deaths (respawns that die again); at least 1.
         deaths: u32,
     },
-    /// Make one master↔worker request during sweep index `k_index` hang
-    /// (the request is swallowed, the worker never answers), so the
-    /// per-request watchdog — not channel disconnection — must detect it.
-    /// One-shot. Parsed from `worker_hang@k=<i>`.
+    /// Make the first master↔worker request of the cluster's
+    /// `fetch`-numbered fetch batch (1-based, the clock
+    /// [`Fault::WorkerDeath`] keys on) hang: the request is swallowed and
+    /// the worker never answers, so the per-request watchdog — not channel
+    /// disconnection — must detect it. One-shot. Parsed from
+    /// `worker_hang@fetch=<n>`.
     WorkerHang {
-        /// Sweep index during which one request hangs.
-        k_index: usize,
+        /// 1-based fetch batch whose first request hangs.
+        fetch: u64,
     },
     /// Tear the durable write of the checkpoint generation for round
     /// `round` (1-based): only the first half of the framed bytes reach
@@ -107,9 +108,7 @@ impl Fault {
             }
             Fault::Deadline { .. } => ("deadline", 0),
             Fault::WorkerDeath { fetch, .. } => ("worker_death", fetch),
-            Fault::WorkerHang { k_index } => {
-                ("worker_hang", u64::try_from(k_index).expect("sweep index fits in u64"))
-            }
+            Fault::WorkerHang { fetch } => ("worker_hang", fetch),
             Fault::TornWrite { round } | Fault::BitFlip { round } => {
                 ("store mangle", u64::try_from(round).expect("round fits in u64"))
             }
@@ -134,7 +133,7 @@ impl fmt::Display for Fault {
             Fault::WorkerDeath { fetch, deaths } => {
                 write!(f, "worker_death@fetch={fetch}:x{deaths}")
             }
-            Fault::WorkerHang { k_index } => write!(f, "worker_hang@k={k_index}"),
+            Fault::WorkerHang { fetch } => write!(f, "worker_hang@fetch={fetch}"),
             Fault::TornWrite { round } => write!(f, "torn_write@round={round}"),
             Fault::BitFlip { round } => write!(f, "bit_flip@round={round}"),
         }
@@ -201,11 +200,11 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Parses the CLI/env injection syntax: a comma-separated list of
+    /// Parses the `--inject` syntax: a comma-separated list of
     /// `worker_panic@k=<i>`, `worker_panic@k=<i>:always`,
     /// `io_error@round=<r>`, `deadline=<ms>ms`, the distributed forms
     /// `worker_death@fetch=<n>[:x<m>]` (a repeated-death schedule) and
-    /// `worker_hang@k=<i>`, and the durable-store forms
+    /// `worker_hang@fetch=<n>`, and the durable-store forms
     /// `torn_write@round=<r>` and `bit_flip@round=<r>`. An empty string
     /// parses to the empty plan.
     ///
@@ -270,11 +269,14 @@ impl FaultPlan {
                     return Err(format!("bad fetch number in `{part}`: fetches are 1-based"));
                 }
                 plan.push_directive(Fault::WorkerDeath { fetch, deaths }, part)?;
-            } else if let Some(rest) = part.strip_prefix("worker_hang@k=") {
-                let k_index = rest.parse::<usize>().map_err(|_| {
-                    format!("bad sweep index in `{part}`: expected worker_hang@k=<index>")
+            } else if let Some(rest) = part.strip_prefix("worker_hang@fetch=") {
+                let fetch = rest.parse::<u64>().map_err(|_| {
+                    format!("bad fetch number in `{part}`: expected worker_hang@fetch=<n>")
                 })?;
-                plan.push_directive(Fault::WorkerHang { k_index }, part)?;
+                if fetch == 0 {
+                    return Err(format!("bad fetch number in `{part}`: fetches are 1-based"));
+                }
+                plan.push_directive(Fault::WorkerHang { fetch }, part)?;
             } else if let Some(rest) = part.strip_prefix("torn_write@round=") {
                 let round = rest.parse::<usize>().map_err(|_| {
                     format!("bad round in `{part}`: expected torn_write@round=<round>")
@@ -295,7 +297,7 @@ impl FaultPlan {
                 return Err(format!(
                     "unknown fault `{part}`: expected worker_panic@k=<i>[:always], \
                      io_error@round=<r>, deadline=<ms>ms, \
-                     worker_death@fetch=<n>[:x<m>], worker_hang@k=<i>, \
+                     worker_death@fetch=<n>[:x<m>], worker_hang@fetch=<n>, \
                      torn_write@round=<r>, or bit_flip@round=<r>"
                 ));
             }
@@ -313,19 +315,6 @@ impl FaultPlan {
                 _ => None,
             })
             .min()
-    }
-
-    /// Reads a plan from the `REJECTO_INJECT` environment variable; unset
-    /// or empty means the empty plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::parse`] errors.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("REJECTO_INJECT") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
     }
 }
 
@@ -389,9 +378,9 @@ impl Faults {
         total
     }
 
-    /// Whether one cluster request of sweep index `k_index` hangs.
-    pub fn hang_at(&self, k_index: usize) -> bool {
-        self.take(|f| f == Fault::WorkerHang { k_index }).is_some()
+    /// Whether the first request of the 1-based fetch batch `fetch` hangs.
+    pub fn hang_at(&self, fetch: u64) -> bool {
+        self.take(|f| f == Fault::WorkerHang { fetch }).is_some()
     }
 
     /// The mangle armed for the checkpoint generation of `round`, if any.
@@ -461,7 +450,9 @@ mod tests {
             "worker_death@fetch=x",
             "worker_death@fetch=3:x0",
             "worker_death@fetch=3:xq",
-            "worker_hang@k=",
+            "worker_hang@fetch=",
+            "worker_hang@fetch=0",
+            "worker_hang@k=3",
             "torn_write@round=0",
             "torn_write@round=x",
             "bit_flip@round=0",
@@ -474,14 +465,15 @@ mod tests {
 
     #[test]
     fn parses_the_distributed_forms() {
-        let plan = FaultPlan::parse("worker_death@fetch=7,worker_death@fetch=2:x5,worker_hang@k=3")
-            .expect("spec is well-formed");
+        let plan =
+            FaultPlan::parse("worker_death@fetch=7,worker_death@fetch=2:x5,worker_hang@fetch=3")
+                .expect("spec is well-formed");
         assert_eq!(
             plan.faults(),
             &[
                 Fault::WorkerDeath { fetch: 7, deaths: 1 },
                 Fault::WorkerDeath { fetch: 2, deaths: 5 },
-                Fault::WorkerHang { k_index: 3 },
+                Fault::WorkerHang { fetch: 3 },
             ]
         );
     }
@@ -519,7 +511,8 @@ mod tests {
 
     #[test]
     fn hangs_are_one_shot_and_shared() {
-        let plan = FaultPlan::parse("worker_hang@k=4,deadline=30ms").expect("spec is well-formed");
+        let plan =
+            FaultPlan::parse("worker_hang@fetch=4,deadline=30ms").expect("spec is well-formed");
         let faults = Faults::new(&plan);
         let clone = faults.clone();
         assert_eq!(plan.deadline(), Some(Duration::from_millis(30)));
@@ -535,7 +528,7 @@ mod tests {
     fn each_probe_fires_only_for_its_own_kind() {
         let plan = FaultPlan::parse(
             "deadline=30ms,worker_panic@k=1,io_error@round=2,worker_death@fetch=3:x2,\
-             worker_hang@k=4,torn_write@round=5,bit_flip@round=6,worker_panic@k=7:always",
+             worker_hang@fetch=4,torn_write@round=5,bit_flip@round=6,worker_panic@k=7:always",
         )
         .expect("spec is well-formed");
         let faults = Faults::new(&plan);
@@ -550,7 +543,12 @@ mod tests {
                 &[3],
                 &[],
             ),
-            ("hang at a k", |f, i| f.hang_at(i), &[4], &[]),
+            (
+                "hang at a fetch",
+                |f, i| f.hang_at(u64::try_from(i).expect("small fetch")),
+                &[4],
+                &[],
+            ),
             ("store mangle at a round", |f, i| f.mangle_at(i).is_some(), &[5, 6], &[]),
         ];
         for (name, probe, first, again) in rows {
@@ -610,7 +608,7 @@ mod tests {
             "io_error@round=2,io_error@round=2",
             "deadline=80ms,deadline=50ms",
             "worker_death@fetch=2,worker_death@fetch=2:x5",
-            "worker_hang@k=1,worker_hang@k=1",
+            "worker_hang@fetch=1,worker_hang@fetch=1",
             "torn_write@round=2,torn_write@round=2",
             "bit_flip@round=3,bit_flip@round=3",
             // torn_write and bit_flip share the store's one-mangle-per-
@@ -643,7 +641,7 @@ mod tests {
     #[test]
     fn display_renders_the_parse_grammar() {
         let spec = "worker_panic@k=3:always,io_error@round=2,deadline=50ms,\
-                    worker_death@fetch=7,worker_death@fetch=2:x5,worker_hang@k=3,\
+                    worker_death@fetch=7,worker_death@fetch=2:x5,worker_hang@fetch=3,\
                     torn_write@round=1,bit_flip@round=4";
         let plan = FaultPlan::parse(spec).expect("spec is well-formed");
         assert_eq!(plan.to_string(), spec.replace(char::is_whitespace, ""));
@@ -685,7 +683,7 @@ mod tests {
                         fetch: at,
                         deaths: if flag { 3 } else { 1 },
                     },
-                    4 => Fault::WorkerHang { k_index: usize::try_from(at).expect("small index") },
+                    4 => Fault::WorkerHang { fetch: at },
                     5 => Fault::TornWrite { round: usize::try_from(at).expect("small round") },
                     _ => Fault::BitFlip { round: usize::try_from(at).expect("small round") },
                 };

@@ -1,7 +1,7 @@
 use crate::faults::trigger_injected_panic;
 use crate::runtime::{RunContext, RuntimeError};
 use crate::{CutSolver, InitialPlacement, RejectoConfig};
-use kl::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam, KlStart};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,8 +100,9 @@ impl SweepOutcome {
 
 /// The `k`-independent set-up of one sweep, shared by the in-process and
 /// the cluster sweep: the `k` values, the suspect cap, the seeds, the
-/// degree summary every `k`'s kernel is sized from, and the initial
-/// partition every `k` starts from.
+/// degree summary every `k`'s kernel is sized from, and the start every
+/// `k` runs from: the initial partition and every node's switch delta
+/// under it, which do not depend on `k` either.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     ks: Vec<KParam>,
@@ -109,7 +110,7 @@ pub struct SweepPlan {
     max_passes: usize,
     cap: usize,
     seeds: Vec<NodeId>,
-    initial: Partition,
+    initial: KlStart,
 }
 
 impl SweepPlan {
@@ -117,7 +118,8 @@ impl SweepPlan {
     /// start marks suspect the nodes at or above the rejection-ratio
     /// threshold, highest first and at most the suspect cap of them; seeds
     /// then override it and are pinned (§IV-F). `count` counts the cut of
-    /// the initial regions wherever the adjacency lives.
+    /// the initial regions and every node's switch delta, in one scan,
+    /// wherever the adjacency lives.
     ///
     /// # Panics
     ///
@@ -128,7 +130,7 @@ impl SweepPlan {
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
         placement: InitialPlacement,
-        count: impl FnOnce(Vec<Region>) -> Result<Partition, E>,
+        count: impl FnOnce(Vec<Region>) -> Result<KlStart, E>,
     ) -> Result<SweepPlan, E> {
         let n = degrees.len();
         let cap = suspect_cap(config, n);
@@ -166,9 +168,9 @@ impl SweepPlan {
         self.ks.len()
     }
 
-    /// Runs sweep index `i` over `adj` — extended KL from the initial
-    /// partition under the context's token and metrics — and judges the
-    /// cut against the suspect cap.
+    /// Runs sweep index `i` over `adj` — extended KL from a copy of the
+    /// sweep's start under the context's token and metrics — and judges
+    /// the cut against the suspect cap.
     ///
     /// # Panics
     ///
@@ -328,7 +330,7 @@ impl MaarSolver {
         ctx: &RunContext,
     ) -> SweepOutcome {
         let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-        let count = |region| Ok::<_, Infallible>(Partition::from_regions(g, region));
+        let count = |region| KlStart::count(&mut &*g, region);
         let degrees = NodeDegrees::of_graph(g);
         let Ok(plan) =
             SweepPlan::new(&self.config, &degrees, legit_seeds, spammer_seeds, placement, count);

@@ -25,7 +25,7 @@
 //! `kl` and `rejecto-core` instead.
 #![cfg(not(feature = "debug-invariants"))]
 
-use kl::{DegreeSummary, ExtendedKl, ExtendedKlConfig};
+use kl::{DegreeSummary, ExtendedKl, ExtendedKlConfig, KlStart};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition};
 use rejecto_core::{KResult, RejectoConfig, RunContext, SweepPlan};
 use simulator::{Scenario, ScenarioConfig};
@@ -113,7 +113,7 @@ fn sweep_trace_from_the_warm_start_is_pinned() {
     let config = RejectoConfig::default();
     let degrees = NodeDegrees::of_graph(&g);
     let plan = SweepPlan::new(&config, &degrees, &seeds, &[], config.initial_placement, |r| {
-        Ok::<_, Infallible>(Partition::from_regions(&g, r))
+        KlStart::count(&mut &g, r)
     })
     .unwrap_or_else(|e: Infallible| match e {});
     let rows: Vec<Row> = (0..plan.num_ks())

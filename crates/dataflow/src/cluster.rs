@@ -12,9 +12,10 @@
 //! workers report, and runs the one extended-KL kernel
 //! ([`kl::ExtendedKl`]) over [`ClusterAdjacency`]: an [`Adjacency`]
 //! source that answers a node lookup from the LRU buffer (fetching on a
-//! miss), prefetches the top of the bucket list in batches, and
-//! broadcasts each pass's initial-gain computation to the workers. The
-//! cut is therefore the in-process cut by construction; only the data
+//! miss) and prefetches the top of the bucket list in batches. A sweep
+//! costs two broadcasts: the degrees, and the initial cut with every
+//! node's switch delta, which the kernel then carries from pass to pass.
+//! The cut is therefore the in-process cut by construction; only the data
 //! layout and the traffic differ.
 //!
 //! # Failure model
@@ -41,7 +42,7 @@
 use crate::error::ClusterError;
 use crate::LruCache;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use kl::{Adjacency, BucketList, KParam};
+use kl::{Adjacency, BucketList, KParam, KlStart, SwitchDelta};
 use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
 use rejecto_core::{
     sweep_with_fallback, Completion, Faults, KResult, RejectoConfig, RunContext, RuntimeError,
@@ -160,7 +161,8 @@ pub struct IoStats {
     pub buffer_hits: u64,
     /// Adjacency lookups that had to trigger a fetch.
     pub buffer_misses: u64,
-    /// Parallel gain/stat initialization jobs dispatched.
+    /// Per-sweep broadcasts dispatched: the degree stats and the initial
+    /// cut with every node's switch delta.
     pub init_jobs: u64,
     /// Workers respawned from lineage after a failure (§V: Spark's
     /// "automated fault tolerance").
@@ -210,11 +212,10 @@ impl std::ops::AddAssign for IoStats {
 enum Request {
     /// Ship the adjacency of these owned nodes.
     Fetch(Vec<u32>),
-    /// Compute the switching gains of the owned range under a partition.
-    InitGains { partition: Arc<Partition>, k: KParam },
     /// Report the adjacency sizes of the owned range.
     Stats,
-    /// Count cross-cut friendships and rejections for the owned range.
+    /// Count cross-cut friendships and rejections for the owned range and
+    /// derive its nodes' switch deltas.
     CutCounts { regions: Arc<Vec<Region>> },
     Shutdown,
 }
@@ -224,12 +225,11 @@ enum Request {
 /// the request went out.
 enum Response {
     Nodes(Vec<(u32, NodeData)>),
-    /// Gains for the owned range, in id order.
-    Gains { base: u32, gains: Vec<i64> },
     /// Adjacency sizes for the owned range, in id order.
     Stats { base: u32, stats: Vec<NodeDegrees> },
-    /// `(cross_friendships_counted_once, cross_rejections)`.
-    CutCounts { base: u32, len: u32, friends: u64, rejections: u64 },
+    /// `(cross_friendships_counted_once, cross_rejections)` and the owned
+    /// range's switch deltas, in id order.
+    CutCounts { base: u32, friends: u64, rejections: u64, deltas: Vec<SwitchDelta> },
 }
 
 impl Response {
@@ -238,9 +238,8 @@ impl Response {
     fn span(&self) -> Option<(u32, u32)> {
         match self {
             Response::Nodes(_) => None,
-            Response::Gains { base, gains } => Some((*base, base + gains.len() as u32)),
             Response::Stats { base, stats } => Some((*base, base + stats.len() as u32)),
-            Response::CutCounts { base, len, .. } => Some((*base, base + len)),
+            Response::CutCounts { base, deltas, .. } => Some((*base, base + deltas.len() as u32)),
         }
     }
 }
@@ -270,12 +269,14 @@ pub struct Cluster {
     watchdog: Cell<Duration>,
     max_respawns: usize,
     backoff_base: Duration,
-    /// 1-based fetch batch counter, the clock injected deaths key on.
+    /// 1-based fetch batch counter, the clock injected deaths and hangs
+    /// key on.
     fetch_seq: Cell<u64>,
     /// Injected deaths left to fire (kill-before-send), armed by a
     /// `worker_death@fetch=<n>[:x<m>]` schedule reaching its fetch.
     pending_deaths: Cell<u32>,
-    /// Injected hangs left to fire (the next request is swallowed).
+    /// Injected hangs left to fire (the next request is swallowed), armed
+    /// by a `worker_hang@fetch=<n>` fault reaching its fetch.
     pending_hangs: Cell<u32>,
 }
 
@@ -324,20 +325,15 @@ impl Shard {
                 },
                 Request::CutCounts { regions } => {
                     let (mut friends, mut rejections) = (0u64, 0u64);
+                    let mut deltas = Vec::with_capacity((self.hi - self.lo) as usize);
                     for (u, n) in self.owned() {
                         let (f, r) = Partition::cut_edges(&regions, u, n);
                         friends += f;
                         rejections += r;
+                        deltas.push(kl::carry(Partition::switch_delta_in(&regions, u, n)));
                     }
-                    Response::CutCounts { base, len: self.hi - self.lo, friends, rejections }
+                    Response::CutCounts { base, friends, rejections, deltas }
                 }
-                Request::InitGains { partition, k } => Response::Gains {
-                    base,
-                    gains: self
-                        .owned()
-                        .map(|(u, n)| k.gain(partition.switch_delta(u, n)))
-                        .collect(),
-                },
             });
         }
     }
@@ -687,7 +683,7 @@ impl Cluster {
 
     /// Fetches adjacency for `ids` (grouped by owner; one fan-out counts as
     /// one batch in the stats), first probing `faults` for worker deaths
-    /// scheduled at this batch.
+    /// and hangs scheduled at this batch.
     fn fetch(
         &self,
         ids: &[u32],
@@ -697,11 +693,14 @@ impl Cluster {
         if ids.is_empty() {
             return Ok(Vec::new());
         }
-        // Injected death schedules are keyed on this 1-based fetch clock.
+        // Injected deaths and hangs are keyed on this 1-based fetch clock.
         self.fetch_seq.set(self.fetch_seq.get() + 1);
         let due = faults.deaths_at(self.fetch_seq.get());
         if due > 0 {
             self.pending_deaths.set(self.pending_deaths.get() + due);
+        }
+        if faults.hang_at(self.fetch_seq.get()) {
+            self.arm_hang(1);
         }
         let mut per_worker: Vec<Vec<u32>> = vec![Vec::new(); self.num_workers()];
         for &id in ids {
@@ -759,45 +758,24 @@ impl Cluster {
         Ok(out)
     }
 
-    /// The switching gain of every node under `p`, computed on the shards
-    /// in parallel.
-    fn init_gains(
-        &self,
-        p: &Partition,
-        k: KParam,
-        out: &mut [i64],
-        io: &mut IoStats,
-    ) -> Result<(), ClusterError> {
-        let partition = Arc::new(p.clone());
-        let make = || Request::InitGains { partition: Arc::clone(&partition), k };
-        self.gather("init-gains", &make, io, |resp| match resp {
-            Response::Gains { base, gains } => {
-                out[base as usize..][..gains.len()].copy_from_slice(&gains);
-                true
-            }
-            _ => false,
-        })
-    }
-
-    /// The partition with these regions, its cut counted on the shards in
-    /// parallel.
-    fn partition(
-        &self,
-        regions: Vec<Region>,
-        io: &mut IoStats,
-    ) -> Result<Partition, ClusterError> {
+    /// The kernel start at these regions: the cut counted and every
+    /// node's switch delta derived on the shards in parallel.
+    fn start(&self, regions: Vec<Region>, io: &mut IoStats) -> Result<KlStart, ClusterError> {
         let regions = Arc::new(regions);
         let (mut cf, mut cr) = (0u64, 0u64);
+        let mut all = vec![(0, 0); self.num_nodes];
         let make = || Request::CutCounts { regions: Arc::clone(&regions) };
         self.gather("cut-counts", &make, io, |resp| match resp {
-            Response::CutCounts { friends, rejections, .. } => {
+            Response::CutCounts { base, friends, rejections, deltas } => {
                 cf += friends;
                 cr += rejections;
+                all[base as usize..][..deltas.len()].copy_from_slice(&deltas);
                 true
             }
             _ => false,
         })?;
-        Ok(Partition::from_parts(Arc::unwrap_or_clone(regions), cf, cr))
+        let partition = Partition::from_parts(Arc::unwrap_or_clone(regions), cf, cr);
+        Ok(KlStart::from_parts(partition, all))
     }
 }
 
@@ -936,7 +914,7 @@ impl DistributedMaar {
             let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
             let degrees = cluster.degrees(io)?;
             let plan = SweepPlan::new(&self.rejecto, &degrees, legit, spammer, placement, |r| {
-                cluster.partition(r, io)
+                cluster.start(r, io)
             })?;
             // The buffer persists across the whole k sweep — the graph
             // data it caches is k-independent ("we cache intermediate data
@@ -950,13 +928,9 @@ impl DistributedMaar {
                     results.push(Some(KResult::Interrupted));
                     break;
                 }
-                // Bound a potential hang by the remaining run budget, and
-                // arm any injected hang scheduled for this sweep index.
+                // Bound a potential hang by the remaining run budget.
                 if let Some(remaining) = ctx.token.time_remaining() {
                     cluster.tighten_watchdog(remaining);
-                }
-                if ctx.faults.hang_at(i) {
-                    cluster.arm_hang(1);
                 }
                 let adj = ClusterAdjacency {
                     cluster,
@@ -1009,16 +983,6 @@ impl Adjacency for ClusterAdjacency<'_> {
             message: format!("node {u} missing from the buffer right after its fetch"),
         };
         Ok(self.buffer.get(u.0).ok_or_else(missing)?.neighbors())
-    }
-
-    /// One `InitGains` broadcast: every shard computes its own nodes' gains.
-    fn initial_gains(
-        &mut self,
-        p: &Partition,
-        k: KParam,
-        gains: &mut [i64],
-    ) -> Result<(), RuntimeError> {
-        Ok(self.cluster.init_gains(p, k, gains, self.io)?)
     }
 
     /// Fetches the non-resident ids among the top `prefetch_batch` of the
@@ -1448,7 +1412,7 @@ mod fault_tests {
             .solve(&g)
             .expect("clean solve succeeds");
         let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_hang@k=2").expect("plan is well-formed"),
+            faults: FaultPlan::parse("worker_hang@fetch=2").expect("plan is well-formed"),
             ..RejectoConfig::default()
         };
         let faulted = DistributedMaar::new(snappy(), faulted_config)
@@ -1456,6 +1420,7 @@ mod fault_tests {
             .expect("the hang is recovered");
         assert_eq!(faulted.suspects, clean.suspects, "the hang changed the cut");
         assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
+        assert_eq!(faulted.io.hangs_absorbed, 1, "the injected hang must fire");
         assert!(faulted.io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
     }
 

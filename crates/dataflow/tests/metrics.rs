@@ -34,6 +34,10 @@ fn snappy_cluster(workers: usize) -> ClusterConfig {
 }
 
 fn distributed_metrics(sim: &SimOutput, workers: usize, faults: Option<&str>) -> String {
+    distributed_obs(sim, workers, faults).deterministic_json()
+}
+
+fn distributed_obs(sim: &SimOutput, workers: usize, faults: Option<&str>) -> rejecto_obs::Obs {
     let mut config = RejectoConfig::default();
     if let Some(spec) = faults {
         config.faults = FaultPlan::parse(spec).expect("valid fault spec");
@@ -43,7 +47,7 @@ fn distributed_metrics(sim: &SimOutput, workers: usize, faults: Option<&str>) ->
     det.set_obs(obs.clone());
     det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(50))
         .expect("distributed detect succeeds on the clean scenario");
-    obs.deterministic_json()
+    obs
 }
 
 #[test]
@@ -69,10 +73,10 @@ fn metrics_are_byte_identical_across_worker_counts_and_match_the_local_run() {
 fn absorbed_worker_faults_leave_no_trace_in_the_metrics() {
     let sim = simulated_scenario(22);
     let clean = distributed_metrics(&sim, 3, None);
-    let faulted = distributed_metrics(
-        &sim,
-        3,
-        Some("worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@k=2"),
-    );
-    assert_eq!(clean, faulted, "recovered faults must not leak into the metrics");
+    // This fixture's whole sweep fits one prefetch batch, so every fault
+    // is scheduled at fetch 1: two deaths and a hang on the same request.
+    let faulted = distributed_obs(&sim, 3, Some("worker_death@fetch=1:x2,worker_hang@fetch=1"));
+    assert_eq!(faulted.volatile("io/hangs_absorbed"), 1, "the injected hang never fired");
+    assert!(faulted.volatile("io/worker_restarts") >= 2, "the injected deaths never fired");
+    assert_eq!(clean, faulted.deterministic_json(), "recovered faults must not leak into the metrics");
 }

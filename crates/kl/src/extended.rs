@@ -13,6 +13,78 @@ where
     i64::try_from(x).ok().expect("objective operand exceeds i64 range")
 }
 
+/// A node's switch delta `(Δcross_friendships, Δcross_rejections)`, the
+/// kernel's carried per-node state. Each component is bounded by the
+/// node's degree, so it fits `i32`; [`carry`] checks the narrowing.
+pub type SwitchDelta = (i32, i32);
+
+/// Narrows a delta [`Partition::switch_delta`] computed to the carried
+/// form. A delta is bounded by a degree and degrees fit `u32`, but not
+/// every `u32` fits `i32`: this is where that range assumption is
+/// enforced rather than silently wrapped, as [`obj_i64`] does for the
+/// objective.
+#[inline]
+pub fn carry((df, dr): (i64, i64)) -> SwitchDelta {
+    let narrow = |x: i64| i32::try_from(x).expect("switch delta exceeds i32 range");
+    (narrow(df), narrow(dr))
+}
+
+#[inline]
+fn widen((df, dr): SwitchDelta) -> (i64, i64) {
+    (i64::from(df), i64::from(dr))
+}
+
+/// Where an [`ExtendedKl`] run starts: a partition and every node's
+/// [`SwitchDelta`] under it. A switch delta does not depend on `k`, so a
+/// sweep counts one start and hands every `k` a copy; the run then
+/// carries the deltas from pass to pass instead of rescanning adjacency.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KlStart {
+    partition: Partition,
+    deltas: Vec<SwitchDelta>,
+}
+
+impl KlStart {
+    /// Counts the cut of `region` and every node's switch delta in one
+    /// scan of `adj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` does not cover exactly the source's nodes.
+    pub fn count<A: Adjacency>(adj: &mut A, region: Vec<Region>) -> Result<Self, A::Error> {
+        assert_eq!(region.len(), adj.num_nodes(), "region vector has wrong length");
+        let (mut cross_f, mut cross_r) = (0u64, 0u64);
+        let mut deltas = Vec::with_capacity(region.len());
+        for i in 0..region.len() {
+            let u = NodeId::from_index(i);
+            let n = adj.neighbors(u)?;
+            let (f, r) = Partition::cut_edges(&region, u, n);
+            cross_f += f;
+            cross_r += r;
+            deltas.push(carry(Partition::switch_delta_in(&region, u, n)));
+        }
+        Ok(KlStart { partition: Partition::from_parts(region, cross_f, cross_r), deltas })
+    }
+
+    /// A start whose parts were computed elsewhere, e.g. summed over graph
+    /// shards with [`Partition::cut_edges`] and
+    /// [`Partition::switch_delta_in`]. The parts are trusted: they must be
+    /// what [`KlStart::count`] would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is not one delta per node of `partition`.
+    pub fn from_parts(partition: Partition, deltas: Vec<SwitchDelta>) -> Self {
+        assert_eq!(deltas.len(), partition.len(), "one switch delta per node");
+        KlStart { partition, deltas }
+    }
+}
+
+/// The regions of `p`, by id.
+fn regions_of(p: &Partition) -> Vec<Region> {
+    (0..p.len()).map(|i| p.region(NodeId::from_index(i))).collect()
+}
+
 /// What an [`ExtendedKl`] run is sized from, read once per sweep from
 /// the per-node degrees so that no `k` rescans the graph: the Pareto
 /// front of `(friends, rejections cast and received)` over all nodes,
@@ -82,7 +154,11 @@ impl DegreeSummary {
 
 /// Where [`ExtendedKl`] reads adjacency from, one node at a time: an
 /// in-memory [`AugmentedGraph`], or a cluster whose lookups may fetch over
-/// the network and fail (§V). Every hook defaults to the per-node path.
+/// the network and fail (§V). The kernel reads a node's adjacency when it
+/// pops the node and again when it replays a committed move onto the
+/// carried deltas; a run's starting deltas come from one scan
+/// ([`KlStart::count`]) or from the source's own bulk computation
+/// ([`KlStart::from_parts`]).
 pub trait Adjacency {
     /// What a failed lookup reports.
     type Error;
@@ -92,21 +168,6 @@ pub trait Adjacency {
 
     /// The three adjacency lists of `u`.
     fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, Self::Error>;
-
-    /// Bulk hook, once per pass: fills `gains[u]` with the switching gain
-    /// of every node `u` under `p`.
-    fn initial_gains(
-        &mut self,
-        p: &Partition,
-        k: KParam,
-        gains: &mut [i64],
-    ) -> Result<(), Self::Error> {
-        for (i, gain) in gains.iter_mut().enumerate() {
-            let u = NodeId::from_index(i);
-            *gain = k.gain(p.switch_delta(u, self.neighbors(u)?));
-        }
-        Ok(())
-    }
 
     /// Prefetch hook, called before the pass pops from `upcoming`; returns
     /// how many pops may follow before the next call.
@@ -187,6 +248,12 @@ pub struct KlOutcome {
 /// prefix gains more than the best one so far: it commits exactly the
 /// prefix the full pass would have committed.
 ///
+/// Each node's switch delta `(ΔF, ΔR)` is the kernel's carried state
+/// ([`KlStart`]): a pass files every unlocked node at `k.gain(Δ)` in
+/// `O(n)`, and after the pass only the committed prefix is replayed onto
+/// the deltas, reading the committed nodes' adjacency once more. No pass
+/// rescans the graph.
+///
 /// The kernel is generic over its [`Adjacency`] source, so the in-process
 /// and the distributed runtimes take exactly the same moves.
 ///
@@ -220,8 +287,8 @@ pub struct ExtendedKl<A> {
     obs: Option<rejecto_obs::Obs>,
 }
 
-/// A tentative switch: node, gain, and cut delta (so a commit needs no
-/// second adjacency lookup).
+/// A tentative switch: node, gain, and cut delta (so undoing it needs no
+/// adjacency lookup).
 type Move = (NodeId, i64, (i64, i64));
 
 impl<A: Adjacency> ExtendedKl<A> {
@@ -284,29 +351,30 @@ impl<A: Adjacency> ExtendedKl<A> {
         den * obj_i64(p.cross_friendships()) - num * obj_i64(p.cross_rejections())
     }
 
-    /// Runs the optimization from `initial` and returns the refined
+    /// Runs the optimization from `start` and returns the refined
     /// partition, or the first failed adjacency lookup.
     ///
-    /// The run allocates its scratch once: the gain buffer, the bucket
-    /// list (every pass empties it, so the next pass starts from an empty
-    /// index), the per-node bound costs and the move buffer. Each pass
-    /// switches nodes in `p` itself and then rolls back the moves after its
-    /// best prefix.
+    /// The run allocates its scratch once: the per-node pass records (the
+    /// in-pass delta next to the bound costs), the bucket list (every pass
+    /// empties it, so the next pass starts from an empty index) and the
+    /// move buffer. Each pass fills the bucket list from the carried
+    /// deltas, switches nodes in `p` itself and rolls back the moves after
+    /// its best prefix; the kept prefix is then replayed onto the carried
+    /// deltas, so the next pass starts from exact deltas without a scan.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` does not cover exactly the source's nodes.
-    pub fn try_run(&mut self, initial: Partition) -> Result<KlOutcome, A::Error> {
-        assert_eq!(initial.len(), self.locked.len(), "partition size mismatch");
-        let mut p = initial;
+    /// Panics if `start` does not cover exactly the source's nodes.
+    pub fn try_run(&mut self, start: KlStart) -> Result<KlOutcome, A::Error> {
+        let KlStart { partition: mut p, deltas: mut carried } = start;
+        assert_eq!(p.len(), self.locked.len(), "partition size mismatch");
         let obs = self.obs.clone();
         let mut passes = 0usize;
         let mut moves_committed = 0u64;
         let mut bucket_adjusts = 0u64;
         let mut interrupted = false;
         let mut scratch = Scratch {
-            gains: vec![0; p.len()],
-            side: vec![[0; 2]; p.len()],
+            nodes: vec![PassNode::default(); p.len()],
             bucket: BucketList::new(p.len(), -self.gain_bound, self.gain_bound),
             seq: Vec::with_capacity(p.len()),
         };
@@ -320,16 +388,13 @@ impl<A: Adjacency> ExtendedKl<A> {
             }
             passes += 1;
             let _pass_span = obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            bucket_adjusts += self.one_pass(&mut p, &mut scratch)?;
+            bucket_adjusts += self.one_pass(&mut p, &carried, &mut scratch)?;
             let kept = best_prefix_len(&scratch.seq);
-            // Undo the tail newest first, so every intermediate state is
-            // one the pass went through and no counter dips below zero.
-            for &(u, _, (df, dr)) in scratch.seq[kept..].iter().rev() {
-                p.apply_switch(u, (-df, -dr));
-            }
             if kept == 0 {
+                undo(&mut p, &scratch.seq);
                 break;
             }
+            self.replay(&mut p, &mut carried, &scratch.seq, kept)?;
             moves_committed += u64::try_from(kept).expect("move count exceeds u64 range");
         }
 
@@ -346,40 +411,83 @@ impl<A: Adjacency> ExtendedKl<A> {
         Ok(KlOutcome { partition: p, objective, passes, moves_committed, interrupted })
     }
 
+    /// Commits the pass's best prefix, `seq[..kept]`, and carries every
+    /// node's delta along with it. `p` goes back to the pass's start (the
+    /// whole pass undone newest first), then each kept move is applied
+    /// again in order: its neighbours' deltas change as they did during
+    /// the pass, whether or not they were still indexed, and the mover's
+    /// own delta negates. Only the committed nodes' adjacency is read.
+    fn replay(
+        &mut self,
+        p: &mut Partition,
+        carried: &mut [SwitchDelta],
+        seq: &[Move],
+        kept: usize,
+    ) -> Result<(), A::Error> {
+        undo(p, seq);
+        for &(u, _, delta) in &seq[..kept] {
+            debug_assert_eq!(widen(carried[u.index()]), delta, "carried delta of node {u} drifted");
+            let n = self.adj.neighbors(u)?;
+            let from = p.region(u);
+            let now_in = p.apply_switch(u, delta);
+            // A self-rejection never enters a delta (`switch_delta` skips
+            // it), so the mover's own entries are skipped here too.
+            for &v in n.friends {
+                let t = if p.region(v) == from { 1 } else { -1 };
+                carried[v.index()].0 -= 2 * t;
+            }
+            let da = if now_in == Region::Legit { 1 } else { -1 };
+            for &v in n.rejected_by.iter().filter(|&&v| v != u) {
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                carried[v.index()].1 += s_v * da;
+            }
+            let db = if now_in == Region::Suspect { 1 } else { -1 };
+            for &v in n.rejectors_of.iter().filter(|&&v| v != u) {
+                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
+                carried[v.index()].1 -= s_v * db;
+            }
+            let (df, dr) = carried[u.index()];
+            carried[u.index()] = (-df, -dr);
+        }
+        Ok(())
+    }
+
     /// Verifies the incremental gain index against recomputation from
-    /// scratch: every node still indexed in `bucket` must carry exactly the
-    /// gain the source's [`Adjacency::initial_gains`] derives under `p`,
-    /// and the bucket's own chain structure must be sound
-    /// ([`BucketList::assert_consistent`]). This is the full-strength
-    /// version of the spot check a pass makes at pop time — `O(n·deg)` per
-    /// call, so it is compiled only under the `debug-invariants` feature,
-    /// where every pass runs it after the initial fill and after every
-    /// move's neighbor adjustments, over whichever source the kernel runs
-    /// on. Public so tests can aim it at a deliberately corrupted index.
+    /// scratch: every node still indexed in `bucket` must carry in
+    /// `deltas` exactly the switch delta [`Partition::switch_delta`]
+    /// derives under `p` and be filed at its gain, and the bucket's own
+    /// chain structure must be sound ([`BucketList::assert_consistent`]).
+    /// This is the full-strength version of the spot check a pass makes at
+    /// pop time — `O(n·deg)` per call, so it is compiled only under the
+    /// `debug-invariants` feature, where every pass runs it after the
+    /// initial fill and after every move's neighbor adjustments, over
+    /// whichever source the kernel runs on. Public so tests can aim it at
+    /// a deliberately corrupted index.
     ///
     /// # Panics
     ///
-    /// Panics on the first indexed node whose gain disagrees with the
-    /// recomputed value, or on bucket-chain corruption.
+    /// Panics on the first indexed node whose delta or gain disagrees with
+    /// the recomputed value, or on bucket-chain corruption.
     #[cfg(feature = "debug-invariants")]
     pub fn assert_gain_index(
         &mut self,
         p: &Partition,
         bucket: &BucketList,
+        deltas: &[SwitchDelta],
     ) -> Result<(), A::Error> {
         bucket.assert_consistent();
-        let mut fresh = vec![0i64; p.len()];
-        self.adj.initial_gains(p, self.cfg.k, &mut fresh)?;
-        for (u, &fresh) in fresh.iter().enumerate() {
-            let u = NodeId::from_index(u);
-            if !bucket.contains(u.0) {
+        let fresh = KlStart::count(&mut self.adj, regions_of(p))?;
+        for (u, &fresh) in fresh.deltas.iter().enumerate() {
+            if !bucket.contains(NodeId::from_index(u).0) {
                 continue;
             }
-            let indexed = bucket.gain_of(u.0);
+            let indexed = bucket.gain_of(NodeId::from_index(u).0);
+            let want = self.cfg.k.gain(widen(fresh));
             assert_eq!(
-                indexed, fresh,
-                "gain index corrupt: node {u} indexed at {indexed}, recomputed {fresh}"
+                indexed, want,
+                "gain index corrupt: node {u} indexed at {indexed}, recomputed {want}"
             );
+            crate::invariants::assert_delta(u, deltas[u], fresh);
         }
         Ok(())
     }
@@ -390,6 +498,11 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// best one so far. Returns the number of incremental gain-bucket
     /// adjustments performed. The bucket list comes in empty and leaves
     /// empty.
+    ///
+    /// The bucket list is filed from `carried`, each node's delta at the
+    /// pass start. While a node is indexed, its in-pass delta changes
+    /// wherever its gain does, so a pop reads its delta instead of
+    /// rescanning its adjacency.
     ///
     /// The bound is a floor `L` on the objective of every state the rest
     /// of the pass can reach: the popped nodes keep their new regions, and
@@ -407,22 +520,41 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// charged: its friendship counts as 0 and its rejection stays open.
     /// Once `obj0 − L` is at most the best cumulative gain, no later prefix
     /// can be strictly better, which is all [`best_prefix_len`] commits.
-    fn one_pass(&mut self, p: &mut Partition, scratch: &mut Scratch) -> Result<u64, A::Error> {
-        let Scratch { gains, side, bucket, seq } = scratch;
+    fn one_pass(
+        &mut self,
+        p: &mut Partition,
+        carried: &[SwitchDelta],
+        scratch: &mut Scratch,
+    ) -> Result<u64, A::Error> {
+        // A self-rejection is never charged, so it keeps the bound below
+        // the objective even once every node has popped.
+        #[cfg(feature = "debug-invariants")]
+        let self_rejections = {
+            let fresh = KlStart::count(&mut self.adj, regions_of(p))?;
+            for (u, (&have, &want)) in carried.iter().zip(&fresh.deltas).enumerate() {
+                crate::invariants::assert_delta(u, have, want);
+            }
+            let mut any = false;
+            for i in 0..p.len() {
+                let u = NodeId::from_index(i);
+                any |= self.adj.neighbors(u)?.rejected_by.contains(&u);
+            }
+            any
+        };
+        let Scratch { nodes, bucket, seq } = scratch;
         let k = self.cfg.k;
         let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
         debug_assert!(bucket.is_empty(), "a pass starts from an empty bucket list");
-        self.adj.initial_gains(p, k, gains)?;
-        for (u, &gain) in gains.iter().enumerate() {
+        for (u, (node, &delta)) in nodes.iter_mut().zip(carried).enumerate() {
+            *node = PassNode { delta, side: [0; 2] };
             if !self.locked[u] {
-                bucket.insert(NodeId::from_index(u).0, gain);
+                bucket.insert(NodeId::from_index(u).0, k.gain(widen(delta)));
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.assert_gain_index(p, bucket)?;
+        self.assert_gain_index(p, bucket, &in_pass(nodes))?;
 
         seq.clear();
-        side.fill([0; 2]);
         let obj0 = self.objective(p);
         let (mut fixed, mut sum_min, mut open) = (0i64, 0i64, self.rejections);
         let (mut cum, mut best) = (0i64, 0i64);
@@ -436,23 +568,27 @@ impl<A: Adjacency> ExtendedKl<A> {
             prefetched -= 1;
             let u = NodeId(u);
             let n = self.adj.neighbors(u)?;
-            let delta = p.switch_delta(u, n);
+            let PassNode { delta, side: costs } = nodes[u.index()];
+            let delta = widen(delta);
+            debug_assert_eq!(delta, p.switch_delta(u, n), "stale delta for node {u}");
             debug_assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
             seq.push((u, gain, delta));
             let from = p.region(u);
             let now_in = p.apply_switch(u, delta);
-            let costs = side[u.index()];
             fixed += costs[side_of(now_in)];
             sum_min -= costs[0].min(costs[1]);
 
-            // Incremental gain updates for u's still-indexed neighbors.
-            // Friendship edges: the (v, u) term of v's Δfriendship flips.
-            // The edge is cut if v ends in the region u left.
+            // Incremental gain and delta updates for u's still-indexed
+            // neighbors. Friendship edges: the (v, u) term of v's
+            // Δfriendship flips. The edge is cut if v ends in the region u
+            // left.
             for &v in n.friends {
                 let t = if p.region(v) == from { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, 2 * den * t) {
+                if bucket.adjust_if_present(v.0, 2 * den * i64::from(t)) {
                     adjusts += 1;
-                    charge(side, &mut sum_min, v, from, den);
+                    let node = &mut nodes[v.index()];
+                    node.delta.0 -= 2 * t;
+                    node.charge(&mut sum_min, from, den);
                 }
             }
             // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
@@ -461,11 +597,13 @@ impl<A: Adjacency> ExtendedKl<A> {
             let da = if now_in == Region::Legit { 1 } else { -1 };
             for &v in n.rejected_by {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, num * s_v * da) {
+                if bucket.adjust_if_present(v.0, num * i64::from(s_v * da)) {
                     adjusts += 1;
+                    let node = &mut nodes[v.index()];
+                    node.delta.1 += s_v * da;
                     open -= 1;
                     if now_in == Region::Legit {
-                        charge(side, &mut sum_min, v, Region::Suspect, -num);
+                        node.charge(&mut sum_min, Region::Suspect, -num);
                     }
                 }
             }
@@ -475,16 +613,18 @@ impl<A: Adjacency> ExtendedKl<A> {
             let db = if now_in == Region::Suspect { 1 } else { -1 };
             for &v in n.rejectors_of {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, -num * s_v * db) {
+                if bucket.adjust_if_present(v.0, -num * i64::from(s_v * db)) {
                     adjusts += 1;
+                    let node = &mut nodes[v.index()];
+                    node.delta.1 -= s_v * db;
                     open -= 1;
                     if now_in == Region::Suspect {
-                        charge(side, &mut sum_min, v, Region::Legit, -num);
+                        node.charge(&mut sum_min, Region::Legit, -num);
                     }
                 }
             }
             #[cfg(feature = "debug-invariants")]
-            self.assert_gain_index(p, bucket)?;
+            self.assert_gain_index(p, bucket, &in_pass(nodes))?;
 
             cum += gain;
             best = best.max(cum);
@@ -494,7 +634,7 @@ impl<A: Adjacency> ExtendedKl<A> {
                 floor,
                 obj0 - cum,
                 self.objective(p),
-                bucket.is_empty() && !self.locked.contains(&true),
+                bucket.is_empty() && !self.locked.contains(&true) && !self_rejections,
             );
             if obj0 - floor <= best {
                 bucket.clear();
@@ -508,13 +648,47 @@ impl<A: Adjacency> ExtendedKl<A> {
 /// The per-run scratch every pass reuses.
 #[derive(Debug)]
 struct Scratch {
-    /// Each node's switching gain at the start of a pass.
-    gains: Vec<i64>,
-    /// Per still-indexed node, the cost of its edges to popped nodes if it
-    /// ends Legit (`[0]`) and if it ends Suspect (`[1]`).
-    side: Vec<[i64; 2]>,
+    nodes: Vec<PassNode>,
     bucket: BucketList,
     seq: Vec<Move>,
+}
+
+/// One node's state during a pass. A neighbour whose gain is adjusted has
+/// both fields updated, so they share one record.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassNode {
+    /// The switch delta: the carried delta, kept current while the node
+    /// is indexed.
+    delta: SwitchDelta,
+    /// While the node is indexed, the cost of its edges to popped nodes if
+    /// it ends Legit (`[0]`) and if it ends Suspect (`[1]`).
+    side: [i64; 2],
+}
+
+impl PassNode {
+    /// Adds `cost` to the node's cost of ending in `region`, keeping
+    /// `sum_min` the sum of the records' minima.
+    #[inline]
+    fn charge(&mut self, sum_min: &mut i64, region: Region, cost: i64) {
+        let c = &mut self.side;
+        let before = c[0].min(c[1]);
+        c[side_of(region)] += cost;
+        *sum_min += c[0].min(c[1]) - before;
+    }
+}
+
+/// The in-pass deltas, for the `debug-invariants` checker.
+#[cfg(feature = "debug-invariants")]
+fn in_pass(nodes: &[PassNode]) -> Vec<SwitchDelta> {
+    nodes.iter().map(|n| n.delta).collect()
+}
+
+/// Undoes every move of `seq`, newest first, so every intermediate state
+/// is one the pass went through and no counter dips below zero.
+fn undo(p: &mut Partition, seq: &[Move]) {
+    for &(u, _, (df, dr)) in seq.iter().rev() {
+        p.apply_switch(u, (-df, -dr));
+    }
 }
 
 /// The index of `r` in a `side` record.
@@ -524,16 +698,6 @@ fn side_of(r: Region) -> usize {
         Region::Legit => 0,
         Region::Suspect => 1,
     }
-}
-
-/// Adds `cost` to `v`'s cost of ending in `region`, keeping `sum_min` the
-/// sum of the records' minima.
-#[inline]
-fn charge(side: &mut [[i64; 2]], sum_min: &mut i64, v: NodeId, region: Region, cost: i64) {
-    let c = &mut side[v.index()];
-    let before = c[0].min(c[1]);
-    c[side_of(region)] += cost;
-    *sum_min += c[0].min(c[1]) - before;
 }
 
 /// Length of the switching sequence's best strictly positive
@@ -554,9 +718,12 @@ fn best_prefix_len(seq: &[Move]) -> usize {
 
 impl<A: Adjacency<Error = Infallible> + Clone> ExtendedKl<A> {
     /// [`ExtendedKl::try_run`] over a source that cannot fail, such as an
-    /// in-memory graph.
+    /// in-memory graph, from `initial`: the starting deltas come from one
+    /// scan of the source ([`KlStart::count`]).
     pub fn run(&self, initial: Partition) -> KlOutcome {
-        let Ok(out) = self.clone().try_run(initial);
+        let mut kl = self.clone();
+        let Ok(start) = KlStart::count(&mut kl.adj, regions_of(&initial));
+        let Ok(out) = kl.try_run(start);
         out
     }
 }

@@ -107,8 +107,9 @@ pub fn assert_partition_counts<A: Adjacency>(adj: &mut A, p: &Partition) -> Resu
 /// Checks an extended-KL pass bound after a pop: the `objective` the pass
 /// tracks (`obj0 − cum`) must match the partition's cut counters
 /// (`counted`), and the `floor` on every reachable state's objective must
-/// not exceed it. With no locked node, once every node has popped, every
-/// edge is charged and the floor is the objective itself (`exact`).
+/// not exceed it. With no locked node and no self-rejection, once every
+/// node has popped, every edge is charged and the floor is the objective
+/// itself (`exact`).
 ///
 /// # Panics
 ///
@@ -120,4 +121,17 @@ pub fn assert_pass_bound(floor: i64, objective: i64, counted: i64, exact: bool) 
     if exact {
         assert_eq!(floor, objective, "a full unlocked pass charges every edge");
     }
+}
+
+/// Checks one node's carried switch delta against the one a fresh scan
+/// derives.
+///
+/// # Panics
+///
+/// Panics when they differ.
+pub fn assert_delta(u: usize, carried: (i32, i32), fresh: (i32, i32)) {
+    assert_eq!(
+        carried, fresh,
+        "carried delta corrupt: node {u} carries {carried:?}, recomputed {fresh:?}"
+    );
 }

@@ -30,7 +30,9 @@ mod kparam;
 
 pub use bucket::BucketList;
 pub use cancel::{CancelReason, CancelToken};
-pub use extended::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KlOutcome};
+pub use extended::{
+    carry, Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KlOutcome, KlStart, SwitchDelta,
+};
 #[cfg(feature = "debug-invariants")]
 pub use invariants::assert_partition_counts;
 pub use kparam::KParam;

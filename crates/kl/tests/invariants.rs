@@ -3,7 +3,7 @@
 //! the feature is on (`cargo test --features debug-invariants -p kl`).
 #![cfg(feature = "debug-invariants")]
 
-use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{carry, BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam, SwitchDelta};
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeDegrees, NodeId, Partition};
 
 /// Three legit users in a path; one spammer rejected by two of them.
@@ -32,12 +32,14 @@ fn solver(g: &AugmentedGraph) -> ExtendedKl<&AugmentedGraph> {
     ExtendedKl::new(g, ExtendedKlConfig::new(k()), &DegreeSummary::new(NodeDegrees::of_graph(g)))
 }
 
-fn faithful_index(g: &AugmentedGraph, p: &Partition) -> BucketList {
+/// A gain index and carried deltas that agree with `p`.
+fn faithful_index(g: &AugmentedGraph, p: &Partition) -> (BucketList, Vec<SwitchDelta>) {
     let mut bucket = BucketList::new(g.num_nodes(), -16, 16);
     for u in g.nodes() {
         bucket.insert(u.0, true_gain(g, p, u));
     }
-    bucket
+    let deltas = g.nodes().map(|u| carry(p.switch_delta(u, g.neighbors(u)))).collect();
+    (bucket, deltas)
 }
 
 #[test]
@@ -45,8 +47,8 @@ fn gain_checker_accepts_a_faithful_index() {
     let g = fixture();
     let mut kl = solver(&g);
     let p = Partition::all_legit(&g);
-    let bucket = faithful_index(&g, &p);
-    kl.assert_gain_index(&p, &bucket).expect("in-memory source"); // must not panic
+    let (bucket, deltas) = faithful_index(&g, &p);
+    kl.assert_gain_index(&p, &bucket, &deltas).expect("in-memory source"); // must not panic
 }
 
 #[test]
@@ -55,13 +57,27 @@ fn gain_checker_catches_a_corrupted_bucket() {
     let g = fixture();
     let mut kl = solver(&g);
     let p = Partition::all_legit(&g);
-    let mut bucket = faithful_index(&g, &p);
+    let (mut bucket, deltas) = faithful_index(&g, &p);
     // Deliberate corruption: nudge one node's indexed gain off the value
     // switch_delta derives — exactly the drift a wrong incremental
     // neighbor adjustment in one_pass would produce.
     let victim = NodeId(3);
     bucket.update(victim.0, true_gain(&g, &p, victim) + 3);
-    kl.assert_gain_index(&p, &bucket).expect("in-memory source");
+    kl.assert_gain_index(&p, &bucket, &deltas).expect("in-memory source");
+}
+
+#[test]
+#[should_panic(expected = "carried delta corrupt")]
+fn gain_checker_catches_a_corrupted_delta() {
+    let g = fixture();
+    let mut kl = solver(&g);
+    let p = Partition::all_legit(&g);
+    let (bucket, mut deltas) = faithful_index(&g, &p);
+    // A delta off by a friendship and a rejection whose gain is unchanged
+    // under k = 1: only the delta check can see it.
+    let (df, dr) = deltas[3];
+    deltas[3] = (df + 1, dr + 1);
+    kl.assert_gain_index(&p, &bucket, &deltas).expect("in-memory source");
 }
 
 #[test]
@@ -70,10 +86,10 @@ fn gain_checker_catches_a_stale_index_after_partition_moves() {
     let g = fixture();
     let mut kl = solver(&g);
     let mut p = Partition::all_legit(&g);
-    let bucket = faithful_index(&g, &p);
+    let (bucket, deltas) = faithful_index(&g, &p);
     // Move a node without refreshing the index: neighbors' gains go stale.
     p.switch(NodeId(3), g.neighbors(NodeId(3)));
-    kl.assert_gain_index(&p, &bucket).expect("in-memory source");
+    kl.assert_gain_index(&p, &bucket, &deltas).expect("in-memory source");
 }
 
 #[test]
@@ -92,9 +108,10 @@ fn structural_checker_accepts_a_live_bucket() {
 
 #[test]
 fn full_kl_run_passes_the_checkers_on_every_pass() {
-    // End-to-end: `run` exercises assert_gain_index after the initial fill
-    // and after every single move. A wrong incremental update anywhere
-    // would panic here rather than silently degrade cut quality.
+    // End-to-end: `run` checks every carried delta at each pass start and
+    // exercises assert_gain_index after the initial fill and after every
+    // single move. A wrong incremental update or replay anywhere would
+    // panic here rather than silently degrade cut quality.
     let g = fixture();
     let kl = solver(&g);
     let out = kl.run(Partition::all_legit(&g));

@@ -1,8 +1,13 @@
 //! Property-based tests for the bucket list and the extended KL solver.
 
-use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
+use kl::{
+    Adjacency, BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam, KlOutcome, KlStart,
+};
 use proptest::prelude::*;
-use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeDegrees, NodeId, Partition, Region};
+use rejection::{
+    AugmentedGraph, AugmentedGraphBuilder, Neighbors, NodeDegrees, NodeId, Partition, Region,
+};
+use std::convert::Infallible;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -229,58 +234,143 @@ proptest! {
     }
 }
 
-/// The full-pass extended-KL kernel the pass bound must agree with: every
-/// pass switches every unlocked node once in max-gain order, then keeps
-/// its best strictly positive prefix. Returns the final partition and
-/// `(passes, moves_committed, bucket_adjusts)`.
-fn full_pass_reference(
-    g: &AugmentedGraph,
+/// An in-memory adjacency source whose rejection lists may hold
+/// self-rejections: the graph builder drops them, but the kernel must
+/// still skip them as `Partition::switch_delta` does, wherever they come
+/// from.
+#[derive(Debug)]
+struct Lists(Vec<[Vec<NodeId>; 3]>);
+
+impl Lists {
+    /// `g`'s lists, with `u` rejecting itself for every `u` in `selfish`.
+    fn new(g: &AugmentedGraph, selfish: &[u32]) -> Self {
+        let mut lists: Vec<[Vec<NodeId>; 3]> = g
+            .nodes()
+            .map(|u| [g.friends(u).to_vec(), g.rejected_by(u).to_vec(), g.rejectors_of(u).to_vec()])
+            .collect();
+        for &u in selfish {
+            let l = &mut lists[u as usize];
+            if !l[1].contains(&NodeId(u)) {
+                l[1].push(NodeId(u));
+                l[2].push(NodeId(u));
+            }
+        }
+        Lists(lists)
+    }
+
+    fn neighbors(&self, u: NodeId) -> Neighbors<'_> {
+        let [friends, rejected_by, rejectors_of] = &self.0[u.index()];
+        Neighbors { friends, rejected_by, rejectors_of }
+    }
+
+    fn degrees(&self) -> DegreeSummary {
+        DegreeSummary::new((0..self.0.len()).map(|i| NodeDegrees::of(self.neighbors(NodeId(i as u32)))))
+    }
+}
+
+impl Adjacency for &Lists {
+    type Error = Infallible;
+
+    fn num_nodes(&self) -> usize {
+        self.0.len()
+    }
+
+    fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, Infallible> {
+        Ok(Lists::neighbors(self, u))
+    }
+}
+
+/// The extended-KL kernel with a per-pass fill: every pass files each
+/// unlocked node at a gain recomputed from its adjacency, and every pop
+/// recomputes its delta. With `bounded` the pass
+/// ends at the pass bound; without it every unlocked node switches once.
+/// Returns the final partition and `(passes, moves_committed,
+/// bucket_adjusts)`.
+fn reference_kernel(
+    adj: &Lists,
     k: KParam,
     max_passes: usize,
     locked: &[bool],
     initial: Partition,
+    bounded: bool,
 ) -> (Partition, usize, u64, u64) {
     let (num, den) = (k.num() as i64, k.den() as i64);
-    let bound = g
-        .nodes()
-        .map(|u| {
-            den * g.friends(u).len() as i64
-                + num * (g.rejected_by(u).len() + g.rejectors_of(u).len()) as i64
+    let n = adj.0.len();
+    let bound = (0..n)
+        .map(|i| {
+            let l = &adj.0[i];
+            den * l[0].len() as i64 + num * (l[1].len() + l[2].len()) as i64
         })
         .fold(1, i64::max);
+    let rejections: i64 = adj.0.iter().map(|l| l[1].len() as i64).sum();
     let mut p = initial;
-    let mut bucket = BucketList::new(p.len(), -bound, bound);
+    let mut bucket = BucketList::new(n, -bound, bound);
     let mut seq: Vec<(NodeId, i64, (i64, i64))> = Vec::new();
+    let mut side = vec![[0i64; 2]; n];
+    let side_of = |r: Region| usize::from(r == Region::Suspect);
+    let charge = |side: &mut Vec<[i64; 2]>, sum_min: &mut i64, v: NodeId, r: Region, cost: i64| {
+        let c = &mut side[v.index()];
+        let before = c[0].min(c[1]);
+        c[side_of(r)] += cost;
+        *sum_min += c[0].min(c[1]) - before;
+    };
     let (mut passes, mut moves, mut adjusts) = (0usize, 0u64, 0u64);
     while passes < max_passes {
         passes += 1;
-        for u in g.nodes() {
-            if !locked[u.index()] {
-                bucket.insert(u.0, k.gain(p.switch_delta(u, g.neighbors(u))));
-            }
+        for (i, _) in locked.iter().enumerate().filter(|(_, &l)| !l) {
+            let u = NodeId(i as u32);
+            bucket.insert(u.0, k.gain(p.switch_delta(u, adj.neighbors(u))));
         }
         seq.clear();
+        side.fill([0; 2]);
+        let obj0 = objective(k, &p);
+        let (mut fixed, mut sum_min, mut open) = (0i64, 0i64, rejections);
+        let (mut cum, mut best) = (0i64, 0i64);
         while let Some((u, gain)) = bucket.pop_max() {
             let u = NodeId(u);
-            let n = g.neighbors(u);
-            let delta = p.switch_delta(u, n);
+            let nb = adj.neighbors(u);
+            let delta = p.switch_delta(u, nb);
             assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
             seq.push((u, gain, delta));
             let from = p.region(u);
             let now_in = p.apply_switch(u, delta);
-            for &v in n.friends {
+            let costs = side[u.index()];
+            fixed += costs[side_of(now_in)];
+            sum_min -= costs[0].min(costs[1]);
+            for &v in nb.friends {
                 let t = if p.region(v) == from { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, 2 * den * t));
+                if bucket.adjust_if_present(v.0, 2 * den * t) {
+                    adjusts += 1;
+                    charge(&mut side, &mut sum_min, v, from, den);
+                }
             }
             let da = if now_in == Region::Legit { 1 } else { -1 };
-            for &v in n.rejected_by {
+            for &v in nb.rejected_by {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, num * s_v * da));
+                if bucket.adjust_if_present(v.0, num * s_v * da) {
+                    adjusts += 1;
+                    open -= 1;
+                    if now_in == Region::Legit {
+                        charge(&mut side, &mut sum_min, v, Region::Suspect, -num);
+                    }
+                }
             }
             let db = if now_in == Region::Suspect { 1 } else { -1 };
-            for &v in n.rejectors_of {
+            for &v in nb.rejectors_of {
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                adjusts += u64::from(bucket.adjust_if_present(v.0, -num * s_v * db));
+                if bucket.adjust_if_present(v.0, -num * s_v * db) {
+                    adjusts += 1;
+                    open -= 1;
+                    if now_in == Region::Suspect {
+                        charge(&mut side, &mut sum_min, v, Region::Legit, -num);
+                    }
+                }
+            }
+            cum += gain;
+            best = best.max(cum);
+            if bounded && obj0 - (fixed + sum_min - num * open) <= best {
+                while bucket.pop_max().is_some() {}
+                break;
             }
         }
         let (mut kept, mut best, mut cum) = (0usize, 0i64, 0i64);
@@ -303,10 +393,10 @@ fn full_pass_reference(
 }
 
 /// A small augmented graph whose edge list mixes plain friendships and
-/// rejections with self-rejections (which the builder drops) and pairs
-/// that are both friends and a rejection, plus a starting region and a
-/// lock flag per node.
-fn kl_case() -> impl Strategy<Value = (AugmentedGraph, Vec<Region>, Vec<bool>)> {
+/// rejections with pairs that are both friends and a rejection, plus the
+/// nodes that reject themselves (added by [`Lists::new`], since the
+/// builder drops them), a starting region and a lock flag per node.
+fn kl_case() -> impl Strategy<Value = (AugmentedGraph, Vec<u32>, Vec<Region>, Vec<bool>)> {
     (2usize..14).prop_flat_map(|n| {
         let id = 0..n as u32;
         let pairs = |max| proptest::collection::vec((id.clone(), id.clone()), 0..max);
@@ -331,16 +421,39 @@ fn kl_case() -> impl Strategy<Value = (AugmentedGraph, Vec<Region>, Vec<bool>)> 
                     b.add_friendship(NodeId(u), NodeId(v));
                     b.add_rejection(NodeId(v), NodeId(u));
                 }
-                for u in selfish {
-                    b.add_rejection(NodeId(u), NodeId(u));
-                }
                 let region = suspect
                     .into_iter()
                     .map(|s| if s { Region::Suspect } else { Region::Legit })
                     .collect();
-                (b.build(), region, lock.into_iter().map(|l| l == 0).collect())
+                (b.build(), selfish, region, lock.into_iter().map(|l| l == 0).collect())
             })
     })
+}
+
+/// The scaled objective `den·|F| − num·|R|` of `p` under `k`.
+fn objective(k: KParam, p: &Partition) -> i64 {
+    (k.den() * p.cross_friendships()) as i64 - (k.num() * p.cross_rejections()) as i64
+}
+
+/// Runs the kernel over `adj` from `region` with `locked` pinned, from a
+/// start counted in one scan; returns the outcome and its bucket
+/// adjustments.
+fn run_kernel(
+    adj: &Lists,
+    k: KParam,
+    max_passes: usize,
+    locked: &[bool],
+    region: Vec<Region>,
+) -> (KlOutcome, u64) {
+    let mut kl = ExtendedKl::new(adj, ExtendedKlConfig { k, max_passes }, &adj.degrees());
+    for (i, _) in locked.iter().enumerate().filter(|(_, &l)| l) {
+        kl.lock(NodeId(i as u32));
+    }
+    let obs = rejecto_obs::Obs::new();
+    kl.set_obs(obs.clone());
+    let Ok(start) = KlStart::count(&mut &*adj, region);
+    let Ok(out) = kl.try_run(start);
+    (out, obs.counter("kl/bucket_adjusts"))
 }
 
 proptest! {
@@ -353,36 +466,55 @@ proptest! {
     /// checks its pass bound against the exact objective after every pop.
     #[test]
     fn pass_bound_changes_no_move(
-        (g, region, locked) in kl_case(),
+        (g, selfish, region, locked) in kl_case(),
         num in 1u64..12,
         den in 1u64..12,
         max_passes in 1usize..8,
     ) {
         let k = KParam::new(num, den);
-        let degrees = DegreeSummary::new(NodeDegrees::of_graph(&g));
-        let initial = Partition::from_regions(&g, region);
+        let adj = Lists::new(&g, &selfish);
+        let initial = Partition::from_regions(&g, region.clone());
         let (want, passes, moves, adjusts) =
-            full_pass_reference(&g, k, max_passes, &locked, initial.clone());
-
-        let mut kl = ExtendedKl::new(&g, ExtendedKlConfig { k, max_passes }, &degrees);
-        for u in g.nodes().filter(|u| locked[u.index()]) {
-            kl.lock(u);
-        }
-        let obs = rejecto_obs::Obs::new();
-        kl.set_obs(obs.clone());
-        let out = kl.run(initial);
+            reference_kernel(&adj, k, max_passes, &locked, initial, false);
+        let (out, got_adjusts) = run_kernel(&adj, k, max_passes, &locked, region);
 
         prop_assert_eq!(out.partition.suspects(), want.suspects());
         prop_assert_eq!(out.partition.cross_friendships(), want.cross_friendships());
         prop_assert_eq!(out.partition.cross_rejections(), want.cross_rejections());
-        prop_assert_eq!(out.objective, kl.objective(&want));
+        prop_assert_eq!(out.objective, objective(k, &want));
         prop_assert_eq!(out.passes, passes);
         prop_assert_eq!(out.moves_committed, moves);
         prop_assert!(
-            obs.counter("kl/bucket_adjusts") <= adjusts,
-            "{} adjusts against the full pass's {adjusts}",
-            obs.counter("kl/bucket_adjusts")
+            got_adjusts <= adjusts,
+            "{got_adjusts} adjusts against the full pass's {adjusts}"
         );
+    }
+
+    /// Carrying switch deltas from pass to pass changes nothing: the
+    /// kernel and the per-pass-fill reference agree on partition,
+    /// objective, passes, committed moves and every bucket adjustment,
+    /// with self-rejections in the source, locked nodes on both sides and
+    /// random `k` and pass caps. Under `debug-invariants` every pass start
+    /// also checks each carried delta against a fresh scan.
+    #[test]
+    fn carried_deltas_change_no_move(
+        (g, selfish, region, locked) in kl_case(),
+        num in 1u64..12,
+        den in 1u64..12,
+        max_passes in 1usize..8,
+    ) {
+        let k = KParam::new(num, den);
+        let adj = Lists::new(&g, &selfish);
+        let initial = Partition::from_regions(&g, region.clone());
+        let (want, passes, moves, adjusts) =
+            reference_kernel(&adj, k, max_passes, &locked, initial, true);
+        let (out, got_adjusts) = run_kernel(&adj, k, max_passes, &locked, region);
+
+        prop_assert_eq!(&out.partition, &want);
+        prop_assert_eq!(out.objective, objective(k, &want));
+        prop_assert_eq!(out.passes, passes);
+        prop_assert_eq!(out.moves_committed, moves);
+        prop_assert_eq!(got_adjusts, adjusts);
     }
 
     /// The bucket range a summary gives is the per-node maximum of

@@ -240,12 +240,23 @@ impl Partition {
     ///
     /// Panics if `u` or a neighbor is out of range.
     pub fn switch_delta(&self, u: NodeId, n: Neighbors<'_>) -> (i64, i64) {
-        let from = self.region[u.index()];
+        Self::switch_delta_in(&self.region, u, n)
+    }
+
+    /// [`Partition::switch_delta`] under bare regions, as
+    /// [`Partition::cut_edges`] counts under them: how a scan that counts
+    /// a cut also derives every node's delta, wherever the adjacency lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or a neighbor is out of range of `region`.
+    pub fn switch_delta_in(region: &[Region], u: NodeId, n: Neighbors<'_>) -> (i64, i64) {
+        let from = region[u.index()];
         // Friendships: edges to same-region neighbors become cross (+1),
         // edges to other-region neighbors become internal (−1).
         let mut df = 0i64;
         for &v in n.friends {
-            if self.region[v.index()] == from {
+            if region[v.index()] == from {
                 df += 1;
             } else {
                 df -= 1;
@@ -259,12 +270,12 @@ impl Partition {
                 // + rejections u received from Legit users (now Legit→Suspect)
                 // − rejections u cast on Suspect users (no longer Legit→Suspect)
                 for &r in n.rejectors_of {
-                    if self.region[r.index()] == Region::Legit && r != u {
+                    if region[r.index()] == Region::Legit && r != u {
                         dr += 1;
                     }
                 }
                 for &s in n.rejected_by {
-                    if self.region[s.index()] == Region::Suspect {
+                    if region[s.index()] == Region::Suspect {
                         dr -= 1;
                     }
                 }
@@ -272,12 +283,12 @@ impl Partition {
             Region::Suspect => {
                 // u: Suspect → Legit (mirror of the above).
                 for &r in n.rejectors_of {
-                    if self.region[r.index()] == Region::Legit {
+                    if region[r.index()] == Region::Legit {
                         dr -= 1;
                     }
                 }
                 for &s in n.rejected_by {
-                    if self.region[s.index()] == Region::Suspect && s != u {
+                    if region[s.index()] == Region::Suspect && s != u {
                         dr += 1;
                     }
                 }

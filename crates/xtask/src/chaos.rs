@@ -30,8 +30,8 @@ use crate::determinism::{render_report, scratch, snappy_cluster};
 use dataflow::DistributedDetector;
 use rejecto_core::chaos::{ChaosPlan, ChaosProfile, ChaosRng};
 use rejecto_core::{
-    CheckpointStore, Completion, DetectionReport, InterruptReason, IterativeDetector,
-    Faults, RejectoConfig, RunBudget, Seeds, Termination,
+    CheckpointStore, Completion, DetectionReport, Fault, Faults, InterruptReason,
+    IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
 };
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
@@ -204,6 +204,7 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
 
         // --- Distributed legs: workers {1,4} --------------------------
         let mut dist_tags: Vec<String> = Vec::new();
+        let hangs = plan.faults.faults().iter().any(|f| matches!(f, Fault::WorkerHang { .. }));
         for workers in WORKER_COUNTS {
             legs += 1;
             let cfg = config(0);
@@ -219,6 +220,11 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
             match result {
                 Ok(report) => {
                     dist_tags.push(completion_tag(&report));
+                    if hangs && !plan.has_deadline() && obs.volatile("io/hangs_absorbed") == 0 {
+                        return Err(format!(
+                            "{ctx}: distributed workers={workers}: the injected hang never fired"
+                        ));
+                    }
                     if plan.cross_runtime_comparable() {
                         let rendered = render_report(&report);
                         if rendered != local_renders[0] {
@@ -453,7 +459,7 @@ mod tests {
     fn record_rendering_is_valid_shape() {
         let records = vec![SeedRecord {
             seed: 3,
-            spec: "worker_hang@k=1".to_string(),
+            spec: "worker_hang@fetch=1".to_string(),
             fakes: 40,
             self_rejection: true,
             suspect_frac: Some(0.25),
@@ -466,7 +472,7 @@ mod tests {
         }];
         let doc = render_records(&records);
         assert!(doc.contains("\"format\": \"rejecto-chaos/v1\""));
-        assert!(doc.contains("\"spec\": \"worker_hang@k=1\""));
+        assert!(doc.contains("\"spec\": \"worker_hang@fetch=1\""));
         assert!(doc.contains("\"suspect_frac\": 0.25"));
         assert!(doc.contains("\"ckpt_limit\": null"));
         assert!(doc.contains("error:boom \\\"x\\\""));

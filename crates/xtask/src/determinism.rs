@@ -459,7 +459,7 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
 
         let faulted_config = RejectoConfig {
             faults: FaultPlan::parse(
-                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@k=2",
+                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@fetch=2",
             )
             .map_err(|e| format!("fault spec rejected: {e}"))?,
             ..RejectoConfig::default()
@@ -470,6 +470,9 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
         faulted_det
             .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
             .map_err(|e| format!("faulted metrics leg failed at workers={workers}: {e}"))?;
+        if obs.volatile("io/hangs_absorbed") == 0 {
+            return Err(format!("the injected hang never fired at workers={workers}"));
+        }
         let faulted = rejecto_obs::strip_timings(&obs.to_json());
         if faulted != baseline {
             return Err(format!(
@@ -530,7 +533,7 @@ fn distributed_legs(sim: &SimOutput) -> Result<(), String> {
         // trace in the report.
         let faulted = RejectoConfig {
             faults: FaultPlan::parse(
-                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@k=2",
+                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@fetch=2",
             )
             .map_err(|e| format!("fault spec rejected: {e}"))?,
             ..RejectoConfig::default()

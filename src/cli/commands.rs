@@ -1000,16 +1000,20 @@ mod tests {
             &["--graph", &graph, "--budget", "40", "--distributed", "true", "--workers", "3"],
         )
         .unwrap();
+        let metrics = format!("{stem_s}.metrics.json");
         let faulted = run_to_string(
             "detect",
             &[
                 "--graph", &graph, "--budget", "40", "--distributed", "true", "--workers", "3",
                 "--request-deadline-ms", "200",
-                "--inject", "worker_death@fetch=2,worker_death@fetch=5:x2,worker_hang@k=1",
+                "--inject", "worker_death@fetch=2,worker_death@fetch=5:x2,worker_hang@fetch=1",
+                "--metrics", &metrics,
             ],
         )
         .unwrap();
         assert_eq!(clean, faulted, "fault recovery leaked into the CLI output");
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        assert!(doc.contains("\"io/hangs_absorbed\": 1"), "the injected hang never fired: {doc}");
     }
 
     #[test]

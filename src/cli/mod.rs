@@ -122,8 +122,8 @@ COMMANDS:
                                       deadline=50ms; distributed forms:
                                       worker_death@fetch=N[:xM] (kill a
                                       worker at the Nth fetch, M times),
-                                      worker_hang@k=N (hang one worker
-                                      during the Nth sweep index);
+                                      worker_hang@fetch=N (hang one
+                                      worker at the Nth fetch);
                                       durable-store forms:
                                       torn_write@round=N (truncate the
                                       round-N checkpoint generation),

@@ -104,13 +104,14 @@ fn hung_worker_recovery_is_invisible() {
         .expect("healthy cluster must detect");
 
     let faulted_config = RejectoConfig {
-        faults: plan("worker_hang@k=1"),
+        faults: plan("worker_hang@fetch=2"),
         ..RejectoConfig::default()
     };
     let (report, io) = DistributedDetector::new(snappy(2), faulted_config)
         .detect_with_io(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
         .expect("watchdog must recover the hung worker");
     assert_eq!(report, clean, "hung-worker recovery leaked into the report");
+    assert_eq!(io.hangs_absorbed, 1, "the injected hang never fired");
     assert!(io.worker_restarts >= 1, "watchdog never fired");
 }
 
@@ -242,9 +243,10 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
 }
 
 /// The fetch protocol, pinned: each fetch round trip ticks the clock that
-/// every `worker_death@fetch=N` schedule keys on, so a buffer or record
-/// layout change that moves any of these counts moves every fault
-/// schedule too. The graph is the `dataflow` unit tests' fixture (a
+/// every `worker_death@fetch=N` and `worker_hang@fetch=N` fault keys on,
+/// so a buffer or record layout change that moves any of these counts
+/// moves every fault schedule too. `init_jobs` counts the two broadcasts
+/// of each sweep (degrees; cut counts with switch deltas). The graph is the `dataflow` unit tests' fixture (a
 /// 300-user Barabási–Albert host plus 40 fakes). The `debug-invariants`
 /// checkers look nodes up through the same buffer, so these counts hold
 /// only without them, which is why the pin lives in this package.
@@ -261,10 +263,10 @@ fn fetch_protocol_counts_are_pinned() {
     .graph;
     // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
     for (config, want) in [
-        (ClusterConfig::default(), [56u64, 340, 7_741, 340, 38]),
+        (ClusterConfig::default(), [56u64, 340, 8_465, 340, 2]),
         (
             ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
-            [5_160, 9_360, 4_600, 9_360, 38],
+            [5_890, 10_073, 4_593, 10_073, 2],
         ),
     ] {
         let io = DistributedMaar::new(config, RejectoConfig::default())
