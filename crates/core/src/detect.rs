@@ -430,11 +430,6 @@ impl IterativeDetector {
         self.obs = Some(obs);
     }
 
-    /// The underlying MAAR solver.
-    pub fn solver(&self) -> &MaarSolver {
-        &self.solver
-    }
-
     /// Runs the full pipeline on `g` and returns the detected groups.
     pub fn detect(
         &self,
@@ -461,45 +456,17 @@ impl IterativeDetector {
         report
     }
 
-    /// Continues a run from `checkpoint`, exactly as if the original run
-    /// had never stopped: given the same graph, seeds, termination, and a
-    /// deterministic configuration, the resumed report is byte-identical
-    /// to the uninterrupted run's.
+    /// A fresh run, or with `resume` the continuation of a checkpointed
+    /// one, calling `sink` (if any) with a [`Checkpoint`] after every
+    /// completed pruning round. A resumed run continues exactly as if the
+    /// original had never stopped: given the same graph, seeds,
+    /// termination, and a deterministic configuration, its report is
+    /// byte-identical to the uninterrupted run's.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
     /// checkpoint does not describe `g`.
-    pub fn resume(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), None)
-    }
-
-    /// [`IterativeDetector::resume`] with checkpointing of the continued
-    /// rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
-    /// checkpoint does not describe `g`.
-    pub fn resume_with_checkpoints(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-        sink: CheckpointSink<'_>,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
-    }
-
-    /// Every entry point in one: a fresh run or a resume, with or without
-    /// a checkpoint `sink`. Fails as [`IterativeDetector::resume`] does.
     pub fn run(
         &self,
         g: &AugmentedGraph,
@@ -702,7 +669,7 @@ mod tests {
         let restored =
             Checkpoint::from_json(&last.to_json()).expect("checkpoint round-trips");
         let resumed = IterativeDetector::new(RejectoConfig::default())
-            .resume(&g, &seeds, termination, &restored)
+            .run(&g, &seeds, termination, Some(&restored), None)
             .expect("checkpoint matches the graph");
         assert_eq!(resumed, full, "resume must reproduce the uninterrupted run");
     }

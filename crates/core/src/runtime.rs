@@ -16,7 +16,7 @@ use std::fmt;
 /// describe *degraded* operation: the run continued and the report is
 /// well-formed, but some work was skipped or some side effect (a
 /// checkpoint write) was lost. Failures returned as `Err` from
-/// [`crate::IterativeDetector::resume`] describe inputs the run could not
+/// [`crate::IterativeDetector::run`] describe inputs the run could not
 /// start from at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

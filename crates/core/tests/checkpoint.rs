@@ -87,7 +87,13 @@ proptest! {
             prop_assert_eq!(&restored, &captured, "wire format lost information");
 
             let resumed = detector(threads, None)
-                .resume(&g, &Seeds::default(), Termination::SuspectBudget(g.num_nodes()), &restored);
+                .run(
+                    &g,
+                    &Seeds::default(),
+                    Termination::SuspectBudget(g.num_nodes()),
+                    Some(&restored),
+                    None,
+                );
             prop_assert!(
                 resumed.is_ok(),
                 "resume rejected a checkpoint captured from its own graph: {:?}", resumed.err()

@@ -197,7 +197,13 @@ fn mangled_newest_generation_resumes_identically() {
             assert_eq!(resume.checkpoint.rounds, 1, "{spec}: fallback lands on round 1");
 
             let resumed = detector(threads)
-                .resume(&g, &Seeds::default(), Termination::SuspectBudget(4), &resume.checkpoint)
+                .run(
+                    &g,
+                    &Seeds::default(),
+                    Termination::SuspectBudget(4),
+                    Some(&resume.checkpoint),
+                    None,
+                )
                 .expect("surviving generation resumes");
             assert_eq!(
                 resumed, clean,

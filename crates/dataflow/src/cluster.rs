@@ -256,9 +256,9 @@ struct Worker {
 
 /// A running worker pool holding the sharded augmented graph.
 ///
-/// See the [module docs](self) for the failure model: respawn from
-/// lineage, then rebalance onto survivors, then a structured
-/// [`ClusterError`] — never a panic.
+/// Failures degrade through three tiers: respawn from lineage, then
+/// rebalance onto survivors, then a structured [`ClusterError`] — never a
+/// panic.
 pub struct Cluster {
     graph: Arc<AugmentedGraph>,
     workers: RefCell<Vec<Worker>>,
@@ -801,8 +801,6 @@ pub struct DistributedOutcome {
     /// Aggregate acceptance rate of the winning cut (`None` if no
     /// non-degenerate cut was found).
     pub acceptance_rate: Option<f64>,
-    /// The winning sweep `k`.
-    pub k: Option<f64>,
     /// The winning sweep `k` as the exact rational it was solved with.
     pub k_exact: Option<KParam>,
     /// Simulated traffic counters.
@@ -850,7 +848,8 @@ impl DistributedMaar {
         &self.cluster_config
     }
 
-    /// Solves MAAR on `g` using a freshly spawned cluster.
+    /// Solves MAAR on `g` using a freshly spawned cluster, arming the
+    /// configured budgets and fault plan for this one solve.
     ///
     /// # Errors
     ///
@@ -858,26 +857,10 @@ impl DistributedMaar {
     /// loses every worker.
     pub fn solve(&self, g: &AugmentedGraph) -> Result<DistributedOutcome, RuntimeError> {
         let cluster = Cluster::new(g, &self.cluster_config)?;
-        self.solve_on(&cluster, g.num_nodes())
-    }
-
-    /// Solves MAAR against an existing cluster (graph already sharded, with
-    /// `num_nodes` users), arming the configured budgets and fault plan for
-    /// this one solve.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedMaar::solve`].
-    pub fn solve_on(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-    ) -> Result<DistributedOutcome, RuntimeError> {
-        debug_assert_eq!(num_nodes, cluster.num_nodes(), "solve_on node count mismatch");
         let start = rejecto_obs::Stopwatch::start();
         let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
         let mut io = IoStats::default();
-        let outcome = self.sweep_on(cluster, &[], &[], &ctx, &mut io)?;
+        let outcome = self.sweep_on(&cluster, &[], &[], &ctx, &mut io)?;
         let completion = if outcome.interrupted {
             Completion::Partial {
                 completed_rounds: 0,
@@ -891,7 +874,6 @@ impl DistributedMaar {
         Ok(DistributedOutcome {
             suspects: cut.as_ref().map(|c| c.suspects()).unwrap_or_default(),
             acceptance_rate: cut.as_ref().map(|c| c.acceptance_rate),
-            k: cut.as_ref().map(|c| c.k.value()),
             k_exact: cut.as_ref().map(|c| c.k),
             io,
             elapsed: start.elapsed(),
@@ -1060,6 +1042,16 @@ mod tests {
         assert_eq!(shape(isolated), [0, 0, 0]);
         assert_eq!(shape(rejection_only), [0, 1, 1]);
         g
+    }
+
+    /// [`DistributedMaar::solve`] on a cluster the test already holds (and
+    /// may have crashed workers of): the winning suspects and the traffic.
+    pub(super) fn solve_on(dist: &DistributedMaar, cluster: &Cluster) -> (Vec<NodeId>, IoStats) {
+        let ctx = RunContext::armed(&dist.rejecto, None);
+        let mut io = IoStats::default();
+        let outcome =
+            dist.sweep_on(cluster, &[], &[], &ctx, &mut io).expect("crashes are recovered");
+        (outcome.cut.map(|c| c.suspects()).unwrap_or_default(), io)
     }
 
     /// Fetches every node of `g` and checks that each record splits back
@@ -1262,17 +1254,16 @@ mod tests {
         // that drops a field (the original bug dropped worker_restarts)
         // fails this test.
         cluster.fail_worker(1);
-        let out = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default())
-            .solve_on(&cluster, g.num_nodes())
-            .expect("distributed solve succeeds");
-        assert!(out.suspects.is_empty(), "a rejection-free graph has no cut");
+        let dist = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default());
+        let (suspects, io) = solve_on(&dist, &cluster);
+        assert!(suspects.is_empty(), "a rejection-free graph has no cut");
         assert!(
-            out.io.worker_restarts >= 1,
+            io.worker_restarts >= 1,
             "the restart from the primary sweep must not be dropped by the merge"
         );
         // On this graph the warm start degenerates to all-legit, so the
         // merged counters must be exactly two single sweeps' worth.
-        assert_eq!(out.io.init_jobs, 2 * single.io.init_jobs);
+        assert_eq!(io.init_jobs, 2 * single.io.init_jobs);
     }
 }
 
@@ -1344,9 +1335,9 @@ mod fault_tests {
         cluster.fail_worker(1);
         cluster.fail_worker(2);
         let dist = DistributedMaar::new(ClusterConfig::default(), config);
-        let out = dist.solve_on(&cluster, g.num_nodes()).expect("crashes are recovered");
-        assert_eq!(out.suspects, local.suspects(), "crash changed the cut");
-        assert!(out.io.worker_restarts >= 2);
+        let (suspects, io) = super::tests::solve_on(&dist, &cluster);
+        assert_eq!(suspects, local.suspects(), "crash changed the cut");
+        assert!(io.worker_restarts >= 2);
     }
 
     #[test]

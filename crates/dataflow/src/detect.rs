@@ -79,10 +79,9 @@ impl DistributedDetector {
     /// Attaches a metrics registry, shared with the underlying
     /// [`DistributedMaar`] sweeps. Deterministic spans and counters match
     /// the single-process detector's vocabulary; the run's aggregate
-    /// [`IoStats`] and cancellation polls are absorbed into the volatile
-    /// `timings` section when the loop returns (they vary with worker
-    /// count and fault schedules, exactly like the `detect_with_io`
-    /// counters).
+    /// [`IoStats`] (as the `io/*` counters) and cancellation polls are
+    /// absorbed into the volatile `timings` section when the loop returns,
+    /// since they vary with worker count and fault schedules.
     pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
         self.solver.set_obs(obs.clone());
         self.obs = Some(obs);
@@ -103,43 +102,12 @@ impl DistributedDetector {
         self.run(g, seeds, termination, None, None)
     }
 
-    /// [`DistributedDetector::detect`], also returning the aggregate
-    /// traffic counters of the whole run. The counters live outside the
-    /// report on purpose: they vary with worker count and fault schedules
-    /// while the report must stay byte-identical across both.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedDetector::detect`].
-    pub fn detect_with_io(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-    ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        self.run_with_io(g, seeds, termination, None, None)
-    }
-
-    /// [`DistributedDetector::detect`], calling `sink` with a
-    /// [`Checkpoint`] after every completed pruning round.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedDetector::detect`].
-    pub fn detect_with_checkpoints(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        sink: CheckpointSink<'_>,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, None, Some(sink))
-    }
-
-    /// Continues a run from `checkpoint` exactly as if the original run
-    /// had never stopped. Checkpoints written by the single-process
-    /// detector resume distributed runs and vice versa — the format
-    /// records algorithm state, not deployment.
+    /// A fresh run, or with `resume` the continuation of a checkpointed
+    /// one, calling `sink` (if any) with a [`Checkpoint`] after every
+    /// completed pruning round. A resumed run continues exactly as if the
+    /// original had never stopped. Checkpoints written by the
+    /// single-process detector resume distributed runs and vice versa —
+    /// the format records algorithm state, not deployment.
     ///
     /// # Errors
     ///
@@ -147,35 +115,6 @@ impl DistributedDetector {
     /// checkpoint does not describe `g`;
     /// [`RuntimeError::ClusterFailed`] as in
     /// [`DistributedDetector::detect`].
-    pub fn resume(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), None)
-    }
-
-    /// [`DistributedDetector::resume`] with checkpointing of the continued
-    /// rounds.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedDetector::resume`].
-    pub fn resume_with_checkpoints(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-        sink: CheckpointSink<'_>,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
-    }
-
-    /// Every entry point in one: a fresh run or a resume, with or without
-    /// a checkpoint `sink`. Fails as [`DistributedDetector::resume`] does.
     pub fn run(
         &self,
         g: &AugmentedGraph,
@@ -184,25 +123,13 @@ impl DistributedDetector {
         resume: Option<&Checkpoint>,
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<DetectionReport, RuntimeError> {
-        Ok(self.run_with_io(g, seeds, termination, resume, sink)?.0)
-    }
-
-    fn run_with_io(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        resume: Option<&Checkpoint>,
-        sink: Option<CheckpointSink<'_>>,
-    ) -> Result<(DetectionReport, IoStats), RuntimeError> {
         let state = LoopState::start(g, resume)?;
         let rounds = ClusterRounds { solver: &self.solver, io: Cell::default() };
         let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink)?;
-        let io = rounds.io.get();
         if let Some(obs) = &self.obs {
-            absorb_io(obs, &io);
+            absorb_io(obs, &rounds.io.get());
         }
-        Ok((report, io))
+        Ok(report)
     }
 }
 

@@ -12,8 +12,8 @@
 /// This structure sits inside every KL sweep on every worker, so its
 /// membership preconditions are `debug_assert!`s (release builds must not
 /// abort a whole sweep on a recoverable bookkeeping slip; the
-/// `debug-invariants` feature and [`assert_consistent`](Self::assert_consistent)
-/// carry the release-strength checks). Out-of-range *gains* are still
+/// `debug-invariants` feature and its `assert_consistent` check carry the
+/// release-strength checks). Out-of-range *gains* are still
 /// rejected in every profile — filing a node in the wrong bucket would
 /// silently corrupt the structure rather than degrade.
 ///

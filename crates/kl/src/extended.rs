@@ -21,7 +21,7 @@ pub type SwitchDelta = (i32, i32);
 /// Narrows a delta [`Partition::switch_delta`] computed to the carried
 /// form. A delta is bounded by a degree and degrees fit `u32`, but not
 /// every `u32` fits `i32`: this is where that range assumption is
-/// enforced rather than silently wrapped, as [`obj_i64`] does for the
+/// enforced rather than silently wrapped, as `obj_i64` does for the
 /// objective.
 #[inline]
 pub fn carry((df, dr): (i64, i64)) -> SwitchDelta {
@@ -333,15 +333,6 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// Panics if `node` is out of range.
     pub fn lock(&mut self, node: NodeId) {
         self.locked[node.index()] = true;
-    }
-
-    /// Whether `node` is pinned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn is_locked(&self, node: NodeId) -> bool {
-        self.locked[node.index()]
     }
 
     /// The scaled objective `den·|F(Ū,U)| − num·|R⟨Ū,U⟩|` of a partition.
@@ -811,7 +802,6 @@ mod tests {
         kl.lock(NodeId(4));
         let out = kl.run(Partition::all_legit(&g));
         assert_eq!(out.partition.region(NodeId(4)), Region::Legit);
-        assert!(kl.is_locked(NodeId(4)));
         // The other two fakes are still separable.
         assert!(out.partition.suspects().contains(&NodeId(5)));
         assert!(out.partition.suspects().contains(&NodeId(6)));

@@ -1,15 +1,12 @@
-//! Kernighan–Lin partitioning, classic and extended (the paper's §IV-C/D).
+//! Kernighan–Lin partitioning, extended for rejections (the paper's §IV-C/D).
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`BucketList`] — the Fiduccia–Mattheyses gain structure: an array of
 //!   intrusive doubly-linked lists indexed by integer gain, giving `O(1)`
 //!   insert/remove/update and amortized-`O(1)` max-gain extraction. This is
 //!   the optimization the paper cites for making KL effectively linear-time
 //!   (§IV-C, \[21\]).
-//! * [`classic`] — the textbook Kernighan–Lin bisection with node-*pair*
-//!   interchanges on an undirected graph, kept as a reference
-//!   implementation of the heuristic the paper builds on (Figure 7).
 //! * [`ExtendedKl`] — the paper's Algorithm 1: single-node switches on a
 //!   rejection-augmented graph, minimizing the weighted objective
 //!   `|F(Ū,U)| − k·|R⟨Ū,U⟩|` with friendships at weight 1 and rejections at
@@ -23,7 +20,6 @@
 
 mod bucket;
 mod cancel;
-pub mod classic;
 mod extended;
 pub(crate) mod invariants;
 mod kparam;

@@ -358,9 +358,9 @@ fn render_u64_map<'a>(
     }
 }
 
-/// Minimal JSON string rendering (paths are ASCII identifiers and `/`;
-/// escape the general cases anyway so no input can corrupt the document).
-fn json_str(s: &str) -> String {
+/// Renders `s` as a quoted JSON string, escaping quotes, backslashes and
+/// every control character, so no input can corrupt the document.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -584,6 +584,7 @@ mod tests {
     fn json_strings_escape_the_dangerous_cases() {
         assert_eq!(json_str("a/b"), "\"a/b\"");
         assert_eq!(json_str("q\"x\\y\n"), "\"q\\\"x\\\\y\\n\"");
+        assert_eq!(json_str("\r\t\u{1}"), "\"\\r\\t\\u0001\"");
     }
 
     #[test]

@@ -194,15 +194,6 @@ impl IngestGuards {
     pub fn unlimited() -> Self {
         IngestGuards::default()
     }
-
-    /// Whether any budget or conflict check is active.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.max_nodes.is_some()
-            || self.max_friendships.is_some()
-            || self.max_rejections.is_some()
-            || self.reject_conflicts
-    }
 }
 
 /// Writes `g` in the v1 text format: the header, then node by node its
@@ -991,13 +982,5 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn default_guards_are_inactive() {
-        assert!(!IngestGuards::default().is_active());
-        assert!(!IngestGuards::unlimited().is_active());
-        assert!(IngestGuards { max_nodes: Some(1), ..IngestGuards::default() }.is_active());
-        assert!(IngestGuards { reject_conflicts: true, ..IngestGuards::default() }.is_active());
     }
 }

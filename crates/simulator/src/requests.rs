@@ -84,16 +84,6 @@ impl RequestLog {
         }
         b.build()
     }
-
-    /// Count of accepted requests.
-    pub fn num_accepted(&self) -> usize {
-        self.requests.iter().filter(|r| r.accepted).count()
-    }
-
-    /// Count of rejected requests.
-    pub fn num_rejected(&self) -> usize {
-        self.len() - self.num_accepted()
-    }
 }
 
 #[cfg(test)]
@@ -111,15 +101,6 @@ mod tests {
         assert!(g.has_rejection(NodeId(1), NodeId(2)));
         assert_eq!(g.num_friendships(), 1);
         assert_eq!(g.num_rejections(), 1);
-    }
-
-    #[test]
-    fn counts_accepts_and_rejects() {
-        let mut log = RequestLog::new(2);
-        log.push(NodeId(0), NodeId(1), true);
-        log.push(NodeId(1), NodeId(0), false);
-        assert_eq!(log.num_accepted(), 1);
-        assert_eq!(log.num_rejected(), 1);
     }
 
     #[test]

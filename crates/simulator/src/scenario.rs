@@ -165,11 +165,6 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
-    /// Ground-truth mask sliced as `&[bool]` (indexed by node id).
-    pub fn is_fake_mask(&self) -> &[bool] {
-        &self.is_fake
-    }
-
     /// Number of attack edges (friendships straddling the fake/legit
     /// boundary).
     pub fn attack_edges(&self) -> u64 {

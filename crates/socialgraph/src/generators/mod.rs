@@ -16,13 +16,9 @@
 //! ```
 
 mod ba;
-mod erdos_renyi;
-mod forest_fire;
 mod holme_kim;
 mod watts_strogatz;
 
 pub use ba::BarabasiAlbert;
-pub use erdos_renyi::ErdosRenyi;
-pub use forest_fire::ForestFire;
 pub use holme_kim::HolmeKim;
 pub use watts_strogatz::WattsStrogatz;

@@ -58,12 +58,6 @@ impl EdgeListLimits {
     pub fn unlimited() -> Self {
         EdgeListLimits::default()
     }
-
-    /// Whether any ceiling is set.
-    #[must_use]
-    pub fn is_limited(&self) -> bool {
-        self.max_nodes.is_some() || self.max_edges.is_some()
-    }
 }
 
 /// `count` as a `u64` for budget accounting; collection lengths always fit.
@@ -409,12 +403,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::ResourceExhausted { resource: "nodes", .. }), "{err}");
-    }
-
-    #[test]
-    fn unlimited_limits_report_unlimited() {
-        assert!(!EdgeListLimits::unlimited().is_limited());
-        assert!(EdgeListLimits { max_nodes: Some(1), max_edges: None }.is_limited());
     }
 
     #[test]

@@ -7,10 +7,7 @@
 //!   [`GraphBuilder`];
 //! * random-graph generators used to synthesize the evaluation's host
 //!   graphs ([`generators`]): Barabási–Albert, Holme–Kim (power-law with
-//!   tunable clustering), Watts–Strogatz, Erdős–Rényi, and the
-//!   Leskovec forest-fire model;
-//! * forest-fire *sampling* of an existing graph ([`sampling`]), the method
-//!   the paper used to obtain its Facebook sample;
+//!   tunable clustering) and Watts–Strogatz;
 //! * graph metrics ([`metrics`]): average local clustering coefficient,
 //!   (pseudo-)diameter, degree statistics, connected components;
 //! * community detection by label propagation ([`communities`]) and the
@@ -44,7 +41,6 @@ pub mod det;
 pub mod generators;
 pub mod io;
 pub mod metrics;
-pub mod sampling;
 pub mod surrogates;
 
 pub use error::GraphError;

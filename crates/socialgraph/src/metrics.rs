@@ -147,25 +147,6 @@ pub fn pseudo_diameter(g: &Graph, start: NodeId, rounds: usize) -> u32 {
     best
 }
 
-/// Exact diameter of the component containing the largest component's nodes.
-/// Runs a BFS from every node of that component — only for small graphs and
-/// tests.
-pub fn exact_diameter(g: &Graph) -> u32 {
-    let comp = largest_component(g);
-    let mut best = 0u32;
-    for &u in &comp {
-        let dist = bfs_distances(g, u);
-        let ecc = comp
-            .iter()
-            .map(|v| dist[v.index()])
-            .filter(|&d| d != u32::MAX)
-            .max()
-            .unwrap_or(0);
-        best = best.max(ecc);
-    }
-    best
-}
-
 /// Basic degree statistics of a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegreeStats {
@@ -261,13 +242,6 @@ mod tests {
     #[test]
     fn pseudo_diameter_is_exact_on_path() {
         assert_eq!(pseudo_diameter(&path5(), crate::NodeId(2), 4), 4);
-        assert_eq!(exact_diameter(&path5()), 4);
-    }
-
-    #[test]
-    fn exact_diameter_of_cycle() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        assert_eq!(exact_diameter(&g), 3);
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl RequestGraph {
         &self.inc[u.index()]
     }
 
-    /// Out-degree of `u` in requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out[u.index()].len()
-    }
-
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         let n = u32::try_from(self.out.len()).expect("node ids fit in u32");
@@ -121,7 +112,7 @@ mod tests {
             2,
             [(NodeId(0), NodeId(1), false), (NodeId(0), NodeId(1), true)],
         );
-        assert_eq!(g.out_degree(NodeId(0)), 2);
+        assert_eq!(g.sent(NodeId(0)), &[(NodeId(1), false), (NodeId(1), true)]);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use rejecto_core::{
     CheckpointStore, Completion, DetectionReport, Fault, Faults, InterruptReason,
     IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
 };
+use rejecto_obs::json_str;
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -371,11 +372,12 @@ fn resume_leg(
     let resume_config = config.clone();
     let checkpoint = resume.checkpoint;
     let resumed = catch_unwind(AssertUnwindSafe(move || {
-        IterativeDetector::new(resume_config).resume(
+        IterativeDetector::new(resume_config).run(
             graph,
             &Seeds::default(),
             termination,
-            &checkpoint,
+            Some(&checkpoint),
+            None,
         )
     }))
     .map_err(|_| format!("{ctx}: resume leg threads={threads} PANICKED"))?
@@ -393,24 +395,6 @@ fn resume_leg(
 }
 
 // --- JSON artifact (hand-rolled: xtask deliberately has no serde) -------
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn json_str_list(items: &[String]) -> String {
     let rendered: Vec<String> = items.iter().map(|s| json_str(s)).collect();

@@ -280,11 +280,12 @@ fn durable_store_legs() -> Result<(), String> {
                         ..RejectoConfig::default()
                     });
                     det.set_obs(obs.clone());
-                    det.resume(
+                    det.run(
                         &sim.graph,
                         &Seeds::default(),
                         Termination::SuspectBudget(FAKES),
-                        &resume.checkpoint,
+                        Some(&resume.checkpoint),
+                        None,
                     )
                     .map_err(|e| e.to_string())
                 },
@@ -306,11 +307,12 @@ fn durable_store_legs() -> Result<(), String> {
             let mut sink =
                 |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
             DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
-                .detect_with_checkpoints(
+                .run(
                     &sim.graph,
                     &Seeds::default(),
                     Termination::SuspectBudget(FAKES),
-                    &mut sink,
+                    None,
+                    Some(&mut sink),
                 )
                 .map_err(|e| {
                     format!("distributed durable-store leg failed at workers={workers}: {e}")
@@ -325,11 +327,12 @@ fn durable_store_legs() -> Result<(), String> {
                         RejectoConfig::default(),
                     );
                     det.set_obs(obs.clone());
-                    det.resume(
+                    det.run(
                         &sim.graph,
                         &Seeds::default(),
                         Termination::SuspectBudget(FAKES),
-                        &resume.checkpoint,
+                        Some(&resume.checkpoint),
+                        None,
                     )
                     .map_err(|e| e.to_string())
                 },
@@ -577,7 +580,13 @@ fn distributed_kill_and_resume(
         format!("distributed checkpoint JSON round-trip failed at workers={workers}: {e}")
     })?;
     let resumed = DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
+        .run(
+            &sim.graph,
+            &Seeds::default(),
+            Termination::SuspectBudget(FAKES),
+            Some(&restored),
+            None,
+        )
         .map_err(|e| {
             format!("distributed resume rejected its own checkpoint at workers={workers}: {e}")
         })?;
@@ -621,7 +630,13 @@ fn kill_and_resume(sim: &SimOutput, threads: usize, full_render: &str) -> Result
     let restored = Checkpoint::from_json(&json)
         .map_err(|e| format!("checkpoint JSON round-trip failed at threads={threads}: {e}"))?;
     let resumed = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
+        .run(
+            &sim.graph,
+            &Seeds::default(),
+            Termination::SuspectBudget(FAKES),
+            Some(&restored),
+            None,
+        )
         .map_err(|e| format!("resume rejected its own checkpoint at threads={threads}: {e}"))?;
     let rr = render_report(&resumed);
     if rr != full_render {

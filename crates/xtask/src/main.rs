@@ -37,6 +37,7 @@ mod lint;
 mod fixtures_test;
 
 use lint::{SourceFile, Violation};
+use rejecto_obs::json_str;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -225,25 +226,6 @@ fn render_json(violations: &[Violation], fixable: Option<&Vec<fix::FixCandidate>
     s
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The workspace root: two levels above this crate's manifest dir.
 fn repo_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -367,12 +349,6 @@ fn walk_rs(dir: &Path, visit: &mut dyn FnMut(&Path)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn json_document_shape() {

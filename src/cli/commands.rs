@@ -206,20 +206,36 @@ fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn read_truth(path: &str) -> Result<Vec<NodeId>, CliError> {
-    let mut out = Vec::new();
+/// Rejects the first seed id past a graph of `n` nodes.
+fn check_seeds(seeds: &[NodeId], n: usize) -> Result<(), CliError> {
+    match seeds.iter().find(|s| s.index() >= n) {
+        Some(s) => Err(CliError(format!("seed {s} out of range ({n} nodes)"))),
+        None => Ok(()),
+    }
+}
+
+/// Reads a ground-truth file (one fake id per line) into an `is_fake`
+/// mask over `n` nodes. An id past the graph is an error naming its line:
+/// dropping it would overstate recall.
+fn read_truth(path: &str, n: usize) -> Result<Vec<bool>, CliError> {
+    let mut is_fake = vec![false; n];
     for (i, line) in BufReader::new(File::open(path)?).lines().enumerate() {
         let line = line?;
         let t = line.trim();
         if t.is_empty() {
             continue;
         }
-        let id: u32 = t
+        let line_no = i + 1;
+        let id: usize = t
             .parse()
-            .map_err(|_| CliError(format!("{path}:{}: bad node id {t:?}", i + 1)))?;
-        out.push(NodeId(id));
+            .map_err(|_| CliError(format!("{path}:{line_no}: bad node id {t:?}")))?;
+        let Some(slot) = is_fake.get_mut(id) else {
+            let why = format!("node id {id} out of range ({n} nodes)");
+            return Err(CliError(format!("{path}:{line_no}: {why}")));
+        };
+        *slot = true;
     }
-    Ok(out)
+    Ok(is_fake)
 }
 
 /// How the user asked to interrupt a run, rendered for report lines.
@@ -483,13 +499,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     }
 
     if let Some(path) = truth_path {
-        let truth = read_truth(&path)?;
-        let mut is_fake = vec![false; g.num_nodes()];
-        for t in &truth {
-            if t.index() < is_fake.len() {
-                is_fake[t.index()] = true;
-            }
-        }
+        let is_fake = read_truth(&path, g.num_nodes())?;
         let suspects = report.suspects();
         let idx: Vec<usize> = suspects.iter().map(|s| s.index()).collect();
         let pr = eval::precision_recall(&idx, &is_fake);
@@ -594,6 +604,7 @@ fn votetrust_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> 
         requests.push((NodeId(from), NodeId(to), accepted));
     }
     let g = votetrust::RequestGraph::from_requests(max_id as usize + 1, requests);
+    check_seeds(&seeds, g.num_nodes())?;
     let ranking = votetrust::VoteTrust::default().rank(&g, &seeds);
     writeln!(out, "bottom {bottom} users by VoteTrust rating:")?;
     for n in ranking.bottom(bottom) {
@@ -628,11 +639,7 @@ fn sybilrank_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> 
     if seeds.is_empty() {
         return Err(CliError("sybilrank needs at least one --seeds id".to_string()));
     }
-    for s in &seeds {
-        if s.index() >= g.num_nodes() {
-            return Err(CliError(format!("seed {s} out of range ({} nodes)", g.num_nodes())));
-        }
-    }
+    check_seeds(&seeds, g.num_nodes())?;
     let result = sybilrank::SybilRank::default().rank(&g, &seeds);
     let idx = ranked_by_score(result.scores());
     writeln!(out, "bottom {bottom} users by degree-normalized trust:")?;
@@ -657,11 +664,7 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     if seeds.is_empty() {
         return Err(CliError("defense needs at least one --seeds id".to_string()));
     }
-    for s in &seeds {
-        if s.index() >= g.num_nodes() {
-            return Err(CliError(format!("seed {s} out of range ({} nodes)", g.num_nodes())));
-        }
-    }
+    check_seeds(&seeds, g.num_nodes())?;
 
     let detector = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() });
     let report = detector.detect(
@@ -710,13 +713,7 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     )?;
 
     if let Some(path) = truth_path {
-        let truth = read_truth(&path)?;
-        let mut is_fake = vec![false; g.num_nodes()];
-        for t in &truth {
-            if t.index() < is_fake.len() {
-                is_fake[t.index()] = true;
-            }
-        }
+        let is_fake = read_truth(&path, g.num_nodes())?;
         let auc_before = before.auc(&is_fake);
         let kept_fake: Vec<bool> = kept.iter().map(|u| is_fake[u.index()]).collect();
         let auc_after = after.auc(&kept_fake);

@@ -13,9 +13,9 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`socialgraph`] | graph substrate: storage, generators, sampling, metrics, I/O |
+//! | [`socialgraph`] | graph substrate: storage, generators, metrics, I/O |
 //! | [`rejection`] | the augmented graph `G = (V, F, R⃗)` and cut bookkeeping |
-//! | [`kl`] | bucket list, classic KL, and the paper's extended KL |
+//! | [`kl`] | bucket list and the paper's extended KL |
 //! | [`rejecto_core`] | MAAR solver, iterative detection, seeds |
 //! | [`votetrust`] | the VoteTrust baseline (INFOCOM'13) |
 //! | [`sybilrank`] | SybilRank (NSDI'12) for the defense-in-depth pipeline |

@@ -136,3 +136,43 @@ fn invalid_scenario_is_a_usage_error_not_a_panic() {
         assert!(!dir.join("bad.rjg").exists(), "{extra:?} wrote a graph");
     }
 }
+
+#[test]
+fn votetrust_seed_past_the_log_is_a_usage_error_not_a_panic() {
+    let dir = workdir("votetrust-seed");
+    let log = dir.join("three.requests");
+    std::fs::write(&log, "0 1 1\n2 1 0\n").expect("write request log");
+    let out = bin()
+        .args(["votetrust", "--log", log.to_str().unwrap(), "--seeds", "0,99"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.trim_end(), "error: seed 99 out of range (3 nodes)");
+}
+
+#[test]
+fn truth_id_past_the_graph_is_rejected_not_dropped() {
+    let dir = workdir("truth-range");
+    let stem = dir.join("run");
+    let stem = stem.to_str().unwrap();
+    run_ok(bin().args([
+        "simulate", "--out", stem, "--scale", "0.02", "--fakes", "60", "--seed", "7",
+    ]));
+    let graph = format!("{stem}.rjg");
+    let truth = format!("{stem}.truth");
+    let mut ids = std::fs::read_to_string(&truth).expect("truth file");
+    let line = ids.lines().count() + 1;
+    ids.push_str("99999\n");
+    std::fs::write(&truth, ids).expect("append to truth file");
+    let want = format!("error: {truth}:{line}: node id 99999 out of range (260 nodes)");
+    for cmd in [
+        vec!["detect", "--graph", &graph, "--budget", "60", "--truth", &truth],
+        vec!["defense", "--graph", &graph, "--seeds", "0", "--budget", "60", "--truth", &truth],
+    ] {
+        let out = bin().args(&cmd).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", cmd[0]);
+        assert_eq!(stderr.trim_end(), want, "{}", cmd[0]);
+    }
+}

@@ -8,9 +8,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
 use rejecto::rejecto_core::{
-    Checkpoint, Completion, FaultPlan, InterruptReason, RejectoConfig, RuntimeError, Seeds,
-    Termination,
+    Checkpoint, Completion, DetectionReport, FaultPlan, InterruptReason, RejectoConfig,
+    RuntimeError, Seeds, Termination,
 };
+use rejecto_obs::Obs;
 use rejecto::simulator::{Scenario, ScenarioConfig, SimOutput};
 use rejecto::socialgraph::generators::BarabasiAlbert;
 use rejecto::socialgraph::surrogates::Surrogate;
@@ -34,6 +35,22 @@ fn snappy(workers: usize) -> ClusterConfig {
         backoff_base: Duration::ZERO,
         ..ClusterConfig::default()
     }
+}
+
+/// Runs `detector` to the fake budget with a metrics registry attached,
+/// returning the report and the registry, whose volatile `io/*` counters
+/// hold the run's traffic and recovery totals.
+fn detect_observed(
+    mut detector: DistributedDetector,
+    sim: &SimOutput,
+    expect: &str,
+) -> (DetectionReport, Obs) {
+    let obs = Obs::new();
+    detector.set_obs(obs.clone());
+    let report = detector
+        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+        .expect(expect);
+    (report, obs)
 }
 
 fn plan(spec: &str) -> FaultPlan {
@@ -67,12 +84,13 @@ fn injected_deaths_are_invisible_in_the_report() {
         faults: plan("worker_death@fetch=2,worker_death@fetch=11"),
         ..RejectoConfig::default()
     };
-    let (report, io) = DistributedDetector::new(snappy(3), faulted_config)
-        .detect_with_io(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-        .expect("faulted cluster with survivors must detect");
+    let detector = DistributedDetector::new(snappy(3), faulted_config);
+    let (report, obs) =
+        detect_observed(detector, &sim, "faulted cluster with survivors must detect");
     assert_eq!(report, clean, "worker deaths leaked into the report");
     assert!(report.failures.is_empty(), "recovered faults must not be recorded as failures");
-    assert!(io.worker_restarts >= 2, "expected ≥2 restarts, saw {}", io.worker_restarts);
+    let restarts = obs.volatile("io/worker_restarts");
+    assert!(restarts >= 2, "expected ≥2 restarts, saw {restarts}");
 }
 
 #[test]
@@ -89,11 +107,11 @@ fn repeated_deaths_force_rebalance_without_changing_the_report() {
         faults: plan("worker_death@fetch=2:x5"),
         ..RejectoConfig::default()
     };
-    let (report, io) = DistributedDetector::new(cluster, faulted_config)
-        .detect_with_io(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-        .expect("rebalanced cluster must detect");
+    let detector = DistributedDetector::new(cluster, faulted_config);
+    let (report, obs) = detect_observed(detector, &sim, "rebalanced cluster must detect");
     assert_eq!(report, clean, "shard rebalancing leaked into the report");
-    assert!(io.shards_rebalanced >= 1, "expected a rebalance, saw {}", io.shards_rebalanced);
+    let rebalanced = obs.volatile("io/shards_rebalanced");
+    assert!(rebalanced >= 1, "expected a rebalance, saw {rebalanced}");
 }
 
 #[test]
@@ -107,12 +125,11 @@ fn hung_worker_recovery_is_invisible() {
         faults: plan("worker_hang@fetch=2"),
         ..RejectoConfig::default()
     };
-    let (report, io) = DistributedDetector::new(snappy(2), faulted_config)
-        .detect_with_io(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-        .expect("watchdog must recover the hung worker");
+    let detector = DistributedDetector::new(snappy(2), faulted_config);
+    let (report, obs) = detect_observed(detector, &sim, "watchdog must recover the hung worker");
     assert_eq!(report, clean, "hung-worker recovery leaked into the report");
-    assert_eq!(io.hangs_absorbed, 1, "the injected hang never fired");
-    assert!(io.worker_restarts >= 1, "watchdog never fired");
+    assert_eq!(obs.volatile("io/hangs_absorbed"), 1, "the injected hang never fired");
+    assert!(obs.volatile("io/worker_restarts") >= 1, "watchdog never fired");
 }
 
 #[test]
@@ -172,7 +189,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_run() {
         let json = Checkpoint::capture(&sim.graph, &halted).to_json();
         let restored = Checkpoint::from_json(&json).expect("checkpoint JSON round-trips");
         let resumed = DistributedDetector::new(snappy(workers), RejectoConfig::default())
-            .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
+            .run(
+                &sim.graph,
+                &Seeds::default(),
+                Termination::SuspectBudget(FAKES),
+                Some(&restored),
+                None,
+            )
             .expect("resume accepts its own checkpoint");
         assert_eq!(resumed, full, "kill-and-resume diverged at workers={workers}");
     }
@@ -199,7 +222,7 @@ fn faults_survive_a_resume_boundary() {
         ..RejectoConfig::default()
     };
     let resumed = DistributedDetector::new(snappy(2), faulted_config)
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &ckpt)
+        .run(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), Some(&ckpt), None)
         .expect("faulted resume with a survivor must detect");
     assert_eq!(resumed, full, "post-resume fault recovery leaked into the report");
 }

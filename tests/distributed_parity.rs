@@ -102,7 +102,7 @@ fn assert_detector_parity(g: &AugmentedGraph, config: RejectoConfig, termination
     for workers in [1, 3] {
         let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
         let dist = DistributedDetector::new(cluster, config.clone())
-            .detect_with_checkpoints(g, &seeds, termination, &mut |_| Ok(()))
+            .run(g, &seeds, termination, None, Some(&mut |_| Ok(())))
             .expect("healthy cluster must detect");
         assert_eq!(dist, local, "workers={workers}");
     }
