@@ -4,6 +4,7 @@ use crate::{MaarSolver, RejectoConfig, SweepOutcome};
 use kl::KParam;
 use rejection::{AugmentedGraph, NodeId};
 use std::io;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Manually inspected ground-truth users the OSN provider supplies
@@ -187,15 +188,49 @@ pub trait CutSolver {
 
     /// The MAAR cut of the residual graph `g` with the seeds (in `g`'s
     /// ids) pinned, under the budgets and the armed fault table of `ctx`.
-    /// `g` is shared, so a runtime that keeps the graph (the cluster's
-    /// lineage) takes a handle rather than a copy.
+    /// A runtime that keeps the graph (the cluster's lineage) takes
+    /// [`Residual::to_shared`]: a handle on a pruned graph, and one copy
+    /// of the caller's input in round 1.
     fn solve_round(
         &self,
-        g: &Arc<AugmentedGraph>,
+        g: &Residual<'_>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, Self::Error>;
+}
+
+/// The graph a pruning round runs on: the caller's input until the first
+/// prune, then a residual graph the loop owns.
+#[derive(Debug, Clone)]
+pub enum Residual<'g> {
+    /// The run's input graph, borrowed: round 1 of a fresh run.
+    Input(&'g AugmentedGraph),
+    /// A graph the loop built: the survivors of a prune, or of a resumed
+    /// checkpoint.
+    Pruned(Arc<AugmentedGraph>),
+}
+
+impl Residual<'_> {
+    /// A shared handle on the graph: the pruned graph's own, or a copy of
+    /// the borrowed input.
+    pub fn to_shared(&self) -> Arc<AugmentedGraph> {
+        match self {
+            Residual::Input(g) => Arc::new((*g).clone()),
+            Residual::Pruned(g) => Arc::clone(g),
+        }
+    }
+}
+
+impl Deref for Residual<'_> {
+    type Target = AugmentedGraph;
+
+    fn deref(&self) -> &AugmentedGraph {
+        match self {
+            Residual::Input(g) => g,
+            Residual::Pruned(g) => g,
+        }
+    }
 }
 
 /// Mid-run loop state: the report so far, the residual graph, and its
@@ -204,7 +239,9 @@ pub trait CutSolver {
 #[derive(Debug, Clone)]
 pub struct LoopState {
     report: DetectionReport,
-    current: Arc<AugmentedGraph>,
+    /// The residual graph, or `None` before the first prune of a fresh
+    /// run, whose round 1 runs on the input [`LoopState::run`] is handed.
+    current: Option<Arc<AugmentedGraph>>,
     to_original: Vec<NodeId>,
 }
 
@@ -213,7 +250,7 @@ impl LoopState {
     pub(crate) fn fresh(g: &AugmentedGraph) -> LoopState {
         LoopState {
             report: DetectionReport::default(),
-            current: Arc::new(g.clone()),
+            current: None,
             to_original: g.nodes().collect(),
         }
     }
@@ -239,13 +276,14 @@ impl LoopState {
             keep[usize::try_from(u).expect("checkpoint ids validated against num_nodes")] = true;
         }
         let (current, to_original) = g.induced_subgraph(&keep);
-        Ok(LoopState { report: ckpt.report(), current: Arc::new(current), to_original })
+        Ok(LoopState { report: ckpt.report(), current: Some(Arc::new(current)), to_original })
     }
 
-    /// The pruning loop (§IV-E), from this state to termination: each
-    /// round takes `solver`'s MAAR cut of the residual graph, records its
-    /// suspect region as a group, prunes it with its links and rejections,
-    /// and hands `sink` a checkpoint. Budgets stop the loop only at round
+    /// The pruning loop (§IV-E), from this state to termination, on the
+    /// graph `g` the state was started from: each round takes `solver`'s
+    /// MAAR cut of the residual graph, records its suspect region as a
+    /// group, prunes it with its links and rejections, and hands `sink` a
+    /// checkpoint. Budgets stop the loop only at round
     /// boundaries (an interrupted round is rolled back), so a resumed run
     /// is byte-identical to the uninterrupted one. Stops at the first
     /// round `solver` fails.
@@ -262,7 +300,8 @@ impl LoopState {
         termination: Termination,
         mut sink: Option<CheckpointSink<'_>>,
     ) -> Result<DetectionReport, S::Error> {
-        let LoopState { mut report, mut current, mut to_original } = self;
+        let LoopState { mut report, current, mut to_original } = self;
+        let mut current = current.map_or(Residual::Input(g), Residual::Pruned);
         let config = solver.config();
         let mut ctx = RunContext::armed(config, obs.cloned());
 
@@ -373,7 +412,7 @@ impl LoopState {
             }
             let (next, original_of_next) = current.induced_subgraph(&keep);
             to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = Arc::new(next);
+            current = Residual::Pruned(Arc::new(next));
 
             if let Some(write) = sink.as_mut() {
                 let ckpt = Checkpoint::capture(g, &report);

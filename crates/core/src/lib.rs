@@ -55,7 +55,7 @@ pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{
     CheckpointSink, Completion, CutSolver, DetectedGroup, DetectionReport, InterruptReason,
-    IterativeDetector, LoopState, Seeds, Termination,
+    IterativeDetector, LoopState, Residual, Seeds, Termination,
 };
 pub use faults::{Fault, FaultPlan, Faults};
 /// Re-exported so report consumers can name the exact rational sweep

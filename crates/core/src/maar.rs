@@ -1,11 +1,10 @@
 use crate::faults::trigger_injected_panic;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{CutSolver, InitialPlacement, RejectoConfig};
+use crate::{CutSolver, InitialPlacement, RejectoConfig, Residual};
 use kl::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam, KlStart};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
 #[derive(Debug, Clone)]
@@ -246,7 +245,7 @@ impl CutSolver for MaarSolver {
 
     fn solve_round(
         &self,
-        g: &Arc<AugmentedGraph>,
+        g: &Residual<'_>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
@@ -491,7 +490,7 @@ mod tests {
 
     #[test]
     fn one_shot_injected_panic_is_retried_to_the_clean_answer() {
-        let g = Arc::new(scenario());
+        let g = scenario();
         let clean = MaarSolver::new(RejectoConfig::default())
             .solve(&g, &[], &[])
             .expect("scenario admits a cut");
@@ -500,7 +499,7 @@ mod tests {
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
             let solver = MaarSolver::new(config);
             let ctx = RunContext::armed(solver.config(), None);
-            let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
+            let Ok(out) = solver.solve_round(&Residual::Input(&g), &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
             let cut = out.cut.expect("retried sweep still finds the cut");
@@ -511,7 +510,7 @@ mod tests {
 
     #[test]
     fn persistent_injected_panic_degrades_deterministically() {
-        let g = Arc::new(scenario());
+        let g = scenario();
         let mut reference: Option<(Vec<NodeId>, Vec<usize>)> = None;
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3:always").expect("spec is well-formed");
@@ -519,7 +518,7 @@ mod tests {
             let solver = MaarSolver::new(config);
             let mut ctx = RunContext::armed(solver.config(), None);
             ctx.round = 1;
-            let Ok(out) = solver.solve_round(&g, &[], &[], &ctx);
+            let Ok(out) = solver.solve_round(&Residual::Input(&g), &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");
             assert_eq!(out.failures.len(), 1, "threads={threads}");
             match &out.failures[0] {

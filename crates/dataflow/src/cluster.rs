@@ -11,10 +11,12 @@
 //! [`SweepPlan`] as the in-process solver, from per-node degrees the
 //! workers report, and runs the one extended-KL kernel
 //! ([`kl::ExtendedKl`]) over [`ClusterAdjacency`]: an [`Adjacency`]
-//! source that answers a node lookup from the LRU buffer (fetching on a
-//! miss) and prefetches the top of the bucket list in batches. A sweep
-//! costs two broadcasts: the degrees, and the initial cut with every
-//! node's switch delta, which the kernel then carries from pass to pass.
+//! source that answers a node lookup from the LRU buffer and prefetches
+//! the top of the bucket list in batches. A miss fetches the node with a
+//! read-ahead: the non-resident ids after it in its shard, into free
+//! buffer slots only. A sweep costs two broadcasts: the degrees, and the
+//! initial cut with every node's switch delta, which the kernel then
+//! carries from pass to pass.
 //! The cut is therefore the in-process cut by construction; only the data
 //! layout and the traffic differ.
 //!
@@ -92,7 +94,10 @@ impl NodeData {
 pub struct ClusterConfig {
     /// Worker threads (graph shards).
     pub num_workers: usize,
-    /// Nodes fetched per prefetch batch (top of the bucket list).
+    /// Nodes fetched per prefetch batch (top of the bucket list), and the
+    /// most a buffer miss fetches: the missed node plus its read-ahead,
+    /// the non-resident ids after it in its shard, while the buffer has
+    /// free slots for them.
     pub prefetch_batch: usize,
     /// Capacity of the master's LRU prefetch buffer, in nodes.
     pub buffer_capacity: usize,
@@ -159,7 +164,8 @@ pub struct IoStats {
     pub nodes_fetched: u64,
     /// Adjacency lookups served from the prefetch buffer.
     pub buffer_hits: u64,
-    /// Adjacency lookups that had to trigger a fetch.
+    /// Nodes fetched because they were not resident: each prefetched or
+    /// missed node, and each node of a miss's read-ahead.
     pub buffer_misses: u64,
     /// Per-sweep broadcasts dispatched: the degree stats and the initial
     /// cut with every node's switch delta.
@@ -480,6 +486,11 @@ impl Cluster {
         workers
             .partition_point(|w| w.range.1 <= id)
             .min(workers.len() - 1)
+    }
+
+    /// The `[lo, hi)` node range of the shard that owns `id`.
+    fn shard_of(&self, id: u32) -> (u32, u32) {
+        self.workers.borrow()[self.owner(id)].range
     }
 
     /// Replaces worker `wi` with a fresh spawn of the same shard range.
@@ -942,6 +953,25 @@ struct ClusterAdjacency<'a> {
     prefetch_batch: usize,
 }
 
+impl ClusterAdjacency<'_> {
+    /// What a miss on `u` fetches: `u`, then the non-resident ids that
+    /// follow it in its shard (wrapping to the shard's first node), at
+    /// most `min(prefetch_batch, free buffer slots)` nodes in all. One
+    /// worker serves the whole batch in one round trip. The read-ahead
+    /// only fills free slots, so it never evicts, and a miss on a full
+    /// buffer fetches `u` alone.
+    fn read_ahead(&self, u: u32) -> Vec<u32> {
+        let room = self.buffer.capacity() - self.buffer.len();
+        let want = self.prefetch_batch.min(room).max(1);
+        let (lo, hi) = self.cluster.shard_of(u);
+        let after = (u + 1..hi).chain(lo..u);
+        let mut ids = Vec::with_capacity(want);
+        ids.push(u);
+        ids.extend(after.filter(|&id| !self.buffer.contains(id)).take(want - 1));
+        ids
+    }
+}
+
 impl Adjacency for ClusterAdjacency<'_> {
     type Error = RuntimeError;
 
@@ -949,15 +979,16 @@ impl Adjacency for ClusterAdjacency<'_> {
         self.cluster.num_nodes()
     }
 
-    /// Served from the buffer when resident; otherwise one fetch. Gain
-    /// updates reorder the bucket between pops, so a popped node can fall
-    /// outside the prefetched set.
+    /// Served from the buffer when resident; otherwise one fetch of the
+    /// node and its read-ahead. Gain updates reorder the bucket between
+    /// pops, so a popped node can fall outside the prefetched set.
     fn neighbors(&mut self, u: NodeId) -> Result<Neighbors<'_>, RuntimeError> {
         if self.buffer.contains(u.0) {
             self.io.buffer_hits += 1;
         } else {
-            self.io.buffer_misses += 1;
-            for (id, data) in self.cluster.fetch(&[u.0], self.faults, self.io)? {
+            let ids = self.read_ahead(u.0);
+            self.io.buffer_misses += ids.len() as u64;
+            for (id, data) in self.cluster.fetch(&ids, self.faults, self.io)? {
                 self.buffer.insert(id, data);
             }
         }
@@ -995,10 +1026,15 @@ mod tests {
     use socialgraph::generators::BarabasiAlbert;
 
     fn sim_graph() -> AugmentedGraph {
+        scenario_graph(300, 40)
+    }
+
+    /// A Barabási–Albert host of `users` plus `fakes` spammers.
+    fn scenario_graph(users: usize, fakes: usize) -> AugmentedGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let host = BarabasiAlbert::new(300, 4).generate(&mut rng);
+        let host = BarabasiAlbert::new(users, 4).generate(&mut rng);
         Scenario::new(ScenarioConfig {
-            num_fakes: 40,
+            num_fakes: fakes,
             requests_per_spammer: 12,
             ..ScenarioConfig::default()
         })
@@ -1101,6 +1137,110 @@ mod tests {
             narrow.io.nodes_fetched
         );
         assert_eq!(wide.suspects, narrow.suspects, "prefetching must not change the cut");
+    }
+
+    /// Looks `u` up through a [`ClusterAdjacency`] over `buffer` and
+    /// returns the traffic and the ids the lookup made resident.
+    fn miss(
+        g: &AugmentedGraph,
+        cluster: &Cluster,
+        buffer: &mut LruCache<NodeData>,
+        prefetch_batch: usize,
+        u: u32,
+    ) -> (IoStats, Vec<u32>) {
+        let before: Vec<bool> = (0..g.num_nodes() as u32).map(|id| buffer.contains(id)).collect();
+        let faults = Faults::default();
+        let mut io = IoStats::default();
+        let mut adj =
+            ClusterAdjacency { cluster, faults: &faults, buffer, io: &mut io, prefetch_batch };
+        let got = adj.neighbors(NodeId(u)).expect("healthy cluster serves the miss");
+        assert_eq!(got, g.neighbors(NodeId(u)), "node {u}");
+        let fetched = (0..g.num_nodes() as u32)
+            .filter(|&id| buffer.contains(id) && !before[id as usize])
+            .collect();
+        (io, fetched)
+    }
+
+    #[test]
+    fn a_miss_on_a_full_buffer_fetches_only_the_missed_node() {
+        let g = sim_graph();
+        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let mut buffer = LruCache::new(g.num_nodes(), 16);
+        for (id, data) in cluster
+            .fetch(&(0..16).collect::<Vec<_>>(), &Faults::default(), &mut IoStats::default())
+            .expect("cluster serves fetches")
+        {
+            buffer.insert(id, data);
+        }
+        let (io, fetched) = miss(&g, &cluster, &mut buffer, 256, 17);
+        assert_eq!(fetched, [17]);
+        assert_eq!((io.fetch_batches, io.nodes_fetched, io.buffer_misses), (1, 1, 1));
+        assert_eq!(buffer.len(), 16, "one node in, one node out");
+        assert!(!buffer.contains(0), "the least recently used node was evicted");
+    }
+
+    #[test]
+    fn a_miss_with_room_reads_ahead_in_its_shard_in_one_round_trip() {
+        let g = sim_graph();
+        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        // Four shards of 85 nodes: 0..85, 85..170, 170..255, 255..340.
+        // (capacity, resident ids, batch, missed id, ids the miss fetches)
+        let cases = [
+            // The batch binds: the node and the 15 after it.
+            (64, vec![], 16, 100, (100..116).collect::<Vec<u32>>()),
+            // Free room binds: 20 slots left for a batch of 64.
+            (64, (0..44).collect(), 64, 50, (50..70).collect()),
+            // Near its shard's end the read-ahead skips resident ids and
+            // wraps to the shard's first node.
+            (340, vec![168, 85, 87], 8, 167, vec![86, 88, 89, 90, 91, 92, 167, 169]),
+            // The shard holds fewer non-resident ids than the batch.
+            (340, vec![], 256, 300, (255..340).collect()),
+        ];
+        for (capacity, resident, batch, u, want) in cases {
+            let mut buffer = LruCache::new(g.num_nodes(), capacity);
+            for (id, data) in cluster
+                .fetch(&resident, &Faults::default(), &mut IoStats::default())
+                .expect("cluster serves fetches")
+            {
+                buffer.insert(id, data);
+            }
+            let (io, fetched) = miss(&g, &cluster, &mut buffer, batch, u);
+            let case = format!("capacity {capacity}, batch {batch}, miss {u}");
+            assert_eq!(fetched, want, "{case}");
+            assert_eq!(io.fetch_batches, 1, "{case}: one round trip");
+            assert_eq!(io.nodes_fetched, want.len() as u64, "{case}");
+            assert_eq!(buffer.len(), resident.len() + want.len(), "{case}: nothing evicted");
+        }
+    }
+
+    /// Read-ahead changes what is resident, never what a lookup returns,
+    /// so the cut is the local solver's at every buffer size and worker
+    /// count: a buffer that fills (8, 64) and one that never does (n).
+    /// The graph is small because the `debug-invariants` checkers read
+    /// every node through the buffer after each move.
+    #[test]
+    fn read_ahead_keeps_the_local_cut_at_every_buffer_and_worker_count() {
+        let g = scenario_graph(70, 12);
+        let config = RejectoConfig::default();
+        let local = MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("local cut");
+        assert!(!local.suspects().is_empty(), "the fixture has no spammer region");
+        for buffer_capacity in [8, 64, g.num_nodes()] {
+            for num_workers in [1, 2, 4] {
+                let cluster_config =
+                    ClusterConfig { buffer_capacity, num_workers, ..Default::default() };
+                let dist = DistributedMaar::new(cluster_config, config.clone())
+                    .solve(&g)
+                    .expect("distributed solve succeeds");
+                let case = format!("capacity {buffer_capacity}, {num_workers} worker(s)");
+                assert_eq!(dist.suspects, local.suspects(), "{case}");
+                assert_eq!(dist.k_exact, Some(local.k), "{case}");
+                assert_eq!(
+                    dist.acceptance_rate.map(f64::to_bits),
+                    Some(local.acceptance_rate.to_bits()),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,10 @@ use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
 pub use rejecto_core::CheckpointSink;
 use rejecto_core::{
-    CutSolver, DetectionReport, LoopState, RejectoConfig, RunContext, RuntimeError, Seeds,
-    SweepOutcome, Termination,
+    CutSolver, DetectionReport, LoopState, RejectoConfig, Residual, RunContext, RuntimeError,
+    Seeds, SweepOutcome, Termination,
 };
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// The iterative MAAR-cut detector running on the Spark-substitute
 /// cluster.
@@ -48,11 +47,12 @@ impl CutSolver for ClusterRounds<'_> {
 
     /// A fresh cluster shards the residual graph each round — the
     /// distributed analogue of re-deriving the RDDs after a prune — and
-    /// keeps a handle on it as its lineage. Worker count is capped by the
-    /// shrinking graph.
+    /// keeps it as its lineage: a copy of the input in round 1, a handle
+    /// on the loop's residual graph after that. Worker count is capped by
+    /// the shrinking graph.
     fn solve_round(
         &self,
-        g: &Arc<AugmentedGraph>,
+        g: &Residual<'_>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
@@ -60,7 +60,7 @@ impl CutSolver for ClusterRounds<'_> {
         let base = self.solver.cluster_config();
         let config =
             ClusterConfig { num_workers: base.num_workers.min(g.num_nodes().max(1)), ..*base };
-        let cluster = Cluster::from_arc(Arc::clone(g), &config)?;
+        let cluster = Cluster::from_arc(g.to_shared(), &config)?;
         let mut io = self.io.get();
         let outcome = self.solver.sweep_on(&cluster, legit, spammer, ctx, &mut io);
         self.io.set(io);

@@ -20,8 +20,10 @@
 //!   sweep against them, and [`IoStats`] counting simulated
 //!   master↔worker traffic. The master runs
 //!   the core crates' one sweep plan and one extended-KL kernel, reading
-//!   adjacency through the prefetch buffer. The Table-II harness measures
-//!   wall time against graph size on this runtime.
+//!   adjacency through the prefetch buffer; a miss also fetches the
+//!   non-resident nodes after it in its shard, into free buffer slots.
+//!   The Table-II harness measures wall time against graph size on this
+//!   runtime.
 //! * [`DistributedDetector`] — the core crate's one pruning loop driven by
 //!   a per-round cluster solver, with checkpoint/resume and a
 //!   [`ClusterError`]-based failure model (respawn from lineage, watchdog

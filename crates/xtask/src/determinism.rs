@@ -461,10 +461,8 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
         }
 
         let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse(
-                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@fetch=2",
-            )
-            .map_err(|e| format!("fault spec rejected: {e}"))?,
+            faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
+                .map_err(|e| format!("fault spec rejected: {e}"))?,
             ..RejectoConfig::default()
         };
         let mut faulted_det = DistributedDetector::new(snappy_cluster(workers), faulted_config);
@@ -476,6 +474,13 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
         if obs.volatile("io/hangs_absorbed") == 0 {
             return Err(format!("the injected hang never fired at workers={workers}"));
         }
+        let restarts = obs.volatile("io/worker_restarts");
+        if restarts < 3 {
+            return Err(format!(
+                "an injected death never fired at workers={workers}: {restarts} restart(s), \
+                 want at least 3"
+            ));
+        }
         let faulted = rejecto_obs::strip_timings(&obs.to_json());
         if faulted != baseline {
             return Err(format!(
@@ -486,6 +491,13 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// The distributed legs' fault plan: a death, a repeated death and a hang.
+/// The fixture makes two fetch batches a run, so all three land on those
+/// two; the hang shares its request with a death, so the plan costs three
+/// respawns in all.
+const DISTRIBUTED_FAULTS: &str =
+    "worker_death@fetch=1,worker_death@fetch=2:x2,worker_hang@fetch=2";
 
 /// The worker counts the distributed legs exercise: the degenerate
 /// single-shard layout vs a real multi-shard cluster.
@@ -535,10 +547,8 @@ fn distributed_legs(sim: &SimOutput) -> Result<(), String> {
         // a hung worker must be absorbed by respawn/rebalance without a
         // trace in the report.
         let faulted = RejectoConfig {
-            faults: FaultPlan::parse(
-                "worker_death@fetch=3,worker_death@fetch=9:x2,worker_hang@fetch=2",
-            )
-            .map_err(|e| format!("fault spec rejected: {e}"))?,
+            faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
+                .map_err(|e| format!("fault spec rejected: {e}"))?,
             ..RejectoConfig::default()
         };
         let rf = render_report(&detect_distributed(sim, workers, faulted)?);

@@ -1011,6 +1011,8 @@ mod tests {
         assert_eq!(clean, faulted, "fault recovery leaked into the CLI output");
         let doc = std::fs::read_to_string(&metrics).unwrap();
         assert!(doc.contains("\"io/hangs_absorbed\": 1"), "the injected hang never fired: {doc}");
+        // One respawn per death and one for the hang: every fault fired.
+        assert!(doc.contains("\"io/worker_restarts\": 4"), "a death never fired: {doc}");
     }
 
     #[test]

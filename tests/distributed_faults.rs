@@ -81,7 +81,8 @@ fn injected_deaths_are_invisible_in_the_report() {
         .expect("healthy cluster must detect");
 
     let faulted_config = RejectoConfig {
-        faults: plan("worker_death@fetch=2,worker_death@fetch=11"),
+        // At 3 workers this input's longest round makes 4 fetch batches.
+        faults: plan("worker_death@fetch=2,worker_death@fetch=4"),
         ..RejectoConfig::default()
     };
     let detector = DistributedDetector::new(snappy(3), faulted_config);
@@ -205,15 +206,18 @@ fn kill_and_resume_reproduces_the_uninterrupted_run() {
 fn faults_survive_a_resume_boundary() {
     // A death injected into the *resumed* half of a run must still be
     // invisible: recovery replays against the residual graph's lineage.
+    // Round 1 alone meets a budget of `FAKES`, so the budget is doubled to
+    // make the resumed half solve a round of its own.
     let sim = scenario();
+    let termination = Termination::SuspectBudget(2 * FAKES);
     let full = DistributedDetector::new(snappy(2), RejectoConfig::default())
-        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+        .detect(&sim.graph, &Seeds::default(), termination)
         .expect("healthy cluster must detect");
 
     let mut halted_config = RejectoConfig::default();
     halted_config.budget.max_rounds = Some(1);
     let halted = DistributedDetector::new(snappy(2), halted_config)
-        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+        .detect(&sim.graph, &Seeds::default(), termination)
         .expect("budgeted run must yield a partial report");
     let ckpt = Checkpoint::capture(&sim.graph, &halted);
 
@@ -221,10 +225,15 @@ fn faults_survive_a_resume_boundary() {
         faults: plan("worker_death@fetch=2"),
         ..RejectoConfig::default()
     };
-    let resumed = DistributedDetector::new(snappy(2), faulted_config)
-        .run(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), Some(&ckpt), None)
+    let mut detector = DistributedDetector::new(snappy(2), faulted_config);
+    let obs = Obs::new();
+    detector.set_obs(obs.clone());
+    let resumed = detector
+        .run(&sim.graph, &Seeds::default(), termination, Some(&ckpt), None)
         .expect("faulted resume with a survivor must detect");
+    assert!(resumed.rounds > halted.rounds, "the resumed half solved no round");
     assert_eq!(resumed, full, "post-resume fault recovery leaked into the report");
+    assert_eq!(obs.volatile("io/worker_restarts"), 1, "the injected death never fired");
 }
 
 #[test]
@@ -269,10 +278,16 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
 /// every `worker_death@fetch=N` and `worker_hang@fetch=N` fault keys on,
 /// so a buffer or record layout change that moves any of these counts
 /// moves every fault schedule too. `init_jobs` counts the two broadcasts
-/// of each sweep (degrees; cut counts with switch deltas). The graph is the `dataflow` unit tests' fixture (a
-/// 300-user Barabási–Albert host plus 40 fakes). The `debug-invariants`
-/// checkers look nodes up through the same buffer, so these counts hold
-/// only without them, which is why the pin lives in this package.
+/// of each sweep (degrees; cut counts with switch deltas). The graph is
+/// the `dataflow` unit tests' fixture (a 300-user Barabási–Albert host
+/// plus 40 fakes, 4 shards of 85). The `debug-invariants` checkers look
+/// nodes up through the same buffer, so these counts hold only without
+/// them, which is why the pin lives in this package.
+///
+/// A miss reads ahead into free buffer slots. With the default 65,536
+/// slots every miss has room, so the 340 nodes arrive in 5 batches. The
+/// 8-slot buffer fills within its first batches and then misses one node
+/// at a time.
 #[test]
 fn fetch_protocol_counts_are_pinned() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -286,10 +301,10 @@ fn fetch_protocol_counts_are_pinned() {
     .graph;
     // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
     for (config, want) in [
-        (ClusterConfig::default(), [56u64, 340, 8_465, 340, 2]),
+        (ClusterConfig::default(), [5u64, 340, 8_516, 340, 2]),
         (
             ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
-            [5_890, 10_073, 4_593, 10_073, 2],
+            [5_891, 10_077, 4_592, 10_077, 2],
         ),
     ] {
         let io = DistributedMaar::new(config, RejectoConfig::default())
