@@ -113,19 +113,20 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Plans a sweep over a graph with these per-node `degrees`. A warm
-    /// start marks suspect the nodes at or above the rejection-ratio
-    /// threshold, highest first and at most the suspect cap of them; seeds
-    /// then override it and are pinned (§IV-F). `count` counts the cut of
-    /// the initial regions and every node's switch delta, in one scan,
-    /// wherever the adjacency lives.
+    /// Plans a sweep over a graph with these per-node `degrees`, which
+    /// the plan keeps: every `k`'s kernel starts its passes' potential
+    /// from them. A warm start marks suspect the nodes at or above the
+    /// rejection-ratio threshold, highest first and at most the suspect
+    /// cap of them; seeds then override it and are pinned (§IV-F).
+    /// `count` counts the cut of the initial regions and every node's
+    /// switch delta, in one scan, wherever the adjacency lives.
     ///
     /// # Panics
     ///
     /// Panics if a seed id is out of range.
     pub fn new<E>(
         config: &RejectoConfig,
-        degrees: &[NodeDegrees],
+        degrees: Vec<NodeDegrees>,
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
         placement: InitialPlacement,
@@ -154,7 +155,7 @@ impl SweepPlan {
         }
         Ok(SweepPlan {
             ks: config.k_sweep(),
-            degrees: DegreeSummary::new(degrees.iter().copied()),
+            degrees: DegreeSummary::new(degrees),
             max_passes: config.max_kl_passes,
             cap,
             seeds: legit_seeds.iter().chain(spammer_seeds).copied().collect(),
@@ -332,7 +333,7 @@ impl MaarSolver {
         let count = |region| KlStart::count(&mut &*g, region);
         let degrees = NodeDegrees::of_graph(g);
         let Ok(plan) =
-            SweepPlan::new(&self.config, &degrees, legit_seeds, spammer_seeds, placement, count);
+            SweepPlan::new(&self.config, degrees, legit_seeds, spammer_seeds, placement, count);
         let solve_one = |i: usize| -> KResult {
             // The injection probe runs before the k span opens: a
             // detonated worker must record nothing, so its deterministic

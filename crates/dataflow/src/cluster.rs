@@ -164,8 +164,9 @@ pub struct IoStats {
     pub nodes_fetched: u64,
     /// Adjacency lookups served from the prefetch buffer.
     pub buffer_hits: u64,
-    /// Nodes fetched because they were not resident: each prefetched or
-    /// missed node, and each node of a miss's read-ahead.
+    /// Adjacency lookups that found their node not resident, each of
+    /// which fetched it with its read-ahead. A prefetch looks nothing up,
+    /// so hits plus misses is the kernel's lookups.
     pub buffer_misses: u64,
     /// Per-sweep broadcasts dispatched: the degree stats and the initial
     /// cut with every node's switch delta.
@@ -906,7 +907,7 @@ impl DistributedMaar {
         sweep_with_fallback(&self.rejecto, |placement| {
             let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
             let degrees = cluster.degrees(io)?;
-            let plan = SweepPlan::new(&self.rejecto, &degrees, legit, spammer, placement, |r| {
+            let plan = SweepPlan::new(&self.rejecto, degrees, legit, spammer, placement, |r| {
                 cluster.start(r, io)
             })?;
             // The buffer persists across the whole k sweep — the graph
@@ -986,8 +987,8 @@ impl Adjacency for ClusterAdjacency<'_> {
         if self.buffer.contains(u.0) {
             self.io.buffer_hits += 1;
         } else {
+            self.io.buffer_misses += 1;
             let ids = self.read_ahead(u.0);
-            self.io.buffer_misses += ids.len() as u64;
             for (id, data) in self.cluster.fetch(&ids, self.faults, self.io)? {
                 self.buffer.insert(id, data);
             }
@@ -1007,7 +1008,6 @@ impl Adjacency for ClusterAdjacency<'_> {
         let top = upcoming.peek_top(self.prefetch_batch.min(self.buffer.capacity()));
         let missing: Vec<u32> =
             top.iter().copied().filter(|&id| !self.buffer.contains(id)).collect();
-        self.io.buffer_misses += missing.len() as u64;
         for (id, data) in self.cluster.fetch(&missing, self.faults, self.io)? {
             self.buffer.insert(id, data);
         }
@@ -1209,8 +1209,37 @@ mod tests {
             assert_eq!(fetched, want, "{case}");
             assert_eq!(io.fetch_batches, 1, "{case}: one round trip");
             assert_eq!(io.nodes_fetched, want.len() as u64, "{case}");
+            assert_eq!(io.buffer_misses, 1, "{case}: one lookup missed, whatever it read ahead");
             assert_eq!(buffer.len(), resident.len() + want.len(), "{case}: nothing evicted");
         }
+    }
+
+    /// A prefetch fetches the top of the bucket list without a lookup, so
+    /// it counts no miss; the lookups of its nodes that follow are hits.
+    #[test]
+    fn a_prefetch_fetches_without_counting_a_miss() {
+        let g = sim_graph();
+        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let mut buffer = LruCache::new(g.num_nodes(), 64);
+        let mut upcoming = BucketList::new(g.num_nodes(), -8, 8);
+        for (id, gain) in [(3u32, 5i64), (200, 4), (90, 1)] {
+            upcoming.insert(id, gain);
+        }
+        let faults = Faults::default();
+        let mut io = IoStats::default();
+        let mut adj = ClusterAdjacency {
+            cluster: &cluster,
+            faults: &faults,
+            buffer: &mut buffer,
+            io: &mut io,
+            prefetch_batch: 8,
+        };
+        assert_eq!(adj.prefetch(&upcoming).expect("healthy cluster serves the prefetch"), 3);
+        for id in [3, 200, 90] {
+            let got = adj.neighbors(NodeId(id)).expect("prefetched node is resident");
+            assert_eq!(got, g.neighbors(NodeId(id)), "node {id}");
+        }
+        assert_eq!((io.nodes_fetched, io.buffer_hits, io.buffer_misses), (3, 3, 0));
     }
 
     /// Read-ahead changes what is resident, never what a lookup returns,
@@ -1265,7 +1294,7 @@ mod tests {
         let out = dist.solve(&g).expect("distributed solve succeeds");
         assert!(out.io.buffer_hits > 0);
         // With batch prefetch, fetch round trips must be far fewer than
-        // node lookups.
+        // node lookups, each of which is a hit or a miss.
         assert!(
             out.io.fetch_batches * 8 < out.io.buffer_hits + out.io.buffer_misses,
             "batches {} vs lookups {}",

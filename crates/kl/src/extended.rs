@@ -1,6 +1,7 @@
 use crate::{BucketList, CancelToken, KParam};
 use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// Exact conversion for the scaled-objective arithmetic. Weights and
 /// edge counts all live far below `i64::MAX`; if one ever did not, the
@@ -88,18 +89,19 @@ fn regions_of(p: &Partition) -> Vec<Region> {
 /// What an [`ExtendedKl`] run is sized from, read once per sweep from
 /// the per-node degrees so that no `k` rescans the graph: the Pareto
 /// front of `(friends, rejections cast and received)` over all nodes,
-/// and the rejection total.
+/// and the degrees themselves, which every pass's switch-gain potential
+/// starts from. The degrees are shared, not copied, by every kernel made
+/// from the summary.
 ///
 /// ```
 /// use kl::{DegreeSummary, KParam};
 /// use rejection::NodeDegrees;
 ///
-/// let degrees = [
+/// let degrees = vec![
 ///     NodeDegrees { friends: 4, rejected_by: 0, rejectors_of: 1 },
 ///     NodeDegrees { friends: 1, rejected_by: 2, rejectors_of: 3 },
 /// ];
 /// let summary = DegreeSummary::new(degrees);
-/// assert_eq!(summary.rejections(), 2);
 /// // max(2·4 + 1·1, 2·1 + 1·5) under k = 1/2.
 /// assert_eq!(summary.gain_bound(KParam::new(1, 2)), 9);
 /// ```
@@ -108,18 +110,17 @@ pub struct DegreeSummary {
     /// `(friends, rejections)` pairs no node dominates, friends
     /// descending: the maximum of any positive weighting lies on them.
     front: Vec<(u32, u64)>,
-    rejections: u64,
+    nodes: Arc<Vec<NodeDegrees>>,
 }
 
 impl DegreeSummary {
-    /// Summarises every node's degrees in `O(n + max friend degree)`.
-    pub fn new(degrees: impl IntoIterator<Item = NodeDegrees>) -> Self {
+    /// Summarises every node's degrees in `O(n + max friend degree)`,
+    /// keeping the vector.
+    pub fn new(degrees: Vec<NodeDegrees>) -> Self {
         // most[f]: the most rejections of any node with f friends (0 where
         // no node has f friends: the entry for the top degree dominates it).
         let mut most: Vec<u64> = Vec::new();
-        let mut rejections = 0u64;
-        for d in degrees {
-            rejections += u64::from(d.rejected_by);
+        for d in &degrees {
             let f = usize::try_from(d.friends).expect("degree fits usize");
             if most.len() <= f {
                 most.resize(f + 1, 0);
@@ -132,7 +133,7 @@ impl DegreeSummary {
                 front.push((u32::try_from(f).expect("degree came from a u32"), r));
             }
         }
-        DegreeSummary { front, rejections }
+        DegreeSummary { front, nodes: Arc::new(degrees) }
     }
 
     /// The largest `|gain|` any node can reach under `k`: `den` per friend
@@ -144,11 +145,6 @@ impl DegreeSummary {
             .iter()
             .map(|&(f, r)| den * i64::from(f) + num * obj_i64(r))
             .fold(1, i64::max)
-    }
-
-    /// Number of rejections in the graph.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
     }
 }
 
@@ -243,10 +239,11 @@ pub struct KlOutcome {
 /// greedy max-gain order, "even if that leads to increment of the cross-part
 /// edges", then commits the prefix of switches with the largest positive
 /// cumulative gain. Passes repeat until no positive prefix exists. A pass
-/// ends before it has switched every unlocked node once a lower bound on
-/// the objective of every state it could still reach proves that no later
-/// prefix gains more than the best one so far: it commits exactly the
-/// prefix the full pass would have committed.
+/// ends before it has switched every unlocked node once its switch-gain
+/// potential, an upper bound on what any set of the still-unswitched
+/// nodes can add to the cumulative gain, proves that no later prefix
+/// gains more than the best one so far: it commits exactly the prefix the
+/// full pass would have committed.
 ///
 /// Each node's switch delta `(ΔF, ΔR)` is the kernel's carried state
 /// ([`KlStart`]): a pass files every unlocked node at `k.gain(Δ)` in
@@ -280,8 +277,8 @@ pub struct ExtendedKl<A> {
     cfg: ExtendedKlConfig,
     /// The bucket list's gain range, `±gain_bound(k)`.
     gain_bound: i64,
-    /// The source's rejection total, where every pass's bound starts.
-    rejections: i64,
+    /// The source's per-node degrees, where every pass's potential starts.
+    degrees: Arc<Vec<NodeDegrees>>,
     locked: Vec<bool>,
     cancel: Option<CancelToken>,
     obs: Option<rejecto_obs::Obs>,
@@ -293,15 +290,21 @@ type Move = (NodeId, i64, (i64, i64));
 
 impl<A: Adjacency> ExtendedKl<A> {
     /// Creates a solver over `adj` with no locked nodes, sized from the
-    /// source's `degrees`. A summary of another graph makes runs panic on
-    /// an out-of-range gain or stop passes early on a wrong bound.
+    /// source's `degrees`. A summary of another graph of the same size
+    /// makes runs panic on an out-of-range gain or stop passes early on a
+    /// wrong potential.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `degrees` does not cover exactly the source's nodes.
     pub fn new(adj: A, cfg: ExtendedKlConfig, degrees: &DegreeSummary) -> Self {
         let locked = vec![false; adj.num_nodes()];
+        assert_eq!(degrees.nodes.len(), locked.len(), "degree summary of another graph");
         ExtendedKl {
             adj,
             cfg,
             gain_bound: degrees.gain_bound(cfg.k),
-            rejections: obj_i64(degrees.rejections()),
+            degrees: Arc::clone(&degrees.nodes),
             locked,
             cancel: None,
             obs: None,
@@ -346,7 +349,7 @@ impl<A: Adjacency> ExtendedKl<A> {
     /// partition, or the first failed adjacency lookup.
     ///
     /// The run allocates its scratch once: the per-node pass records (the
-    /// in-pass delta next to the bound costs), the bucket list (every pass
+    /// in-pass delta next to the potential term), the bucket list (every pass
     /// empties it, so the next pass starts from an empty index) and the
     /// move buffer. Each pass fills the bucket list from the carried
     /// deltas, switches nodes in `p` itself and rolls back the moves after
@@ -420,22 +423,17 @@ impl<A: Adjacency> ExtendedKl<A> {
             debug_assert_eq!(widen(carried[u.index()]), delta, "carried delta of node {u} drifted");
             let n = self.adj.neighbors(u)?;
             let from = p.region(u);
-            let now_in = p.apply_switch(u, delta);
-            // A self-rejection never enters a delta (`switch_delta` skips
-            // it), so the mover's own entries are skipped here too.
+            p.apply_switch(u, delta);
+            // The pass's rule (see `one_pass`): a neighbour on the side u
+            // left loses 2 from ΔF per friendship and 1 from ΔR per
+            // rejection, one on the other side gains as much. A
+            // self-rejection never enters a delta (`switch_delta` skips
+            // it), so the mover's own entries are skipped here.
             for &v in n.friends {
-                let t = if p.region(v) == from { 1 } else { -1 };
-                carried[v.index()].0 -= 2 * t;
+                carried[v.index()].0 += if p.region(v) == from { -2 } else { 2 };
             }
-            let da = if now_in == Region::Legit { 1 } else { -1 };
-            for &v in n.rejected_by.iter().filter(|&&v| v != u) {
-                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                carried[v.index()].1 += s_v * da;
-            }
-            let db = if now_in == Region::Suspect { 1 } else { -1 };
-            for &v in n.rejectors_of.iter().filter(|&&v| v != u) {
-                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                carried[v.index()].1 -= s_v * db;
+            for &v in n.rejected_by.iter().chain(n.rejectors_of).filter(|&&v| v != u) {
+                carried[v.index()].1 += if p.region(v) == from { -1 } else { 1 };
             }
             let (df, dr) = carried[u.index()];
             carried[u.index()] = (-df, -dr);
@@ -485,73 +483,85 @@ impl<A: Adjacency> ExtendedKl<A> {
 
     /// One greedy pass: switches unlocked nodes of `p` in max-gain order,
     /// recording each move in `scratch.seq`, until every one has switched
-    /// or the pass bound shows that no later prefix can gain more than the
-    /// best one so far. Returns the number of incremental gain-bucket
-    /// adjustments performed. The bucket list comes in empty and leaves
-    /// empty.
+    /// or the pass's switch-gain potential shows that no later prefix can
+    /// gain more than the best one so far. Returns the number of
+    /// incremental gain-bucket adjustments performed. The bucket list
+    /// comes in empty and leaves empty.
     ///
     /// The bucket list is filed from `carried`, each node's delta at the
     /// pass start. While a node is indexed, its in-pass delta changes
     /// wherever its gain does, so a pop reads its delta instead of
     /// rescanning its adjacency.
     ///
-    /// The bound is a floor `L` on the objective of every state the rest
-    /// of the pass can reach: the popped nodes keep their new regions, and
-    /// the still-indexed ones may end in either.
+    /// The potential is `P = ½·Σ max(0, x_v)` over the indexed nodes,
+    /// with `x_v = 2·gain_v + c_v`. The credit `c_v` is `2·den` per
+    /// friend on `v`'s side and `num` per rejection partner, in either
+    /// direction, on the other side, counting only neighbours that are
+    /// still indexed or locked. Switching any set `T` of indexed nodes
+    /// gains `Σ_T gain_v` minus one pair term per edge inside `T`: `−2·den`
+    /// for a friendship within one side, `−num` for a rejection across
+    /// the cut, positive otherwise. Dropping the positive terms and
+    /// splitting each negative one between its ends bounds that gain by
+    /// `P`, so no later prefix beats `cum + ⌊P⌋` (gains are integers), and
+    /// the pass ends once that is at most `best`.
     ///
-    /// * `fixed` is the cost of the edges between two popped nodes;
-    /// * `side[v]` holds, for a still-indexed `v`, the cost of its edges to
-    ///   popped nodes if `v` ends Legit and if it ends Suspect, and
-    ///   `sum_min` the sum of their minima;
-    /// * `open` counts the rejections neither of those covers, each worth
-    ///   at least `−num`; an uncovered friendship is worth at least 0.
-    ///
-    /// An edge is charged to `side` at the first pop of its two ends when
-    /// the other end is still indexed, so an edge to a locked node is never
-    /// charged: its friendship counts as 0 and its rejection stays open.
-    /// Once `obj0 − L` is at most the best cumulative gain, no later prefix
-    /// can be strictly better, which is all [`best_prefix_len`] commits.
+    /// Each `x_v` is set at the fill from the carried delta and the
+    /// degrees, and moves by a constant wherever `v`'s gain is adjusted;
+    /// `s2 = Σ max(0, x_v)` follows it and loses `max(0, x_u)` at each pop.
+    /// Locked partners only loosen the bound, and so does a self-rejection,
+    /// which stays in its node's credit until the node pops. When the
+    /// bucket list empties, `s2` is 0.
     fn one_pass(
         &mut self,
         p: &mut Partition,
         carried: &[SwitchDelta],
         scratch: &mut Scratch,
     ) -> Result<u64, A::Error> {
-        // A self-rejection is never charged, so it keeps the bound below
-        // the objective even once every node has popped.
         #[cfg(feature = "debug-invariants")]
-        let self_rejections = {
+        {
             let fresh = KlStart::count(&mut self.adj, regions_of(p))?;
             for (u, (&have, &want)) in carried.iter().zip(&fresh.deltas).enumerate() {
                 crate::invariants::assert_delta(u, have, want);
             }
-            let mut any = false;
-            for i in 0..p.len() {
-                let u = NodeId::from_index(i);
-                any |= self.adj.neighbors(u)?.rejected_by.contains(&u);
-            }
-            any
-        };
+        }
         let Scratch { nodes, bucket, seq } = scratch;
         let k = self.cfg.k;
         let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
         debug_assert!(bucket.is_empty(), "a pass starts from an empty bucket list");
+        let mut s2 = 0i64;
         for (u, (node, &delta)) in nodes.iter_mut().zip(carried).enumerate() {
-            *node = PassNode { delta, side: [0; 2] };
+            *node = PassNode { delta, term: 0 };
             if !self.locked[u] {
-                bucket.insert(NodeId::from_index(u).0, k.gain(widen(delta)));
+                let id = NodeId::from_index(u);
+                let gain = k.gain(widen(delta));
+                // `friends + ΔF` is twice the friends on the node's side.
+                // With rdeg its rejections received if Legit and cast if
+                // Suspect, `rdeg − ΔR` counts its rejection partners on
+                // the other side. Since gain = num·ΔR − den·ΔF, the term
+                // 2·gain + den·(friends + ΔF) + num·(rdeg − ΔR) is
+                // gain + den·friends + num·rdeg.
+                let d = self.degrees[u];
+                let rdeg = match p.region(id) {
+                    Region::Legit => d.rejectors_of,
+                    Region::Suspect => d.rejected_by,
+                };
+                node.term = gain + den * i64::from(d.friends) + num * i64::from(rdeg);
+                s2 += node.term.max(0);
+                bucket.insert(id.0, gain);
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.assert_gain_index(p, bucket, &in_pass(nodes))?;
+        self.assert_pass_state(p, bucket, nodes, s2)?;
 
         seq.clear();
-        let obj0 = self.objective(p);
-        let (mut fixed, mut sum_min, mut open) = (0i64, 0i64, self.rejections);
         let (mut cum, mut best) = (0i64, 0i64);
         let mut adjusts = 0u64;
         let mut prefetched = 0usize;
         loop {
+            if cum + s2 / 2 <= best {
+                bucket.clear();
+                break;
+            }
             if prefetched == 0 && !bucket.is_empty() {
                 prefetched = self.adj.prefetch(bucket)?.max(1);
             }
@@ -559,80 +569,83 @@ impl<A: Adjacency> ExtendedKl<A> {
             prefetched -= 1;
             let u = NodeId(u);
             let n = self.adj.neighbors(u)?;
-            let PassNode { delta, side: costs } = nodes[u.index()];
+            let PassNode { delta, term } = nodes[u.index()];
             let delta = widen(delta);
             debug_assert_eq!(delta, p.switch_delta(u, n), "stale delta for node {u}");
             debug_assert_eq!(gain, k.gain(delta), "stale gain for node {u}");
             seq.push((u, gain, delta));
+            s2 -= term.max(0);
             let from = p.region(u);
-            let now_in = p.apply_switch(u, delta);
-            fixed += costs[side_of(now_in)];
-            sum_min -= costs[0].min(costs[1]);
+            p.apply_switch(u, delta);
 
-            // Incremental gain and delta updates for u's still-indexed
-            // neighbors. Friendship edges: the (v, u) term of v's
-            // Δfriendship flips. The edge is cut if v ends in the region u
-            // left.
+            // Incremental gain, delta and potential updates for u's
+            // still-indexed neighbours. u's switch moves each of its edges
+            // between "within one side" and "across the cut", and what
+            // that does to v depends only on whether v is on the side u
+            // left. The term moves by twice the gain change, less the
+            // credit u gave v: 2·den as a friend on v's side, `num` as a
+            // rejection partner on the other side.
+            //
+            // A friend on u's side now sits across the cut, so switching v
+            // would uncut the edge: ΔF falls by 2. One on the other side
+            // now shares v's side: ΔF rises by 2.
             for &v in n.friends {
-                let t = if p.region(v) == from { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, 2 * den * i64::from(t)) {
+                let same = p.region(v) == from;
+                let (ddf, dgain, dterm) =
+                    if same { (-2, 2 * den, 2 * den) } else { (2, -2 * den, -4 * den) };
+                if bucket.adjust_if_present(v.0, dgain) {
                     adjusts += 1;
                     let node = &mut nodes[v.index()];
-                    node.delta.0 -= 2 * t;
-                    node.charge(&mut sum_min, from, den);
+                    node.delta.0 += ddf;
+                    node.shift(&mut s2, dterm);
                 }
             }
-            // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
-            // Legit" count changed by ±1. The rejection counts if u stays
-            // Legit and v ends Suspect.
-            let da = if now_in == Region::Legit { 1 } else { -1 };
-            for &v in n.rejected_by {
-                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, num * i64::from(s_v * da)) {
+            // A rejection counts in exactly one of the two arrangements
+            // that split its ends, so whichever way it points, u's switch
+            // takes 1 from ΔR of a partner v on u's starting side and adds
+            // 1 to ΔR of one on the other side.
+            for &v in n.rejected_by.iter().chain(n.rejectors_of) {
+                let same = p.region(v) == from;
+                let (ddr, dgain, dterm) = if same { (-1, -num, -2 * num) } else { (1, num, num) };
+                if bucket.adjust_if_present(v.0, dgain) {
                     adjusts += 1;
                     let node = &mut nodes[v.index()];
-                    node.delta.1 += s_v * da;
-                    open -= 1;
-                    if now_in == Region::Legit {
-                        node.charge(&mut sum_min, Region::Suspect, -num);
-                    }
-                }
-            }
-            // v rejected u  ⇒  u is in v's rejected set: v's "rejectees in
-            // Suspect" count changed by ±1. The rejection counts if u stays
-            // Suspect and v ends Legit.
-            let db = if now_in == Region::Suspect { 1 } else { -1 };
-            for &v in n.rejectors_of {
-                let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
-                if bucket.adjust_if_present(v.0, -num * i64::from(s_v * db)) {
-                    adjusts += 1;
-                    let node = &mut nodes[v.index()];
-                    node.delta.1 -= s_v * db;
-                    open -= 1;
-                    if now_in == Region::Suspect {
-                        node.charge(&mut sum_min, Region::Legit, -num);
-                    }
+                    node.delta.1 += ddr;
+                    node.shift(&mut s2, dterm);
                 }
             }
             #[cfg(feature = "debug-invariants")]
-            self.assert_gain_index(p, bucket, &in_pass(nodes))?;
+            self.assert_pass_state(p, bucket, nodes, s2)?;
 
             cum += gain;
             best = best.max(cum);
-            let floor = fixed + sum_min - num * open;
-            #[cfg(feature = "debug-invariants")]
-            crate::invariants::assert_pass_bound(
-                floor,
-                obj0 - cum,
-                self.objective(p),
-                bucket.is_empty() && !self.locked.contains(&true) && !self_rejections,
-            );
-            if obj0 - floor <= best {
-                bucket.clear();
-                break;
-            }
         }
         Ok(adjusts)
+    }
+
+    /// The `debug-invariants` checks of a pass after its fill and after
+    /// every pop: the gain index with every in-pass delta, then the
+    /// potential's terms and sum, all re-derived from adjacency.
+    #[cfg(feature = "debug-invariants")]
+    fn assert_pass_state(
+        &mut self,
+        p: &Partition,
+        bucket: &BucketList,
+        nodes: &[PassNode],
+        s2: i64,
+    ) -> Result<(), A::Error> {
+        let deltas: Vec<SwitchDelta> = nodes.iter().map(|n| n.delta).collect();
+        self.assert_gain_index(p, bucket, &deltas)?;
+        let terms: Vec<i64> = nodes.iter().map(|n| n.term).collect();
+        crate::invariants::assert_potential(
+            &mut self.adj,
+            self.cfg.k,
+            p,
+            bucket,
+            &self.locked,
+            &terms,
+            s2,
+        )
     }
 }
 
@@ -644,34 +657,27 @@ struct Scratch {
     seq: Vec<Move>,
 }
 
-/// One node's state during a pass. A neighbour whose gain is adjusted has
-/// both fields updated, so they share one record.
+/// One node's state during a pass, 16 bytes. A neighbour whose gain is
+/// adjusted has both fields updated, so they share one record.
 #[derive(Debug, Clone, Copy, Default)]
 struct PassNode {
     /// The switch delta: the carried delta, kept current while the node
     /// is indexed.
     delta: SwitchDelta,
-    /// While the node is indexed, the cost of its edges to popped nodes if
-    /// it ends Legit (`[0]`) and if it ends Suspect (`[1]`).
-    side: [i64; 2],
+    /// While the node is indexed, its potential term
+    /// `x = 2·gain + credit` (see [`ExtendedKl::one_pass`]).
+    term: i64,
 }
 
 impl PassNode {
-    /// Adds `cost` to the node's cost of ending in `region`, keeping
-    /// `sum_min` the sum of the records' minima.
+    /// Moves the node's potential term by `by`, keeping `s2` the sum of
+    /// the terms' positive parts.
     #[inline]
-    fn charge(&mut self, sum_min: &mut i64, region: Region, cost: i64) {
-        let c = &mut self.side;
-        let before = c[0].min(c[1]);
-        c[side_of(region)] += cost;
-        *sum_min += c[0].min(c[1]) - before;
+    fn shift(&mut self, s2: &mut i64, by: i64) {
+        let before = self.term.max(0);
+        self.term += by;
+        *s2 += self.term.max(0) - before;
     }
-}
-
-/// The in-pass deltas, for the `debug-invariants` checker.
-#[cfg(feature = "debug-invariants")]
-fn in_pass(nodes: &[PassNode]) -> Vec<SwitchDelta> {
-    nodes.iter().map(|n| n.delta).collect()
 }
 
 /// Undoes every move of `seq`, newest first, so every intermediate state
@@ -679,15 +685,6 @@ fn in_pass(nodes: &[PassNode]) -> Vec<SwitchDelta> {
 fn undo(p: &mut Partition, seq: &[Move]) {
     for &(u, _, (df, dr)) in seq.iter().rev() {
         p.apply_switch(u, (-df, -dr));
-    }
-}
-
-/// The index of `r` in a `side` record.
-#[inline]
-fn side_of(r: Region) -> usize {
-    match r {
-        Region::Legit => 0,
-        Region::Suspect => 1,
     }
 }
 

@@ -15,7 +15,8 @@
 #![cfg(feature = "debug-invariants")]
 
 use crate::bucket::{BucketList, ABSENT, NIL};
-use crate::Adjacency;
+use crate::extended::obj_i64;
+use crate::{Adjacency, KParam};
 use rejection::{NodeId, Partition, Region};
 
 /// Walks every gain chain of `b` and checks:
@@ -104,23 +105,60 @@ pub fn assert_partition_counts<A: Adjacency>(adj: &mut A, p: &Partition) -> Resu
     Ok(())
 }
 
-/// Checks an extended-KL pass bound after a pop: the `objective` the pass
-/// tracks (`obj0 − cum`) must match the partition's cut counters
-/// (`counted`), and the `floor` on every reachable state's objective must
-/// not exceed it. With no locked node and no self-rejection, once every
-/// node has popped, every edge is charged and the floor is the objective
-/// itself (`exact`).
+/// Re-derives an extended-KL pass's switch-gain potential from adjacency
+/// and asserts that the pass's incremental state matches it: every
+/// indexed node's `term` is `2·gain + credit`, where the credit is `2·den`
+/// per friend on its side and `num` per rejection partner on the other
+/// side, counting only partners still indexed or locked, plus `num` per
+/// self-rejection; and `s2` is the sum of the terms' positive parts, 0
+/// once the bucket list is empty. The pass runs it after its fill and
+/// after every pop, over whichever source it runs on.
 ///
 /// # Panics
 ///
-/// Panics when the floor is above the objective, or not equal to it when
-/// `exact` is set.
-pub fn assert_pass_bound(floor: i64, objective: i64, counted: i64, exact: bool) {
-    assert_eq!(objective, counted, "pass objective drifted from the cut counters");
-    assert!(floor <= objective, "pass bound {floor} above the objective {objective}");
-    if exact {
-        assert_eq!(floor, objective, "a full unlocked pass charges every edge");
+/// Panics on the first term or sum that disagrees with recomputation.
+pub fn assert_potential<A: Adjacency>(
+    adj: &mut A,
+    k: KParam,
+    p: &Partition,
+    bucket: &BucketList,
+    locked: &[bool],
+    terms: &[i64],
+    s2: i64,
+) -> Result<(), A::Error> {
+    let (num, den) = (obj_i64(k.num()), obj_i64(k.den()));
+    let live = |w: NodeId| bucket.contains(w.0) || locked[w.index()];
+    let mut fresh = 0i64;
+    for (i, &term) in terms.iter().enumerate() {
+        let v = NodeId::from_index(i);
+        if !bucket.contains(v.0) {
+            continue;
+        }
+        let n = adj.neighbors(v)?;
+        let side = p.region(v);
+        let mut credit = 0i64;
+        for &w in n.friends {
+            if live(w) && p.region(w) == side {
+                credit += 2 * den;
+            }
+        }
+        for &w in n.rejected_by.iter().chain(n.rejectors_of) {
+            if live(w) && p.region(w) != side {
+                credit += num;
+            }
+        }
+        if n.rejected_by.contains(&v) {
+            credit += num;
+        }
+        let want = 2 * k.gain(p.switch_delta(v, n)) + credit;
+        assert_eq!(term, want, "potential term corrupt: node {i} holds {term}, recomputed {want}");
+        fresh += want.max(0);
     }
+    assert_eq!(s2, fresh, "potential sum corrupt: pass holds {s2}, recomputed {fresh}");
+    if bucket.is_empty() {
+        assert_eq!(s2, 0, "an empty bucket list leaves no potential");
+    }
+    Ok(())
 }
 
 /// Checks one node's carried switch delta against the one a fresh scan

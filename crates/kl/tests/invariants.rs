@@ -109,9 +109,10 @@ fn structural_checker_accepts_a_live_bucket() {
 #[test]
 fn full_kl_run_passes_the_checkers_on_every_pass() {
     // End-to-end: `run` checks every carried delta at each pass start and
-    // exercises assert_gain_index after the initial fill and after every
-    // single move. A wrong incremental update or replay anywhere would
-    // panic here rather than silently degrade cut quality.
+    // exercises assert_gain_index and the potential check after the
+    // initial fill and after every single move. A wrong incremental update
+    // or replay anywhere would panic here rather than silently degrade cut
+    // quality.
     let g = fixture();
     let kl = solver(&g);
     let out = kl.run(Partition::all_legit(&g));

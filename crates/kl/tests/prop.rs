@@ -264,7 +264,9 @@ impl Lists {
     }
 
     fn degrees(&self) -> DegreeSummary {
-        DegreeSummary::new((0..self.0.len()).map(|i| NodeDegrees::of(self.neighbors(NodeId(i as u32)))))
+        DegreeSummary::new(
+            (0..self.0.len()).map(|i| NodeDegrees::of(self.neighbors(NodeId(i as u32)))).collect(),
+        )
     }
 }
 
@@ -280,12 +282,60 @@ impl Adjacency for &Lists {
     }
 }
 
+/// What [`reference_kernel`] returns: the final partition, the pass,
+/// committed-move and bucket-adjustment counts, and for every pass the
+/// `(cum, s2)` it saw before each pop and after its last one: the
+/// cumulative gain so far and the switch-gain potential sum recomputed
+/// from adjacency.
+struct Reference {
+    partition: Partition,
+    passes: usize,
+    moves: u64,
+    adjusts: u64,
+    steps: Vec<Vec<(i64, i64)>>,
+}
+
+/// The switch-gain potential sum of a pass, from scratch: over the nodes
+/// still indexed in `bucket`, `Σ max(0, 2·gain_v + c_v)`, where `c_v` is
+/// `2·den` per friend on `v`'s side and `num` per rejection partner on
+/// the other side, counting only partners still indexed or locked, plus
+/// `num` per self-rejection (which only loosens the bound).
+fn fresh_potential(
+    adj: &Lists,
+    k: KParam,
+    p: &Partition,
+    bucket: &BucketList,
+    locked: &[bool],
+) -> i64 {
+    let (num, den) = (k.num() as i64, k.den() as i64);
+    let live = |w: NodeId| bucket.contains(w.0) || locked[w.index()];
+    (0..adj.0.len() as u32)
+        .map(NodeId)
+        .filter(|v| bucket.contains(v.0))
+        .map(|v| {
+            let nb = adj.neighbors(v);
+            let side = p.region(v);
+            let friends =
+                nb.friends.iter().filter(|&&w| live(w) && p.region(w) == side).count() as i64;
+            let partners = nb
+                .rejected_by
+                .iter()
+                .chain(nb.rejectors_of)
+                .filter(|&&w| live(w) && p.region(w) != side)
+                .count() as i64;
+            let selfish = i64::from(nb.rejected_by.contains(&v));
+            let credit = 2 * den * friends + num * (partners + selfish);
+            (2 * k.gain(p.switch_delta(v, nb)) + credit).max(0)
+        })
+        .sum()
+}
+
 /// The extended-KL kernel with a per-pass fill: every pass files each
-/// unlocked node at a gain recomputed from its adjacency, and every pop
-/// recomputes its delta. With `bounded` the pass
-/// ends at the pass bound; without it every unlocked node switches once.
-/// Returns the final partition and `(passes, moves_committed,
-/// bucket_adjusts)`.
+/// unlocked node at a gain recomputed from its adjacency, every pop
+/// recomputes its delta, and the potential is recomputed from adjacency
+/// before every pop. With `bounded` the pass ends once the cumulative
+/// gain plus half the potential is at most the best prefix's gain;
+/// without it every unlocked node switches once.
 fn reference_kernel(
     adj: &Lists,
     k: KParam,
@@ -293,7 +343,7 @@ fn reference_kernel(
     locked: &[bool],
     initial: Partition,
     bounded: bool,
-) -> (Partition, usize, u64, u64) {
+) -> Reference {
     let (num, den) = (k.num() as i64, k.den() as i64);
     let n = adj.0.len();
     let bound = (0..n)
@@ -302,19 +352,11 @@ fn reference_kernel(
             den * l[0].len() as i64 + num * (l[1].len() + l[2].len()) as i64
         })
         .fold(1, i64::max);
-    let rejections: i64 = adj.0.iter().map(|l| l[1].len() as i64).sum();
     let mut p = initial;
     let mut bucket = BucketList::new(n, -bound, bound);
     let mut seq: Vec<(NodeId, i64, (i64, i64))> = Vec::new();
-    let mut side = vec![[0i64; 2]; n];
-    let side_of = |r: Region| usize::from(r == Region::Suspect);
-    let charge = |side: &mut Vec<[i64; 2]>, sum_min: &mut i64, v: NodeId, r: Region, cost: i64| {
-        let c = &mut side[v.index()];
-        let before = c[0].min(c[1]);
-        c[side_of(r)] += cost;
-        *sum_min += c[0].min(c[1]) - before;
-    };
     let (mut passes, mut moves, mut adjusts) = (0usize, 0u64, 0u64);
+    let mut steps = Vec::new();
     while passes < max_passes {
         passes += 1;
         for (i, _) in locked.iter().enumerate().filter(|(_, &l)| !l) {
@@ -322,11 +364,16 @@ fn reference_kernel(
             bucket.insert(u.0, k.gain(p.switch_delta(u, adj.neighbors(u))));
         }
         seq.clear();
-        side.fill([0; 2]);
-        let obj0 = objective(k, &p);
-        let (mut fixed, mut sum_min, mut open) = (0i64, 0i64, rejections);
+        let mut pass = Vec::new();
         let (mut cum, mut best) = (0i64, 0i64);
-        while let Some((u, gain)) = bucket.pop_max() {
+        loop {
+            let s2 = fresh_potential(adj, k, &p, &bucket, locked);
+            pass.push((cum, s2));
+            if bounded && cum + s2 / 2 <= best {
+                while bucket.pop_max().is_some() {}
+                break;
+            }
+            let Some((u, gain)) = bucket.pop_max() else { break };
             let u = NodeId(u);
             let nb = adj.neighbors(u);
             let delta = p.switch_delta(u, nb);
@@ -334,14 +381,10 @@ fn reference_kernel(
             seq.push((u, gain, delta));
             let from = p.region(u);
             let now_in = p.apply_switch(u, delta);
-            let costs = side[u.index()];
-            fixed += costs[side_of(now_in)];
-            sum_min -= costs[0].min(costs[1]);
             for &v in nb.friends {
                 let t = if p.region(v) == from { 1 } else { -1 };
                 if bucket.adjust_if_present(v.0, 2 * den * t) {
                     adjusts += 1;
-                    charge(&mut side, &mut sum_min, v, from, den);
                 }
             }
             let da = if now_in == Region::Legit { 1 } else { -1 };
@@ -349,10 +392,6 @@ fn reference_kernel(
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
                 if bucket.adjust_if_present(v.0, num * s_v * da) {
                     adjusts += 1;
-                    open -= 1;
-                    if now_in == Region::Legit {
-                        charge(&mut side, &mut sum_min, v, Region::Suspect, -num);
-                    }
                 }
             }
             let db = if now_in == Region::Suspect { 1 } else { -1 };
@@ -360,19 +399,12 @@ fn reference_kernel(
                 let s_v = if p.region(v) == Region::Legit { 1 } else { -1 };
                 if bucket.adjust_if_present(v.0, -num * s_v * db) {
                     adjusts += 1;
-                    open -= 1;
-                    if now_in == Region::Suspect {
-                        charge(&mut side, &mut sum_min, v, Region::Legit, -num);
-                    }
                 }
             }
             cum += gain;
             best = best.max(cum);
-            if bounded && obj0 - (fixed + sum_min - num * open) <= best {
-                while bucket.pop_max().is_some() {}
-                break;
-            }
         }
+        steps.push(pass);
         let (mut kept, mut best, mut cum) = (0usize, 0i64, 0i64);
         for (i, &(_, gain, _)) in seq.iter().enumerate() {
             cum += gain;
@@ -389,7 +421,7 @@ fn reference_kernel(
         }
         moves += kept as u64;
     }
-    (p, passes, moves, adjusts)
+    Reference { partition: p, passes, moves, adjusts, steps }
 }
 
 /// A small augmented graph whose edge list mixes plain friendships and
@@ -463,7 +495,8 @@ proptest! {
     /// moves: same partition, objective, pass count and committed moves,
     /// with no more bucket adjustments, from random starts with locked
     /// nodes on both sides. Under `debug-invariants` the kernel also
-    /// checks its pass bound against the exact objective after every pop.
+    /// checks its potential against one recomputed from adjacency after
+    /// every pop.
     #[test]
     fn pass_bound_changes_no_move(
         (g, selfish, region, locked) in kl_case(),
@@ -474,28 +507,60 @@ proptest! {
         let k = KParam::new(num, den);
         let adj = Lists::new(&g, &selfish);
         let initial = Partition::from_regions(&g, region.clone());
-        let (want, passes, moves, adjusts) =
-            reference_kernel(&adj, k, max_passes, &locked, initial, false);
+        let want = reference_kernel(&adj, k, max_passes, &locked, initial, false);
         let (out, got_adjusts) = run_kernel(&adj, k, max_passes, &locked, region);
 
-        prop_assert_eq!(out.partition.suspects(), want.suspects());
-        prop_assert_eq!(out.partition.cross_friendships(), want.cross_friendships());
-        prop_assert_eq!(out.partition.cross_rejections(), want.cross_rejections());
-        prop_assert_eq!(out.objective, objective(k, &want));
-        prop_assert_eq!(out.passes, passes);
-        prop_assert_eq!(out.moves_committed, moves);
+        prop_assert_eq!(out.partition.suspects(), want.partition.suspects());
+        prop_assert_eq!(out.partition.cross_friendships(), want.partition.cross_friendships());
+        prop_assert_eq!(out.partition.cross_rejections(), want.partition.cross_rejections());
+        prop_assert_eq!(out.objective, objective(k, &want.partition));
+        prop_assert_eq!(out.passes, want.passes);
+        prop_assert_eq!(out.moves_committed, want.moves);
         prop_assert!(
-            got_adjusts <= adjusts,
-            "{got_adjusts} adjusts against the full pass's {adjusts}"
+            got_adjusts <= want.adjusts,
+            "{} adjusts against the full pass's {}", got_adjusts, want.adjusts
         );
     }
 
-    /// Carrying switch deltas from pass to pass changes nothing: the
-    /// kernel and the per-pass-fill reference agree on partition,
-    /// objective, passes, committed moves and every bucket adjustment,
-    /// with self-rejections in the source, locked nodes on both sides and
-    /// random `k` and pass caps. Under `debug-invariants` every pass start
-    /// also checks each carried delta against a fresh scan.
+    /// The switch-gain potential bounds every later prefix of a full
+    /// pass: before each pop `t`, `cum_t + ⌊s2_t / 2⌋` is at least the
+    /// cumulative gain of every prefix at or after `t`, and the potential
+    /// is 0 once every unlocked node has switched, with locked nodes on
+    /// both sides and self-rejections in the source.
+    #[test]
+    fn pass_potential_bounds_every_later_prefix(
+        (g, selfish, region, locked) in kl_case(),
+        num in 1u64..12,
+        den in 1u64..12,
+        max_passes in 1usize..8,
+    ) {
+        let k = KParam::new(num, den);
+        let adj = Lists::new(&g, &selfish);
+        let initial = Partition::from_regions(&g, region);
+        let full = reference_kernel(&adj, k, max_passes, &locked, initial, false);
+        for (pass, steps) in full.steps.iter().enumerate() {
+            prop_assert_eq!(steps.last().map(|&(_, s2)| s2), Some(0), "pass {}", pass);
+            let mut later = i64::MIN;
+            for (t, &(cum, s2)) in steps.iter().enumerate().rev() {
+                later = later.max(cum);
+                prop_assert!(
+                    cum + s2 / 2 >= later,
+                    "pass {}, pop {}: {} + {} / 2 below a later prefix's {}",
+                    pass, t, cum, s2, later
+                );
+            }
+        }
+    }
+
+    /// Carrying switch deltas and the incremental potential from pop to
+    /// pop changes nothing: the kernel and the per-pass-fill reference,
+    /// which recomputes the potential from adjacency before every pop,
+    /// agree on partition, objective, passes, committed moves and every
+    /// bucket adjustment, so both end every pass at the same pop. Self-
+    /// rejections are in the source, locked nodes on both sides, and `k`
+    /// and the pass cap random. Under `debug-invariants` every pass start
+    /// also checks each carried delta against a fresh scan, and every pop
+    /// the kernel's incremental potential against a fresh one.
     #[test]
     fn carried_deltas_change_no_move(
         (g, selfish, region, locked) in kl_case(),
@@ -506,15 +571,14 @@ proptest! {
         let k = KParam::new(num, den);
         let adj = Lists::new(&g, &selfish);
         let initial = Partition::from_regions(&g, region.clone());
-        let (want, passes, moves, adjusts) =
-            reference_kernel(&adj, k, max_passes, &locked, initial, true);
+        let want = reference_kernel(&adj, k, max_passes, &locked, initial, true);
         let (out, got_adjusts) = run_kernel(&adj, k, max_passes, &locked, region);
 
-        prop_assert_eq!(&out.partition, &want);
-        prop_assert_eq!(out.objective, objective(k, &want));
-        prop_assert_eq!(out.passes, passes);
-        prop_assert_eq!(out.moves_committed, moves);
-        prop_assert_eq!(got_adjusts, adjusts);
+        prop_assert_eq!(&out.partition, &want.partition);
+        prop_assert_eq!(out.objective, objective(k, &want.partition));
+        prop_assert_eq!(out.passes, want.passes);
+        prop_assert_eq!(out.moves_committed, want.moves);
+        prop_assert_eq!(got_adjusts, want.adjusts);
     }
 
     /// The bucket range a summary gives is the per-node maximum of
@@ -536,6 +600,5 @@ proptest! {
             .fold(1, i64::max);
         let summary = DegreeSummary::new(NodeDegrees::of_graph(&g));
         prop_assert_eq!(summary.gain_bound(k), want);
-        prop_assert_eq!(summary.rejections(), g.num_rejections());
     }
 }

@@ -288,6 +288,11 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
 /// slots every miss has room, so the 340 nodes arrive in 5 batches. The
 /// 8-slot buffer fills within its first batches and then misses one node
 /// at a time.
+///
+/// A hit or a miss is one kernel lookup, so each shape's hits and misses
+/// add up to the same 7,403 lookups; a prefetch looks nothing up and
+/// counts as neither. The default shape's 5 batches are 2 misses and 3
+/// prefetches.
 #[test]
 fn fetch_protocol_counts_are_pinned() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -301,10 +306,10 @@ fn fetch_protocol_counts_are_pinned() {
     .graph;
     // [fetch_batches, nodes_fetched, buffer_hits, buffer_misses, init_jobs]
     for (config, want) in [
-        (ClusterConfig::default(), [5u64, 340, 8_516, 340, 2]),
+        (ClusterConfig::default(), [5u64, 340, 7_401, 2, 2]),
         (
             ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..ClusterConfig::default() },
-            [5_891, 10_077, 4_592, 10_077, 2],
+            [5_177, 8_784, 3_912, 3_491, 2],
         ),
     ] {
         let io = DistributedMaar::new(config, RejectoConfig::default())
