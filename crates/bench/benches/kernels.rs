@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use kl::{BucketList, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam};
-use rejecto_core::{MaarSolver, RejectoConfig};
+use rejecto_core::{IterativeDetector, RejectoConfig, Seeds, Termination};
 use rejection::{NodeDegrees, Partition};
 use simulator::{Scenario, ScenarioConfig};
 use socialgraph::surrogates::Surrogate;
@@ -96,10 +96,12 @@ fn bench_maar_sweep(c: &mut Criterion) {
     group.sample_size(10);
     let sim = scenario(0.1);
     group.bench_function("full_sweep_scale0.1", |b| {
-        let solver = MaarSolver::new(RejectoConfig::default());
+        // A one-suspect budget is met by the first round: one full sweep.
+        let detector = IterativeDetector::new(RejectoConfig::default());
         b.iter(|| {
-            let cut = solver.solve(&sim.graph, &[], &[]).expect("cut exists");
-            black_box(cut.acceptance_rate)
+            let report =
+                detector.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(1));
+            black_box(report.groups.first().expect("cut exists").acceptance_rate)
         })
     });
     group.finish();

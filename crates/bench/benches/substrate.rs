@@ -2,10 +2,10 @@
 //! and the distributed runtime's throughput (the Table-II kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dataflow::{ClusterConfig, DistributedMaar};
+use dataflow::{ClusterConfig, DistributedDetector};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rejecto_core::RejectoConfig;
+use rejecto_core::{RejectoConfig, Seeds, Termination};
 use simulator::{Scenario, ScenarioConfig};
 use socialgraph::generators::{BarabasiAlbert, HolmeKim};
 use socialgraph::metrics;
@@ -68,11 +68,18 @@ fn bench_distributed(c: &mut Criterion) {
             BenchmarkId::new("maar_solve_4k_nodes", workers),
             &workers,
             |b, &workers| {
-                let solver = DistributedMaar::new(
+                // A one-suspect budget is met by the first round: one sweep.
+                let detector = DistributedDetector::new(
                     ClusterConfig { num_workers: workers, ..ClusterConfig::default() },
                     rejecto.clone(),
                 );
-                b.iter(|| black_box(solver.solve(&sim.graph)))
+                b.iter(|| {
+                    black_box(detector.detect(
+                        &sim.graph,
+                        &Seeds::default(),
+                        Termination::SuspectBudget(1),
+                    ))
+                })
             },
         );
     }

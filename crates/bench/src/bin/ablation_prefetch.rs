@@ -4,11 +4,13 @@
 //! The paper's claim: fetching per-node on demand incurs prohibitive
 //! network I/O; prefetching the bucket list's top-gain nodes in batches
 //! removes round trips. `batch=1, capacity=1` approximates the naive
-//! implementation.
+//! implementation. Each variant runs the distributed detector to a
+//! one-suspect budget, which is met by its first round: one `k` sweep.
 
 use bench::Harness;
-use dataflow::{ClusterConfig, DistributedMaar};
-use rejecto_core::RejectoConfig;
+use dataflow::{ClusterConfig, DistributedDetector};
+use rejecto_core::{RejectoConfig, Seeds, Termination};
+use rejecto_obs::{Obs, Stopwatch};
 use serde::Serialize;
 use simulator::ScenarioConfig;
 use socialgraph::surrogates::Surrogate;
@@ -47,25 +49,34 @@ fn main() {
             num_workers: 4,
             ..ClusterConfig::default()
         };
-        let out = DistributedMaar::new(cfg, rejecto.clone())
-            .solve(&sim.graph)
-            .expect("healthy cluster must solve");
+        let mut detector = DistributedDetector::new(cfg, rejecto.clone());
+        let obs = Obs::new();
+        detector.set_obs(obs.clone());
+        let clock = Stopwatch::start();
+        let report = detector
+            .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(1))
+            .expect("healthy cluster must detect");
+        let elapsed = clock.elapsed();
         // The buffer is an optimization: every variant must find the same cut.
+        let suspects = report.suspects();
         match &baseline_suspects {
-            None => baseline_suspects = Some(out.suspects.clone()),
-            Some(b) => assert_eq!(b, &out.suspects, "buffering changed the cut"),
+            None => baseline_suspects = Some(suspects),
+            Some(b) => assert_eq!(b, &suspects, "buffering changed the cut"),
         }
+        let io = |path| obs.volatile(path);
         eprintln!(
-            "  batch={batch} cap={capacity}: batches {} fetched {} hits {} in {:.2?}",
-            out.io.fetch_batches, out.io.nodes_fetched, out.io.buffer_hits, out.elapsed
+            "  batch={batch} cap={capacity}: batches {} fetched {} hits {} in {elapsed:.2?}",
+            io("io/fetch_batches"),
+            io("io/nodes_fetched"),
+            io("io/buffer_hits")
         );
         rows.push(Row {
             batch,
             capacity,
-            fetch_batches: out.io.fetch_batches,
-            nodes_fetched: out.io.nodes_fetched,
-            buffer_hits: out.io.buffer_hits,
-            seconds: out.elapsed.as_secs_f64(),
+            fetch_batches: io("io/fetch_batches"),
+            nodes_fetched: io("io/nodes_fetched"),
+            buffer_hits: io("io/buffer_hits"),
+            seconds: elapsed.as_secs_f64(),
         });
     }
 

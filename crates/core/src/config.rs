@@ -12,9 +12,10 @@ use std::time::Duration;
 /// store ([`crate::CheckpointStore::with_limit`]).
 ///
 /// These budgets are deliberately distinct from the *convergence caps*
-/// ([`RejectoConfig::max_kl_passes`], [`RejectoConfig::max_rounds`]): a
-/// run that hits a cap has still converged per configuration and reports
-/// [`crate::Completion::Complete`]; a run that hits a budget was cut short.
+/// ([`RejectoConfig::max_kl_passes`] and the pruning loop's fixed cap of
+/// 64 rounds): a run that hits a cap has still converged per
+/// configuration and reports [`crate::Completion::Complete`]; a run that
+/// hits a budget was cut short.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunBudget {
     /// Wall-clock deadline for the whole run, polled at KL pass and sweep
@@ -78,8 +79,6 @@ pub struct RejectoConfig {
     pub k_denominator: u64,
     /// Cap on KL passes per `k`.
     pub max_kl_passes: usize,
-    /// Cap on iterative pruning rounds.
-    pub max_rounds: usize,
     /// KL warm start.
     pub initial_placement: InitialPlacement,
     /// Largest admissible suspect region, as a fraction of the (residual)
@@ -123,7 +122,6 @@ impl Default for RejectoConfig {
             k_factor: 1.5,
             k_denominator: 64,
             max_kl_passes: 16,
-            max_rounds: 64,
             initial_placement: InitialPlacement::RejectionRatio(0.5),
             max_suspect_fraction: 0.6,
             threads: 0,

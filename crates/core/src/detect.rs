@@ -1,11 +1,14 @@
 use crate::checkpoint::Checkpoint;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{MaarSolver, RejectoConfig, SweepOutcome};
+use crate::{RejectoConfig, SweepOutcome};
 use kl::KParam;
 use rejection::{AugmentedGraph, NodeId};
 use std::io;
-use std::ops::Deref;
-use std::sync::Arc;
+
+/// The pruning loop's convergence cap: a run that has not stopped after
+/// this many rounds ends [`Completion::Complete`], unlike one stopped by
+/// [`crate::RunBudget::max_rounds`], which ends `Partial`.
+const MAX_ROUNDS: usize = 64;
 
 /// Manually inspected ground-truth users the OSN provider supplies
 /// (§III-B, §IV-F). Ids refer to the *original* graph handed to
@@ -67,7 +70,7 @@ pub enum InterruptReason {
 #[non_exhaustive]
 pub enum Completion {
     /// The run terminated on its own (termination rule, convergence, or
-    /// the `max_rounds` convergence cap).
+    /// the loop's convergence cap of 64 rounds).
     #[default]
     Complete,
     /// The run was interrupted at a safe boundary; `groups` holds every
@@ -111,8 +114,10 @@ pub struct DetectionReport {
     /// on the residual graph, acceptance rates are non-decreasing: the
     /// most blatant spammers surface first (§IV-E).
     pub groups: Vec<DetectedGroup>,
-    /// Rounds executed (including a final round that found nothing).
-    /// Interrupted rounds do not count.
+    /// Rounds executed, including a final round that found nothing and
+    /// the round that stops at the suspect budget before sweeping: a
+    /// [`Termination::SuspectBudget`]`(1)` run that finds a group in one
+    /// sweep reports 2 rounds. Interrupted rounds do not count.
     pub rounds: usize,
     /// Whether the run covered everything it was asked to
     /// ([`Completion::Complete`]) or stopped at a budget boundary.
@@ -177,8 +182,8 @@ pub type CheckpointSink<'a> = &'a mut dyn FnMut(&Checkpoint) -> io::Result<()>;
 
 /// A per-round cut solver: the seam between the one pruning loop
 /// ([`LoopState::run`]) and the runtime that finds each round's MAAR cut —
-/// the in-process pool sweep ([`MaarSolver`]) or the cluster sweep in
-/// `dataflow`. Both run the same [`crate::SweepPlan`] and kernel.
+/// the in-process pool sweep ([`IterativeDetector`]) or the cluster sweep
+/// in `dataflow`. Both run the same [`crate::SweepPlan`] and kernel.
 pub trait CutSolver {
     /// What a failed round reports ([`std::convert::Infallible`] in process).
     type Error;
@@ -188,49 +193,15 @@ pub trait CutSolver {
 
     /// The MAAR cut of the residual graph `g` with the seeds (in `g`'s
     /// ids) pinned, under the budgets and the armed fault table of `ctx`.
-    /// A runtime that keeps the graph (the cluster's lineage) takes
-    /// [`Residual::to_shared`]: a handle on a pruned graph, and one copy
-    /// of the caller's input in round 1.
+    /// `g` is the loop's own graph, borrowed for the round: the caller's
+    /// input in round 1 of a fresh run, the residual graph after that.
     fn solve_round(
         &self,
-        g: &Residual<'_>,
+        g: &AugmentedGraph,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, Self::Error>;
-}
-
-/// The graph a pruning round runs on: the caller's input until the first
-/// prune, then a residual graph the loop owns.
-#[derive(Debug, Clone)]
-pub enum Residual<'g> {
-    /// The run's input graph, borrowed: round 1 of a fresh run.
-    Input(&'g AugmentedGraph),
-    /// A graph the loop built: the survivors of a prune, or of a resumed
-    /// checkpoint.
-    Pruned(Arc<AugmentedGraph>),
-}
-
-impl Residual<'_> {
-    /// A shared handle on the graph: the pruned graph's own, or a copy of
-    /// the borrowed input.
-    pub fn to_shared(&self) -> Arc<AugmentedGraph> {
-        match self {
-            Residual::Input(g) => Arc::new((*g).clone()),
-            Residual::Pruned(g) => Arc::clone(g),
-        }
-    }
-}
-
-impl Deref for Residual<'_> {
-    type Target = AugmentedGraph;
-
-    fn deref(&self) -> &AugmentedGraph {
-        match self {
-            Residual::Input(g) => g,
-            Residual::Pruned(g) => g,
-        }
-    }
 }
 
 /// Mid-run loop state: the report so far, the residual graph, and its
@@ -241,7 +212,7 @@ pub struct LoopState {
     report: DetectionReport,
     /// The residual graph, or `None` before the first prune of a fresh
     /// run, whose round 1 runs on the input [`LoopState::run`] is handed.
-    current: Option<Arc<AugmentedGraph>>,
+    current: Option<AugmentedGraph>,
     to_original: Vec<NodeId>,
 }
 
@@ -276,7 +247,7 @@ impl LoopState {
             keep[usize::try_from(u).expect("checkpoint ids validated against num_nodes")] = true;
         }
         let (current, to_original) = g.induced_subgraph(&keep);
-        Ok(LoopState { report: ckpt.report(), current: Some(Arc::new(current)), to_original })
+        Ok(LoopState { report: ckpt.report(), current: Some(current), to_original })
     }
 
     /// The pruning loop (§IV-E), from this state to termination, on the
@@ -300,8 +271,7 @@ impl LoopState {
         termination: Termination,
         mut sink: Option<CheckpointSink<'_>>,
     ) -> Result<DetectionReport, S::Error> {
-        let LoopState { mut report, current, mut to_original } = self;
-        let mut current = current.map_or(Residual::Input(g), Residual::Pruned);
+        let LoopState { mut report, mut current, mut to_original } = self;
         let config = solver.config();
         let mut ctx = RunContext::armed(config, obs.cloned());
 
@@ -321,7 +291,7 @@ impl LoopState {
         let mut completion = Completion::Complete;
         let _detect_span = obs.map(|o| o.span("detect"));
 
-        while report.rounds < config.max_rounds {
+        while report.rounds < MAX_ROUNDS {
             if config.budget.max_rounds.is_some_and(|limit| report.rounds >= limit) {
                 completion = partial(report.rounds, Vec::new(), InterruptReason::RoundBudget);
                 break;
@@ -348,7 +318,8 @@ impl LoopState {
 
             ctx.round = report.rounds;
             let _round_span = obs.map(|o| o.span("detect/round"));
-            let outcome = solver.solve_round(&current, &legit, &spammer, &ctx)?;
+            let residual = current.as_ref().unwrap_or(g);
+            let outcome = solver.solve_round(residual, &legit, &spammer, &ctx)?;
             report.failures.extend(outcome.failures);
             if outcome.interrupted {
                 // The round did not finish; it does not count, and the
@@ -406,13 +377,13 @@ impl LoopState {
             crate::invariants::assert_report_bookkeeping(g, &report);
 
             // Prune the group with its links and rejections.
-            let mut keep = vec![true; current.num_nodes()];
+            let mut keep = vec![true; residual.num_nodes()];
             for u in &local {
                 keep[u.index()] = false;
             }
-            let (next, original_of_next) = current.induced_subgraph(&keep);
+            let (next, original_of_next) = residual.induced_subgraph(&keep);
             to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = Residual::Pruned(Arc::new(next));
+            current = Some(next);
 
             if let Some(write) = sink.as_mut() {
                 let ckpt = Checkpoint::capture(g, &report);
@@ -449,14 +420,14 @@ impl LoopState {
 /// Every entry point panics if a seed id is out of range of the graph.
 #[derive(Debug, Clone)]
 pub struct IterativeDetector {
-    solver: MaarSolver,
+    pub(crate) config: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
 }
 
 impl IterativeDetector {
     /// Creates a detector with the given configuration.
     pub fn new(config: RejectoConfig) -> Self {
-        IterativeDetector { solver: MaarSolver::new(config), obs: None }
+        IterativeDetector { config, obs: None }
     }
 
     /// Attaches a metrics registry shared by the pruning loop, the sweep
@@ -477,7 +448,7 @@ impl IterativeDetector {
         termination: Termination,
     ) -> DetectionReport {
         let state = LoopState::fresh(g);
-        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, None);
+        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, None);
         report
     }
 
@@ -491,7 +462,7 @@ impl IterativeDetector {
         sink: CheckpointSink<'_>,
     ) -> DetectionReport {
         let (state, sink) = (LoopState::fresh(g), Some(sink));
-        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, sink);
+        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, sink);
         report
     }
 
@@ -515,7 +486,7 @@ impl IterativeDetector {
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<DetectionReport, RuntimeError> {
         let state = LoopState::start(g, resume)?;
-        let Ok(report) = state.run(&self.solver, self.obs.as_ref(), g, seeds, termination, sink);
+        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, sink);
         Ok(report)
     }
 }

@@ -100,7 +100,7 @@ pub fn exact_linear_cut(g: &AugmentedGraph, num: i64, den: i64) -> (Vec<NodeId>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MaarSolver, RejectoConfig};
+    use crate::{IterativeDetector, RejectoConfig, Seeds, Termination};
     use rejection::AugmentedGraphBuilder;
 
     fn spam_graph() -> AugmentedGraph {
@@ -132,10 +132,14 @@ mod tests {
     fn heuristic_sweep_matches_the_oracle() {
         let g = spam_graph();
         let (exact, exact_ac) = exact_maar_cut(&g, 3).expect("cut exists");
-        let heur = MaarSolver::new(RejectoConfig::default())
-            .solve(&g, &[], &[])
-            .expect("heuristic cut");
-        assert_eq!(heur.suspects(), exact.suspects());
+        // One round: the budget is met by the first group.
+        let report = IterativeDetector::new(RejectoConfig::default()).detect(
+            &g,
+            &Seeds::default(),
+            Termination::SuspectBudget(1),
+        );
+        let heur = report.groups.first().expect("heuristic cut");
+        assert_eq!(heur.nodes, exact.suspects());
         assert!((heur.acceptance_rate - exact_ac).abs() < 1e-12);
     }
 

@@ -3,12 +3,12 @@
 //!
 //! The pipeline:
 //!
-//! 1. **MAAR solving** ([`MaarSolver`]): Theorem 1 reduces the ratio
-//!    objective `min AC⟨U,Ū⟩` to a family of linear objectives
-//!    `|F(Ū,U)| − k·|R⟨Ū,U⟩|`; the solver sweeps `k` through a geometric
-//!    sequence, solves each member with the extended Kernighan–Lin
-//!    heuristic, and keeps the cut with the lowest aggregate acceptance
-//!    rate.
+//! 1. **MAAR solving** (one round of [`CutSolver::solve_round`]):
+//!    Theorem 1 reduces the ratio objective `min AC⟨U,Ū⟩` to a family of
+//!    linear objectives `|F(Ū,U)| − k·|R⟨Ū,U⟩|`; each round sweeps `k`
+//!    through a geometric sequence ([`SweepPlan`]), solves each member
+//!    with the extended Kernighan–Lin heuristic, and keeps the cut with
+//!    the lowest aggregate acceptance rate.
 //! 2. **Iterative detection** ([`IterativeDetector`], §IV-E): find a MAAR
 //!    cut, declare its suspect region a spammer group, prune the group with
 //!    its links and rejections, repeat. This defeats the *self-rejection*
@@ -55,13 +55,13 @@ pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{
     CheckpointSink, Completion, CutSolver, DetectedGroup, DetectionReport, InterruptReason,
-    IterativeDetector, LoopState, Residual, Seeds, Termination,
+    IterativeDetector, LoopState, Seeds, Termination,
 };
 pub use faults::{Fault, FaultPlan, Faults};
 /// Re-exported so report consumers can name the exact rational sweep
 /// parameter [`DetectedGroup::k`] carries without depending on `kl`.
 pub use kl::KParam;
-pub use maar::{sweep_with_fallback, KResult, MaarCut, MaarSolver, SweepOutcome, SweepPlan};
+pub use maar::{sweep_with_fallback, KResult, MaarCut, SweepOutcome, SweepPlan};
 pub use runtime::{RunContext, RuntimeError};
 pub use store::{
     CheckpointStore, StoreError, StoreResume, DEFAULT_CHECKPOINT_KEEP,

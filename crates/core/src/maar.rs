@@ -1,12 +1,13 @@
 use crate::faults::trigger_injected_panic;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{CutSolver, InitialPlacement, RejectoConfig, Residual};
+use crate::{CutSolver, InitialPlacement, IterativeDetector, RejectoConfig};
 use kl::{Adjacency, DegreeSummary, ExtendedKl, ExtendedKlConfig, KParam, KlStart};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
+/// A minimum-aggregate-acceptance-rate cut: the winner of one round's
+/// `k` sweep ([`CutSolver::solve_round`]).
 #[derive(Debug, Clone)]
 pub struct MaarCut {
     /// The partition; its suspect region is the detected group.
@@ -233,11 +234,15 @@ pub fn sweep_with_fallback<E>(
     Ok(fallback)
 }
 
-/// The in-process cut solver: the context's cancel token can interrupt the
-/// sweep at KL pass boundaries, its fault table can detonate workers, and the
-/// outcome records per-`k` progress and failures instead of panicking or
-/// silently skipping.
-impl CutSolver for MaarSolver {
+/// The in-process cut solver: Theorem 1 reduces the ratio objective
+/// `min AC⟨U,Ū⟩` to a family of linear objectives `|F(Ū,U)| − k·|R⟨Ū,U⟩|`,
+/// so each round sweeps `k` over a geometric sequence with the all-legit
+/// fallback and keeps the extended-KL cut with the lowest aggregate
+/// acceptance rate (§IV-D). The context's cancel token can interrupt the
+/// sweep at KL pass boundaries, its fault table can detonate workers, and
+/// the outcome records per-`k` progress and failures instead of panicking
+/// or silently skipping.
+impl CutSolver for IterativeDetector {
     type Error = Infallible;
 
     fn config(&self) -> &RejectoConfig {
@@ -246,131 +251,76 @@ impl CutSolver for MaarSolver {
 
     fn solve_round(
         &self,
-        g: &Residual<'_>,
+        g: &AugmentedGraph,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, Infallible> {
-        Ok(self.outcome(g, legit, spammer, ctx))
+        sweep_with_fallback(&self.config, |placement| {
+            Ok(sweep(&self.config, g, legit, spammer, placement, ctx))
+        })
     }
 }
 
-/// Solves the MAAR problem on one augmented graph by sweeping `k` over a
-/// geometric sequence and keeping the extended-KL cut with the lowest
-/// aggregate acceptance rate (§IV-D, Theorem 1).
-#[derive(Debug, Clone)]
-pub struct MaarSolver {
-    config: RejectoConfig,
-}
+/// Sweeps every `k` on a fixed-size worker pool
+/// ([`crate::pool::run_indexed`]) sized by
+/// [`RejectoConfig::effective_threads`]. Each run's result lands in its
+/// own sweep-index slot and [`SweepOutcome::reduce`] scans the slots in
+/// sweep order, so thread count cannot change the winner.
+///
+/// Panicked slots are retried *serially in index order* before the
+/// reduction: a transient panic therefore yields the identical answer
+/// the clean sweep would have produced, and only a panic that
+/// reproduces on retry degrades the sweep (recorded as
+/// [`RuntimeError::WorkerFailed`], slot skipped).
+fn sweep(
+    config: &RejectoConfig,
+    g: &AugmentedGraph,
+    legit_seeds: &[NodeId],
+    spammer_seeds: &[NodeId],
+    placement: InitialPlacement,
+    ctx: &RunContext,
+) -> SweepOutcome {
+    let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
+    let count = |region| KlStart::count(&mut &*g, region);
+    let degrees = NodeDegrees::of_graph(g);
+    let Ok(plan) = SweepPlan::new(config, degrees, legit_seeds, spammer_seeds, placement, count);
+    let solve_one = |i: usize| -> KResult {
+        // The injection probe runs before the k span opens: a
+        // detonated worker must record nothing, so its deterministic
+        // serial retry leaves the metrics identical to a clean run's.
+        if ctx.faults.sweep_panic(i) {
+            trigger_injected_panic(i);
+        }
+        let Ok(result) = plan.solve_k(g, i, ctx);
+        result
+    };
+    let threads = config.effective_threads();
+    let mut slots = crate::pool::run_indexed(threads, plan.num_ks(), &ctx.token, solve_one);
 
-impl MaarSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: RejectoConfig) -> Self {
-        MaarSolver { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RejectoConfig {
-        &self.config
-    }
-
-    /// Finds the best cut on `g`. `legit_seeds` are pinned to the
-    /// legitimate region and `spammer_seeds` to the suspect region for the
-    /// whole search (§IV-F). Returns `None` when no non-degenerate cut
-    /// exists (i.e., every candidate leaves the suspect region empty or
-    /// cuts no requests at all).
-    ///
-    /// This is the unmonitored entry point: no budgets, no fault
-    /// injection. [`crate::IterativeDetector`] goes through the monitored
-    /// path instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range.
-    pub fn solve(
-        &self,
-        g: &AugmentedGraph,
-        legit_seeds: &[NodeId],
-        spammer_seeds: &[NodeId],
-    ) -> Option<MaarCut> {
-        self.outcome(g, legit_seeds, spammer_seeds, &RunContext::unmonitored()).cut
-    }
-
-    /// One round's sweep with the all-legit fallback, under `ctx`.
-    fn outcome(
-        &self,
-        g: &AugmentedGraph,
-        legit: &[NodeId],
-        spammer: &[NodeId],
-        ctx: &RunContext,
-    ) -> SweepOutcome {
-        let Ok(outcome) = sweep_with_fallback(&self.config, |placement| {
-            Ok::<_, Infallible>(self.sweep(g, legit, spammer, placement, ctx))
-        });
-        outcome
-    }
-
-    /// Sweeps every `k` on a fixed-size worker pool
-    /// ([`crate::pool::run_indexed`]) sized by
-    /// [`RejectoConfig::effective_threads`]. Each run's result lands in its
-    /// own sweep-index slot and [`SweepOutcome::reduce`] scans the slots in
-    /// sweep order, so thread count cannot change the winner.
-    ///
-    /// Panicked slots are retried *serially in index order* before the
-    /// reduction: a transient panic therefore yields the identical answer
-    /// the clean sweep would have produced, and only a panic that
-    /// reproduces on retry degrades the sweep (recorded as
-    /// [`RuntimeError::WorkerFailed`], slot skipped).
-    fn sweep(
-        &self,
-        g: &AugmentedGraph,
-        legit_seeds: &[NodeId],
-        spammer_seeds: &[NodeId],
-        placement: InitialPlacement,
-        ctx: &RunContext,
-    ) -> SweepOutcome {
-        let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-        let count = |region| KlStart::count(&mut &*g, region);
-        let degrees = NodeDegrees::of_graph(g);
-        let Ok(plan) =
-            SweepPlan::new(&self.config, degrees, legit_seeds, spammer_seeds, placement, count);
-        let solve_one = |i: usize| -> KResult {
-            // The injection probe runs before the k span opens: a
-            // detonated worker must record nothing, so its deterministic
-            // serial retry leaves the metrics identical to a clean run's.
-            if ctx.faults.sweep_panic(i) {
-                trigger_injected_panic(i);
-            }
-            let Ok(result) = plan.solve_k(g, i, ctx);
-            result
-        };
-        let threads = self.config.effective_threads();
-        let mut slots = crate::pool::run_indexed(threads, plan.num_ks(), &ctx.token, solve_one);
-
-        // Deterministic serial retry of panicked slots, in index order. A
-        // retry that panics again records the failure and skips the index.
-        let mut failures = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if let crate::pool::JobOutcome::Panicked(_) = slot {
-                match catch_unwind(AssertUnwindSafe(|| solve_one(i))) {
-                    Ok(result) => *slot = crate::pool::JobOutcome::Done(result),
-                    Err(payload) => failures.push(RuntimeError::WorkerFailed {
-                        round: ctx.round,
-                        k_index: i,
-                        message: crate::pool::panic_message(payload),
-                    }),
-                }
+    // Deterministic serial retry of panicked slots, in index order. A
+    // retry that panics again records the failure and skips the index.
+    let mut failures = Vec::new();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        if let crate::pool::JobOutcome::Panicked(_) = slot {
+            match catch_unwind(AssertUnwindSafe(|| solve_one(i))) {
+                Ok(result) => *slot = crate::pool::JobOutcome::Done(result),
+                Err(payload) => failures.push(RuntimeError::WorkerFailed {
+                    round: ctx.round,
+                    k_index: i,
+                    message: crate::pool::panic_message(payload),
+                }),
             }
         }
-        let results = slots.into_iter().map(|slot| match slot {
-            crate::pool::JobOutcome::Done(result) => Some(result),
-            crate::pool::JobOutcome::Skipped => Some(KResult::Interrupted),
-            // Retried above: a surviving Panicked slot is a recorded
-            // failure, not a candidate.
-            crate::pool::JobOutcome::Panicked(_) => None,
-        });
-        SweepOutcome::reduce(results, failures)
     }
+    let results = slots.into_iter().map(|slot| match slot {
+        crate::pool::JobOutcome::Done(result) => Some(result),
+        crate::pool::JobOutcome::Skipped => Some(KResult::Interrupted),
+        // Retried above: a surviving Panicked slot is a recorded
+        // failure, not a candidate.
+        crate::pool::JobOutcome::Panicked(_) => None,
+    });
+    SweepOutcome::reduce(results, failures)
 }
 
 #[cfg(test)]
@@ -378,6 +328,19 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use rejection::AugmentedGraphBuilder;
+
+    /// The winning cut of one round on `g` under `config`, with the seeds
+    /// pinned, through the public round solver.
+    fn solve(
+        config: RejectoConfig,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+    ) -> Option<MaarCut> {
+        let ctx = RunContext::armed(&config, None);
+        let Ok(out) = IterativeDetector::new(config).solve_round(g, legit, spammer, &ctx);
+        out.cut
+    }
 
     /// 5 legit users in a ring; 3 fakes in a triangle; 2 attack edges;
     /// heavy rejections toward the fakes.
@@ -400,7 +363,7 @@ mod tests {
     #[test]
     fn finds_the_fake_triangle() {
         let g = scenario();
-        let cut = MaarSolver::new(RejectoConfig::default()).solve(&g, &[], &[]).expect("scenario admits a cut");
+        let cut = solve(RejectoConfig::default(), &g, &[], &[]).expect("scenario admits a cut");
         assert_eq!(cut.suspects(), vec![NodeId(5), NodeId(6), NodeId(7)]);
         // 2 attack friendships, 8 rejections → AC = 2/10.
         assert!((cut.acceptance_rate - 0.2).abs() < 1e-12);
@@ -413,7 +376,7 @@ mod tests {
             initial_placement: InitialPlacement::AllLegit,
             ..RejectoConfig::default()
         };
-        let cut = MaarSolver::new(config).solve(&g, &[], &[]).expect("scenario admits a cut");
+        let cut = solve(config, &g, &[], &[]).expect("scenario admits a cut");
         assert_eq!(cut.suspects(), vec![NodeId(5), NodeId(6), NodeId(7)]);
     }
 
@@ -423,7 +386,7 @@ mod tests {
         b.add_friendship(NodeId(0), NodeId(1));
         b.add_friendship(NodeId(2), NodeId(3));
         let g = b.build();
-        assert!(MaarSolver::new(RejectoConfig::default()).solve(&g, &[], &[]).is_none());
+        assert!(solve(RejectoConfig::default(), &g, &[], &[]).is_none());
     }
 
     #[test]
@@ -431,8 +394,7 @@ mod tests {
         let g = scenario();
         // Deliberately bad warm start marks node 0 suspect via seeds:
         // a legit seed on node 0 must keep it out of any detected group.
-        let cut = MaarSolver::new(RejectoConfig::default())
-            .solve(&g, &[NodeId(0)], &[NodeId(5)])
+        let cut = solve(RejectoConfig::default(), &g, &[NodeId(0)], &[NodeId(5)])
             .expect("scenario admits a cut");
         assert!(!cut.suspects().contains(&NodeId(0)));
         assert!(cut.suspects().contains(&NodeId(5)));
@@ -452,8 +414,7 @@ mod tests {
         }
         let g = b.build();
         let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
-        let cut = MaarSolver::new(config)
-            .solve(&g, &[], &[])
+        let cut = solve(config, &g, &[], &[])
             .expect("the clamped cap must admit the single-spammer cut");
         assert_eq!(cut.suspects(), vec![NodeId(3)]);
     }
@@ -461,14 +422,11 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_the_cut() {
         let g = scenario();
-        let serial = MaarSolver::new(RejectoConfig { threads: 1, ..RejectoConfig::default() })
-            .solve(&g, &[], &[])
+        let serial = solve(RejectoConfig { threads: 1, ..RejectoConfig::default() }, &g, &[], &[])
             .expect("scenario admits a cut");
         for threads in [2, 4, 7] {
             let config = RejectoConfig { threads, ..RejectoConfig::default() };
-            let cut = MaarSolver::new(config)
-                .solve(&g, &[], &[])
-                .expect("scenario admits a cut");
+            let cut = solve(config, &g, &[], &[]).expect("scenario admits a cut");
             assert_eq!(cut.suspects(), serial.suspects(), "threads={threads}");
             assert_eq!(cut.k, serial.k, "threads={threads}");
             assert_eq!(
@@ -482,7 +440,7 @@ mod tests {
     #[test]
     fn reports_the_winning_k() {
         let g = scenario();
-        let cut = MaarSolver::new(RejectoConfig::default()).solve(&g, &[], &[]).expect("scenario admits a cut");
+        let cut = solve(RejectoConfig::default(), &g, &[], &[]).expect("scenario admits a cut");
         // The winning cut's friends-to-rejections ratio is 2/8 = 0.25.
         // The winning k need not equal it, but must be a sweep member.
         let sweep = RejectoConfig::default().k_sweep();
@@ -492,15 +450,12 @@ mod tests {
     #[test]
     fn one_shot_injected_panic_is_retried_to_the_clean_answer() {
         let g = scenario();
-        let clean = MaarSolver::new(RejectoConfig::default())
-            .solve(&g, &[], &[])
-            .expect("scenario admits a cut");
+        let clean = solve(RejectoConfig::default(), &g, &[], &[]).expect("scenario admits a cut");
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
-            let solver = MaarSolver::new(config);
-            let ctx = RunContext::armed(solver.config(), None);
-            let Ok(out) = solver.solve_round(&Residual::Input(&g), &[], &[], &ctx);
+            let ctx = RunContext::armed(&config, None);
+            let Ok(out) = IterativeDetector::new(config).solve_round(&g, &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
             let cut = out.cut.expect("retried sweep still finds the cut");
@@ -516,10 +471,9 @@ mod tests {
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3:always").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
-            let solver = MaarSolver::new(config);
-            let mut ctx = RunContext::armed(solver.config(), None);
+            let mut ctx = RunContext::armed(&config, None);
             ctx.round = 1;
-            let Ok(out) = solver.solve_round(&Residual::Input(&g), &[], &[], &ctx);
+            let Ok(out) = IterativeDetector::new(config).solve_round(&g, &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");
             assert_eq!(out.failures.len(), 1, "threads={threads}");
             match &out.failures[0] {

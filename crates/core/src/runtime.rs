@@ -156,17 +156,11 @@ pub struct RunContext {
     /// 1-based pruning round being solved (0 outside the loop).
     pub(crate) round: usize,
     /// Metrics registry shared by the pruning loop and every sweep worker;
-    /// `None` keeps the unmonitored hot path allocation-free.
+    /// `None` keeps the unobserved hot path allocation-free.
     pub obs: Option<rejecto_obs::Obs>,
 }
 
 impl RunContext {
-    /// A context with no budgets armed and no faults planned — the exact
-    /// legacy code path.
-    pub(crate) fn unmonitored() -> Self {
-        RunContext::armed(&crate::RejectoConfig::default(), None)
-    }
-
     /// A context for one run under `config`: its deadline (the tighter of
     /// the budget's and the plan's injected one) and its global KL pass
     /// budget armed on a fresh token, and its fault plan armed.

@@ -2,8 +2,15 @@
 //! oracle on small random graphs.
 
 use proptest::prelude::*;
-use rejecto_core::{exact, MaarSolver, RejectoConfig};
+use rejecto_core::{exact, CutSolver, IterativeDetector, MaarCut, RejectoConfig, RunContext};
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
+
+/// The heuristic's cut of `g`: one round of the detector's `k` sweep.
+fn heuristic(config: RejectoConfig, g: &AugmentedGraph) -> Option<MaarCut> {
+    let ctx = RunContext::armed(&config, None);
+    let Ok(out) = IterativeDetector::new(config).solve_round(g, &[], &[], &ctx);
+    out.cut
+}
 
 /// Random small "spam-shaped" instance: a legit cluster with internal
 /// friendships, a fake cluster, some attack edges, and rejections from
@@ -52,7 +59,7 @@ proptest! {
         let config = RejectoConfig { k_factor: 1.2, ..RejectoConfig::default() };
         let cap = (config.max_suspect_fraction * g.num_nodes() as f64).floor() as usize;
         if cap == 0 { return Ok(()); }
-        let heur = MaarSolver::new(config).solve(&g, &[], &[]);
+        let heur = heuristic(config, &g);
         if let (Some(h), Some((_, best_ac))) = (heur, exact::exact_maar_cut(&g, cap)) {
             prop_assert!(
                 h.acceptance_rate >= best_ac - 1e-12,
@@ -73,7 +80,7 @@ proptest! {
             ..RejectoConfig::default()
         };
         let n = g.num_nodes();
-        let heur = MaarSolver::new(config).solve(&g, &[], &[]);
+        let heur = heuristic(config, &g);
         let oracle = exact::exact_maar_cut(&g, n - 1);
         match (heur, oracle) {
             (Some(h), Some((_, best_ac))) => {
@@ -103,7 +110,7 @@ proptest! {
     /// acceptance rate recomputes from the partition it returns.
     #[test]
     fn reported_rate_matches_partition(g in spam_instance()) {
-        if let Some(cut) = MaarSolver::new(RejectoConfig::default()).solve(&g, &[], &[]) {
+        if let Some(cut) = heuristic(RejectoConfig::default(), &g) {
             let recomputed = cut.partition.acceptance_rate().expect("cut carries requests");
             prop_assert!((recomputed - cut.acceptance_rate).abs() < 1e-12);
             let cap = (RejectoConfig::default().max_suspect_fraction

@@ -1,11 +1,15 @@
 //! The master/worker deployment of Rejecto (§V).
 //!
-//! Long-lived worker threads serve contiguous shards of the augmented
-//! graph's adjacency, each a view of the shared lineage graph; the master
-//! holds node status, gains, and the bucket list, and pulls node
-//! neighborhoods, one allocation each, through a prefetching LRU buffer.
-//! Every master↔worker exchange is counted in [`IoStats`], so the Table-II
-//! harness can report both wall time and simulated network traffic.
+//! Each pruning round's worker threads serve contiguous shards of the
+//! augmented graph's adjacency, each a view of the lineage graph: the
+//! pruning loop's own graph, which the workers borrow for the round
+//! (they are scoped threads, joined before the round returns), so no round
+//! copies it. The master holds node status, gains, and the bucket list,
+//! and pulls node neighborhoods, one allocation each, through a
+//! prefetching LRU buffer. Every master↔worker exchange is counted in
+//! [`IoStats`], which the detector reports as the volatile `io/*`
+//! counters, so the Table-II harness can report both wall time and
+//! simulated network traffic.
 //!
 //! The master runs no algorithm of its own. Its `k` sweep builds the same
 //! [`SweepPlan`] as the in-process solver, from per-node degrees the
@@ -44,15 +48,15 @@
 use crate::error::ClusterError;
 use crate::LruCache;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use kl::{Adjacency, BucketList, KParam, KlStart, SwitchDelta};
+use kl::{Adjacency, BucketList, KlStart, SwitchDelta};
 use rejection::{AugmentedGraph, Neighbors, NodeDegrees, NodeId, Partition, Region};
 use rejecto_core::{
-    sweep_with_fallback, Completion, Faults, KResult, RejectoConfig, RunContext, RuntimeError,
+    sweep_with_fallback, CutSolver, Faults, KResult, RejectoConfig, RunContext, RuntimeError,
     SweepOutcome, SweepPlan,
 };
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
 /// Never tighten the per-request watchdog below this, even when the run
@@ -155,65 +159,32 @@ impl ClusterConfig {
     }
 }
 
-/// Simulated master↔worker traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStats {
+/// Simulated master↔worker traffic counters, accumulated over a run's
+/// rounds.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IoStats {
     /// Fetch round trips (one request fan-out counts once).
-    pub fetch_batches: u64,
+    pub(crate) fetch_batches: u64,
     /// Node neighborhoods shipped to the master.
-    pub nodes_fetched: u64,
+    pub(crate) nodes_fetched: u64,
     /// Adjacency lookups served from the prefetch buffer.
-    pub buffer_hits: u64,
+    pub(crate) buffer_hits: u64,
     /// Adjacency lookups that found their node not resident, each of
     /// which fetched it with its read-ahead. A prefetch looks nothing up,
     /// so hits plus misses is the kernel's lookups.
-    pub buffer_misses: u64,
+    pub(crate) buffer_misses: u64,
     /// Per-sweep broadcasts dispatched: the degree stats and the initial
     /// cut with every node's switch delta.
-    pub init_jobs: u64,
+    pub(crate) init_jobs: u64,
     /// Workers respawned from lineage after a failure (§V: Spark's
     /// "automated fault tolerance").
-    pub worker_restarts: u64,
+    pub(crate) worker_restarts: u64,
     /// Shards merged onto a survivor after a worker failed persistently
     /// (graceful degradation past the respawn budget).
-    pub shards_rebalanced: u64,
+    pub(crate) shards_rebalanced: u64,
     /// Injected or real hangs the watchdog timed out and recovered from
     /// (each one burned a deadline budget before the respawn ladder ran).
-    pub hangs_absorbed: u64,
-}
-
-impl IoStats {
-    /// Accumulates `other` into `self`, field by field.
-    ///
-    /// The exhaustive destructuring is deliberate: adding a field to
-    /// [`IoStats`] without extending this merge is a compile error, not a
-    /// silently dropped counter.
-    pub fn merge(&mut self, other: &IoStats) {
-        let IoStats {
-            fetch_batches,
-            nodes_fetched,
-            buffer_hits,
-            buffer_misses,
-            init_jobs,
-            worker_restarts,
-            shards_rebalanced,
-            hangs_absorbed,
-        } = *other;
-        self.fetch_batches += fetch_batches;
-        self.nodes_fetched += nodes_fetched;
-        self.buffer_hits += buffer_hits;
-        self.buffer_misses += buffer_misses;
-        self.init_jobs += init_jobs;
-        self.worker_restarts += worker_restarts;
-        self.shards_rebalanced += shards_rebalanced;
-        self.hangs_absorbed += hangs_absorbed;
-    }
-}
-
-impl std::ops::AddAssign for IoStats {
-    fn add_assign(&mut self, other: IoStats) {
-        self.merge(&other);
-    }
+    pub(crate) hangs_absorbed: u64,
 }
 
 enum Request {
@@ -251,26 +222,29 @@ impl Response {
     }
 }
 
-struct Worker {
+struct Worker<'scope> {
     tx: Sender<Request>,
     rx: Receiver<Response>,
-    handle: Option<JoinHandle<()>>,
+    handle: Option<ScopedJoinHandle<'scope, ()>>,
     range: (u32, u32),
     /// A request was sent (by the broadcast fan-out) and its response has
     /// not been collected yet.
     pending: bool,
 }
 
-/// A running worker pool holding the sharded augmented graph.
+/// A running worker pool serving the sharded augmented graph `'g` from
+/// threads of the scope `'scope`, which every worker is joined before the
+/// scope ends: by a respawn or rebalance ([`reap`]), by a kill
+/// ([`Cluster::fail_worker`]) or by `Drop`. An unjoined worker that
+/// panicked would re-panic when the scope closes.
 ///
 /// Failures degrade through three tiers: respawn from lineage, then
 /// rebalance onto survivors, then a structured [`ClusterError`] — never a
 /// panic.
-pub struct Cluster {
-    graph: Arc<AugmentedGraph>,
-    workers: RefCell<Vec<Worker>>,
-    restarts: Cell<u64>,
-    rebalances: Cell<u64>,
+pub(crate) struct Cluster<'scope, 'g> {
+    scope: &'scope Scope<'scope, 'g>,
+    graph: &'g AugmentedGraph,
+    workers: RefCell<Vec<Worker<'scope>>>,
     num_nodes: usize,
     /// Current per-request watchdog deadline (monotonically tightened).
     watchdog: Cell<Duration>,
@@ -287,27 +261,16 @@ pub struct Cluster {
     pending_hangs: Cell<u32>,
 }
 
-impl std::fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("num_workers", &self.workers.borrow().len())
-            .field("num_nodes", &self.num_nodes)
-            .field("restarts", &self.restarts.get())
-            .field("rebalances", &self.rebalances.get())
-            .finish()
-    }
-}
-
 /// A worker's shard: the nodes `lo..hi` of the lineage graph, served
-/// straight from the shared immutable `Arc` (the shard is a deterministic
+/// straight from the borrowed graph (the shard is a deterministic
 /// function of the lineage, so a respawn or rebalance copies nothing).
-struct Shard {
-    graph: Arc<AugmentedGraph>,
+struct Shard<'g> {
+    graph: &'g AugmentedGraph,
     lo: u32,
     hi: u32,
 }
 
-impl Shard {
+impl Shard<'_> {
     /// The owned nodes with their adjacency.
     fn owned(&self) -> impl Iterator<Item = (NodeId, Neighbors<'_>)> + '_ {
         (self.lo..self.hi).map(|id| (NodeId(id), self.graph.neighbors(NodeId(id))))
@@ -346,18 +309,19 @@ impl Shard {
     }
 }
 
-fn spawn_worker(
-    graph: &Arc<AugmentedGraph>,
+fn spawn_worker<'scope, 'g>(
+    scope: &'scope Scope<'scope, 'g>,
+    graph: &'g AugmentedGraph,
     lo: u32,
     hi: u32,
     wi: usize,
-) -> Result<Worker, ClusterError> {
+) -> Result<Worker<'scope>, ClusterError> {
     let (req_tx, req_rx) = unbounded::<Request>();
     let (resp_tx, resp_rx) = unbounded::<Response>();
-    let shard = Shard { graph: Arc::clone(graph), lo, hi };
+    let shard = Shard { graph, lo, hi };
     let handle = std::thread::Builder::new()
         .name(format!("rejecto-worker-{wi}"))
-        .spawn(move || shard.serve(req_rx, resp_tx))
+        .spawn_scoped(scope, move || shard.serve(req_rx, resp_tx))
         .map_err(|e| ClusterError::SpawnFailed { worker: wi, message: e.to_string() })?;
     Ok(Worker { tx: req_tx, rx: resp_rx, handle: Some(handle), range: (lo, hi), pending: false })
 }
@@ -366,7 +330,7 @@ fn spawn_worker(
 /// *before* the join so a hung worker (blocked with no shutdown pending)
 /// observes its request channel closing and exits instead of deadlocking
 /// the master.
-fn reap(worker: Worker) {
+fn reap(worker: Worker<'_>) {
     let Worker { tx, rx, handle, .. } = worker;
     let _ = tx.send(Request::Shutdown);
     drop(tx);
@@ -376,28 +340,29 @@ fn reap(worker: Worker) {
     }
 }
 
-impl Cluster {
-    /// Shards `g` across `config.num_workers` worker threads. The graph is
-    /// retained on the master as the recovery lineage.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::InvalidConfig`] when the config fails
-    /// [`ClusterConfig::validate`] or asks for more workers (shards) than
-    /// the graph has nodes; [`ClusterError::SpawnFailed`] when the OS
-    /// refuses a worker thread.
-    pub fn new(g: &AugmentedGraph, config: &ClusterConfig) -> Result<Self, ClusterError> {
-        Cluster::from_arc(Arc::new(g.clone()), config)
-    }
+/// Runs `f` on a cluster that shards `g` across `config.num_workers`
+/// worker threads of a scope opened here, and joins every worker before
+/// it returns. The workers borrow `g`, which the master also keeps as the
+/// recovery lineage.
+///
+/// # Errors
+///
+/// [`ClusterError::InvalidConfig`] when the config fails
+/// [`ClusterConfig::validate`] or asks for more workers (shards) than
+/// the graph has nodes; [`ClusterError::SpawnFailed`] when the OS
+/// refuses a worker thread.
+pub(crate) fn with_cluster<T>(
+    g: &AugmentedGraph,
+    config: &ClusterConfig,
+    f: impl FnOnce(&Cluster<'_, '_>) -> T,
+) -> Result<T, ClusterError> {
+    std::thread::scope(|scope| Cluster::new(scope, g, config).map(|cluster| f(&cluster)))
+}
 
-    /// Shards an already-shared graph (avoids the clone in
-    /// [`Cluster::new`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::new`].
-    pub fn from_arc(
-        graph: Arc<AugmentedGraph>,
+impl<'scope, 'g> Cluster<'scope, 'g> {
+    fn new(
+        scope: &'scope Scope<'scope, 'g>,
+        graph: &'g AugmentedGraph,
         config: &ClusterConfig,
     ) -> Result<Self, ClusterError> {
         config.validate()?;
@@ -413,14 +378,13 @@ impl Cluster {
             .map(|wi| {
                 let lo = (wi * n / w) as u32;
                 let hi = ((wi + 1) * n / w) as u32;
-                spawn_worker(&graph, lo, hi, wi)
+                spawn_worker(scope, graph, lo, hi, wi)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Cluster {
+            scope,
             graph,
             workers: RefCell::new(workers),
-            restarts: Cell::new(0),
-            rebalances: Cell::new(0),
             num_nodes: n,
             watchdog: Cell::new(config.request_deadline),
             max_respawns: config.max_respawns,
@@ -432,45 +396,35 @@ impl Cluster {
     }
 
     /// Number of users the cluster holds.
-    pub fn num_nodes(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
     /// Number of worker shards (shrinks when shards are rebalanced).
-    pub fn num_workers(&self) -> usize {
+    fn num_workers(&self) -> usize {
         self.workers.borrow().len()
-    }
-
-    /// Total workers respawned from lineage so far.
-    pub fn worker_restarts(&self) -> u64 {
-        self.restarts.get()
-    }
-
-    /// Total shards merged onto a survivor so far.
-    pub fn shards_rebalanced(&self) -> u64 {
-        self.rebalances.get()
     }
 
     /// Arms `n` injected hangs: each swallows one request so only the
     /// watchdog can notice that no answer is coming.
-    pub(crate) fn arm_hang(&self, n: u32) {
+    fn arm_hang(&self, n: u32) {
         self.pending_hangs.set(self.pending_hangs.get() + n);
     }
 
     /// Tightens the per-request watchdog (floored so a near-expired run
     /// deadline cannot misdiagnose healthy workers as hung).
-    pub fn tighten_watchdog(&self, limit: Duration) {
+    fn tighten_watchdog(&self, limit: Duration) {
         let floored = limit.max(WATCHDOG_FLOOR);
         self.watchdog.set(self.watchdog.get().min(floored));
     }
 
-    /// Kills worker `wi` (test hook simulating a crash). The next request
+    /// Kills worker `wi`, as an injected death does. The next request
     /// routed to it triggers a lineage respawn.
     ///
     /// # Panics
     ///
     /// Panics if `wi` is out of range.
-    pub fn fail_worker(&self, wi: usize) {
+    fn fail_worker(&self, wi: usize) {
         let mut workers = self.workers.borrow_mut();
         let w = &mut workers[wi];
         let _ = w.tx.send(Request::Shutdown);
@@ -499,10 +453,9 @@ impl Cluster {
         let old = {
             let mut workers = self.workers.borrow_mut();
             let (lo, hi) = workers[wi].range;
-            let fresh = spawn_worker(&self.graph, lo, hi, wi)?;
+            let fresh = spawn_worker(self.scope, self.graph, lo, hi, wi)?;
             std::mem::replace(&mut workers[wi], fresh)
         };
-        self.restarts.set(self.restarts.get() + 1);
         reap(old);
         Ok(())
     }
@@ -531,13 +484,12 @@ impl Cluster {
             let (lo, hi) = workers[wi].range;
             let (nlo, nhi) = workers[neighbor].range;
             let fresh =
-                spawn_worker(&self.graph, lo.min(nlo), hi.max(nhi), neighbor.min(wi))?;
+                spawn_worker(self.scope, self.graph, lo.min(nlo), hi.max(nhi), neighbor.min(wi))?;
             let dead = workers.remove(wi);
             let target = if wi > 0 { wi - 1 } else { 0 };
             let old = std::mem::replace(&mut workers[target], fresh);
             (dead, old)
         };
-        self.rebalances.set(self.rebalances.get() + 1);
         io.shards_rebalanced += 1;
         reap(dead);
         reap(old);
@@ -791,7 +743,7 @@ impl Cluster {
     }
 }
 
-impl Drop for Cluster {
+impl Drop for Cluster<'_, '_> {
     fn drop(&mut self) {
         let mut workers = self.workers.borrow_mut();
         for w in workers.iter() {
@@ -805,109 +757,60 @@ impl Drop for Cluster {
     }
 }
 
-/// Result of a distributed MAAR solve.
-#[derive(Debug, Clone)]
-pub struct DistributedOutcome {
-    /// The suspect region of the winning cut, ascending.
-    pub suspects: Vec<NodeId>,
-    /// Aggregate acceptance rate of the winning cut (`None` if no
-    /// non-degenerate cut was found).
-    pub acceptance_rate: Option<f64>,
-    /// The winning sweep `k` as the exact rational it was solved with.
-    pub k_exact: Option<KParam>,
-    /// Simulated traffic counters.
-    pub io: IoStats,
-    /// Wall-clock time of the solve.
-    pub elapsed: Duration,
-    /// Whether the sweep ran every `k` ([`Completion::Complete`]) or a
-    /// budget tripped mid-sweep; the half-finished `k` is rolled back and
-    /// the completed sweep indices are reported in the `Partial` payload.
-    pub completion: Completion,
-    /// Degraded-operation diagnostics surfaced through the run. Worker
-    /// respawns and shard rebalances are *not* failures (their replays are
-    /// byte-identical) — they are counted in [`IoStats`] instead.
-    pub failures: Vec<RuntimeError>,
+/// The per-round cut solver of one distributed run. Each round shards the
+/// loop's graph across a fresh cluster (the distributed analogue of
+/// re-deriving the RDDs after a prune), whose workers borrow it for the
+/// round; worker count is capped by the shrinking graph. Every round
+/// probes the run's one fault table through the loop's [`RunContext`], so
+/// each fault fires once per run, and adds its traffic to `io`.
+pub(crate) struct ClusterRounds<'a> {
+    pub(crate) cluster_config: &'a ClusterConfig,
+    pub(crate) config: &'a RejectoConfig,
+    pub(crate) io: Cell<IoStats>,
 }
 
-/// Distributed MAAR solver: the same geometric-`k` sweep of extended KL as
-/// `rejecto_core::MaarSolver`, executed against a [`Cluster`] with the §V
-/// data layout (status + bucket list on the master, adjacency on the
-/// workers, prefetch through an LRU buffer).
-#[derive(Debug, Clone)]
-pub struct DistributedMaar {
-    cluster_config: ClusterConfig,
-    pub(crate) rejecto: RejectoConfig,
-    obs: Option<rejecto_obs::Obs>,
-}
+impl CutSolver for ClusterRounds<'_> {
+    type Error = RuntimeError;
 
-impl DistributedMaar {
-    /// Creates a solver.
-    pub fn new(cluster_config: ClusterConfig, rejecto: RejectoConfig) -> Self {
-        DistributedMaar { cluster_config, rejecto, obs: None }
+    fn config(&self) -> &RejectoConfig {
+        self.config
     }
 
-    /// Attaches a metrics registry. The distributed sweep records the same
-    /// deterministic span/counter vocabulary as the single-process solver
-    /// (`detect/round/sweep/...`, `kl/passes`, `kl/moves_committed`,
-    /// `kl/bucket_adjusts`), so worker count is invisible outside the
-    /// `timings` section.
-    pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
-        self.obs = Some(obs);
-    }
-
-    /// The cluster sizing this solver spawns with.
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster_config
-    }
-
-    /// Solves MAAR on `g` using a freshly spawned cluster, arming the
-    /// configured budgets and fault plan for this one solve.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClusterFailed`] when the cluster cannot be built or
-    /// loses every worker.
-    pub fn solve(&self, g: &AugmentedGraph) -> Result<DistributedOutcome, RuntimeError> {
-        let cluster = Cluster::new(g, &self.cluster_config)?;
-        let start = rejecto_obs::Stopwatch::start();
-        let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
-        let mut io = IoStats::default();
-        let outcome = self.sweep_on(&cluster, &[], &[], &ctx, &mut io)?;
-        let completion = if outcome.interrupted {
-            Completion::Partial {
-                completed_rounds: 0,
-                completed_k_indices: outcome.completed_k_indices,
-                reason: ctx.interrupt_reason(),
-            }
-        } else {
-            Completion::Complete
-        };
-        let cut = outcome.cut;
-        Ok(DistributedOutcome {
-            suspects: cut.as_ref().map(|c| c.suspects()).unwrap_or_default(),
-            acceptance_rate: cut.as_ref().map(|c| c.acceptance_rate),
-            k_exact: cut.as_ref().map(|c| c.k),
-            io,
-            elapsed: start.elapsed(),
-            completion,
-            failures: outcome.failures,
-        })
-    }
-
-    /// One round's MAAR cut on `cluster`, with the all-legit fallback. Seed
-    /// ids are in the cluster's id space; traffic is added to `io`.
-    pub(crate) fn sweep_on(
+    fn solve_round(
         &self,
-        cluster: &Cluster,
+        g: &AugmentedGraph,
+        legit: &[NodeId],
+        spammer: &[NodeId],
+        ctx: &RunContext,
+    ) -> Result<SweepOutcome, RuntimeError> {
+        let base = self.cluster_config;
+        let config =
+            ClusterConfig { num_workers: base.num_workers.min(g.num_nodes().max(1)), ..*base };
+        let mut io = self.io.get();
+        let outcome =
+            with_cluster(g, &config, |cluster| self.sweep_on(cluster, legit, spammer, ctx, &mut io))?;
+        self.io.set(io);
+        outcome
+    }
+}
+
+impl ClusterRounds<'_> {
+    /// One round's MAAR cut on `cluster`, with the all-legit fallback:
+    /// the in-process sweep's plan and kernel, run on the master over the
+    /// prefetch buffer. Seed ids are in the cluster's id space; traffic is
+    /// added to `io`.
+    fn sweep_on(
+        &self,
+        cluster: &Cluster<'_, '_>,
         legit: &[NodeId],
         spammer: &[NodeId],
         ctx: &RunContext,
         io: &mut IoStats,
     ) -> Result<SweepOutcome, RuntimeError> {
-        sweep_with_fallback(&self.rejecto, |placement| {
+        sweep_with_fallback(self.config, |placement| {
             let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
             let degrees = cluster.degrees(io)?;
-            let plan = SweepPlan::new(&self.rejecto, degrees, legit, spammer, placement, |r| {
+            let plan = SweepPlan::new(self.config, degrees, legit, spammer, placement, |r| {
                 cluster.start(r, io)
             })?;
             // The buffer persists across the whole k sweep — the graph
@@ -945,8 +848,8 @@ impl DistributedMaar {
 
 /// The cluster as an [`Adjacency`] source for the extended-KL kernel: the
 /// master's view of the sharded graph through its LRU prefetch buffer.
-struct ClusterAdjacency<'a> {
-    cluster: &'a Cluster,
+struct ClusterAdjacency<'a, 'scope, 'g> {
+    cluster: &'a Cluster<'scope, 'g>,
     /// The run's fault table, probed for worker deaths at each fetch.
     faults: &'a Faults,
     buffer: &'a mut LruCache<NodeData>,
@@ -954,7 +857,7 @@ struct ClusterAdjacency<'a> {
     prefetch_batch: usize,
 }
 
-impl ClusterAdjacency<'_> {
+impl ClusterAdjacency<'_, '_, '_> {
     /// What a miss on `u` fetches: `u`, then the non-resident ids that
     /// follow it in its shard (wrapping to the shard's first node), at
     /// most `min(prefetch_batch, free buffer slots)` nodes in all. One
@@ -973,7 +876,7 @@ impl ClusterAdjacency<'_> {
     }
 }
 
-impl Adjacency for ClusterAdjacency<'_> {
+impl Adjacency for ClusterAdjacency<'_, '_, '_> {
     type Error = RuntimeError;
 
     fn num_nodes(&self) -> usize {
@@ -1018,10 +921,9 @@ impl Adjacency for ClusterAdjacency<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rejecto_core::InitialPlacement;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rejecto_core::MaarSolver;
+    use rejecto_core::{InitialPlacement, IterativeDetector};
     use simulator::{Scenario, ScenarioConfig};
     use socialgraph::generators::BarabasiAlbert;
 
@@ -1042,15 +944,48 @@ mod tests {
         .graph
     }
 
+    /// One round's sweep on `g` under `config`, with no seeds: in process
+    /// when `cluster` is `None`, else on the master of a cluster of that
+    /// shape whose workers `killed` die before the sweep starts. Returns
+    /// the outcome and the cluster's traffic.
+    pub(super) fn round(
+        g: &AugmentedGraph,
+        config: &RejectoConfig,
+        cluster: Option<&ClusterConfig>,
+        killed: &[usize],
+    ) -> Result<(SweepOutcome, IoStats), RuntimeError> {
+        let ctx = RunContext::armed(config, None);
+        let Some(cluster_config) = cluster else {
+            let Ok(out) = IterativeDetector::new(config.clone()).solve_round(g, &[], &[], &ctx);
+            return Ok((out, IoStats::default()));
+        };
+        let rounds = ClusterRounds { cluster_config, config, io: Cell::default() };
+        let mut io = IoStats::default();
+        let out = with_cluster(g, cluster_config, |cluster| {
+            for &wi in killed {
+                cluster.fail_worker(wi);
+            }
+            rounds.sweep_on(cluster, &[], &[], &ctx, &mut io)
+        })??;
+        Ok((out, io))
+    }
+
+    /// The suspects of an outcome's winning cut; empty without one.
+    pub(super) fn suspects(out: &SweepOutcome) -> Vec<NodeId> {
+        out.cut.as_ref().map(|c| c.suspects()).unwrap_or_default()
+    }
+
     #[test]
     fn cluster_shards_cover_all_nodes() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        assert_eq!(cluster.num_nodes(), 340);
-        assert_eq!(cluster.num_workers(), 4);
-        let mut io = IoStats::default();
-        let degrees = cluster.degrees(&mut io).expect("healthy cluster serves stats");
-        assert_eq!(degrees, NodeDegrees::of_graph(&g));
+        with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            assert_eq!(cluster.num_nodes(), 340);
+            assert_eq!(cluster.num_workers(), 4);
+            let mut io = IoStats::default();
+            let degrees = cluster.degrees(&mut io).expect("healthy cluster serves stats");
+            assert_eq!(degrees, NodeDegrees::of_graph(&g));
+        })
+        .expect("valid default config");
     }
 
     /// `sim_graph` plus an isolated node and a node with rejections but no
@@ -1080,19 +1015,9 @@ mod tests {
         g
     }
 
-    /// [`DistributedMaar::solve`] on a cluster the test already holds (and
-    /// may have crashed workers of): the winning suspects and the traffic.
-    pub(super) fn solve_on(dist: &DistributedMaar, cluster: &Cluster) -> (Vec<NodeId>, IoStats) {
-        let ctx = RunContext::armed(&dist.rejecto, None);
-        let mut io = IoStats::default();
-        let outcome =
-            dist.sweep_on(cluster, &[], &[], &ctx, &mut io).expect("crashes are recovered");
-        (outcome.cut.map(|c| c.suspects()).unwrap_or_default(), io)
-    }
-
     /// Fetches every node of `g` and checks that each record splits back
     /// into exactly the lineage's three segments.
-    pub(super) fn assert_fetches_every_node(g: &AugmentedGraph, cluster: &Cluster) -> IoStats {
+    pub(super) fn assert_fetches_every_node(g: &AugmentedGraph, cluster: &Cluster<'_, '_>) -> IoStats {
         let mut io = IoStats::default();
         let ids: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let mut fetched =
@@ -1108,8 +1033,10 @@ mod tests {
     #[test]
     fn fetch_returns_correct_adjacency() {
         let g = edge_case_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        let io = assert_fetches_every_node(&g, &cluster);
+        let io = with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            assert_fetches_every_node(&g, cluster)
+        })
+        .expect("valid default config");
         assert_eq!(io.fetch_batches, 1);
         assert_eq!(io.nodes_fetched, g.num_nodes() as u64);
     }
@@ -1122,28 +1049,25 @@ mod tests {
     fn prefetch_never_outgrows_the_buffer() {
         let g = sim_graph();
         let solve = |prefetch_batch| {
-            DistributedMaar::new(
-                ClusterConfig { buffer_capacity: 8, prefetch_batch, ..Default::default() },
-                RejectoConfig::default(),
-            )
-            .solve(&g)
-            .expect("distributed solve succeeds")
+            let cluster = ClusterConfig { buffer_capacity: 8, prefetch_batch, ..Default::default() };
+            round(&g, &RejectoConfig::default(), Some(&cluster), &[])
+                .expect("distributed solve succeeds")
         };
-        let (wide, narrow) = (solve(64), solve(8));
+        let ((wide, wide_io), (narrow, narrow_io)) = (solve(64), solve(8));
         assert!(
-            wide.io.nodes_fetched <= narrow.io.nodes_fetched,
+            wide_io.nodes_fetched <= narrow_io.nodes_fetched,
             "batch 64 fetched {} nodes, batch 8 fetched {}",
-            wide.io.nodes_fetched,
-            narrow.io.nodes_fetched
+            wide_io.nodes_fetched,
+            narrow_io.nodes_fetched
         );
-        assert_eq!(wide.suspects, narrow.suspects, "prefetching must not change the cut");
+        assert_eq!(suspects(&wide), suspects(&narrow), "prefetching must not change the cut");
     }
 
     /// Looks `u` up through a [`ClusterAdjacency`] over `buffer` and
     /// returns the traffic and the ids the lookup made resident.
     fn miss(
         g: &AugmentedGraph,
-        cluster: &Cluster,
+        cluster: &Cluster<'_, '_>,
         buffer: &mut LruCache<NodeData>,
         prefetch_batch: usize,
         u: u32,
@@ -1164,54 +1088,58 @@ mod tests {
     #[test]
     fn a_miss_on_a_full_buffer_fetches_only_the_missed_node() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        let mut buffer = LruCache::new(g.num_nodes(), 16);
-        for (id, data) in cluster
-            .fetch(&(0..16).collect::<Vec<_>>(), &Faults::default(), &mut IoStats::default())
-            .expect("cluster serves fetches")
-        {
-            buffer.insert(id, data);
-        }
-        let (io, fetched) = miss(&g, &cluster, &mut buffer, 256, 17);
-        assert_eq!(fetched, [17]);
-        assert_eq!((io.fetch_batches, io.nodes_fetched, io.buffer_misses), (1, 1, 1));
-        assert_eq!(buffer.len(), 16, "one node in, one node out");
-        assert!(!buffer.contains(0), "the least recently used node was evicted");
+        with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            let mut buffer = LruCache::new(g.num_nodes(), 16);
+            for (id, data) in cluster
+                .fetch(&(0..16).collect::<Vec<_>>(), &Faults::default(), &mut IoStats::default())
+                .expect("cluster serves fetches")
+            {
+                buffer.insert(id, data);
+            }
+            let (io, fetched) = miss(&g, cluster, &mut buffer, 256, 17);
+            assert_eq!(fetched, [17]);
+            assert_eq!((io.fetch_batches, io.nodes_fetched, io.buffer_misses), (1, 1, 1));
+            assert_eq!(buffer.len(), 16, "one node in, one node out");
+            assert!(!buffer.contains(0), "the least recently used node was evicted");
+        })
+        .expect("valid default config");
     }
 
     #[test]
     fn a_miss_with_room_reads_ahead_in_its_shard_in_one_round_trip() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        // Four shards of 85 nodes: 0..85, 85..170, 170..255, 255..340.
-        // (capacity, resident ids, batch, missed id, ids the miss fetches)
-        let cases = [
-            // The batch binds: the node and the 15 after it.
-            (64, vec![], 16, 100, (100..116).collect::<Vec<u32>>()),
-            // Free room binds: 20 slots left for a batch of 64.
-            (64, (0..44).collect(), 64, 50, (50..70).collect()),
-            // Near its shard's end the read-ahead skips resident ids and
-            // wraps to the shard's first node.
-            (340, vec![168, 85, 87], 8, 167, vec![86, 88, 89, 90, 91, 92, 167, 169]),
-            // The shard holds fewer non-resident ids than the batch.
-            (340, vec![], 256, 300, (255..340).collect()),
-        ];
-        for (capacity, resident, batch, u, want) in cases {
-            let mut buffer = LruCache::new(g.num_nodes(), capacity);
-            for (id, data) in cluster
-                .fetch(&resident, &Faults::default(), &mut IoStats::default())
-                .expect("cluster serves fetches")
-            {
-                buffer.insert(id, data);
+        with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            // Four shards of 85 nodes: 0..85, 85..170, 170..255, 255..340.
+            // (capacity, resident ids, batch, missed id, ids the miss fetches)
+            let cases = [
+                // The batch binds: the node and the 15 after it.
+                (64, vec![], 16, 100, (100..116).collect::<Vec<u32>>()),
+                // Free room binds: 20 slots left for a batch of 64.
+                (64, (0..44).collect(), 64, 50, (50..70).collect()),
+                // Near its shard's end the read-ahead skips resident ids and
+                // wraps to the shard's first node.
+                (340, vec![168, 85, 87], 8, 167, vec![86, 88, 89, 90, 91, 92, 167, 169]),
+                // The shard holds fewer non-resident ids than the batch.
+                (340, vec![], 256, 300, (255..340).collect()),
+            ];
+            for (capacity, resident, batch, u, want) in cases {
+                let mut buffer = LruCache::new(g.num_nodes(), capacity);
+                for (id, data) in cluster
+                    .fetch(&resident, &Faults::default(), &mut IoStats::default())
+                    .expect("cluster serves fetches")
+                {
+                    buffer.insert(id, data);
+                }
+                let (io, fetched) = miss(&g, cluster, &mut buffer, batch, u);
+                let case = format!("capacity {capacity}, batch {batch}, miss {u}");
+                assert_eq!(fetched, want, "{case}");
+                assert_eq!(io.fetch_batches, 1, "{case}: one round trip");
+                assert_eq!(io.nodes_fetched, want.len() as u64, "{case}");
+                assert_eq!(io.buffer_misses, 1, "{case}: one lookup missed, whatever it read ahead");
+                assert_eq!(buffer.len(), resident.len() + want.len(), "{case}: nothing evicted");
             }
-            let (io, fetched) = miss(&g, &cluster, &mut buffer, batch, u);
-            let case = format!("capacity {capacity}, batch {batch}, miss {u}");
-            assert_eq!(fetched, want, "{case}");
-            assert_eq!(io.fetch_batches, 1, "{case}: one round trip");
-            assert_eq!(io.nodes_fetched, want.len() as u64, "{case}");
-            assert_eq!(io.buffer_misses, 1, "{case}: one lookup missed, whatever it read ahead");
-            assert_eq!(buffer.len(), resident.len() + want.len(), "{case}: nothing evicted");
-        }
+        })
+        .expect("valid default config");
     }
 
     /// A prefetch fetches the top of the bucket list without a lookup, so
@@ -1219,26 +1147,29 @@ mod tests {
     #[test]
     fn a_prefetch_fetches_without_counting_a_miss() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        let mut buffer = LruCache::new(g.num_nodes(), 64);
-        let mut upcoming = BucketList::new(g.num_nodes(), -8, 8);
-        for (id, gain) in [(3u32, 5i64), (200, 4), (90, 1)] {
-            upcoming.insert(id, gain);
-        }
-        let faults = Faults::default();
-        let mut io = IoStats::default();
-        let mut adj = ClusterAdjacency {
-            cluster: &cluster,
-            faults: &faults,
-            buffer: &mut buffer,
-            io: &mut io,
-            prefetch_batch: 8,
-        };
-        assert_eq!(adj.prefetch(&upcoming).expect("healthy cluster serves the prefetch"), 3);
-        for id in [3, 200, 90] {
-            let got = adj.neighbors(NodeId(id)).expect("prefetched node is resident");
-            assert_eq!(got, g.neighbors(NodeId(id)), "node {id}");
-        }
+        let io = with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            let mut buffer = LruCache::new(g.num_nodes(), 64);
+            let mut upcoming = BucketList::new(g.num_nodes(), -8, 8);
+            for (id, gain) in [(3u32, 5i64), (200, 4), (90, 1)] {
+                upcoming.insert(id, gain);
+            }
+            let faults = Faults::default();
+            let mut io = IoStats::default();
+            let mut adj = ClusterAdjacency {
+                cluster,
+                faults: &faults,
+                buffer: &mut buffer,
+                io: &mut io,
+                prefetch_batch: 8,
+            };
+            assert_eq!(adj.prefetch(&upcoming).expect("healthy cluster serves the prefetch"), 3);
+            for id in [3, 200, 90] {
+                let got = adj.neighbors(NodeId(id)).expect("prefetched node is resident");
+                assert_eq!(got, g.neighbors(NodeId(id)), "node {id}");
+            }
+            io
+        })
+        .expect("valid default config");
         assert_eq!((io.nodes_fetched, io.buffer_hits, io.buffer_misses), (3, 3, 0));
     }
 
@@ -1251,21 +1182,22 @@ mod tests {
     fn read_ahead_keeps_the_local_cut_at_every_buffer_and_worker_count() {
         let g = scenario_graph(70, 12);
         let config = RejectoConfig::default();
-        let local = MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("local cut");
+        let (local, _) = round(&g, &config, None, &[]).expect("in-process rounds cannot fail");
+        let local = local.cut.expect("local cut");
         assert!(!local.suspects().is_empty(), "the fixture has no spammer region");
         for buffer_capacity in [8, 64, g.num_nodes()] {
             for num_workers in [1, 2, 4] {
                 let cluster_config =
                     ClusterConfig { buffer_capacity, num_workers, ..Default::default() };
-                let dist = DistributedMaar::new(cluster_config, config.clone())
-                    .solve(&g)
+                let (dist, _) = round(&g, &config, Some(&cluster_config), &[])
                     .expect("distributed solve succeeds");
+                let dist = dist.cut.expect("distributed cut");
                 let case = format!("capacity {buffer_capacity}, {num_workers} worker(s)");
-                assert_eq!(dist.suspects, local.suspects(), "{case}");
-                assert_eq!(dist.k_exact, Some(local.k), "{case}");
+                assert_eq!(dist.suspects(), local.suspects(), "{case}");
+                assert_eq!(dist.k, local.k, "{case}");
                 assert_eq!(
-                    dist.acceptance_rate.map(f64::to_bits),
-                    Some(local.acceptance_rate.to_bits()),
+                    dist.acceptance_rate.to_bits(),
+                    local.acceptance_rate.to_bits(),
                     "{case}"
                 );
             }
@@ -1276,30 +1208,30 @@ mod tests {
     fn distributed_solve_matches_single_node_solver() {
         let g = sim_graph();
         let config = RejectoConfig::default();
-        let local = MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("local cut");
-        let dist = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
+        let (local, _) = round(&g, &config, None, &[]).expect("in-process rounds cannot fail");
+        let local = local.cut.expect("local cut");
+        let (dist, _) = round(&g, &config, Some(&ClusterConfig::default()), &[])
             .expect("distributed solve succeeds");
-        assert_eq!(dist.suspects, local.suspects(), "partitions diverged");
-        let ac = dist.acceptance_rate.expect("distributed cut");
+        assert_eq!(suspects(&dist), local.suspects(), "partitions diverged");
+        let ac = dist.cut.as_ref().expect("distributed cut").acceptance_rate;
         assert!((ac - local.acceptance_rate).abs() < 1e-12);
-        assert_eq!(dist.completion, Completion::Complete);
+        assert!(!dist.interrupted);
         assert!(dist.failures.is_empty());
     }
 
     #[test]
     fn prefetching_served_most_lookups_from_buffer() {
         let g = sim_graph();
-        let dist = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default());
-        let out = dist.solve(&g).expect("distributed solve succeeds");
-        assert!(out.io.buffer_hits > 0);
+        let (_, io) = round(&g, &RejectoConfig::default(), Some(&ClusterConfig::default()), &[])
+            .expect("distributed solve succeeds");
+        assert!(io.buffer_hits > 0);
         // With batch prefetch, fetch round trips must be far fewer than
         // node lookups, each of which is a hit or a miss.
         assert!(
-            out.io.fetch_batches * 8 < out.io.buffer_hits + out.io.buffer_misses,
+            io.fetch_batches * 8 < io.buffer_hits + io.buffer_misses,
             "batches {} vs lookups {}",
-            out.io.fetch_batches,
-            out.io.buffer_hits + out.io.buffer_misses
+            io.fetch_batches,
+            io.buffer_hits + io.buffer_misses
         );
     }
 
@@ -1307,29 +1239,22 @@ mod tests {
     fn tiny_buffer_forces_more_fetches_than_large_buffer() {
         let g = sim_graph();
         let rejecto = RejectoConfig::default();
-        let small = DistributedMaar::new(
-            ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..Default::default() },
-            rejecto.clone(),
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
-        let large = DistributedMaar::new(ClusterConfig::default(), rejecto)
-            .solve(&g)
+        let tiny = ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..Default::default() };
+        let (small, small_io) =
+            round(&g, &rejecto, Some(&tiny), &[]).expect("distributed solve succeeds");
+        let (large, large_io) = round(&g, &rejecto, Some(&ClusterConfig::default()), &[])
             .expect("distributed solve succeeds");
-        assert!(small.io.nodes_fetched > large.io.nodes_fetched);
-        assert_eq!(small.suspects, large.suspects, "buffering must not change the cut");
+        assert!(small_io.nodes_fetched > large_io.nodes_fetched);
+        assert_eq!(suspects(&small), suspects(&large), "buffering must not change the cut");
     }
 
     #[test]
     fn single_worker_cluster_works() {
         let g = sim_graph();
-        let dist = DistributedMaar::new(
-            ClusterConfig { num_workers: 1, ..Default::default() },
-            RejectoConfig::default(),
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
-        assert!(!dist.suspects.is_empty());
+        let cluster = ClusterConfig { num_workers: 1, ..Default::default() };
+        let (dist, _) = round(&g, &RejectoConfig::default(), Some(&cluster), &[])
+            .expect("distributed solve succeeds");
+        assert!(!suspects(&dist).is_empty());
     }
 
     #[test]
@@ -1345,7 +1270,7 @@ mod tests {
             ),
             (ClusterConfig { num_workers: 100_000, ..Default::default() }, "exceeds"),
         ] {
-            match Cluster::new(&g, &config) {
+            match with_cluster(&g, &config, |_| ()) {
                 Err(ClusterError::InvalidConfig { message }) => {
                     assert!(message.contains(needle), "{needle} not in: {message}");
                 }
@@ -1355,52 +1280,10 @@ mod tests {
     }
 
     #[test]
-    fn iostats_merge_accumulates_every_field() {
-        // All-distinct values so a swapped or dropped field shows up.
-        let a = IoStats {
-            fetch_batches: 1,
-            nodes_fetched: 2,
-            buffer_hits: 3,
-            buffer_misses: 4,
-            init_jobs: 5,
-            worker_restarts: 6,
-            shards_rebalanced: 7,
-            hangs_absorbed: 8,
-        };
-        let mut b = IoStats {
-            fetch_batches: 10,
-            nodes_fetched: 20,
-            buffer_hits: 30,
-            buffer_misses: 40,
-            init_jobs: 50,
-            worker_restarts: 60,
-            shards_rebalanced: 70,
-            hangs_absorbed: 80,
-        };
-        b.merge(&a);
-        assert_eq!(
-            b,
-            IoStats {
-                fetch_batches: 11,
-                nodes_fetched: 22,
-                buffer_hits: 33,
-                buffer_misses: 44,
-                init_jobs: 55,
-                worker_restarts: 66,
-                shards_rebalanced: 77,
-                hangs_absorbed: 88,
-            }
-        );
-        let mut c = IoStats::default();
-        c += a;
-        assert_eq!(c, a, "AddAssign must route through the same merge");
-    }
-
-    #[test]
     fn all_legit_retry_path_keeps_every_io_counter() {
         // A rejection-free graph has no cut under either placement, so the
         // warm-started primary sweep finds nothing and the solver retries
-        // all-legit; the primary sweep's counters must survive the merge.
+        // all-legit; the primary sweep's counters must survive the retry.
         let mut b = rejection::AugmentedGraphBuilder::new(12);
         for u in 0..12u32 {
             for v in (u + 1)..12 {
@@ -1408,43 +1291,39 @@ mod tests {
             }
         }
         let g = b.build();
-        let single = DistributedMaar::new(
-            ClusterConfig::default(),
-            RejectoConfig {
-                initial_placement: InitialPlacement::AllLegit,
-                ..RejectoConfig::default()
-            },
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
+        let all_legit =
+            RejectoConfig { initial_placement: InitialPlacement::AllLegit, ..RejectoConfig::default() };
+        let (_, single) = round(&g, &all_legit, Some(&ClusterConfig::default()), &[])
+            .expect("distributed solve succeeds");
 
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        // Crash a worker so the *primary* sweep records a restart: a merge
+        // Crash a worker so the *primary* sweep records a restart: a retry
         // that drops a field (the original bug dropped worker_restarts)
         // fails this test.
-        cluster.fail_worker(1);
-        let dist = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default());
-        let (suspects, io) = solve_on(&dist, &cluster);
-        assert!(suspects.is_empty(), "a rejection-free graph has no cut");
+        let (dist, io) =
+            round(&g, &RejectoConfig::default(), Some(&ClusterConfig::default()), &[1])
+                .expect("crashes are recovered");
+        assert!(suspects(&dist).is_empty(), "a rejection-free graph has no cut");
         assert!(
             io.worker_restarts >= 1,
-            "the restart from the primary sweep must not be dropped by the merge"
+            "the restart from the primary sweep must not be dropped by the retry"
         );
         // On this graph the warm start degenerates to all-legit, so the
-        // merged counters must be exactly two single sweeps' worth.
-        assert_eq!(io.init_jobs, 2 * single.io.init_jobs);
+        // counters must be exactly two single sweeps' worth.
+        assert_eq!(io.init_jobs, 2 * single.init_jobs);
     }
 }
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{round, suspects};
     use super::*;
-    use rejecto_core::InterruptReason;
+    use crate::DistributedDetector;
+    use rejecto_core::{Completion, InterruptReason, Seeds, Termination};
     use std::time::Instant;
 
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rejecto_core::{FaultPlan, MaarSolver, RejectoConfig, RunBudget};
+    use rejecto_core::{FaultPlan, RejectoConfig, RunBudget};
     use simulator::{Scenario, ScenarioConfig};
     use socialgraph::generators::BarabasiAlbert;
 
@@ -1472,81 +1351,86 @@ mod fault_tests {
     #[test]
     fn killed_worker_is_respawned_transparently() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        let mut io = IoStats::default();
-        let before = cluster.degrees(&mut io).expect("healthy cluster serves stats");
-        cluster.fail_worker(2);
-        let after = cluster.degrees(&mut io).expect("crash is recovered");
-        assert_eq!(before, after, "stats must survive a worker crash");
-        assert_eq!(cluster.worker_restarts(), 1);
+        let io = with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            let mut io = IoStats::default();
+            let before = cluster.degrees(&mut io).expect("healthy cluster serves stats");
+            cluster.fail_worker(2);
+            let after = cluster.degrees(&mut io).expect("crash is recovered");
+            assert_eq!(before, after, "stats must survive a worker crash");
+            io
+        })
+        .expect("valid default config");
         assert_eq!(io.worker_restarts, 1);
     }
 
     #[test]
     fn fetch_recovers_from_mid_run_failure() {
         let g = super::tests::edge_case_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        cluster.fail_worker(0);
-        cluster.fail_worker(3);
-        super::tests::assert_fetches_every_node(&g, &cluster);
-        assert!(cluster.worker_restarts() >= 1);
+        let io = with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            cluster.fail_worker(0);
+            cluster.fail_worker(3);
+            super::tests::assert_fetches_every_node(&g, cluster)
+        })
+        .expect("valid default config");
+        assert!(io.worker_restarts >= 1);
     }
 
     #[test]
     fn solve_result_is_identical_after_worker_crash() {
         let g = sim_graph();
         let config = RejectoConfig::default();
-        let local =
-            MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("scenario admits a cut");
-
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let (local, _) = round(&g, &config, None, &[]).expect("in-process rounds cannot fail");
         // Crash two workers before the solve even starts.
-        cluster.fail_worker(1);
-        cluster.fail_worker(2);
-        let dist = DistributedMaar::new(ClusterConfig::default(), config);
-        let (suspects, io) = super::tests::solve_on(&dist, &cluster);
-        assert_eq!(suspects, local.suspects(), "crash changed the cut");
+        let (dist, io) = round(&g, &config, Some(&ClusterConfig::default()), &[1, 2])
+            .expect("crashes are recovered");
+        assert!(!suspects(&local).is_empty(), "scenario admits a cut");
+        assert_eq!(suspects(&dist), suspects(&local), "crash changed the cut");
         assert!(io.worker_restarts >= 2);
     }
 
     #[test]
     fn repeated_failures_of_same_worker_are_survivable() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
-        let mut io = IoStats::default();
-        for _ in 0..3 {
-            cluster.fail_worker(1);
-            let s = cluster.degrees(&mut io).expect("each crash is recovered");
-            assert_eq!(s.len(), g.num_nodes());
-        }
-        assert_eq!(cluster.worker_restarts(), 3);
+        let io = with_cluster(&g, &ClusterConfig::default(), |cluster| {
+            let mut io = IoStats::default();
+            for _ in 0..3 {
+                cluster.fail_worker(1);
+                let s = cluster.degrees(&mut io).expect("each crash is recovered");
+                assert_eq!(s.len(), g.num_nodes());
+            }
+            io
+        })
+        .expect("valid default config");
+        assert_eq!(io.worker_restarts, 3);
+    }
+
+    /// An outcome's cut as (suspects, acceptance-rate bits), to compare a
+    /// faulted round with a clean one.
+    fn cut_of(out: &SweepOutcome) -> (Vec<NodeId>, Option<u64>) {
+        (suspects(out), out.cut.as_ref().map(|c| c.acceptance_rate.to_bits()))
     }
 
     #[test]
     fn injected_death_schedule_is_invisible_to_the_result() {
         let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
+        let (clean, _) = round(&g, &RejectoConfig::default(), Some(&snappy()), &[])
             .expect("clean solve succeeds");
         let faulted_config = RejectoConfig {
             faults: FaultPlan::parse("worker_death@fetch=1,worker_death@fetch=4")
                 .expect("plan is well-formed"),
             ..RejectoConfig::default()
         };
-        let faulted = DistributedMaar::new(snappy(), faulted_config)
-            .solve(&g)
-            .expect("deaths are recovered");
-        assert_eq!(faulted.suspects, clean.suspects, "injected deaths changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert!(faulted.io.worker_restarts >= 2, "both scheduled deaths must fire");
-        assert_eq!(faulted.completion, Completion::Complete);
+        let (faulted, io) =
+            round(&g, &faulted_config, Some(&snappy()), &[]).expect("deaths are recovered");
+        assert_eq!(cut_of(&faulted), cut_of(&clean), "injected deaths changed the cut");
+        assert!(io.worker_restarts >= 2, "both scheduled deaths must fire");
+        assert!(!faulted.interrupted);
     }
 
     #[test]
     fn repeated_death_schedule_forces_a_rebalance() {
         let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
+        let (clean, _) = round(&g, &RejectoConfig::default(), Some(&snappy()), &[])
             .expect("clean solve succeeds");
         // One respawn allowed per request; five consecutive deaths burn
         // through two whole budgets (2 × (1 try + 1 respawn)) and one more
@@ -1556,32 +1440,27 @@ mod fault_tests {
             faults: FaultPlan::parse("worker_death@fetch=2:x5").expect("plan is well-formed"),
             ..RejectoConfig::default()
         };
-        let faulted = DistributedMaar::new(cluster_config, faulted_config)
-            .solve(&g)
+        let (faulted, io) = round(&g, &faulted_config, Some(&cluster_config), &[])
             .expect("persistent deaths degrade to rebalancing, not failure");
-        assert_eq!(faulted.suspects, clean.suspects, "rebalancing changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert_eq!(faulted.io.shards_rebalanced, 2, "five deaths at budget 1 = two merges");
-        assert!(faulted.io.worker_restarts >= 2);
+        assert_eq!(cut_of(&faulted), cut_of(&clean), "rebalancing changed the cut");
+        assert_eq!(io.shards_rebalanced, 2, "five deaths at budget 1 = two merges");
+        assert!(io.worker_restarts >= 2);
     }
 
     #[test]
     fn hung_worker_is_detected_by_the_watchdog() {
         let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
+        let (clean, _) = round(&g, &RejectoConfig::default(), Some(&snappy()), &[])
             .expect("clean solve succeeds");
         let faulted_config = RejectoConfig {
             faults: FaultPlan::parse("worker_hang@fetch=2").expect("plan is well-formed"),
             ..RejectoConfig::default()
         };
-        let faulted = DistributedMaar::new(snappy(), faulted_config)
-            .solve(&g)
-            .expect("the hang is recovered");
-        assert_eq!(faulted.suspects, clean.suspects, "the hang changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert_eq!(faulted.io.hangs_absorbed, 1, "the injected hang must fire");
-        assert!(faulted.io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
+        let (faulted, io) =
+            round(&g, &faulted_config, Some(&snappy()), &[]).expect("the hang is recovered");
+        assert_eq!(cut_of(&faulted), cut_of(&clean), "the hang changed the cut");
+        assert_eq!(io.hangs_absorbed, 1, "the injected hang must fire");
+        assert!(io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
     }
 
     /// Regression test: the hang path of `exchange` used to wait out the
@@ -1599,24 +1478,26 @@ mod fault_tests {
             backoff_base: Duration::ZERO,
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::new(&g, &config).expect("valid test config");
-        // The mid-broadcast shape: the request is already in flight
-        // (pending) when the injected hang swallows its response.
-        cluster.workers.borrow_mut()[0].pending = true;
-        cluster.arm_hang(1);
-        let mut io = IoStats::default();
-        let start = Instant::now();
-        let resp = cluster
-            .exchange(0, &|| Request::Stats, &mut io)
-            .expect("one hang is recovered by respawn");
-        let elapsed = start.elapsed();
-        assert!(matches!(resp, Response::Stats { .. }), "recovered request must be served");
-        assert!(io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
-        assert!(
-            elapsed < Duration::from_millis(320),
-            "recovering one hang blocked {elapsed:?}; the waits must share the \
-             200ms per-attempt deadline instead of stacking it"
-        );
+        with_cluster(&g, &config, |cluster| {
+            // The mid-broadcast shape: the request is already in flight
+            // (pending) when the injected hang swallows its response.
+            cluster.workers.borrow_mut()[0].pending = true;
+            cluster.arm_hang(1);
+            let mut io = IoStats::default();
+            let start = Instant::now();
+            let resp = cluster
+                .exchange(0, &|| Request::Stats, &mut io)
+                .expect("one hang is recovered by respawn");
+            let elapsed = start.elapsed();
+            assert!(matches!(resp, Response::Stats { .. }), "recovered request must be served");
+            assert!(io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
+            assert!(
+                elapsed < Duration::from_millis(320),
+                "recovering one hang blocked {elapsed:?}; the waits must share the \
+                 200ms per-attempt deadline instead of stacking it"
+            );
+        })
+        .expect("valid test config");
     }
 
     #[test]
@@ -1628,8 +1509,7 @@ mod fault_tests {
             faults: FaultPlan::parse("worker_death@fetch=1:x8").expect("plan is well-formed"),
             ..RejectoConfig::default()
         };
-        let err = DistributedMaar::new(cluster_config, faulted_config)
-            .solve(&g)
+        let err = round(&g, &faulted_config, Some(&cluster_config), &[])
             .expect_err("no survivor must be a structured failure");
         match err {
             RuntimeError::ClusterFailed { message } => {
@@ -1639,17 +1519,21 @@ mod fault_tests {
         }
     }
 
+    /// A distributed run under `config` to a one-group budget: one sweep.
+    fn detect(config: RejectoConfig) -> rejecto_core::DetectionReport {
+        DistributedDetector::new(ClusterConfig::default(), config)
+            .detect(&sim_graph(), &Seeds::default(), Termination::SuspectBudget(1))
+            .expect("a tripped budget degrades, not fails")
+    }
+
     #[test]
     fn zero_deadline_yields_a_partial_outcome_with_rollback() {
-        let g = sim_graph();
         let config = RejectoConfig {
             budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::unlimited() },
             ..RejectoConfig::default()
         };
-        let out = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
-            .expect("a tripped budget degrades, not fails");
-        assert!(out.suspects.is_empty(), "an interrupted sweep reports no cut");
+        let out = detect(config);
+        assert!(out.groups.is_empty(), "an interrupted sweep reports no cut");
         match out.completion {
             Completion::Partial { completed_rounds, completed_k_indices, reason } => {
                 assert_eq!(completed_rounds, 0);
@@ -1662,18 +1546,16 @@ mod fault_tests {
 
     #[test]
     fn pass_budget_interrupts_the_sweep_midway() {
-        let g = sim_graph();
         let config = RejectoConfig {
             budget: RunBudget { max_kl_passes: Some(3), ..RunBudget::unlimited() },
             ..RejectoConfig::default()
         };
         let sweep_len = config.k_sweep().len();
-        let out = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
-            .expect("a tripped budget degrades, not fails");
-        assert!(out.suspects.is_empty(), "an interrupted sweep reports no cut");
+        let out = detect(config);
+        assert!(out.groups.is_empty(), "an interrupted sweep reports no cut");
         match out.completion {
-            Completion::Partial { completed_k_indices, reason, .. } => {
+            Completion::Partial { completed_rounds, completed_k_indices, reason } => {
+                assert_eq!(completed_rounds, 0);
                 assert_eq!(reason, InterruptReason::PassBudget);
                 assert!(
                     completed_k_indices.len() < sweep_len,

@@ -15,20 +15,19 @@
 //!
 //! * [`LruCache`] — the prefetch buffer with LRU eviction, indexed densely
 //!   by node id;
-//! * [`Cluster`] / [`DistributedMaar`] — long-lived worker threads serving
-//!   contiguous shards of one shared graph, a master running the `k`
-//!   sweep against them, and [`IoStats`] counting simulated
-//!   master↔worker traffic. The master runs
-//!   the core crates' one sweep plan and one extended-KL kernel, reading
-//!   adjacency through the prefetch buffer; a miss also fetches the
-//!   non-resident nodes after it in its shard, into free buffer slots.
-//!   The Table-II harness measures wall time against graph size on this
-//!   runtime.
 //! * [`DistributedDetector`] — the core crate's one pruning loop driven by
-//!   a per-round cluster solver, with checkpoint/resume and a
+//!   a private per-round cluster solver. Each round's scoped worker
+//!   threads serve contiguous shards of the loop's own graph, which they
+//!   borrow (no round copies it), and a master runs the `k` sweep against
+//!   them: the core crates' one sweep plan and one extended-KL kernel,
+//!   reading adjacency through the prefetch buffer; a miss also fetches
+//!   the non-resident nodes after it in its shard, into free buffer
+//!   slots. Simulated master↔worker traffic is reported as the volatile
+//!   `io/*` metrics counters. Checkpoint/resume and a
 //!   [`ClusterError`]-based failure model (respawn from lineage, watchdog
-//!   for hung workers, shard rebalancing onto survivors) instead of
-//!   panics.
+//!   for hung workers, shard rebalancing onto survivors) replace panics.
+//!   The Table-II harness measures detection time against graph size on
+//!   this runtime.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +36,7 @@ mod detect;
 mod error;
 mod lru;
 
-pub use cluster::{Cluster, ClusterConfig, DistributedMaar, DistributedOutcome, IoStats};
+pub use cluster::ClusterConfig;
 pub use detect::{CheckpointSink, DistributedDetector};
 pub use error::ClusterError;
 pub use lru::LruCache;

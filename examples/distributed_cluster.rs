@@ -1,15 +1,18 @@
-//! The distributed deployment (§V): run the MAAR solve on the
-//! master/worker runtime and compare against the single-process solver —
-//! identical cut, plus simulated network-traffic accounting.
+//! The distributed deployment (§V): run one detection round on the
+//! master/worker runtime and compare it with the single-process
+//! detector's — identical group, plus simulated network-traffic
+//! accounting. A one-suspect budget is met by the first round, so each
+//! run is one `k` sweep.
 //!
 //! ```sh
 //! cargo run --release --example distributed_cluster
 //! ```
 
-use rejecto::dataflow::{ClusterConfig, DistributedMaar};
-use rejecto::rejecto_core::{MaarSolver, RejectoConfig};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector};
+use rejecto::rejecto_core::{IterativeDetector, RejectoConfig, Seeds, Termination};
 use rejecto::simulator::{Scenario, ScenarioConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
+use rejecto_obs::Obs;
 use std::time::Instant;
 
 fn main() {
@@ -27,27 +30,34 @@ fn main() {
     );
 
     let rejecto = RejectoConfig::default();
+    let (seeds, one_round) = (Seeds::default(), Termination::SuspectBudget(1));
 
     let t0 = Instant::now();
-    let local = MaarSolver::new(rejecto.clone())
-        .solve(&sim.graph, &[], &[])
-        .expect("a cut exists");
+    let local = IterativeDetector::new(rejecto.clone()).detect(&sim.graph, &seeds, one_round);
+    let group = local.groups.first().expect("a cut exists");
     println!(
         "single-process: {} suspects, acceptance rate {:.4}, {:?}",
-        local.suspects().len(),
-        local.acceptance_rate,
+        group.nodes.len(),
+        group.acceptance_rate,
         t0.elapsed()
     );
 
     for workers in [1, 2, 4, 8] {
         let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
-        let out = DistributedMaar::new(cluster, rejecto.clone())
-            .solve(&sim.graph)
-            .expect("healthy cluster must solve");
-        assert_eq!(out.suspects, local.suspects(), "distributed cut must match");
+        let mut detector = DistributedDetector::new(cluster, rejecto.clone());
+        let obs = Obs::new();
+        detector.set_obs(obs.clone());
+        let t0 = Instant::now();
+        let report = detector
+            .detect(&sim.graph, &seeds, one_round)
+            .expect("healthy cluster must detect");
+        assert_eq!(report, local, "distributed report must match");
         println!(
             "{workers} worker(s): same cut in {:?} — {} fetch batches, {} nodes shipped, {} buffer hits",
-            out.elapsed, out.io.fetch_batches, out.io.nodes_fetched, out.io.buffer_hits
+            t0.elapsed(),
+            obs.volatile("io/fetch_batches"),
+            obs.volatile("io/nodes_fetched"),
+            obs.volatile("io/buffer_hits")
         );
     }
     println!("\nThe prefetching LRU buffer turns per-move fetches into one round trip per batch.");

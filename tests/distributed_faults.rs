@@ -6,7 +6,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector};
 use rejecto::rejecto_core::{
     Checkpoint, Completion, DetectionReport, FaultPlan, InterruptReason, RejectoConfig,
     RuntimeError, Seeds, Termination,
@@ -278,7 +278,9 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
 /// every `worker_death@fetch=N` and `worker_hang@fetch=N` fault keys on,
 /// so a buffer or record layout change that moves any of these counts
 /// moves every fault schedule too. `init_jobs` counts the two broadcasts
-/// of each sweep (degrees; cut counts with switch deltas). The graph is
+/// of each sweep (degrees; cut counts with switch deltas). The detector
+/// runs to a one-suspect budget, which its first round meets: one sweep.
+/// The graph is
 /// the `dataflow` unit tests' fixture (a 300-user Barabási–Albert host
 /// plus 40 fakes, 4 shards of 85). The `debug-invariants` checkers look
 /// nodes up through the same buffer, so these counts hold only without
@@ -312,12 +314,15 @@ fn fetch_protocol_counts_are_pinned() {
             [5_177, 8_784, 3_912, 3_491, 2],
         ),
     ] {
-        let io = DistributedMaar::new(config, RejectoConfig::default())
-            .solve(&g)
-            .expect("healthy cluster must solve")
-            .io;
-        let got =
-            [io.fetch_batches, io.nodes_fetched, io.buffer_hits, io.buffer_misses, io.init_jobs];
+        let mut detector = DistributedDetector::new(config, RejectoConfig::default());
+        let obs = Obs::new();
+        detector.set_obs(obs.clone());
+        let report = detector
+            .detect(&g, &Seeds::default(), Termination::SuspectBudget(1))
+            .expect("healthy cluster must detect");
+        assert_eq!(report.groups.len(), 1, "{config:?}: one sweep, one group");
+        let got = ["fetch_batches", "nodes_fetched", "buffer_hits", "buffer_misses", "init_jobs"]
+            .map(|counter| obs.volatile(&format!("io/{counter}")));
         assert_eq!(got, want, "{config:?}");
     }
 }

@@ -1,31 +1,21 @@
 //! Cross-validation of the distributed runtime against the single-process
-//! solver: identical cuts on varied scenarios, cluster shapes, and buffer
-//! configurations.
+//! detector: identical reports on varied scenarios, cluster shapes, and
+//! buffer configurations.
 
-use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector};
 use rejecto::rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
-use rejecto::rejecto_core::{
-    FaultPlan, IterativeDetector, MaarSolver, RejectoConfig, Seeds, Termination,
-};
+use rejecto::rejecto_core::{FaultPlan, IterativeDetector, RejectoConfig, Seeds, Termination};
 use rejecto::simulator::{Scenario, ScenarioConfig, SelfRejectionConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
 
+/// One round of detection on the scenario's graph (a one-suspect budget
+/// is met by the first group) must report the same on `cluster` as in
+/// process.
 fn check_parity(cfg: ScenarioConfig, cluster: ClusterConfig, seed: u64) {
     let host = Surrogate::Facebook.generate_scaled(seed, 0.04);
     let sim = Scenario::new(cfg).run(&host, seed);
-    let rejecto = RejectoConfig::default();
-    let local = MaarSolver::new(rejecto.clone()).solve(&sim.graph, &[], &[]);
-    let dist = DistributedMaar::new(cluster, rejecto)
-        .solve(&sim.graph)
-        .expect("healthy cluster must solve");
-    match local {
-        Some(cut) => {
-            assert_eq!(dist.suspects, cut.suspects(), "cut mismatch (seed {seed})");
-            let ac = dist.acceptance_rate.expect("distributed found no cut");
-            assert!((ac - cut.acceptance_rate).abs() < 1e-12);
-        }
-        None => assert!(dist.suspects.is_empty(), "distributed found a phantom cut"),
-    }
+    let one_round = Termination::SuspectBudget(1);
+    assert_detector_parity(&sim.graph, RejectoConfig::default(), one_round, &[cluster]);
 }
 
 #[test]
@@ -87,11 +77,16 @@ fn parity_with_more_workers_than_meaningful_shards() {
     );
 }
 
-/// Detector-level parity: `DistributedDetector` at 1 and 3 workers must
-/// return `Ok` with a report equal to `IterativeDetector`'s. Both run with
-/// a checkpoint sink that discards every checkpoint, so an injected
+/// Detector-level parity: `DistributedDetector` on every cluster shape
+/// must return `Ok` with a report equal to `IterativeDetector`'s. Both run
+/// with a checkpoint sink that discards every checkpoint, so an injected
 /// checkpoint fault shows up in the report's failures on both runtimes.
-fn assert_detector_parity(g: &AugmentedGraph, config: RejectoConfig, termination: Termination) {
+fn assert_detector_parity(
+    g: &AugmentedGraph,
+    config: RejectoConfig,
+    termination: Termination,
+    clusters: &[ClusterConfig],
+) {
     let seeds = Seeds::default();
     let local = IterativeDetector::new(config.clone()).detect_with_checkpoints(
         g,
@@ -99,13 +94,17 @@ fn assert_detector_parity(g: &AugmentedGraph, config: RejectoConfig, termination
         termination,
         &mut |_| Ok(()),
     );
-    for workers in [1, 3] {
-        let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
-        let dist = DistributedDetector::new(cluster, config.clone())
+    for cluster in clusters {
+        let dist = DistributedDetector::new(*cluster, config.clone())
             .run(g, &seeds, termination, None, Some(&mut |_| Ok(())))
             .expect("healthy cluster must detect");
-        assert_eq!(dist, local, "workers={workers}");
+        assert_eq!(dist, local, "{cluster:?}");
     }
+}
+
+/// One and three workers of the default shape.
+fn small_clusters() -> [ClusterConfig; 2] {
+    [1, 3].map(|num_workers| ClusterConfig { num_workers, ..ClusterConfig::default() })
 }
 
 /// Node 0 rejected ten accounts and befriended one more: its rejections
@@ -118,7 +117,8 @@ fn detector_parity_when_one_user_casts_many_rejections() {
         b.add_rejection(NodeId(0), NodeId(v));
     }
     b.add_friendship(NodeId(0), NodeId(11));
-    assert_detector_parity(&b.build(), RejectoConfig::default(), Termination::SuspectBudget(10));
+    let budget = Termination::SuspectBudget(10);
+    assert_detector_parity(&b.build(), RejectoConfig::default(), budget, &small_clusters());
 }
 
 /// Three legit friends reject one spammer. With `max_suspect_fraction`
@@ -137,7 +137,8 @@ fn single_spammer_graph() -> AugmentedGraph {
 #[test]
 fn detector_parity_on_a_graph_whose_suspect_cap_clamps_to_one() {
     let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
-    assert_detector_parity(&single_spammer_graph(), config, Termination::SuspectBudget(1));
+    let one_round = Termination::SuspectBudget(1);
+    assert_detector_parity(&single_spammer_graph(), config, one_round, &small_clusters());
 }
 
 #[test]
@@ -146,5 +147,6 @@ fn detector_parity_under_an_injected_checkpoint_fault() {
         faults: FaultPlan::parse("io_error@round=1").expect("plan is well-formed"),
         ..RejectoConfig::default()
     };
-    assert_detector_parity(&single_spammer_graph(), config, Termination::SuspectBudget(1));
+    let one_round = Termination::SuspectBudget(1);
+    assert_detector_parity(&single_spammer_graph(), config, one_round, &small_clusters());
 }
