@@ -3,8 +3,10 @@
 //! For every `k` of the default sweep, on one seeded simulated graph, the
 //! kernel's pass count, committed moves, bucket adjustments and resulting
 //! suspect count are compared against figures recorded from the kernel
-//! before its storage was reworked (CSR graph, one-record bucket list,
-//! in-place passes with rollback). When the simulator's Sybil region
+//! before its storage was reworked (CSR graph, a bucket list with one
+//! record per node, in-place passes with rollback). The later move to
+//! circular gain chains through sentinel head records left every column
+//! of the table as it was. When the simulator's Sybil region
 //! became Floyd-sampled the input graph changed, so the figures were
 //! re-recorded once on the new graph with the kernel untouched; they are
 //! still the pre-rework kernel's moves. Any change to the order in which the

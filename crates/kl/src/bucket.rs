@@ -31,34 +31,41 @@
 #[derive(Debug, Clone)]
 pub struct BucketList {
     pub(crate) min_gain: i64,
-    /// `heads[g - min_gain]` = first node in the gain-`g` list, or `NIL`.
-    pub(crate) heads: Vec<u32>,
-    /// One record per node, indexed by id.
-    pub(crate) slots: Vec<Slot>,
-    /// Highest bucket index that may be non-empty.
-    pub(crate) high: usize,
+    /// The chain links, indexed by id: one record per node (`0..end`),
+    /// the end record (`end`), then one head per gain, the gain-`g`
+    /// chain's at `end + 1 + (g − min_gain)`. Every chain is circular
+    /// through its head, so an empty chain is a head linked to itself.
+    pub(crate) links: Vec<Link>,
+    /// Each node's gain; a node that is not indexed keeps the last gain
+    /// it was filed under.
+    pub(crate) gains: Vec<i64>,
+    /// Id of the end record, which is also the node count.
+    pub(crate) end: u32,
+    /// Highest head whose chain may be non-empty, or `end` once the list
+    /// is empty. The end record never reads as an empty chain, so the
+    /// downward scan stops there.
+    pub(crate) top: u32,
     pub(crate) len: usize,
 }
 
-/// A node's chain links and gain: 16 bytes, so one cache line holds four
-/// nodes' records. `prev == ABSENT` marks a node that is not indexed; its
-/// `gain` then keeps the last value it was filed under.
+/// One chain record: 8 bytes, so one cache line holds eight. A node
+/// record with `prev == ABSENT` is not indexed.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
+pub(crate) struct Link {
     pub(crate) prev: u32,
     pub(crate) next: u32,
-    pub(crate) gain: i64,
 }
 
-/// End of a chain.
+/// The end record's `next`: no record's own id, so the end record never
+/// reads as an empty chain.
 pub(crate) const NIL: u32 = u32::MAX;
-/// `Slot::prev` of a node that is not indexed.
+/// `Link::prev` of a node that is not indexed.
 pub(crate) const ABSENT: u32 = u32::MAX - 1;
 
-/// Node ids are `u32` by construction; every slot array is indexed by id.
+/// Record ids are `u32` by construction; the link array is indexed by id.
 #[inline]
-fn ix(node: u32) -> usize {
-    node as usize // xtask-allow: lossy-cast: u32 → usize widens on every supported target
+fn ix(id: u32) -> usize {
+    id as usize // xtask-allow: lossy-cast: u32 → usize widens on every supported target
 }
 
 impl BucketList {
@@ -67,22 +74,23 @@ impl BucketList {
     ///
     /// # Panics
     ///
-    /// Panics if `min_gain > max_gain`, or if `num_nodes` reaches the
-    /// link sentinels at the top of the `u32` id space.
+    /// Panics if `min_gain > max_gain`, or if the node records, the end
+    /// record and one head per gain reach the link sentinels at the top
+    /// of the `u32` id space.
     pub fn new(num_nodes: usize, min_gain: i64, max_gain: i64) -> Self {
         let span = usize::try_from(max_gain.saturating_sub(min_gain).saturating_add(1))
             .expect("empty gain range: min_gain must be <= max_gain");
-        u32::try_from(num_nodes)
-            .ok()
-            .filter(|&n| n <= ABSENT)
-            .expect("node count collides with the bucket list's link sentinels");
-        BucketList {
-            min_gain,
-            heads: vec![NIL; span],
-            slots: vec![Slot { prev: ABSENT, next: NIL, gain: 0 }; num_nodes],
-            high: 0,
-            len: 0,
-        }
+        let end = num_nodes
+            .checked_add(span)
+            .and_then(|r| u32::try_from(r).ok())
+            .filter(|&r| r < ABSENT)
+            .and_then(|_| u32::try_from(num_nodes).ok())
+            .expect("bucket list records collide with its link sentinels");
+        let mut links = Vec::with_capacity(num_nodes + 1 + span);
+        links.resize(num_nodes, Link { prev: ABSENT, next: NIL });
+        links.push(Link { prev: NIL, next: NIL });
+        links.extend((end + 1..).take(span).map(|head| Link { prev: head, next: head }));
+        BucketList { min_gain, links, gains: vec![0; num_nodes], end, top: end, len: 0 }
     }
 
     /// Number of nodes currently indexed.
@@ -97,6 +105,17 @@ impl BucketList {
         self.len == 0
     }
 
+    /// The link record of node `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node id (the end and head records are
+    /// not nodes).
+    #[inline]
+    fn node(&self, node: u32) -> Link {
+        self.links[..ix(self.end)][ix(node)]
+    }
+
     /// Whether `node` is currently indexed.
     ///
     /// # Panics
@@ -104,7 +123,7 @@ impl BucketList {
     /// Panics if `node` is out of range.
     #[inline]
     pub fn contains(&self, node: u32) -> bool {
-        self.slots[ix(node)].prev != ABSENT
+        self.node(node).prev != ABSENT
     }
 
     /// Current gain of an indexed node.
@@ -117,48 +136,46 @@ impl BucketList {
     #[inline]
     pub fn gain_of(&self, node: u32) -> i64 {
         debug_assert!(self.contains(node), "node {node} not in bucket list");
-        self.slots[ix(node)].gain
+        self.gains[ix(node)]
     }
 
-    /// Maps a gain to its bucket index, rejecting gains outside the
-    /// configured `[min_gain, max_gain]` in every build profile: a
+    /// The head record of the gain-`gain` chain, rejecting gains outside
+    /// the configured `[min_gain, max_gain]` in every build profile: a
     /// mis-filed node would corrupt the chain structure silently.
     #[inline]
-    fn bucket_of(&self, gain: i64) -> usize {
+    fn head_of(&self, gain: i64) -> u32 {
         gain.checked_sub(self.min_gain)
-            .and_then(|d| usize::try_from(d).ok())
-            .filter(|&b| b < self.heads.len())
+            .and_then(|d| u32::try_from(d).ok())
+            .and_then(|d| d.checked_add(self.end + 1))
+            .filter(|&h| ix(h) < self.links.len())
             .expect("gain outside range configured at construction")
     }
 
-    /// Files the unindexed `node` at the head of the gain-`gain` chain.
+    /// Files `node` under `gain` at the front of the chain whose head is
+    /// `head`: three link stores, with no end case.
     #[inline]
-    fn link(&mut self, node: u32, gain: i64) {
-        let b = self.bucket_of(gain);
-        let head = self.heads[b];
-        if head != NIL {
-            self.slots[ix(head)].prev = node;
-        }
-        self.slots[ix(node)] = Slot { prev: NIL, next: head, gain };
-        self.heads[b] = node;
-        self.high = self.high.max(b);
-        self.len += 1;
+    fn splice_in(&mut self, node: u32, gain: i64, head: u32) {
+        let first = self.links[ix(head)].next;
+        self.links[ix(node)] = Link { prev: head, next: first };
+        self.links[ix(first)].prev = node;
+        self.links[ix(head)].next = node;
+        self.gains[ix(node)] = gain;
+        self.top = self.top.max(head);
     }
 
-    /// Takes the indexed `node`, whose record is `slot`, out of its chain.
+    /// Closes the gap an indexed node whose record is `link` leaves in its
+    /// chain: two stores, with no end or head-of-chain case.
     #[inline]
-    fn unlink(&mut self, node: u32, slot: Slot) {
-        let Slot { prev, next, gain } = slot;
-        if prev != NIL {
-            self.slots[ix(prev)].next = next;
-        } else {
-            let b = self.bucket_of(gain);
-            self.heads[b] = next;
-        }
-        if next != NIL {
-            self.slots[ix(next)].prev = prev;
-        }
-        self.slots[ix(node)].prev = ABSENT;
+    fn splice_out(&mut self, link: Link) {
+        self.links[ix(link.prev)].next = link.next;
+        self.links[ix(link.next)].prev = link.prev;
+    }
+
+    /// Takes the indexed `node`, whose record is `link`, out of the index.
+    #[inline]
+    fn unlink(&mut self, node: u32, link: Link) {
+        self.splice_out(link);
+        self.links[ix(node)].prev = ABSENT;
         self.len -= 1;
     }
 
@@ -171,8 +188,11 @@ impl BucketList {
     /// not already indexed (a double insert in release corrupts the
     /// chain, which `assert_consistent` detects).
     pub fn insert(&mut self, node: u32, gain: i64) {
-        debug_assert!(!self.contains(node), "node {node} already in bucket list");
-        self.link(node, gain);
+        let link = self.node(node);
+        debug_assert!(link.prev == ABSENT, "node {node} already in bucket list");
+        let head = self.head_of(gain);
+        self.splice_in(node, gain, head);
+        self.len += 1;
     }
 
     /// Removes `node` from the index; a node that is not indexed is left
@@ -184,9 +204,9 @@ impl BucketList {
     /// that `node` is indexed.
     pub fn remove(&mut self, node: u32) {
         debug_assert!(self.contains(node), "node {node} not in bucket list");
-        let slot = self.slots[ix(node)];
-        if slot.prev != ABSENT {
-            self.unlink(node, slot);
+        let link = self.node(node);
+        if link.prev != ABSENT {
+            self.unlink(node, link);
         }
     }
 
@@ -199,14 +219,16 @@ impl BucketList {
     /// Panics if `node` is out of range or `gain` is outside the
     /// configured range.
     pub fn update(&mut self, node: u32, gain: i64) {
-        let slot = self.slots[ix(node)];
-        if slot.prev != ABSENT {
-            if slot.gain == gain {
-                return;
-            }
-            self.unlink(node, slot);
+        let link = self.node(node);
+        let head = self.head_of(gain);
+        if link.prev == ABSENT {
+            self.len += 1;
+        } else if self.gains[ix(node)] == gain {
+            return;
+        } else {
+            self.splice_out(link);
         }
-        self.link(node, gain);
+        self.splice_in(node, gain, head);
     }
 
     /// Adds `delta` to the gain of an indexed node.
@@ -224,8 +246,8 @@ impl BucketList {
     /// Adds `delta` to the gain of `node` if it is indexed, moving it to
     /// the head of the new gain's chain (a zero `delta` leaves it where it
     /// is). Returns whether `node` was indexed. This is the KL inner loop's
-    /// one call per neighbour: one record read decides membership and
-    /// yields the old gain.
+    /// one call per neighbour: one record read decides membership, and
+    /// the move is five unconditional link stores.
     ///
     /// # Panics
     ///
@@ -233,56 +255,55 @@ impl BucketList {
     /// configured range.
     #[inline]
     pub fn adjust_if_present(&mut self, node: u32, delta: i64) -> bool {
-        let slot = self.slots[ix(node)];
-        if slot.prev == ABSENT {
+        let link = self.node(node);
+        if link.prev == ABSENT {
             return false;
         }
         if delta != 0 {
-            self.unlink(node, slot);
-            self.link(node, slot.gain + delta);
+            let gain = self.gains[ix(node)] + delta;
+            let head = self.head_of(gain);
+            self.splice_out(link);
+            self.splice_in(node, gain, head);
         }
         true
     }
 
-    /// Unindexes every node, in `O(len)` plus the buckets at or below the
+    /// Unindexes every node, in `O(len)` plus the heads at or below the
     /// high-water mark that it walks to find them.
     pub(crate) fn clear(&mut self) {
-        let mut b = self.high + 1;
-        while self.len > 0 && b > 0 {
-            b -= 1;
-            let mut cur = std::mem::replace(&mut self.heads[b], NIL);
-            while cur != NIL {
-                let slot = &mut self.slots[ix(cur)];
-                slot.prev = ABSENT;
-                cur = slot.next;
+        while self.len > 0 && self.top > self.end {
+            let head = self.top;
+            let mut cur = self.links[ix(head)].next;
+            while cur != head {
+                let link = &mut self.links[ix(cur)];
+                link.prev = ABSENT;
+                cur = link.next;
                 self.len -= 1;
             }
+            self.links[ix(head)] = Link { prev: head, next: head };
+            self.top -= 1;
         }
-        self.high = 0;
+        self.top = self.end;
     }
 
     /// The maximum gain among indexed nodes, if any.
     pub fn peek_max_gain(&mut self) -> Option<i64> {
-        self.settle_high();
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.min_gain + self.high as i64) // xtask-allow: lossy-cast: bucket index < heads.len() <= i64::MAX
-        }
+        self.settle_top();
+        (self.len > 0).then(|| self.gains[ix(self.links[ix(self.top)].next)])
     }
 
     /// Removes and returns a node with the maximum gain: the one filed
     /// last among those at that gain.
     pub fn pop_max(&mut self) -> Option<(u32, i64)> {
-        self.settle_high();
+        self.settle_top();
         if self.len == 0 {
             return None;
         }
-        let node = self.heads[self.high];
-        debug_assert_ne!(node, NIL);
-        let slot = self.slots[ix(node)];
-        self.unlink(node, slot);
-        Some((node, slot.gain))
+        let node = self.links[ix(self.top)].next;
+        debug_assert!(node < self.end, "the top chain holds a node");
+        let link = self.links[ix(node)];
+        self.unlink(node, link);
+        Some((node, self.gains[ix(node)]))
     }
 
     /// Walks every gain chain and re-derives the summary state the `O(1)`
@@ -299,9 +320,11 @@ impl BucketList {
         crate::invariants::assert_bucket_consistent(self);
     }
 
-    fn settle_high(&mut self) {
-        while self.high > 0 && self.heads[self.high] == NIL {
-            self.high -= 1;
+    /// Lowers `top` past empty chains. It stops at the end record at the
+    /// latest, whose `next` is never its own id.
+    fn settle_top(&mut self) {
+        while self.links[ix(self.top)].next == self.top {
+            self.top -= 1;
         }
     }
 
@@ -313,17 +336,14 @@ impl BucketList {
     /// the bucket list").
     pub fn peek_top(&self, n: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(n.min(self.len));
-        if self.len == 0 || n == 0 {
-            return out;
-        }
-        let mut b = self.high + 1;
-        while b > 0 && out.len() < n {
-            b -= 1;
-            let mut cur = self.heads[b];
-            while cur != NIL && out.len() < n {
+        let mut head = self.top;
+        while head > self.end && out.len() < n {
+            let mut cur = self.links[ix(head)].next;
+            while cur != head && out.len() < n {
                 out.push(cur);
-                cur = self.slots[ix(cur)].next;
+                cur = self.links[ix(cur)].next;
             }
+            head -= 1;
         }
         out
     }
@@ -440,6 +460,131 @@ mod tests {
         let mut b = BucketList::new(0, 0, 0);
         assert_eq!(b.pop_max(), None);
         assert_eq!(b.peek_max_gain(), None);
+    }
+}
+
+#[cfg(test)]
+mod chain_tests {
+    use super::*;
+
+    /// Nodes `0..4` filed at gain 0 in id order, so the chain reads
+    /// `3, 2, 1, 0` from its head, and node 4 alone at gain 2.
+    fn filed() -> BucketList {
+        let mut b = BucketList::new(5, -3, 3);
+        for node in 0..4 {
+            b.insert(node, 0);
+        }
+        b.insert(4, 2);
+        b
+    }
+
+    fn drain(b: &mut BucketList) -> Vec<u32> {
+        std::iter::from_fn(|| b.pop_max()).map(|(node, _)| node).collect()
+    }
+
+    #[test]
+    fn unlinking_the_head_middle_or_tail_keeps_the_rest_in_order() {
+        for (gone, rest) in [(3, [4, 2, 1, 0]), (1, [4, 3, 2, 0]), (0, [4, 3, 2, 1])] {
+            let mut b = filed();
+            b.remove(gone);
+            assert_eq!(drain(&mut b), rest, "after removing node {gone}");
+        }
+    }
+
+    #[test]
+    fn unlinking_the_only_member_empties_its_chain() {
+        let mut b = filed();
+        b.remove(4);
+        assert_eq!(b.peek_max_gain(), Some(0));
+        b.insert(4, 2);
+        b.adjust(4, -4);
+        assert_eq!(b.peek_max_gain(), Some(0));
+        assert_eq!(drain(&mut b), [3, 2, 1, 0, 4]);
+    }
+
+    #[test]
+    fn a_zero_adjustment_or_same_gain_update_leaves_the_node_in_place() {
+        let mut b = filed();
+        b.adjust(1, 0);
+        b.update(2, 0);
+        assert!(b.adjust_if_present(0, 0));
+        assert_eq!(drain(&mut b), [4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn a_round_trip_adjustment_refiles_at_the_head() {
+        let mut b = filed();
+        b.adjust(1, 1);
+        b.adjust(1, -1);
+        assert_eq!(drain(&mut b), [4, 1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn updating_an_unindexed_node_files_it_at_the_head() {
+        let mut b = filed();
+        b.remove(2);
+        b.update(2, 0);
+        assert_eq!(b.len(), 5);
+        assert_eq!(drain(&mut b), [4, 2, 3, 1, 0]);
+    }
+
+    #[test]
+    fn adjusting_an_unindexed_node_changes_nothing() {
+        let mut b = filed();
+        let _ = b.pop_max();
+        assert!(!b.adjust_if_present(4, 1));
+        assert!(!b.contains(4));
+        assert_eq!(drain(&mut b), [3, 2, 1, 0]);
+    }
+
+    /// In release builds `remove` of an unindexed node writes nothing: its
+    /// stale links would otherwise splice a chain it has left.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn removing_an_unindexed_node_changes_nothing() {
+        let mut b = filed();
+        assert_eq!(b.pop_max(), Some((4, 2)));
+        b.remove(3);
+        b.remove(3);
+        b.remove(4);
+        assert_eq!(b.len(), 3);
+        assert_eq!(drain(&mut b), [2, 1, 0]);
+    }
+
+    /// `remove` asserts membership in debug builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not in bucket list")]
+    fn removing_an_unindexed_node_panics_in_debug() {
+        let mut b = filed();
+        b.remove(3);
+        b.remove(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_head_id_is_not_a_node() {
+        let b = filed();
+        let _ = b.contains(6);
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    #[should_panic(expected = "broken back-link at node 2")]
+    fn the_structural_checker_catches_a_broken_back_link() {
+        let mut b = filed();
+        b.assert_consistent();
+        b.links[2].prev = 1;
+        b.assert_consistent();
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    #[should_panic(expected = "reads as an empty chain")]
+    fn the_structural_checker_catches_a_self_linked_end_record() {
+        let mut b = filed();
+        b.links[5].next = 5;
+        b.assert_consistent();
     }
 }
 

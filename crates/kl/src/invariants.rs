@@ -19,45 +19,58 @@ use crate::extended::obj_i64;
 use crate::{Adjacency, KParam};
 use rejection::{NodeId, Partition, Region};
 
-/// Walks every gain chain of `b` and checks:
+/// Walks every gain chain of `b` around its circle and checks:
 ///
-/// * each chained node's record is not marked absent, is filed under the
-///   bucket its recorded gain maps to, and carries the correct back-link;
+/// * the end record still reads as a non-empty chain (`next == NIL`), so
+///   the downward scan for the top chain stops there, and the high-water
+///   mark lies between it and the last head;
+/// * no chain above the high-water mark holds a node;
+/// * each chained record is a node record not marked absent, whose gain
+///   maps to the chain it is filed in and whose back-link is correct, and
+///   each head's back-link closes its circle;
 /// * the chains reach exactly `len` nodes (no orphans, no cycles);
-/// * no bucket above the high-water mark is non-empty;
-/// * the records not marked absent number exactly `len`.
+/// * the node records not marked absent number exactly `len`.
 ///
 /// # Panics
 ///
 /// Panics on the first structural inconsistency.
 pub fn assert_bucket_consistent(b: &BucketList) {
+    let end = b.end as usize;
+    assert_eq!(b.links[end].next, NIL, "end record {end} reads as an empty chain");
+    assert!(
+        b.top >= b.end && (b.top as usize) < b.links.len(),
+        "high-water mark {} outside the heads {}..{}",
+        b.top,
+        end + 1,
+        b.links.len()
+    );
     let mut reached = 0usize;
-    for (bi, &head) in b.heads.iter().enumerate() {
+    for (offset, h) in (end + 1..b.links.len()).enumerate() {
+        let head = b.links[h];
+        let gain = b.min_gain + offset as i64;
         assert!(
-            bi <= b.high || head == NIL,
-            "bucket {bi} non-empty above high-water mark {}",
-            b.high
+            h <= b.top as usize || head.next as usize == h,
+            "chain {gain} non-empty above high-water mark {}",
+            b.top
         );
-        let mut prev = NIL;
-        let mut cur = head;
-        while cur != NIL {
-            let slot = b.slots[cur as usize];
-            assert_ne!(slot.prev, ABSENT, "chained node {cur} marked absent");
-            assert_eq!(
-                slot.gain - b.min_gain,
-                bi as i64,
-                "node {cur} with gain {} filed in bucket {bi}",
-                slot.gain
-            );
-            assert_eq!(slot.prev, prev, "broken back-link at node {cur}");
+        let mut prev = h as u32;
+        let mut cur = head.next;
+        while cur as usize != h {
+            assert!(cur < b.end, "chain {gain} links to record {cur}, which is not a node");
+            let link = b.links[cur as usize];
+            assert_ne!(link.prev, ABSENT, "chained node {cur} marked absent");
+            let filed = b.gains[cur as usize];
+            assert_eq!(filed, gain, "node {cur} with gain {filed} filed in chain {gain}");
+            assert_eq!(link.prev, prev, "broken back-link at node {cur}");
             reached += 1;
-            assert!(reached <= b.len, "cycle or orphan chain in bucket {bi}");
+            assert!(reached <= b.len, "cycle or orphan chain in chain {gain}");
             prev = cur;
-            cur = slot.next;
+            cur = link.next;
         }
+        assert_eq!(head.prev, prev, "head {h} does not close its circle");
     }
     assert_eq!(reached, b.len, "{reached} nodes reachable but len = {}", b.len);
-    let present = b.slots.iter().filter(|s| s.prev != ABSENT).count();
+    let present = b.links[..end].iter().filter(|l| l.prev != ABSENT).count();
     assert_eq!(present, b.len, "{present} records present but len = {}", b.len);
 }
 

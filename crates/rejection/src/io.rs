@@ -15,12 +15,15 @@
 //!
 //! A load is one streaming pass and one build:
 //!
-//! * **Scan.** Lines are read into one reused buffer, never the whole
-//!   file, and each is checked for UTF-8 as [`BufRead::lines`] checks it.
+//! * **Scan.** The file is streamed through the reader's buffer, never
+//!   read whole, and lines are split as [`BufRead::lines`] splits them.
 //!   The canonical edge line (`F` or `R`, two plain decimal ids, spaces
-//!   or tabs between them) is parsed straight from its bytes; every other
-//!   line goes through the one general parser, which is the only source
-//!   of [`AugmentedIoError::Parse`].
+//!   or tabs between them) is parsed where it sits in the buffered
+//!   chunk, by one pass over its bytes; only a line that straddles a
+//!   refill is copied out, into one reused carry buffer. A canonical line
+//!   is ASCII, so only the lines that fall through to the one general
+//!   parser are checked for UTF-8, as `lines` checks every line; that
+//!   parser is the only source of [`AugmentedIoError::Parse`].
 //! * **Log.** Each in-range edge that is not a self-loop is appended to
 //!   the [`AugmentedGraphBuilder`]'s insertion-order edge log, with no
 //!   look at the edges before it. Parse errors, out-of-range ids and
@@ -358,46 +361,116 @@ fn parse_augmented_line(
 /// whitespace, `+7`, an extra token), yields `None` and goes through
 /// [`parse_augmented_line`], the one general parser.
 fn canonical_edge(line: &[u8], n: usize) -> Option<(EdgeKind, u32, u32)> {
-    let (kind, rest) = match line.split_first()? {
-        (b'F', rest) => (EdgeKind::Friend, rest),
-        (b'R', rest) => (EdgeKind::Reject, rest),
+    canonical_prefix(line, n).and_then(|(edge, len)| (len == line.len()).then_some(edge))
+}
+
+/// Parses the fields of a canonical edge line from the start of `s` and
+/// returns the edge and the length of its fields; what follows them is
+/// the caller's to judge.
+fn canonical_prefix(s: &[u8], n: usize) -> Option<((EdgeKind, u32, u32), usize)> {
+    let kind = match s.first()? {
+        b'F' => EdgeKind::Friend,
+        b'R' => EdgeKind::Reject,
         _ => return None,
     };
-    let (u, rest) = canonical_id(rest, n)?;
-    let (v, rest) = canonical_id(rest, n)?;
-    rest.is_empty().then_some((kind, u, v))
+    let (u, at) = canonical_id(s, 1, n)?;
+    let (v, at) = canonical_id(s, at, n)?;
+    Some(((kind, u, v), at))
 }
 
-/// One run of spaces or tabs followed by an id below `n`, and what is
-/// left of the line after it.
-fn canonical_id(s: &[u8], n: usize) -> Option<(u32, &[u8])> {
-    let start = s.iter().position(|b| !matches!(b, b' ' | b'\t')).filter(|&i| i > 0)?;
-    let s = &s[start..];
-    let len = s.iter().position(|b| !b.is_ascii_digit()).unwrap_or(s.len());
+/// One run of spaces or tabs at `s[at..]` followed by an id below `n`,
+/// read in one pass, and where the id ends.
+fn canonical_id(s: &[u8], mut at: usize, n: usize) -> Option<(u32, usize)> {
+    let blanks = at;
+    while let Some(b' ' | b'\t') = s.get(at) {
+        at += 1;
+    }
+    let digits = at;
     let mut id = 0u32;
-    for &d in &s[..len] {
-        id = id.checked_mul(10)?.checked_add(u32::from(d - b'0'))?;
+    while let Some(d) = s.get(at).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        id = id.checked_mul(10)?.checked_add(u32::from(d))?;
+        at += 1;
     }
     let in_range = usize::try_from(id).is_ok_and(|i| i < n);
-    (len > 0 && in_range).then_some((id, &s[len..]))
+    (digits > blanks && at > digits && in_range).then_some((id, at))
 }
 
-/// Reads the next line into `buf` and returns it without its `\n` or
-/// `\r\n`, or `None` at the end of the input, exactly as
-/// [`BufRead::lines`] would, but without allocating a `String` per line.
-fn next_line<'a>(
-    reader: &mut impl BufRead,
-    buf: &'a mut Vec<u8>,
-) -> std::io::Result<Option<&'a str>> {
-    buf.clear();
-    if reader.read_until(b'\n', buf)? == 0 {
-        return Ok(None);
+/// The lines of a stream, split as [`BufRead::lines`] splits them but
+/// read where they sit in the reader's buffer (see the module docs).
+struct Lines<R> {
+    reader: BufReader<R>,
+    /// Where the next line starts in the reader's buffered chunk.
+    at: usize,
+    /// The line last handed out, when it straddled a refill and had to be
+    /// copied out of the chunks it spans.
+    carry: Vec<u8>,
+}
+
+impl<R: Read> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines { reader: BufReader::new(reader), at: 0, carry: Vec::new() }
     }
-    let mut line = buf.as_slice();
-    if let Some(rest) = line.strip_suffix(b"\n") {
-        line = rest.strip_suffix(b"\r").unwrap_or(rest);
+
+    /// Parses the next line where it sits, if the buffered chunk holds all
+    /// of it and it is a canonical edge line ([`canonical_edge`]), and
+    /// steps past it.
+    fn canonical_edge(&mut self, n: usize) -> Option<(EdgeKind, u32, u32)> {
+        let rest = &self.reader.buffer()[self.at..];
+        let (edge, len) = canonical_prefix(rest, n)?;
+        let len = match rest[len..] {
+            [b'\n', ..] => len + 1,
+            [b'\r', b'\n', ..] => len + 2,
+            _ => return None,
+        };
+        self.at += len;
+        Some(edge)
     }
-    std::str::from_utf8(line).map(Some).map_err(|_| {
+
+    /// The next line without its `\n` or `\r\n`, or `None` at the end of
+    /// the input. A line inside the buffered chunk is returned in place;
+    /// only one that straddles a refill is copied.
+    fn next_line(&mut self) -> std::io::Result<Option<&[u8]>> {
+        self.carry.clear();
+        loop {
+            let start = self.at;
+            let rest = &self.reader.buffer()[start..];
+            if let Some(len) = rest.iter().position(|&b| b == b'\n') {
+                self.at = start + len + 1;
+                let mut line = &self.reader.buffer()[start..start + len];
+                if !self.carry.is_empty() {
+                    self.carry.extend_from_slice(line);
+                    line = &self.carry;
+                }
+                return Ok(Some(line.strip_suffix(b"\r").unwrap_or(line)));
+            }
+            // No line end in the chunk: carry its tail and refill.
+            self.carry.extend_from_slice(rest);
+            let chunk = self.reader.buffer().len();
+            self.reader.consume(chunk);
+            self.at = 0;
+            if self.refill()? == 0 {
+                return Ok((!self.carry.is_empty()).then_some(self.carry.as_slice()));
+            }
+        }
+    }
+
+    /// Reads the next chunk into the emptied buffer and returns its length,
+    /// 0 at the end of the input. An interrupted read is retried, as
+    /// [`BufRead::read_until`] retries it.
+    fn refill(&mut self) -> std::io::Result<usize> {
+        loop {
+            match self.reader.fill_buf() {
+                Ok(chunk) => return Ok(chunk.len()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// `line` as text, checked for UTF-8 as [`BufRead::lines`] checks it.
+fn utf8(line: &[u8]) -> std::io::Result<&str> {
+    std::str::from_utf8(line).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
     })
 }
@@ -615,10 +688,11 @@ fn read_augmented_impl<R: Read>(
     lenient: bool,
     guards: IngestGuards,
 ) -> Result<(AugmentedGraph, LoadStats), AugmentedIoError> {
-    let mut reader = BufReader::new(reader);
-    let mut buf = Vec::new();
-    let header = next_line(&mut reader, &mut buf)?
-        .ok_or_else(|| AugmentedIoError::BadHeader { found: "<empty file>".to_string() })?;
+    let mut lines = Lines::new(reader);
+    let header = match lines.next_line()? {
+        Some(line) => utf8(line)?,
+        None => return Err(AugmentedIoError::BadHeader { found: "<empty file>".to_string() }),
+    };
     let n: usize = header
         .strip_prefix(HEADER_PREFIX)
         .and_then(|rest| rest.trim().parse().ok())
@@ -659,16 +733,23 @@ fn read_augmented_impl<R: Read>(
     let mut lineno = 1;
     loop {
         lineno += 1;
-        let line = match next_line(&mut reader, &mut buf) {
+        if let Some(edge) = lines.canonical_edge(n) {
+            load.edge(lineno, edge)?;
+            continue;
+        }
+        // I/O errors, invalid UTF-8 among them, are fatal in both modes.
+        let line = match lines.next_line() {
             Ok(Some(line)) => line,
             Ok(None) => break,
-            // I/O errors are fatal in both modes.
             Err(e) => return Err(load.fail(e.into())),
         };
-        let edge = match canonical_edge(line.as_bytes(), n) {
+        let edge = match canonical_edge(line, n) {
             Some(edge) => edge,
             None => {
-                let trimmed = line.trim();
+                let trimmed = match utf8(line) {
+                    Ok(line) => line.trim(),
+                    Err(e) => return Err(load.fail(e.into())),
+                };
                 if trimmed.is_empty() || trimmed.starts_with('#') {
                     continue;
                 }

@@ -11,6 +11,7 @@ use rejection::io::{
 };
 use rejection::AugmentedGraph;
 use std::collections::BTreeSet;
+use std::io::Read;
 
 const HEADER: &str = "# rejecto augmented graph v1: nodes=";
 
@@ -67,12 +68,44 @@ fn outcome(result: Result<(AugmentedGraph, LoadStats), AugmentedIoError>) -> Out
     }
 }
 
-/// The loader under test, strict or lenient, as an [`Outcome`].
+/// The loader under test, strict or lenient, as an [`Outcome`]. Each
+/// input is loaded twice: from one slice, and through [`Trickle`], whose
+/// refills split ids, `\r\n` pairs, invalid UTF-8 and an unterminated
+/// last line, and whose interrupted reads must be retried; both loads
+/// must agree.
 fn real_load(input: &[u8], lenient: bool, guards: IngestGuards) -> Outcome {
-    if lenient {
-        outcome(read_augmented_lenient_guarded(input, guards))
-    } else {
-        outcome(read_augmented_guarded(input, guards).map(|g| (g, LoadStats::default())))
+    let load = |reader: &mut dyn Read| {
+        if lenient {
+            outcome(read_augmented_lenient_guarded(reader, guards))
+        } else {
+            outcome(read_augmented_guarded(reader, guards).map(|g| (g, LoadStats::default())))
+        }
+    };
+    let whole = load(&mut &input[..]);
+    let trickled = load(&mut Trickle { rest: input, next: input.len() % 8 });
+    assert_eq!(trickled, whole, "a load read in 1- to 7-byte pieces differs");
+    whole
+}
+
+/// A reader that cycles through handing out 1 to 7 bytes per call and
+/// then one interrupted read, from where `next` starts.
+struct Trickle<'a> {
+    rest: &'a [u8],
+    next: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.next % 8;
+        self.next += 1;
+        if step == 7 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let len = (step + 1).min(buf.len()).min(self.rest.len());
+        let (piece, rest) = self.rest.split_at(len);
+        buf[..len].copy_from_slice(piece);
+        self.rest = rest;
+        Ok(len)
     }
 }
 

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Full experiment campaign; logs under results/logs/.
 set -u
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 mkdir -p results/logs
 run() {
   local name=$1; shift
