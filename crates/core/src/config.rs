@@ -66,17 +66,19 @@ pub enum InitialPlacement {
     RejectionRatio(f64),
 }
 
+/// Lower end of the geometric `k` sweep (friends-to-rejections ratio).
+const K_MIN: f64 = 0.05;
+/// Upper end of the geometric `k` sweep.
+const K_MAX: f64 = 20.0;
+/// Denominator resolution for rationalizing `k` (exact integer gains).
+const K_DENOMINATOR: u64 = 64;
+
 /// Configuration of the Rejecto detection pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RejectoConfig {
-    /// Lower end of the geometric `k` sweep (friends-to-rejections ratio).
-    pub k_min: f64,
-    /// Upper end of the geometric `k` sweep.
-    pub k_max: f64,
-    /// Geometric factor between consecutive `k` values (> 1).
+    /// Geometric factor between consecutive `k` values (> 1) of the sweep
+    /// from `K_MIN` to `K_MAX`.
     pub k_factor: f64,
-    /// Denominator resolution for rationalizing `k` (exact integer gains).
-    pub k_denominator: u64,
     /// Cap on KL passes per `k`.
     pub max_kl_passes: usize,
     /// KL warm start.
@@ -117,10 +119,7 @@ impl Default for RejectoConfig {
     /// `[0.05, 20]` brackets every cut of interest with margin.
     fn default() -> Self {
         RejectoConfig {
-            k_min: 0.05,
-            k_max: 20.0,
             k_factor: 1.5,
-            k_denominator: 64,
             max_kl_passes: 16,
             initial_placement: InitialPlacement::RejectionRatio(0.5),
             max_suspect_fraction: 0.6,
@@ -132,14 +131,14 @@ impl Default for RejectoConfig {
 }
 
 impl RejectoConfig {
-    /// The rationalized geometric `k` sweep this config describes.
+    /// The rationalized geometric `k` sweep from `K_MIN` to `K_MAX`
+    /// in steps of `k_factor`.
     ///
     /// # Panics
     ///
-    /// Panics if the bounds or factor are invalid (see
-    /// [`KParam::geometric_sequence`]).
+    /// Panics if `k_factor` is invalid (see [`KParam::geometric_sequence`]).
     pub fn k_sweep(&self) -> Vec<KParam> {
-        KParam::geometric_sequence(self.k_min, self.k_max, self.k_factor, self.k_denominator)
+        KParam::geometric_sequence(K_MIN, K_MAX, self.k_factor, K_DENOMINATOR)
     }
 
     /// The sweep worker count this config resolves to: `threads`, or the

@@ -18,8 +18,12 @@
 //!   truncation, or appended garbage, and names the offending byte
 //!   offset.
 //! * [`CheckpointStore`] — generational retention: each productive round
-//!   writes `<stem>.gen-<round>.json`, a framed `<stem>.manifest` is
-//!   rewritten last (the commit point), and old generations are pruned
+//!   writes `<stem>.gen-<round>.json` through [`atomic_write`], and the
+//!   stem's directory is the only index of what exists. A generation
+//!   file that exists is complete (the rename is the commit point) and
+//!   checks itself (its frame), so no separate list of generations is
+//!   kept. A save drops every generation numbered above its round (they
+//!   belong to an earlier run of the same stem) and prunes older ones
 //!   beyond a keep budget. [`CheckpointStore::load_latest_valid`] walks
 //!   generations newest-first past corrupt frames, recording each skip
 //!   as a [`RuntimeError::CheckpointCorrupt`], so one mangled file costs
@@ -42,12 +46,6 @@ use std::sync::OnceLock;
 
 /// Magic header naming the integrity-frame format.
 pub const FRAME_MAGIC: &str = "rejecto-ckpt-frame/v1";
-
-/// Magic `format` value of the generation manifest document.
-pub const MANIFEST_FORMAT: &str = "rejecto-ckpt-manifest";
-
-/// Manifest schema version this build writes and reads.
-pub const MANIFEST_VERSION: u64 = 1;
 
 /// Default number of checkpoint generations retained (`--checkpoint-keep`).
 pub const DEFAULT_CHECKPOINT_KEEP: usize = 3;
@@ -423,9 +421,9 @@ pub struct StoreResume {
     pub checkpoint: Checkpoint,
     /// The file it came from.
     pub path: PathBuf,
-    /// One [`RuntimeError::CheckpointCorrupt`] per newer generation (or
-    /// manifest) that was skipped, newest first. Empty when the newest
-    /// generation was used directly.
+    /// One [`RuntimeError::CheckpointCorrupt`] per newer generation that
+    /// was skipped, newest first. Empty when the newest generation was
+    /// used directly.
     pub skipped: Vec<RuntimeError>,
 }
 
@@ -439,9 +437,9 @@ impl StoreResume {
 /// The generational checkpoint store for one stem path.
 ///
 /// `--checkpoint <stem>` writes `<stem>.gen-<round>.json` after every
-/// productive round plus a framed `<stem>.manifest` naming the live
-/// generations; `--resume <stem>` loads the newest generation whose
-/// frame and JSON both validate, falling back generation-by-generation.
+/// productive round; `--resume <stem>` scans the stem's directory and
+/// loads the newest generation whose frame and JSON both validate,
+/// falling back generation-by-generation.
 /// A plain pre-generational checkpoint file at `<stem>` itself (framed
 /// or legacy raw JSON) still resumes, so old artifacts keep working.
 #[derive(Debug, Clone)]
@@ -510,23 +508,32 @@ impl CheckpointStore {
         sibling(&self.stem, &format!(".gen-{round}.json"))
     }
 
-    /// `<stem>.manifest`, the framed document naming live generations.
-    pub fn manifest_path(&self) -> PathBuf {
-        sibling(&self.stem, ".manifest")
-    }
-
-    /// Persists `ckpt` as the generation for its round count: writes the
-    /// generation file atomically, rewrites the manifest (the commit
-    /// point — a crash in between leaves the previous manifest naming
-    /// only fully-written generations), then prunes generations beyond
-    /// the keep budget.
+    /// Persists `ckpt` as the generation for its round count `r`:
+    /// removes every generation numbered above `r` (left by an earlier
+    /// run of the same stem, so a resume can never pick it over this
+    /// run's state), writes generation `r` atomically, then prunes the
+    /// older generations beyond the keep budget.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when a write step fails. Pruning is
-    /// best-effort: a surviving stale file is garbage, not corruption.
+    /// [`StoreError::Io`] when removing a newer generation or writing
+    /// this one fails; [`StoreError::OverBudget`] when the frame exceeds
+    /// the byte ceiling (nothing is written). Pruning older generations
+    /// is best-effort: a surviving stale file is garbage, not corruption.
     pub fn save(&self, ckpt: &Checkpoint) -> Result<(), StoreError> {
         let round = ckpt.rounds;
+        let mut generations = self.scan_generations();
+        for &newer in generations.iter().filter(|&&g| g > round) {
+            let path = self.generation_path(newer);
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(io_err(&path, "remove newer generation", &e));
+                }
+                _ => {}
+            }
+        }
+        generations.retain(|&g| g < round);
+
         let gen_path = self.generation_path(round);
         let payload = format!("{}\n", ckpt.to_json());
         let mut bytes = encode_frame(payload.as_bytes());
@@ -539,26 +546,17 @@ impl CheckpointStore {
         }
         atomic_write(&gen_path, &bytes)?;
 
-        let mut generations = self.live_generations();
-        if !generations.contains(&round) {
-            generations.push(round);
-        }
-        generations.sort_unstable();
-        let prune: Vec<usize> = if generations.len() > self.keep {
-            generations.drain(..generations.len() - self.keep).collect()
-        } else {
-            Vec::new()
-        };
-        self.write_manifest(&generations)?;
-        for old in prune {
+        let excess = (generations.len() + 1).saturating_sub(self.keep);
+        for &old in &generations[..excess] {
             let _ = std::fs::remove_file(self.generation_path(old));
         }
         Ok(())
     }
 
-    /// Resolves the newest valid checkpoint for this stem (module docs:
-    /// manifest first, then a directory scan, then the plain stem file),
-    /// skipping corrupt generations newest-first and recording each skip.
+    /// Resolves the newest valid checkpoint for this stem: the
+    /// generations a directory scan finds, newest first, skipping and
+    /// recording each corrupt one; the plain stem file when there are no
+    /// generations at all.
     ///
     /// # Errors
     ///
@@ -567,33 +565,13 @@ impl CheckpointStore {
     /// file exists and it fails; [`StoreError::Io`] when nothing
     /// resumable exists at all.
     pub fn load_latest_valid(&self) -> Result<StoreResume, StoreError> {
-        let mut skipped: Vec<RuntimeError> = Vec::new();
-        let manifest_path = self.manifest_path();
-        let mut candidates: Option<Vec<usize>> = None;
-
-        if manifest_path.exists() {
-            match self.read_manifest() {
-                Ok(generations) => candidates = Some(generations),
-                Err(e) => {
-                    // A corrupt manifest degrades to a directory scan —
-                    // the generations themselves are still individually
-                    // verifiable.
-                    self.count_skip();
-                    skipped.push(e.into());
-                    candidates = Some(self.scan_generations());
-                }
-            }
-        } else if !self.scan_generations().is_empty() {
-            candidates = Some(self.scan_generations());
-        }
-
-        let Some(mut generations) = candidates else {
+        let generations = self.scan_generations();
+        if generations.is_empty() {
             // No generational artifacts: fall back to a plain (framed or
             // legacy raw-JSON) checkpoint file at the stem itself.
             return self.load_plain();
-        };
-
-        generations.sort_unstable();
+        }
+        let mut skipped: Vec<RuntimeError> = Vec::new();
         for &round in generations.iter().rev() {
             let path = self.generation_path(round);
             match self.load_generation(&path) {
@@ -606,7 +584,9 @@ impl CheckpointStore {
                     return Ok(StoreResume { checkpoint, path, skipped });
                 }
                 Err(e) => {
-                    self.count_skip();
+                    if let Some(obs) = &self.obs {
+                        obs.volatile_incr("ckpt/corrupt_skipped", 1);
+                    }
                     skipped.push(e.into());
                 }
             }
@@ -682,62 +662,6 @@ impl CheckpointStore {
         Ok(StoreResume { checkpoint, path: path.clone(), skipped: Vec::new() })
     }
 
-    /// The generation list to build the next manifest from: the current
-    /// manifest when it verifies, a directory scan otherwise. Never
-    /// fails — an unreadable manifest just means rediscovery.
-    fn live_generations(&self) -> Vec<usize> {
-        match self.read_manifest() {
-            Ok(generations) => generations,
-            Err(_) => self.scan_generations(),
-        }
-    }
-
-    /// Generation rounds named by the manifest, verified and parsed.
-    fn read_manifest(&self) -> Result<Vec<usize>, StoreError> {
-        let path = self.manifest_path();
-        let bytes = std::fs::read(&path).map_err(|e| io_err(&path, "read", &e))?;
-        let corrupt = |offset: usize, message: String| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset,
-            message,
-        };
-        let payload =
-            decode_frame(&bytes).map_err(|e| corrupt(e.offset, e.message.clone()))?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| corrupt(e.valid_up_to(), "framed payload is not utf-8".to_string()))?;
-        let doc: serde_json::Value = serde_json::from_str(text)
-            .map_err(|e| corrupt(0, format!("manifest is not valid JSON: {e}")))?;
-        if doc.get("format").and_then(serde_json::Value::as_str) != Some(MANIFEST_FORMAT) {
-            return Err(corrupt(0, format!("missing `format: {MANIFEST_FORMAT}` marker")));
-        }
-        if doc.get("version").and_then(serde_json::Value::as_u64) != Some(MANIFEST_VERSION) {
-            return Err(corrupt(0, "unsupported manifest version".to_string()));
-        }
-        let rounds = doc
-            .get("generations")
-            .and_then(serde_json::Value::as_array)
-            .ok_or_else(|| corrupt(0, "missing `generations` array".to_string()))?;
-        rounds
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|r| usize::try_from(r).ok())
-                    .ok_or_else(|| corrupt(0, "non-integer generation entry".to_string()))
-            })
-            .collect()
-    }
-
-    /// Rewrites the manifest naming exactly `generations`.
-    fn write_manifest(&self, generations: &[usize]) -> Result<(), StoreError> {
-        let doc = serde_json::json!({
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "generations": generations,
-        });
-        let payload = format!("{doc}\n");
-        atomic_write(&self.manifest_path(), &encode_frame(payload.as_bytes()))
-    }
-
     /// Generation rounds discovered by scanning the stem's directory for
     /// `<stem file name>.gen-<round>.json` siblings, ascending.
     fn scan_generations(&self) -> Vec<usize> {
@@ -763,12 +687,6 @@ impl CheckpointStore {
         rounds.sort_unstable();
         rounds.dedup();
         rounds
-    }
-
-    fn count_skip(&self) {
-        if let Some(obs) = &self.obs {
-            obs.volatile_incr("ckpt/corrupt_skipped", 1);
-        }
     }
 }
 
@@ -989,17 +907,29 @@ mod tests {
         }
     }
 
+    /// Older builds also wrote a `<stem>.manifest` listing the
+    /// generations; one left behind changes neither what a save keeps nor
+    /// what a resume loads.
     #[test]
-    fn corrupt_manifest_degrades_to_a_directory_scan() {
+    fn a_leftover_manifest_is_ignored() {
         let dir = tmpdir("manifest");
-        let store = CheckpointStore::new(dir.join("run.ckpt"));
-        store.save(&sample_checkpoint(1)).expect("save succeeds");
-        store.save(&sample_checkpoint(2)).expect("save succeeds");
-        std::fs::write(store.manifest_path(), b"not a manifest at all")
-            .expect("fixture overwrite succeeds");
-        let resume = store.load_latest_valid().expect("scan finds the generations");
-        assert_eq!(resume.checkpoint.rounds, 2);
-        assert!(resume.fell_back(), "manifest corruption is a recorded fallback");
+        let stem = dir.join("run.ckpt");
+        let manifest = dir.join("run.ckpt.manifest");
+        std::fs::write(&manifest, b"not a manifest at all").expect("fixture file is writable");
+        let store = CheckpointStore::new(&stem).with_keep(2);
+        for rounds in 1..=3 {
+            store.save(&sample_checkpoint(rounds)).expect("save succeeds");
+        }
+        assert!(!store.generation_path(1).exists(), "generation 1 pruned");
+        assert!(store.generation_path(2).exists());
+        assert!(store.generation_path(3).exists());
+        let resume = store.load_latest_valid().expect("the newest generation loads");
+        assert_eq!(resume.checkpoint.rounds, 3);
+        assert!(resume.skipped.is_empty(), "the manifest is no candidate: {:?}", resume.skipped);
+        assert_eq!(
+            std::fs::read(&manifest).expect("the leftover is untouched"),
+            b"not a manifest at all"
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::path::PathBuf;
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("rejecto-store-it-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir is creatable");
     dir
 }
@@ -214,7 +215,7 @@ fn mangled_newest_generation_resumes_identically() {
 }
 
 /// Generational retention under a real run: `with_keep(1)` leaves exactly
-/// the newest generation plus the manifest on disk.
+/// the newest generation on disk.
 #[test]
 fn keep_budget_prunes_older_generations_during_a_run() {
     let g = multi_round_graph();
@@ -226,6 +227,38 @@ fn keep_budget_prunes_older_generations_during_a_run() {
     let resume = store.load_latest_valid().expect("newest generation loads");
     assert!(!resume.fell_back());
     assert!(resume.checkpoint.rounds >= 2);
+}
+
+/// A rerun into a used stem owns it from its first save: run A saves
+/// rounds 1–5, run B (another graph) then saves round 1 to the same stem.
+/// B's generation survives, A's newer generations are gone, and resume
+/// returns B's state rather than continuing A's round 5.
+#[test]
+fn a_rerun_replaces_the_newer_generations_of_an_earlier_run() {
+    let dir = tmpdir("rerun");
+    let store = CheckpointStore::new(dir.join("run.ckpt"));
+    let a = multi_round_graph();
+    for rounds in 1..=5 {
+        let report = DetectionReport { rounds, ..DetectionReport::default() };
+        store.save(&Checkpoint::capture(&a, &report)).expect("run A saves");
+    }
+    let b_ckpt = Checkpoint::capture(
+        &AugmentedGraphBuilder::new(3).build(),
+        &DetectionReport { rounds: 1, ..DetectionReport::default() },
+    );
+    store.save(&b_ckpt).expect("run B saves");
+
+    assert!(store.generation_path(1).exists(), "run B's own generation must survive");
+    let resume = store.load_latest_valid().expect("run B's generation loads");
+    assert_eq!(resume.checkpoint, b_ckpt, "resume must continue run B, not run A");
+    assert!(resume.skipped.is_empty());
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("stem directory is listable")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["run.ckpt.gen-1.json"], "no other generation may remain");
 }
 
 /// Obs counters reconcile with the injected faults: one mangled

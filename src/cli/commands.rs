@@ -219,8 +219,8 @@ fn check_seeds(seeds: &[NodeId], n: usize) -> Result<(), CliError> {
 /// dropping it would overstate recall.
 fn read_truth(path: &str, n: usize) -> Result<Vec<bool>, CliError> {
     let mut is_fake = vec![false; n];
-    for (i, line) in BufReader::new(File::open(path)?).lines().enumerate() {
-        let line = line?;
+    for (i, line) in BufReader::new(open_file(path)?).lines().enumerate() {
+        let line = line.map_err(|e| CliError(format!("{path}:{}: {e}", i + 1)))?;
         let t = line.trim();
         if t.is_empty() {
             continue;
@@ -309,6 +309,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         reject_conflicts: false,
     };
     let (g, load_stats) = load_augmented(&graph_path, lenient, guards)?;
+    let truth = truth_path.map(|p| read_truth(&p, g.num_nodes()).map(|t| (p, t))).transpose()?;
     if load_stats.is_degraded() {
         if let Some(obs) = &obs {
             let skipped =
@@ -351,9 +352,9 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         config.faults = FaultPlan::parse(spec).map_err(|e| CliError(format!("--inject: {e}")))?;
     }
 
-    // The durable store behind `--checkpoint`: generation files plus a
-    // framed manifest, with any armed torn-write/bit-flip mangles and the
-    // metrics registry attached.
+    // The durable store behind `--checkpoint`: one framed generation file
+    // per productive round, with any armed torn-write/bit-flip mangles and
+    // the metrics registry attached.
     let store = checkpoint_path.as_ref().map(|p| {
         let mut s = CheckpointStore::new(p)
             .with_faults(Faults::new(&config.faults))
@@ -498,8 +499,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         }
     }
 
-    if let Some(path) = truth_path {
-        let is_fake = read_truth(&path, g.num_nodes())?;
+    if let Some((path, is_fake)) = truth {
         let suspects = report.suspects();
         let idx: Vec<usize> = suspects.iter().map(|s| s.index()).collect();
         let pr = eval::precision_recall(&idx, &is_fake);
@@ -586,8 +586,8 @@ fn votetrust_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> 
 
     let mut requests: Vec<(NodeId, NodeId, bool)> = Vec::new();
     let mut max_id = 0u32;
-    for (i, line) in BufReader::new(File::open(&log_path)?).lines().enumerate() {
-        let line = line?;
+    for (i, line) in BufReader::new(open_file(&log_path)?).lines().enumerate() {
+        let line = line.map_err(|e| CliError(format!("{log_path}:{}: {e}", i + 1)))?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
@@ -661,6 +661,7 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
 
     let g = rejection::io::read_augmented(open_file(&graph_path)?)
         .map_err(|e| e.in_file(&graph_path))?;
+    let is_fake = truth_path.map(|p| read_truth(&p, g.num_nodes())).transpose()?;
     if seeds.is_empty() {
         return Err(CliError("defense needs at least one --seeds id".to_string()));
     }
@@ -680,24 +681,11 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     for s in &pruned {
         keep[s.index()] = false;
     }
-    let kept: Vec<NodeId> = g.nodes().filter(|u| keep[u.index()]).collect();
-    let mut new_id = vec![u32::MAX; g.num_nodes()];
-    for (i, &u) in kept.iter().enumerate() {
-        new_id[u.index()] = i as u32;
-    }
-    let mut b = socialgraph::GraphBuilder::new(kept.len());
-    for &u in &kept {
-        for &v in g.friends(u) {
-            if u < v && keep[v.index()] {
-                b.add_edge(NodeId(new_id[u.index()]), NodeId(new_id[v.index()]));
-            }
-        }
-    }
-    let sterilized = b.build();
+    let (kept_graph, kept) = g.induced_subgraph(&keep);
+    let sterilized = kept_graph.friendship_graph();
     let mapped_seeds: Vec<NodeId> = seeds
         .iter()
-        .filter(|s| keep[s.index()])
-        .map(|s| NodeId(new_id[s.index()]))
+        .filter_map(|s| kept.binary_search(s).ok().map(NodeId::from_index))
         .collect();
     if mapped_seeds.is_empty() {
         return Err(CliError("all seeds were pruned; supply known-legit seeds".to_string()));
@@ -712,8 +700,7 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         sterilized.num_nodes()
     )?;
 
-    if let Some(path) = truth_path {
-        let is_fake = read_truth(&path, g.num_nodes())?;
+    if let Some(is_fake) = is_fake {
         let auc_before = before.auc(&is_fake);
         let kept_fake: Vec<bool> = kept.iter().map(|u| is_fake[u.index()]).collect();
         let auc_after = after.auc(&kept_fake);
@@ -731,11 +718,6 @@ pub fn run_to_string(command: &str, args: &[&str]) -> Result<String, CliError> {
     let mut buf = Vec::new();
     run(command, &raw, &mut buf)?;
     Ok(String::from_utf8(buf).expect("utf-8 output"))
-}
-
-#[allow(unused)]
-fn _path_exists(p: &Path) -> bool {
-    p.exists()
 }
 
 #[cfg(test)]

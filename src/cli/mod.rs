@@ -84,11 +84,11 @@ COMMANDS:
                                       the offending round is rolled back
                                       and the run reports a partial result
                                       (deterministic)
-                --checkpoint <stem>   write checksummed checkpoint
-                                      generations (<stem>.gen-<round>.json
-                                      plus <stem>.manifest) after every
-                                      completed round, each via the atomic
-                                      write protocol
+                --checkpoint <stem>   write a checksummed checkpoint
+                                      generation (<stem>.gen-<round>.json)
+                                      after every completed round, via the
+                                      atomic write protocol; a rerun drops
+                                      the stem's generations above its round
                 --checkpoint-keep <n> checkpoint generations retained
                                       before pruning [default 3]
                                       (needs --checkpoint)

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rejecto_core::{IterativeDetector, RejectoConfig, Seeds, Termination};
 use simulator::{sample_seeds, SimOutput};
-use socialgraph::{GraphBuilder, NodeId};
+use socialgraph::NodeId;
 use sybilrank::{SybilRank, SybilRankConfig};
 use votetrust::{RequestGraph, VoteTrust, VoteTrustConfig};
 
@@ -100,32 +100,15 @@ pub fn defense_in_depth(sim: &SimOutput, cfg: &PipelineConfig, removed: usize) -
     }
 
     // Induce the sterilized friendship graph on the kept nodes.
-    let kept: Vec<NodeId> = sim
-        .graph
-        .nodes()
-        .filter(|u| keep[u.index()])
-        .collect();
-    let mut new_id = vec![u32::MAX; sim.graph.num_nodes()];
-    for (i, &u) in kept.iter().enumerate() {
-        new_id[u.index()] = i as u32;
-    }
-    let mut b = GraphBuilder::new(kept.len());
-    for &u in &kept {
-        for &v in sim.graph.friends(u) {
-            if u < v && keep[v.index()] {
-                b.add_edge(NodeId(new_id[u.index()]), NodeId(new_id[v.index()]));
-            }
-        }
-    }
-    let graph = b.build();
+    let (kept_graph, kept) = sim.graph.induced_subgraph(&keep);
+    let graph = kept_graph.friendship_graph();
 
     // Trust seeds: the sampled legitimate seeds that survived pruning.
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let (legit, _) = sample_seeds(sim, cfg.num_legit_seeds.max(1), 0, &mut rng);
     let seeds: Vec<NodeId> = legit
         .iter()
-        .filter(|s| keep[s.index()])
-        .map(|s| NodeId(new_id[s.index()]))
+        .filter_map(|s| kept.binary_search(s).ok().map(NodeId::from_index))
         .collect();
     if seeds.is_empty() {
         return 0.5;

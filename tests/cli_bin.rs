@@ -176,3 +176,64 @@ fn truth_id_past_the_graph_is_rejected_not_dropped() {
         assert_eq!(stderr.trim_end(), want, "{}", cmd[0]);
     }
 }
+
+/// Runs `args`, expecting exit 1 with an error that starts with `what` and
+/// nothing on stdout (the file is read before any work is done).
+fn assert_error_names(args: &[&str], what: &str) {
+    let out = bin().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+    assert!(stderr.starts_with(&format!("error: {what}: ")), "{}: {stderr}", args[0]);
+    assert!(out.stdout.is_empty(), "{}: {}", args[0], String::from_utf8_lossy(&out.stdout));
+}
+
+fn simulated_graph(name: &str) -> (PathBuf, String) {
+    let dir = workdir(name);
+    let stem = dir.join("run");
+    let stem = stem.to_str().expect("utf-8 temp path");
+    run_ok(bin().args([
+        "simulate", "--out", stem, "--scale", "0.02", "--fakes", "60", "--seed", "7",
+    ]));
+    (dir, format!("{stem}.rjg"))
+}
+
+#[test]
+fn detect_names_a_missing_truth_file_before_detecting() {
+    let (dir, graph) = simulated_graph("detect-no-truth");
+    let truth = dir.join("absent.truth");
+    let truth = truth.to_str().expect("utf-8 temp path");
+    assert_error_names(
+        &["detect", "--graph", &graph, "--budget", "60", "--truth", truth],
+        truth,
+    );
+}
+
+#[test]
+fn defense_names_a_missing_truth_file_before_detecting() {
+    let (dir, graph) = simulated_graph("defense-no-truth");
+    let truth = dir.join("absent.truth");
+    let truth = truth.to_str().expect("utf-8 temp path");
+    assert_error_names(
+        &["defense", "--graph", &graph, "--seeds", "0", "--budget", "60", "--truth", truth],
+        truth,
+    );
+}
+
+#[test]
+fn votetrust_names_a_missing_log_file() {
+    let log = workdir("votetrust-no-log").join("absent.requests");
+    let log = log.to_str().expect("utf-8 temp path");
+    assert_error_names(&["votetrust", "--log", log], log);
+}
+
+#[test]
+fn a_truth_line_that_cannot_be_read_names_the_file_and_line() {
+    let (dir, graph) = simulated_graph("truth-not-utf8");
+    let truth = dir.join("bad.truth");
+    std::fs::write(&truth, b"1\n\xff\xfe\n").expect("write truth file");
+    let truth = truth.to_str().expect("utf-8 temp path");
+    assert_error_names(
+        &["detect", "--graph", &graph, "--budget", "60", "--truth", truth],
+        &format!("{truth}:2"),
+    );
+}
