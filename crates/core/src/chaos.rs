@@ -57,45 +57,21 @@ impl ChaosRng {
     }
 }
 
-/// Bounds on the schedules [`ChaosPlan::generate`] draws. Defaults match
-/// the harness fixture (a few pruning rounds, a ~15-entry `k` sweep, one
-/// or two fetch batches a round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosProfile {
-    /// Most faults composed into one plan (at least 1 is always drawn).
-    pub max_faults: usize,
-    /// Round-indexed faults draw rounds in `1..=max_round`.
-    pub max_round: usize,
-    /// Sweep-indexed faults draw indices in `0..max_k_index`.
-    pub max_k_index: usize,
-    /// Worker deaths draw fetch batches in `1..max_fetch`; hangs always
-    /// land on fetch 1. The harness fixtures (230–260 users) fit a
-    /// round's first prefetch batch and a read-ahead, so their longest
-    /// round makes 2 fetch batches at 1 and 4 workers alike.
-    pub max_fetch: u64,
-    /// Whether `deadline=` directives may be drawn. Deadline trips are
-    /// wall-clock dependent, so plans carrying one forfeit every
-    /// byte-compare invariant; the harness still soaks them for clean
-    /// termination.
-    pub allow_deadline: bool,
-}
+// Bounds on the schedules `ChaosPlan::generate` draws, sized for the
+// harness fixture (a few pruning rounds, a ~15-entry `k` sweep, one or two
+// fetch batches a round).
 
-impl Default for ChaosProfile {
-    fn default() -> Self {
-        ChaosProfile {
-            max_faults: 4,
-            max_round: 4,
-            max_k_index: 10,
-            max_fetch: 3,
-            allow_deadline: true,
-        }
-    }
-}
-
-/// The plan generator draws bounds from `usize`-typed profile fields.
-fn as_u64(n: usize) -> u64 {
-    u64::try_from(n).expect("usize fits in u64 on every supported target")
-}
+/// Most faults composed into one plan (at least 1 is always drawn).
+const MAX_FAULTS: u64 = 4;
+/// Round-indexed faults draw rounds in `1..=MAX_ROUND`.
+const MAX_ROUND: u64 = 4;
+/// Sweep-indexed faults draw indices in `0..MAX_K_INDEX`.
+const MAX_K_INDEX: u64 = 10;
+/// Worker deaths draw fetch batches in `1..MAX_FETCH`; hangs always land
+/// on fetch 1. The harness fixtures (230–260 users) fit a round's first
+/// prefetch batch and a read-ahead, so their longest round makes 2 fetch
+/// batches at 1 and 4 workers alike.
+const MAX_FETCH: u64 = 3;
 
 /// One seed's expanded schedule plus the invariant classification the
 /// harness keys on.
@@ -108,43 +84,43 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// Expands `seed` into a composite schedule within `profile`'s bounds.
-    /// Pure: the same `(seed, profile)` always yields the same plan.
-    pub fn generate(seed: u64, profile: &ChaosProfile) -> ChaosPlan {
+    /// Expands `seed` into a composite schedule. Pure: the same seed
+    /// always yields the same plan. A `deadline=` directive may be drawn:
+    /// deadline trips are wall-clock dependent, so such a plan forfeits
+    /// every byte-compare invariant and is soaked for clean termination.
+    pub fn generate(seed: u64) -> ChaosPlan {
         let mut rng = ChaosRng::new(seed);
         let mut faults = FaultPlan::none();
         let mut taken: Vec<(&'static str, u64)> = Vec::new();
-        let want = 1 + usize::try_from(rng.below(as_u64(profile.max_faults.max(1))))
-            .expect("fault count fits in usize");
+        let want = 1 + usize::try_from(rng.below(MAX_FAULTS)).expect("fault count fits in usize");
         // Bounded rejection sampling: a draw landing on an armed injection
-        // point is discarded. The attempt cap keeps generation total even
-        // for tiny profiles where every point is already armed.
+        // point is discarded. The attempt cap keeps generation total.
         let mut attempts = 0;
         while faults.faults().len() < want && attempts < 64 {
             attempts += 1;
-            let fault = match rng.below(if profile.allow_deadline { 7 } else { 6 }) {
+            let fault = match rng.below(7) {
                 0 => Fault::WorkerPanic {
-                    k_index: usize::try_from(rng.below(as_u64(profile.max_k_index.max(1))))
+                    k_index: usize::try_from(rng.below(MAX_K_INDEX))
                         .expect("sweep index fits in usize"),
                     persistent: rng.chance(1, 3),
                 },
                 1 => Fault::CheckpointIoError {
-                    round: usize::try_from(rng.range(1, as_u64(profile.max_round) + 1))
+                    round: usize::try_from(rng.range(1, MAX_ROUND + 1))
                         .expect("round fits in usize"),
                 },
                 2 => Fault::WorkerDeath {
-                    fetch: rng.range(1, profile.max_fetch.max(2)),
+                    fetch: rng.range(1, MAX_FETCH),
                     deaths: u32::try_from(rng.range(1, 4)).expect("death count fits in u32"),
                 },
                 // Fetch 1 is the one fetch every distributed round makes
                 // (these fixtures often make no second), so the hang fires.
                 3 => Fault::WorkerHang { fetch: 1 },
                 4 => Fault::TornWrite {
-                    round: usize::try_from(rng.range(1, as_u64(profile.max_round) + 1))
+                    round: usize::try_from(rng.range(1, MAX_ROUND + 1))
                         .expect("round fits in usize"),
                 },
                 5 => Fault::BitFlip {
-                    round: usize::try_from(rng.range(1, as_u64(profile.max_round) + 1))
+                    round: usize::try_from(rng.range(1, MAX_ROUND + 1))
                         .expect("round fits in usize"),
                 },
                 _ => Fault::Deadline { millis: rng.range(5, 120) },
@@ -192,16 +168,13 @@ impl ChaosPlan {
     }
 
     /// Whether local and distributed legs of this plan must agree
-    /// byte-for-byte (and hence also reconcile stripped metrics).
+    /// byte-for-byte (and hence also reconcile stripped metrics), and
+    /// whether a kill-and-resume leg must reproduce the uninterrupted run
+    /// byte-for-byte. Persistent panics are excluded from both: the
+    /// distributed runtime absorbs worker loss differently, and their
+    /// recorded failures straddle the checkpoint boundary, so a resumed
+    /// report legitimately carries a different failure tally.
     pub fn cross_runtime_comparable(&self) -> bool {
-        !self.has_deadline() && !self.has_persistent_panic()
-    }
-
-    /// Whether a kill-and-resume leg under this plan must reproduce the
-    /// uninterrupted run byte-for-byte. Persistent panics are excluded:
-    /// their recorded failures straddle the checkpoint boundary, so the
-    /// resumed report legitimately carries a different failure tally.
-    pub fn resume_comparable(&self) -> bool {
         !self.has_deadline() && !self.has_persistent_panic()
     }
 }
@@ -212,19 +185,17 @@ mod tests {
 
     #[test]
     fn same_seed_expands_to_the_same_plan() {
-        let profile = ChaosProfile::default();
         for seed in 0..64 {
-            let a = ChaosPlan::generate(seed, &profile);
-            let b = ChaosPlan::generate(seed, &profile);
+            let a = ChaosPlan::generate(seed);
+            let b = ChaosPlan::generate(seed);
             assert_eq!(a, b, "seed {seed} is not reproducible");
         }
     }
 
     #[test]
     fn every_generated_plan_round_trips_through_its_spec() {
-        let profile = ChaosProfile::default();
         for seed in 0..256 {
-            let plan = ChaosPlan::generate(seed, &profile);
+            let plan = ChaosPlan::generate(seed);
             assert!(!plan.faults.faults().is_empty(), "seed {seed} drew no faults");
             let spec = plan.spec();
             let reparsed = FaultPlan::parse(&spec)
@@ -235,10 +206,9 @@ mod tests {
 
     #[test]
     fn the_seed_range_covers_every_fault_kind() {
-        let profile = ChaosProfile::default();
         let mut kinds = std::collections::BTreeSet::new();
         for seed in 0..256 {
-            for f in ChaosPlan::generate(seed, &profile).faults.faults() {
+            for f in ChaosPlan::generate(seed).faults.faults() {
                 kinds.insert(f.injection_point().0);
             }
         }
@@ -250,24 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn deadline_free_profiles_never_draw_deadlines() {
-        let profile = ChaosProfile { allow_deadline: false, ..ChaosProfile::default() };
-        for seed in 0..128 {
-            let plan = ChaosPlan::generate(seed, &profile);
-            assert!(!plan.has_deadline(), "seed {seed}: {}", plan.spec());
-            assert!(plan.locally_comparable());
-        }
-    }
-
-    #[test]
     fn classification_matches_the_drawn_faults() {
         let mut plan = ChaosPlan { seed: 0, faults: FaultPlan::none() };
         plan.faults.push(Fault::WorkerDeath { fetch: 2, deaths: 1 });
-        assert!(plan.cross_runtime_comparable() && plan.resume_comparable());
+        assert!(plan.cross_runtime_comparable());
         plan.faults.push(Fault::WorkerPanic { k_index: 1, persistent: true });
         assert!(plan.locally_comparable());
         assert!(!plan.cross_runtime_comparable());
         plan.faults.push(Fault::Deadline { millis: 10 });
-        assert!(!plan.locally_comparable() && !plan.resume_comparable());
+        assert!(!plan.locally_comparable() && !plan.cross_runtime_comparable());
     }
 }

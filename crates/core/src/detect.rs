@@ -74,11 +74,9 @@ pub enum Completion {
     #[default]
     Complete,
     /// The run was interrupted at a safe boundary; `groups` holds every
-    /// fully completed round's result.
+    /// fully completed round's result, and the report's `rounds` counts
+    /// exactly the rounds that ran to completion.
     Partial {
-        /// Pruning rounds that ran to completion (equals the report's
-        /// `rounds` field).
-        completed_rounds: usize,
         /// Sweep indices of the *interrupted* round that converged before
         /// the interruption, ascending; empty when the run stopped exactly
         /// on a round boundary. Wall-clock interruptions land at
@@ -283,21 +281,18 @@ impl LoopState {
             }
         };
 
-        let partial = |completed_rounds, completed_k_indices, reason| Completion::Partial {
-            completed_rounds,
-            completed_k_indices,
-            reason,
-        };
+        let partial =
+            |completed_k_indices, reason| Completion::Partial { completed_k_indices, reason };
         let mut completion = Completion::Complete;
         let _detect_span = obs.map(|o| o.span("detect"));
 
         while report.rounds < MAX_ROUNDS {
             if config.budget.max_rounds.is_some_and(|limit| report.rounds >= limit) {
-                completion = partial(report.rounds, Vec::new(), InterruptReason::RoundBudget);
+                completion = partial(Vec::new(), InterruptReason::RoundBudget);
                 break;
             }
             if ctx.token.is_cancelled() {
-                completion = partial(report.rounds, Vec::new(), ctx.interrupt_reason());
+                completion = partial(Vec::new(), ctx.interrupt_reason());
                 break;
             }
             report.rounds += 1;
@@ -325,8 +320,7 @@ impl LoopState {
                 // The round did not finish; it does not count, and the
                 // sweep progress becomes the partial-report diagnostic.
                 report.rounds -= 1;
-                completion =
-                    partial(report.rounds, outcome.completed_k_indices, ctx.interrupt_reason());
+                completion = partial(outcome.completed_k_indices, ctx.interrupt_reason());
                 break;
             }
             // Resource budget: would accepting this round's cut condemn
@@ -346,7 +340,7 @@ impl LoopState {
                         obs.incr("res/suspect_frac_trips", 1);
                     }
                     let reason = InterruptReason::ResourceBudget;
-                    completion = partial(report.rounds, Vec::new(), reason);
+                    completion = partial(Vec::new(), reason);
                     break;
                 }
             }
@@ -639,8 +633,7 @@ mod tests {
         );
         assert_eq!(partial.rounds, 1);
         match &partial.completion {
-            Completion::Partial { completed_rounds, completed_k_indices, reason } => {
-                assert_eq!(*completed_rounds, 1);
+            Completion::Partial { completed_k_indices, reason } => {
                 assert!(completed_k_indices.is_empty(), "round boundary carries no sweep progress");
                 assert_eq!(*reason, InterruptReason::RoundBudget);
             }
@@ -701,8 +694,7 @@ mod tests {
         );
         assert!(report.is_partial());
         match &report.completion {
-            Completion::Partial { completed_rounds, reason, .. } => {
-                assert_eq!(*completed_rounds, report.rounds);
+            Completion::Partial { reason, .. } => {
                 assert_eq!(*reason, InterruptReason::Deadline);
             }
             other => panic!("expected Partial, got {other:?}"),
@@ -735,8 +727,7 @@ mod tests {
         assert_eq!(capped.groups, full.groups[..1], "admitted rounds must match the full run");
         assert_eq!(capped.rounds, 1, "the tripped round is rolled back");
         match &capped.completion {
-            Completion::Partial { completed_rounds, completed_k_indices, reason } => {
-                assert_eq!(*completed_rounds, 1);
+            Completion::Partial { completed_k_indices, reason } => {
                 assert!(completed_k_indices.is_empty());
                 assert_eq!(*reason, InterruptReason::ResourceBudget);
             }

@@ -50,7 +50,7 @@ mod pool;
 mod runtime;
 pub mod store;
 
-pub use chaos::{ChaosPlan, ChaosProfile, ChaosRng};
+pub use chaos::{ChaosPlan, ChaosRng};
 pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_VERSION};
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{

@@ -58,10 +58,11 @@ pub enum RuntimeError {
     },
     /// The distributed cluster could not serve a request even after
     /// bounded respawns and shard rebalancing (e.g. every worker is gone),
-    /// or was misconfigured. Carries the rendered
-    /// `dataflow::ClusterError`.
+    /// or was misconfigured, or could not spawn a worker thread.
     ClusterFailed {
-        /// The underlying cluster error, rendered.
+        /// What failed, e.g. `invalid cluster config: ...` or `worker 0
+        /// lost after 3 respawn attempt(s) with no survivor to rebalance
+        /// onto`.
         message: String,
     },
     /// A durable-store protocol step (temp create, fsync, rename, ...)

@@ -724,11 +724,28 @@ mod tests {
     use kl::KParam;
     use rejection::{AugmentedGraphBuilder, NodeId};
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A scratch directory, removed when the test ends (also when it fails).
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir()
             .join(format!("rejecto-store-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir is creatable");
-        dir
+        TempDir(dir)
     }
 
     fn sample_checkpoint(rounds: usize) -> Checkpoint {
@@ -813,7 +830,7 @@ mod tests {
         atomic_write(&path, b"second").expect("overwrite succeeds");
         assert_eq!(std::fs::read(&path).expect("artifact readable"), b"second");
         // No temp litter left behind.
-        let stray = std::fs::read_dir(&dir)
+        let stray = std::fs::read_dir(&*dir)
             .expect("temp dir is listable")
             .flatten()
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))

@@ -20,14 +20,31 @@ use rejecto_core::{
     Seeds, Termination,
 };
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn tmpdir(tag: &str) -> PathBuf {
+/// A scratch directory, removed when the test ends (also when it fails).
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(tag: &str) -> TempDir {
     let dir =
         std::env::temp_dir().join(format!("rejecto-store-it-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir is creatable");
-    dir
+    TempDir(dir)
 }
 
 /// Legit clique (0–3); fake group A (4–5) heavily rejected by legit; fake
@@ -252,7 +269,7 @@ fn a_rerun_replaces_the_newer_generations_of_an_earlier_run() {
     let resume = store.load_latest_valid().expect("run B's generation loads");
     assert_eq!(resume.checkpoint, b_ckpt, "resume must continue run B, not run A");
     assert!(resume.skipped.is_empty());
-    let mut left: Vec<String> = std::fs::read_dir(&dir)
+    let mut left: Vec<String> = std::fs::read_dir(&*dir)
         .expect("stem directory is listable")
         .flatten()
         .map(|e| e.file_name().to_string_lossy().into_owned())

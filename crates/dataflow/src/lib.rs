@@ -23,9 +23,11 @@
 //!   reading adjacency through the prefetch buffer; a miss also fetches
 //!   the non-resident nodes after it in its shard, into free buffer
 //!   slots. Simulated master↔worker traffic is reported as the volatile
-//!   `io/*` metrics counters. Checkpoint/resume and a
-//!   [`ClusterError`]-based failure model (respawn from lineage, watchdog
-//!   for hung workers, shard rebalancing onto survivors) replace panics.
+//!   `io/*` metrics counters. Checkpoint/resume and a failure model
+//!   (respawn from lineage, watchdog for hung workers, shard rebalancing
+//!   onto survivors) replace panics; a cluster that cannot serve the run
+//!   ends it in [`rejecto_core::RuntimeError::ClusterFailed`], like any
+//!   other runtime failure.
 //!   The Table-II harness measures detection time against graph size on
 //!   this runtime.
 
@@ -33,10 +35,8 @@
 
 mod cluster;
 mod detect;
-mod error;
 mod lru;
 
 pub use cluster::ClusterConfig;
 pub use detect::{CheckpointSink, DistributedDetector};
-pub use error::ClusterError;
 pub use lru::LruCache;

@@ -22,13 +22,12 @@ fn simulated_scenario(seed: u64) -> SimOutput {
     Scenario::new(config).run(&host, seed)
 }
 
-/// Short watchdog deadline and no backoff so absorbed faults cost
+/// Short watchdog deadline so absorbed faults cost
 /// milliseconds, not the 5 s production deadline.
 fn snappy_cluster(workers: usize) -> ClusterConfig {
     ClusterConfig {
         num_workers: workers,
         request_deadline: Duration::from_millis(50),
-        backoff_base: Duration::ZERO,
         ..ClusterConfig::default()
     }
 }

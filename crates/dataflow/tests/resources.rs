@@ -24,7 +24,6 @@ fn snappy_cluster(workers: usize) -> ClusterConfig {
     ClusterConfig {
         num_workers: workers,
         request_deadline: Duration::from_millis(50),
-        backoff_base: Duration::ZERO,
         ..ClusterConfig::default()
     }
 }

@@ -3,9 +3,9 @@
 //! Each seed expands — via [`rejecto_core::chaos`] — into a composite
 //! multi-fault schedule (worker deaths × hangs × panics × torn writes ×
 //! bit flips × tight deadlines × checkpoint I/O errors) plus an
-//! adversarial simulator scenario, and is soaked at threads {1, 4} on the
-//! local runtime and workers {1, 4} on the distributed one. Every run is
-//! held to the invariant trio:
+//! adversarial simulator scenario, and is soaked through the determinism
+//! harness's runner at threads {1, 4} on the local runtime and workers
+//! {1, 4} on the distributed one. Every run is held to the invariant trio:
 //!
 //! 1. **Typed termination** — each leg ends in `Complete`, `Partial`, or
 //!    a typed [`rejecto_core::RuntimeError`]; a panic escaping any leg
@@ -26,14 +26,13 @@
 //! reproduces anywhere: the failure message carries the seed and the
 //! fault spec (feed it to `detect --inject`).
 
-use crate::determinism::{render_report, scratch, snappy_cluster};
-use dataflow::DistributedDetector;
-use rejecto_core::chaos::{ChaosPlan, ChaosProfile, ChaosRng};
+use crate::determinism::{render_report, same, scratch, stripped, Runtime, RUNTIMES};
+use rejecto_core::chaos::{ChaosPlan, ChaosRng};
 use rejecto_core::{
-    CheckpointStore, Completion, DetectionReport, Fault, Faults, InterruptReason,
-    IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
+    Checkpoint, CheckpointStore, Completion, DetectionReport, Fault, Faults, InterruptReason,
+    RejectoConfig, RunBudget, Termination,
 };
-use rejecto_obs::json_str;
+use rejecto_obs::{json_str, Obs};
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,8 +41,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// and local reproductions always mean the same schedule by "seed 7".
 pub const SEED_BASE: u64 = 0x7E57_5EED;
 
-const THREAD_COUNTS: [usize; 2] = [1, 4];
-const WORKER_COUNTS: [usize; 2] = [1, 4];
 /// Same scaled-down fixture family as the determinism harness: big enough
 /// for several pruning rounds, small enough to soak many seeds.
 const SCALE: f64 = 0.02;
@@ -85,9 +82,7 @@ fn simulate(seed: u64) -> (SimOutput, usize, bool) {
 fn completion_tag(report: &DetectionReport) -> String {
     match &report.completion {
         Completion::Complete => "complete".to_string(),
-        Completion::Partial { reason, completed_rounds, .. } => {
-            format!("partial:{reason:?}:{completed_rounds}")
-        }
+        Completion::Partial { reason, .. } => format!("partial:{reason:?}:{}", report.rounds),
         other => format!("{other:?}"),
     }
 }
@@ -130,8 +125,16 @@ impl Drop for PanicHookGuard {
     }
 }
 
+/// What one leg left behind: its runtime, its completion tag for the
+/// artifact and, unless it ended in a typed error, its rendered report and
+/// stripped metrics for the byte-compares.
+struct Outcome {
+    rt: Runtime,
+    tag: String,
+    rendered: Option<(String, String)>,
+}
+
 fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
-    let profile = ChaosProfile::default();
     let mut records = Vec::new();
     let mut legs = 0usize;
     let mut typed_errors = 0usize;
@@ -141,7 +144,7 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
 
     for i in 0..seeds {
         let seed = SEED_BASE + i;
-        let plan = ChaosPlan::generate(seed, &profile);
+        let plan = ChaosPlan::generate(seed);
         let spec = plan.spec();
         let ctx = format!("chaos seed {seed} (faults `{spec}`)");
         if plan.has_deadline() {
@@ -158,118 +161,70 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
         let suspect_frac = rng.chance(1, 3).then(|| 0.05 + (rng.below(30) as f64) / 100.0);
         let ckpt_limit = rng.chance(1, 8).then(|| 24 + rng.below(40));
         let budget = RunBudget { max_suspect_frac: suspect_frac, ..RunBudget::unlimited() };
+        let config =
+            RejectoConfig { faults: plan.faults.clone(), budget, ..RejectoConfig::default() };
 
-        let config = |threads: usize| RejectoConfig {
-            threads,
-            faults: plan.faults.clone(),
-            budget,
-            ..RejectoConfig::default()
-        };
-
-        // --- Invariant 1 legs: local threads {1,4} --------------------
-        let mut local_renders: Vec<String> = Vec::new();
-        let mut local_metrics: Vec<String> = Vec::new();
-        let mut local_tags: Vec<String> = Vec::new();
-        for threads in THREAD_COUNTS {
+        // --- Invariant 1 legs: threads {1,4}, workers {1,4} ------------
+        // Deadline plans may stop a run before its hang's fetch.
+        let hangs = !plan.has_deadline()
+            && plan.faults.faults().iter().any(|f| matches!(f, Fault::WorkerHang { .. }));
+        let mut outcomes: Vec<Outcome> = Vec::new();
+        for rt in RUNTIMES {
             legs += 1;
-            let cfg = config(threads);
-            let graph = &sim.graph;
-            let obs = rejecto_obs::Obs::default();
-            let obs_leg = obs.clone();
-            let report = catch_unwind(AssertUnwindSafe(move || {
-                let mut det = IterativeDetector::new(cfg);
-                det.set_obs(obs_leg);
-                det.detect(graph, &Seeds::default(), termination)
+            let obs = Obs::default();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rt.run(&sim.graph, &config, termination, None, None, &obs)
             }))
-            .map_err(|_| format!("{ctx}: local threads={threads} PANICKED"))?;
-            local_tags.push(completion_tag(&report));
-            local_renders.push(render_report(&report));
-            local_metrics.push(rejecto_obs::strip_timings(&obs.to_json()));
-        }
-        if plan.locally_comparable() {
-            if local_renders[0] != local_renders[1] {
-                return Err(format!(
-                    "{ctx}: local threads=1 vs threads=4 reports differ\n--- t=1 ---\n{}\
-                     --- t=4 ---\n{}",
-                    local_renders[0], local_renders[1]
-                ));
-            }
-            if local_metrics[0] != local_metrics[1] {
-                return Err(format!(
-                    "{ctx}: local stripped metrics differ across thread counts\n\
-                     --- t=1 ---\n{}\n--- t=4 ---\n{}",
-                    local_metrics[0], local_metrics[1]
-                ));
-            }
-        }
-
-        // --- Distributed legs: workers {1,4} --------------------------
-        let mut dist_tags: Vec<String> = Vec::new();
-        let hangs = plan.faults.faults().iter().any(|f| matches!(f, Fault::WorkerHang { .. }));
-        for workers in WORKER_COUNTS {
-            legs += 1;
-            let cfg = config(0);
-            let graph = &sim.graph;
-            let obs = rejecto_obs::Obs::default();
-            let obs_leg = obs.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || {
-                let mut det = DistributedDetector::new(snappy_cluster(workers), cfg);
-                det.set_obs(obs_leg);
-                det.detect(graph, &Seeds::default(), termination)
-            }))
-            .map_err(|_| format!("{ctx}: distributed workers={workers} PANICKED"))?;
-            match result {
+            .map_err(|_| format!("{ctx}: {rt} PANICKED"))?;
+            outcomes.push(match result {
                 Ok(report) => {
-                    dist_tags.push(completion_tag(&report));
-                    if hangs && !plan.has_deadline() && obs.volatile("io/hangs_absorbed") == 0 {
-                        return Err(format!(
-                            "{ctx}: distributed workers={workers}: the injected hang never fired"
-                        ));
+                    if !rt.is_local() && hangs && obs.volatile("io/hangs_absorbed") == 0 {
+                        return Err(format!("{ctx}: {rt}: the injected hang never fired"));
                     }
-                    if plan.cross_runtime_comparable() {
-                        let rendered = render_report(&report);
-                        if rendered != local_renders[0] {
-                            return Err(format!(
-                                "{ctx}: distributed workers={workers} report differs from \
-                                 the local run\n--- distributed ---\n{rendered}\
-                                 --- local ---\n{}",
-                                local_renders[0]
-                            ));
-                        }
-                        let stripped = rejecto_obs::strip_timings(&obs.to_json());
-                        if stripped != local_metrics[0] {
-                            return Err(format!(
-                                "{ctx}: distributed workers={workers} stripped metrics \
-                                 differ from the local run\n--- distributed ---\n{stripped}\n\
-                                 --- local ---\n{}",
-                                local_metrics[0]
-                            ));
-                        }
+                    Outcome {
+                        rt,
+                        tag: completion_tag(&report),
+                        rendered: Some((render_report(&report), stripped(&obs))),
                     }
                 }
                 Err(e) => {
                     // A typed error is a legitimate soak outcome (e.g. a
                     // death schedule outliving the respawn budget).
                     typed_errors += 1;
-                    dist_tags.push(format!("error:{e}"));
+                    Outcome { rt, tag: format!("error:{e}"), rendered: None }
                 }
+            });
+        }
+
+        // --- Byte-identity with the threads=1 leg ----------------------
+        // Locally always, cross-runtime unless the plan says otherwise.
+        if let Some((reference, reference_metrics)) = &outcomes[0].rendered {
+            for o in &outcomes[1..] {
+                let comparable = if o.rt.is_local() {
+                    plan.locally_comparable()
+                } else {
+                    plan.cross_runtime_comparable()
+                };
+                let Some((rendered, metrics)) = o.rendered.as_ref().filter(|_| comparable) else {
+                    continue;
+                };
+                let rt = o.rt;
+                same(&format!("{ctx}: {rt} report differs from threads=1"), rendered, reference)?;
+                same(
+                    &format!("{ctx}: {rt} stripped metrics differ from threads=1"),
+                    metrics,
+                    reference_metrics,
+                )?;
             }
         }
 
         // --- Kill-and-resume through the durable store ----------------
         let mut resume_tags: Vec<String> = Vec::new();
-        if plan.resume_comparable() {
-            for (leg, threads) in THREAD_COUNTS.into_iter().enumerate() {
-                let tag = resume_leg(
-                    &ctx,
-                    &sim,
-                    termination,
-                    &config(threads),
-                    ckpt_limit,
-                    seed,
-                    threads,
-                    &local_renders[leg],
-                )?;
+        if plan.cross_runtime_comparable() {
+            for o in outcomes.iter().filter(|o| o.rt.is_local()) {
+                let Some((full, _)) = &o.rendered else { continue };
+                let tag =
+                    resume_leg(&ctx, &sim, termination, &config, ckpt_limit, seed, o.rt, full)?;
                 if tag == "ok" {
                     resumes_checked += 1;
                 } else {
@@ -282,6 +237,8 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
             resumes_skipped += 1;
         }
 
+        let (local, distributed): (Vec<Outcome>, Vec<Outcome>) =
+            outcomes.into_iter().partition(|o| o.rt.is_local());
         records.push(SeedRecord {
             seed,
             spec,
@@ -289,8 +246,8 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
             self_rejection,
             suspect_frac,
             ckpt_limit,
-            local: local_tags,
-            distributed: dist_tags,
+            local: local.into_iter().map(|o| o.tag).collect(),
+            distributed: distributed.into_iter().map(|o| o.tag).collect(),
             compared_local: plan.locally_comparable(),
             compared_cross: plan.cross_runtime_comparable(),
             resume: resume_tags,
@@ -314,11 +271,12 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
     ))
 }
 
-/// One kill-and-resume leg: interrupt after two rounds writing checkpoint
-/// generations through the durable store (with the plan's torn-write /
-/// bit-flip mangles and any byte ceiling armed), resume from the newest
-/// *valid* generation, and demand byte-identity with the uninterrupted
-/// leg. Returns `"ok"` or a `skipped:` tag for degenerate fixtures.
+/// One kill-and-resume leg on `rt`: interrupt after one round writing
+/// checkpoint generations through the durable store (with the plan's
+/// torn-write / bit-flip mangles and any byte ceiling armed), resume from
+/// the newest *valid* generation, and demand byte-identity with the
+/// uninterrupted leg. Returns `"ok"` or a `skipped:` tag for degenerate
+/// fixtures.
 #[allow(clippy::too_many_arguments)]
 fn resume_leg(
     ctx: &str,
@@ -327,25 +285,22 @@ fn resume_leg(
     config: &RejectoConfig,
     ckpt_limit: Option<u64>,
     seed: u64,
-    threads: usize,
+    rt: Runtime,
     full_render: &str,
 ) -> Result<String, String> {
-    let dir = scratch(&format!("chaos-{seed}-t{threads}"));
+    let dir = scratch(&format!("chaos-{seed}-{}", rt.tag()));
     let store = CheckpointStore::new(dir.join("run.ckpt"))
         .with_faults(Faults::new(&config.faults))
         .with_limit(ckpt_limit);
 
     let mut halted_config = config.clone();
     halted_config.budget.max_rounds = Some(1);
-    let graph = &sim.graph;
-    let store_ref = &store;
-    let halted = catch_unwind(AssertUnwindSafe(move || {
-        let det = IterativeDetector::new(halted_config);
-        let mut sink =
-            |ckpt: &rejecto_core::Checkpoint| store_ref.save(ckpt).map_err(std::io::Error::other);
-        det.detect_with_checkpoints(graph, &Seeds::default(), termination, &mut sink)
+    let halted = catch_unwind(AssertUnwindSafe(|| {
+        let mut sink = |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
+        rt.run(&sim.graph, &halted_config, termination, None, Some(&mut sink), &Obs::default())
     }))
-    .map_err(|_| format!("{ctx}: halted leg threads={threads} PANICKED"))?;
+    .map_err(|_| format!("{ctx}: halted leg {rt} PANICKED"))?
+    .map_err(|e| format!("{ctx}: halted leg {rt} failed: {e}"))?;
 
     // Only a round-budget interruption is a real "kill": anything else
     // (graph exhausted early, resource budget tripped inside the window)
@@ -369,28 +324,18 @@ fn resume_leg(
         }
     };
 
-    let resume_config = config.clone();
-    let checkpoint = resume.checkpoint;
-    let resumed = catch_unwind(AssertUnwindSafe(move || {
-        IterativeDetector::new(resume_config).run(
-            graph,
-            &Seeds::default(),
-            termination,
-            Some(&checkpoint),
-            None,
-        )
+    let resumed = catch_unwind(AssertUnwindSafe(|| {
+        rt.run(&sim.graph, config, termination, Some(&resume.checkpoint), None, &Obs::default())
     }))
-    .map_err(|_| format!("{ctx}: resume leg threads={threads} PANICKED"))?
-    .map_err(|e| format!("{ctx}: resume threads={threads} rejected its own checkpoint: {e}"))?;
+    .map_err(|_| format!("{ctx}: resume leg {rt} PANICKED"))?
+    .map_err(|e| format!("{ctx}: resume {rt} rejected its own checkpoint: {e}"))?;
 
-    let rendered = render_report(&resumed);
     let _ = std::fs::remove_dir_all(&dir);
-    if rendered != full_render {
-        return Err(format!(
-            "{ctx}: kill-and-resume diverged at threads={threads}\n--- resumed ---\n\
-             {rendered}--- uninterrupted ---\n{full_render}"
-        ));
-    }
+    same(
+        &format!("{ctx}: kill-and-resume diverged at {rt}"),
+        &render_report(&resumed),
+        full_render,
+    )?;
     Ok("ok".to_string())
 }
 

@@ -16,16 +16,24 @@
 //! by allocator-address-keyed containers, leftover `HashMap` iteration, or
 //! unseeded randomness even when the OS would happily hand both CLI runs
 //! the same ASLR layout.
+//!
+//! Every leg runs through one runner, [`Runtime::run`], on each of
+//! [`RUNTIMES`]: the in-process detector at threads 1 and 4 and the
+//! distributed one at workers 1 and 4. The local and distributed runtimes
+//! owe the same bytes, so each leg's report and stripped metrics are held
+//! to the auto-threads run's, whichever runtime produced them.
 
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
-    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultPlan, Faults,
-    IterativeDetector, RejectoConfig, Seeds, Termination,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, DetectionReport, FaultPlan, Faults,
+    IterativeDetector, RejectoConfig, RuntimeError, Seeds, Termination,
 };
+use rejecto_obs::Obs;
 use rejection::io::write_augmented;
+use rejection::AugmentedGraph;
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -90,11 +98,12 @@ pub(crate) fn render_report(report: &DetectionReport) -> String {
         Completion::Complete => {
             let _ = writeln!(out, "completion=complete");
         }
-        Completion::Partial { completed_rounds, completed_k_indices, reason } => {
+        Completion::Partial { completed_k_indices, reason } => {
             let _ = writeln!(
                 out,
-                "completion=partial reason={reason:?} completed_rounds={completed_rounds} \
-                 k_indices={completed_k_indices:?}"
+                "completion=partial reason={reason:?} completed_rounds={} \
+                 k_indices={completed_k_indices:?}",
+                report.rounds
             );
         }
         other => {
@@ -107,32 +116,129 @@ pub(crate) fn render_report(report: &DetectionReport) -> String {
     out
 }
 
-/// The thread counts the parallel-sweep check exercises: the exact serial
-/// code path vs a real worker pool.
-const THREAD_COUNTS: [usize; 2] = [1, 4];
-
-fn detect(sim: &SimOutput) -> DetectionReport {
-    let det = IterativeDetector::new(RejectoConfig::default());
-    det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+/// Where a leg runs: the in-process detector at a thread count (0 sizes
+/// the pool automatically), or the distributed one on a cluster of that
+/// many workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Runtime {
+    Threads(usize),
+    Workers(usize),
 }
 
-fn detect_with_threads(sim: &SimOutput, threads: usize) -> DetectionReport {
-    let det = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() });
-    det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+/// The runtimes every leg runs on: the exact serial code path and a real
+/// worker pool, the degenerate single-shard cluster and a real
+/// multi-shard one.
+pub(crate) const RUNTIMES: [Runtime; 4] =
+    [Runtime::Threads(1), Runtime::Threads(4), Runtime::Workers(1), Runtime::Workers(4)];
+
+/// The auto-sized local run that every leg is compared against.
+const AUTO: Runtime = Runtime::Threads(0);
+
+impl fmt::Display for Runtime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Runtime::Threads(0) => f.write_str("threads=auto"),
+            Runtime::Threads(threads) => write!(f, "threads={threads}"),
+            Runtime::Workers(workers) => write!(f, "workers={workers}"),
+        }
+    }
 }
 
-/// Runs the harness; `Ok(summary)` when both runs are byte-identical.
+impl Runtime {
+    /// Whether this is the in-process detector.
+    pub(crate) fn is_local(self) -> bool {
+        matches!(self, Runtime::Threads(_))
+    }
+
+    /// A short name for scratch paths: `t1`, `w4`.
+    pub(crate) fn tag(self) -> String {
+        match self {
+            Runtime::Threads(threads) => format!("t{threads}"),
+            Runtime::Workers(workers) => format!("w{workers}"),
+        }
+    }
+
+    /// Runs detection of `g` to `termination` under `config` (its thread
+    /// count replaced on a local runtime), fresh or from `resume`, handing
+    /// `sink` a checkpoint after every completed round and recording into
+    /// `obs`.
+    pub(crate) fn run(
+        self,
+        g: &AugmentedGraph,
+        config: &RejectoConfig,
+        termination: Termination,
+        resume: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
+        obs: &Obs,
+    ) -> Result<DetectionReport, RuntimeError> {
+        let seeds = Seeds::default();
+        match self {
+            Runtime::Threads(threads) => {
+                let mut det = IterativeDetector::new(RejectoConfig { threads, ..config.clone() });
+                det.set_obs(obs.clone());
+                det.run(g, &seeds, termination, resume, sink)
+            }
+            Runtime::Workers(workers) => {
+                let mut det = DistributedDetector::new(snappy_cluster(workers), config.clone());
+                det.set_obs(obs.clone());
+                det.run(g, &seeds, termination, resume, sink)
+            }
+        }
+    }
+}
+
+/// A metrics document minus its volatile `timings` section: exactly what
+/// CI byte-diffs on collected artifacts.
+pub(crate) fn stripped(obs: &Obs) -> String {
+    rejecto_obs::strip_timings(&obs.to_json())
+}
+
+/// The index of the first element where `a` and `b` differ, or `None`
+/// when one is a prefix of the other.
+fn first_difference<T: PartialEq>(
+    a: impl IntoIterator<Item = T>,
+    b: impl IntoIterator<Item = T>,
+) -> Option<usize> {
+    a.into_iter().zip(b).position(|(x, y)| x != y)
+}
+
+/// `Ok` when `got` equals `want`; otherwise `what` failed, and the error
+/// names the first differing line (1-based, 0 when one text is a prefix
+/// of the other) and shows both texts.
+pub(crate) fn same(what: &str, got: &str, want: &str) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    let line = first_difference(got.lines(), want.lines()).map_or(0, |i| i + 1);
+    Err(format!(
+        "{what} (first differing line {line})\n--- this leg ---\n{got}\n--- reference ---\n{want}"
+    ))
+}
+
+/// A fresh leg of `sim` on `rt` under `config`, to the fake budget: its
+/// report and its metrics registry.
+fn leg(
+    sim: &SimOutput,
+    rt: Runtime,
+    config: &RejectoConfig,
+) -> Result<(DetectionReport, Obs), String> {
+    let obs = Obs::default();
+    let termination = Termination::SuspectBudget(FAKES);
+    let report = rt
+        .run(&sim.graph, config, termination, None, None, &obs)
+        .map_err(|e| format!("detect failed at {rt}: {e}"))?;
+    Ok((report, obs))
+}
+
+/// Runs the harness; `Ok(summary)` when every leg is byte-identical to
+/// its reference.
 pub fn run() -> Result<String, String> {
     let sim1 = simulate();
     let sim2 = simulate();
     let bytes1 = graph_bytes(&sim1)?;
     let bytes2 = graph_bytes(&sim2)?;
     if bytes1 != bytes2 {
-        let at = bytes1
-            .iter()
-            .zip(&bytes2)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| bytes1.len().min(bytes2.len()));
+        let at = first_difference(&bytes1, &bytes2).unwrap_or(bytes1.len().min(bytes2.len()));
         return Err(format!(
             "simulate is nondeterministic: serialized graphs differ \
              (lengths {} vs {}, first difference at byte {at})",
@@ -141,47 +247,51 @@ pub fn run() -> Result<String, String> {
         ));
     }
 
-    let r1 = detect(&sim1);
-    let r2 = detect(&sim2);
-    let report1 = render_report(&r1);
-    let report2 = render_report(&r2);
-    if report1 != report2 {
-        let diff_line = report1
-            .lines()
-            .zip(report2.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        return Err(format!(
-            "detect is nondeterministic: reports differ (first differing \
-             line {diff_line})\n--- run 1 ---\n{report1}--- run 2 ---\n{report2}"
-        ));
+    // The reference: the default config's auto-sized run, which a second
+    // run from the same seed must reproduce, and whose textual metrics
+    // strip must agree with the structured deterministic rendering it
+    // claims to recover.
+    let clean = RejectoConfig::default();
+    let (r1, obs) = leg(&sim1, AUTO, &clean)?;
+    let full = render_report(&r1);
+    let metrics = stripped(&obs);
+    let (r2, _) = leg(&sim2, AUTO, &clean)?;
+    same("detect is nondeterministic: reports differ", &render_report(&r2), &full)?;
+    if metrics != obs.deterministic_json() {
+        return Err(
+            "strip_timings does not recover the deterministic metrics document".to_string()
+        );
     }
 
-    // Parallel-sweep check: the k-sweep worker pool must be invisible in
-    // the artifacts. Render the report at each thread count and diff
-    // against the default-config run above (which uses auto threads), so
-    // serial, fixed-pool, and auto-sized runs all agree byte-for-byte.
-    for threads in THREAD_COUNTS {
-        let rt = render_report(&detect_with_threads(&sim1, threads));
-        if rt != report1 {
-            let diff_line = rt
-                .lines()
-                .zip(report1.lines())
-                .position(|(a, b)| a != b)
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            return Err(format!(
-                "parallel sweep is nondeterministic: threads={threads} report \
-                 differs from the auto-threads report (first differing line \
-                 {diff_line})\n--- threads={threads} ---\n{rt}--- auto ---\n{report1}"
-            ));
+    // Neither the k-sweep worker pool, nor the cluster, nor a fault plan
+    // whose deaths and hang a survivor absorbs may show in the report or
+    // in the metrics outside `timings`; a kill-and-resume must not either.
+    let faulted = RejectoConfig {
+        faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
+            .map_err(|e| format!("fault spec rejected: {e}"))?,
+        ..RejectoConfig::default()
+    };
+    for rt in RUNTIMES {
+        for (plan, config) in [("failure-free", &clean), ("faulted", &faulted)] {
+            let (report, obs) = leg(&sim1, rt, config)?;
+            let differs = |what: &str| format!("{plan} {rt}: {what} from the auto-threads run");
+            same(&differs("report differs"), &render_report(&report), &full)?;
+            same(&differs("metrics differ"), &stripped(&obs), &metrics)?;
+            if config.faults.faults().is_empty() || rt.is_local() {
+                continue;
+            }
+            if obs.volatile("io/hangs_absorbed") == 0 {
+                return Err(format!("the injected hang never fired at {rt}"));
+            }
+            let restarts = obs.volatile("io/worker_restarts");
+            if restarts < 3 {
+                return Err(format!(
+                    "an injected death never fired at {rt}: {restarts} restart(s), want at least 3"
+                ));
+            }
         }
-        kill_and_resume(&sim1, threads, &rt)?;
+        kill_and_resume(&sim1, rt, &full)?;
     }
-
-    distributed_legs(&sim1)?;
-    metrics_legs(&sim1)?;
     durable_store_legs()?;
 
     Ok(format!(
@@ -205,37 +315,73 @@ pub fn run() -> Result<String, String> {
 /// A scratch directory for durable-store legs, unique per process and
 /// leg; removed best-effort when the leg succeeds.
 pub(crate) fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rejecto-determinism-{}-{tag}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("rejecto-determinism-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir is creatable");
     dir
+}
+
+/// Kill-and-resume on `rt`: interrupt the run after one pruning round
+/// (the deterministic `max_rounds` budget), serialize the checkpoint
+/// through its JSON wire format, resume from the deserialized copy, and
+/// demand the resumed report render byte-identically to the
+/// uninterrupted run.
+fn kill_and_resume(sim: &SimOutput, rt: Runtime, full: &str) -> Result<(), String> {
+    let mut config = RejectoConfig::default();
+    config.budget.max_rounds = Some(1);
+    let (halted, _) = leg(sim, rt, &config)?;
+    if !halted.is_partial() {
+        return Err(format!(
+            "kill-and-resume fixture degenerated: the max_rounds=1 run at \
+             {rt} completed in one round, so the resume path went \
+             unexercised; grow the scenario"
+        ));
+    }
+
+    let json = Checkpoint::capture(&sim.graph, &halted).to_json();
+    let restored = Checkpoint::from_json(&json)
+        .map_err(|e| format!("checkpoint JSON round-trip failed at {rt}: {e}"))?;
+    let termination = Termination::SuspectBudget(FAKES);
+    let default = RejectoConfig::default();
+    let resumed = rt
+        .run(&sim.graph, &default, termination, Some(&restored), None, &Obs::default())
+        .map_err(|e| format!("resume rejected its own checkpoint at {rt}: {e}"))?;
+    same(
+        &format!(
+            "kill-and-resume diverged at {rt}: resumed report differs from the uninterrupted run"
+        ),
+        &render_report(&resumed),
+        full,
+    )
 }
 
 /// Durable-store legs (DESIGN.md §14): with the **newest** checkpoint
 /// generation mangled on disk (`torn_write@round=N` / `bit_flip@round=N`),
 /// `load_latest_valid` must fall back to the surviving generation,
 /// record the skip as a structured failure, and the resumed run must
-/// render byte-identically to the uninterrupted run — locally at
-/// threads=1/4 and through the distributed runtime at workers=1/4. The
-/// `strip_timings` metrics of every fallback resume must also agree
-/// byte-for-byte across all eight legs (the fallback counters are
-/// volatile, so they strip with the timings).
+/// render byte-identically to the uninterrupted run on every runtime. The
+/// stripped metrics of every fallback resume must also agree byte-for-byte
+/// across all eight legs (the fallback counters are volatile, so they
+/// strip with the timings).
 fn durable_store_legs() -> Result<(), String> {
     let sim = simulate_self_rejection();
-    let full = render_report(&detect(&sim));
+    let default = RejectoConfig::default();
+    let termination = Termination::SuspectBudget(FAKES);
+    let full = render_report(&leg(&sim, AUTO, &default)?.0);
+
+    // A fresh run on `rt` saving every generation to `store`.
+    let save_run = |rt: Runtime, store: &CheckpointStore| {
+        let mut sink = |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
+        rt.run(&sim.graph, &default, termination, None, Some(&mut sink), &Obs::default())
+    };
 
     // Discover the generation chain once with a clean store run; the
     // newest generation is the one every leg below mangles.
     let newest = {
         let dir = scratch("gens");
         let store = CheckpointStore::new(dir.join("run.ckpt"));
-        let mut sink = |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
-        IterativeDetector::new(RejectoConfig::default()).detect_with_checkpoints(
-            &sim.graph,
-            &Seeds::default(),
-            Termination::SuspectBudget(FAKES),
-            &mut sink,
-        );
+        save_run(AUTO, &store).map_err(|e| e.to_string())?;
         let resume = store
             .load_latest_valid()
             .map_err(|e| format!("clean generation chain unreadable: {e}"))?;
@@ -254,239 +400,56 @@ fn durable_store_legs() -> Result<(), String> {
     let mut reference_metrics: Option<String> = None;
     for form in ["torn_write", "bit_flip"] {
         let spec = format!("{form}@round={newest}");
-        let plan =
-            FaultPlan::parse(&spec).map_err(|e| format!("fault spec rejected: {e}"))?;
+        let plan = FaultPlan::parse(&spec).map_err(|e| format!("fault spec rejected: {e}"))?;
+        for rt in RUNTIMES {
+            let leg = format!("{spec} {rt}");
+            let dir = scratch(&format!("{}-{form}", rt.tag()));
+            let stem = dir.join("run.ckpt");
+            save_run(rt, &CheckpointStore::new(&stem).with_faults(Faults::new(&plan)))
+                .map_err(|e| format!("{leg}: durable-store leg failed: {e}"))?;
 
-        for threads in THREAD_COUNTS {
-            let dir = scratch(&format!("local-{threads}-{form}"));
-            let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(Faults::new(&plan));
-            let mut sink =
-                |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
-            IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
-                .detect_with_checkpoints(
-                    &sim.graph,
-                    &Seeds::default(),
-                    Termination::SuspectBudget(FAKES),
-                    &mut sink,
-                );
-            let rendered = fallback_resume_leg(
-                &dir,
-                &format!("{spec} threads={threads}"),
-                &mut reference_metrics,
-                |resume, obs| {
-                    let mut det = IterativeDetector::new(RejectoConfig {
-                        threads,
-                        ..RejectoConfig::default()
-                    });
-                    det.set_obs(obs.clone());
-                    det.run(
-                        &sim.graph,
-                        &Seeds::default(),
-                        Termination::SuspectBudget(FAKES),
-                        Some(&resume.checkpoint),
-                        None,
-                    )
-                    .map_err(|e| e.to_string())
-                },
-            )?;
-            if rendered != full {
+            // Resume from the mangled stem, demanding a recorded fallback.
+            let obs = Obs::default();
+            let reader = CheckpointStore::new(&stem).with_obs(obs.clone());
+            let resume = reader
+                .load_latest_valid()
+                .map_err(|e| format!("{leg}: fallback resume failed outright: {e}"))?;
+            if !resume.fell_back() {
                 return Err(format!(
-                    "durable-store fallback diverged: {spec} threads={threads} \
-                     resumed report differs from the uninterrupted run\n\
-                     --- resumed ---\n{rendered}--- uninterrupted ---\n{full}"
+                    "{leg}: the mangled newest generation was not skipped (resume \
+                     read {} with no recorded fallback)",
+                    resume.path.display()
                 ));
             }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        for workers in WORKER_COUNTS {
-            let dir = scratch(&format!("dist-{workers}-{form}"));
-            let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(Faults::new(&plan));
-            let mut sink =
-                |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
-            DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
-                .run(
-                    &sim.graph,
-                    &Seeds::default(),
-                    Termination::SuspectBudget(FAKES),
-                    None,
-                    Some(&mut sink),
-                )
-                .map_err(|e| {
-                    format!("distributed durable-store leg failed at workers={workers}: {e}")
-                })?;
-            let rendered = fallback_resume_leg(
-                &dir,
-                &format!("{spec} workers={workers}"),
-                &mut reference_metrics,
-                |resume, obs| {
-                    let mut det = DistributedDetector::new(
-                        snappy_cluster(workers),
-                        RejectoConfig::default(),
-                    );
-                    det.set_obs(obs.clone());
-                    det.run(
-                        &sim.graph,
-                        &Seeds::default(),
-                        Termination::SuspectBudget(FAKES),
-                        Some(&resume.checkpoint),
-                        None,
-                    )
-                    .map_err(|e| e.to_string())
-                },
+            if resume.skipped.len() != 1 {
+                let skipped = &resume.skipped;
+                return Err(format!("{leg}: expected exactly one recorded skip, got {skipped:?}"));
+            }
+            let report = rt
+                .run(&sim.graph, &default, termination, Some(&resume.checkpoint), None, &obs)
+                .map_err(|e| format!("{leg}: resume failed: {e}"))?;
+            same(
+                &format!(
+                    "durable-store fallback diverged: {leg} resumed report differs from the \
+                     uninterrupted run"
+                ),
+                &render_report(&report),
+                &full,
             )?;
-            if rendered != full {
+
+            let metrics = stripped(&obs);
+            if metrics.contains("ckpt/") {
                 return Err(format!(
-                    "durable-store fallback diverged: {spec} workers={workers} \
-                     resumed report differs from the uninterrupted run\n\
-                     --- resumed ---\n{rendered}--- uninterrupted ---\n{full}"
+                    "{leg}: fallback counters leaked into the deterministic metrics \
+                     section (they must be volatile):\n{metrics}"
                 ));
             }
+            same(
+                &format!("{leg}: fallback metrics differ across legs"),
+                &metrics,
+                reference_metrics.get_or_insert_with(|| metrics.clone()),
+            )?;
             let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    Ok(())
-}
-
-/// Shared tail of one durable-store leg: resume from the mangled stem
-/// through `load_latest_valid`, demand a recorded fallback, run the
-/// continuation the caller provides, and fold this leg's stripped metrics
-/// into the cross-leg byte-comparison. Returns the resumed report's
-/// canonical rendering.
-fn fallback_resume_leg(
-    dir: &std::path::Path,
-    leg: &str,
-    reference_metrics: &mut Option<String>,
-    run: impl FnOnce(&rejecto_core::StoreResume, &rejecto_obs::Obs) -> Result<DetectionReport, String>,
-) -> Result<String, String> {
-    let obs = rejecto_obs::Obs::default();
-    let reader = CheckpointStore::new(dir.join("run.ckpt")).with_obs(obs.clone());
-    let resume = reader
-        .load_latest_valid()
-        .map_err(|e| format!("{leg}: fallback resume failed outright: {e}"))?;
-    if !resume.fell_back() {
-        return Err(format!(
-            "{leg}: the mangled newest generation was not skipped (resume \
-             read {} with no recorded fallback)",
-            resume.path.display()
-        ));
-    }
-    if resume.skipped.len() != 1 {
-        return Err(format!(
-            "{leg}: expected exactly one recorded skip, got {:?}",
-            resume.skipped
-        ));
-    }
-    let report = run(&resume, &obs).map_err(|e| format!("{leg}: resume failed: {e}"))?;
-
-    let stripped = rejecto_obs::strip_timings(&obs.to_json());
-    if stripped.contains("ckpt/") {
-        return Err(format!(
-            "{leg}: fallback counters leaked into the deterministic metrics \
-             section (they must be volatile):\n{stripped}"
-        ));
-    }
-    match reference_metrics {
-        None => *reference_metrics = Some(stripped),
-        Some(reference) if *reference != stripped => {
-            return Err(format!(
-                "{leg}: fallback metrics differ across legs\n--- this leg ---\n\
-                 {stripped}\n--- reference ---\n{reference}"
-            ));
-        }
-        Some(_) => {}
-    }
-    Ok(render_report(&report))
-}
-
-/// Observability determinism (DESIGN.md §13): everything the metrics
-/// document records outside its `timings` section — counters, spans,
-/// histograms — must be byte-invariant to thread count, worker count,
-/// and any absorbed fault plan. [`rejecto_obs::strip_timings`] over the
-/// full rendering is exactly what CI byte-diffs on collected artifacts,
-/// so that is the comparison run here too.
-fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
-    let local = |threads: usize| -> String {
-        let mut det =
-            IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() });
-        let obs = rejecto_obs::Obs::default();
-        det.set_obs(obs.clone());
-        det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES));
-        rejecto_obs::strip_timings(&obs.to_json())
-    };
-
-    // Auto-threads is the baseline; the textual strip must agree with the
-    // structured deterministic rendering it claims to recover.
-    let baseline = {
-        let mut det = IterativeDetector::new(RejectoConfig::default());
-        let obs = rejecto_obs::Obs::default();
-        det.set_obs(obs.clone());
-        det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES));
-        let stripped = rejecto_obs::strip_timings(&obs.to_json());
-        if stripped != obs.deterministic_json() {
-            return Err(
-                "strip_timings does not recover the deterministic metrics document".to_string()
-            );
-        }
-        stripped
-    };
-
-    for threads in THREAD_COUNTS {
-        let doc = local(threads);
-        if doc != baseline {
-            return Err(format!(
-                "metrics are thread-count dependent: threads={threads} differs \
-                 from auto\n--- threads={threads} ---\n{doc}\n--- auto ---\n{baseline}"
-            ));
-        }
-    }
-
-    for workers in WORKER_COUNTS {
-        let mut clean_det =
-            DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default());
-        let obs = rejecto_obs::Obs::default();
-        clean_det.set_obs(obs.clone());
-        clean_det
-            .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-            .map_err(|e| format!("distributed metrics leg failed at workers={workers}: {e}"))?;
-        let clean = rejecto_obs::strip_timings(&obs.to_json());
-        if clean != baseline {
-            return Err(format!(
-                "metrics are runtime dependent: distributed workers={workers} \
-                 differs from the local run\n--- workers={workers} ---\n{clean}\n\
-                 --- local ---\n{baseline}"
-            ));
-        }
-
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
-                .map_err(|e| format!("fault spec rejected: {e}"))?,
-            ..RejectoConfig::default()
-        };
-        let mut faulted_det = DistributedDetector::new(snappy_cluster(workers), faulted_config);
-        let obs = rejecto_obs::Obs::default();
-        faulted_det.set_obs(obs.clone());
-        faulted_det
-            .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-            .map_err(|e| format!("faulted metrics leg failed at workers={workers}: {e}"))?;
-        if obs.volatile("io/hangs_absorbed") == 0 {
-            return Err(format!("the injected hang never fired at workers={workers}"));
-        }
-        let restarts = obs.volatile("io/worker_restarts");
-        if restarts < 3 {
-            return Err(format!(
-                "an injected death never fired at workers={workers}: {restarts} restart(s), \
-                 want at least 3"
-            ));
-        }
-        let faulted = rejecto_obs::strip_timings(&obs.to_json());
-        if faulted != baseline {
-            return Err(format!(
-                "fault recovery leaked into the metrics at workers={workers}\n\
-                 --- faulted ---\n{faulted}\n--- failure-free ---\n{baseline}"
-            ));
         }
     }
     Ok(())
@@ -495,172 +458,18 @@ fn metrics_legs(sim: &SimOutput) -> Result<(), String> {
 /// The distributed legs' fault plan: a death, a repeated death and a hang.
 /// The fixture makes two fetch batches a run, so all three land on those
 /// two; the hang shares its request with a death, so the plan costs three
-/// respawns in all.
+/// respawns in all. The local runtime has no fetches, so it must not
+/// notice the plan at all.
 const DISTRIBUTED_FAULTS: &str =
     "worker_death@fetch=1,worker_death@fetch=2:x2,worker_hang@fetch=2";
 
-/// The worker counts the distributed legs exercise: the degenerate
-/// single-shard layout vs a real multi-shard cluster.
-const WORKER_COUNTS: [usize; 2] = [1, 4];
-
 /// A cluster shape that keeps fault recovery fast in-harness: a tight
-/// watchdog deadline and no respawn backoff. Correctness must not depend
-/// on either knob — only wall time does.
-pub(crate) fn snappy_cluster(workers: usize) -> ClusterConfig {
+/// watchdog deadline. Correctness must not depend on it — only wall time
+/// does.
+fn snappy_cluster(workers: usize) -> ClusterConfig {
     ClusterConfig {
         num_workers: workers,
         request_deadline: Duration::from_millis(50),
-        backoff_base: Duration::ZERO,
         ..ClusterConfig::default()
     }
-}
-
-fn detect_distributed(
-    sim: &SimOutput,
-    workers: usize,
-    config: RejectoConfig,
-) -> Result<DetectionReport, String> {
-    DistributedDetector::new(snappy_cluster(workers), config)
-        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
-        .map_err(|e| format!("distributed detect failed at workers={workers}: {e}"))
-}
-
-/// Distributed determinism: the report must be byte-invariant to (a) the
-/// worker count, (b) any injected fault plan that leaves a survivor, and
-/// (c) a kill-and-resume through the checkpoint wire format. All three
-/// diffs use the same canonical rendering as the single-process legs.
-fn distributed_legs(sim: &SimOutput) -> Result<(), String> {
-    let baseline = render_report(&detect_distributed(sim, WORKER_COUNTS[0], RejectoConfig::default())?);
-
-    for workers in WORKER_COUNTS {
-        let rt = render_report(&detect_distributed(sim, workers, RejectoConfig::default())?);
-        if rt != baseline {
-            return Err(format!(
-                "distributed sweep is worker-count dependent: workers={workers} \
-                 report differs from workers={} \n--- workers={workers} ---\n{rt}\
-                 --- baseline ---\n{baseline}",
-                WORKER_COUNTS[0]
-            ));
-        }
-
-        // Injected worker deaths (including a repeated-death schedule) and
-        // a hung worker must be absorbed by respawn/rebalance without a
-        // trace in the report.
-        let faulted = RejectoConfig {
-            faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
-                .map_err(|e| format!("fault spec rejected: {e}"))?,
-            ..RejectoConfig::default()
-        };
-        let rf = render_report(&detect_distributed(sim, workers, faulted)?);
-        if rf != baseline {
-            return Err(format!(
-                "fault recovery leaked into the artifacts at workers={workers}: \
-                 the faulted report differs from the failure-free report\n\
-                 --- faulted ---\n{rf}--- failure-free ---\n{baseline}"
-            ));
-        }
-
-        distributed_kill_and_resume(sim, workers, &baseline)?;
-    }
-    Ok(())
-}
-
-/// The distributed twin of [`kill_and_resume`]: halt after one pruning
-/// round via the deterministic round budget, round-trip the checkpoint
-/// through JSON, resume on a fresh cluster, and demand byte-identity with
-/// the uninterrupted distributed run.
-fn distributed_kill_and_resume(
-    sim: &SimOutput,
-    workers: usize,
-    full_render: &str,
-) -> Result<(), String> {
-    let mut config = RejectoConfig::default();
-    config.budget.max_rounds = Some(1);
-    let halted = detect_distributed(sim, workers, config)?;
-    if !halted.is_partial() {
-        return Err(format!(
-            "distributed kill-and-resume fixture degenerated: the \
-             max_rounds=1 run at workers={workers} completed in one round, \
-             so the resume path went unexercised; grow the scenario"
-        ));
-    }
-
-    let json = Checkpoint::capture(&sim.graph, &halted).to_json();
-    let restored = Checkpoint::from_json(&json).map_err(|e| {
-        format!("distributed checkpoint JSON round-trip failed at workers={workers}: {e}")
-    })?;
-    let resumed = DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
-        .run(
-            &sim.graph,
-            &Seeds::default(),
-            Termination::SuspectBudget(FAKES),
-            Some(&restored),
-            None,
-        )
-        .map_err(|e| {
-            format!("distributed resume rejected its own checkpoint at workers={workers}: {e}")
-        })?;
-    let rr = render_report(&resumed);
-    if rr != full_render {
-        let diff_line = rr
-            .lines()
-            .zip(full_render.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        return Err(format!(
-            "distributed kill-and-resume diverged at workers={workers}: \
-             resumed report differs from the uninterrupted run (first \
-             differing line {diff_line})\n--- resumed ---\n{rr}\
-             --- uninterrupted ---\n{full_render}"
-        ));
-    }
-    Ok(())
-}
-
-/// Kill-and-resume check: interrupt the run after one pruning round (the
-/// deterministic `max_rounds` budget), serialize the checkpoint through
-/// its JSON wire format, resume from the deserialized copy, and demand the
-/// resumed report render byte-identically to the uninterrupted run at the
-/// same thread count.
-fn kill_and_resume(sim: &SimOutput, threads: usize, full_render: &str) -> Result<(), String> {
-    let mut config = RejectoConfig { threads, ..RejectoConfig::default() };
-    config.budget.max_rounds = Some(1);
-    let halted = IterativeDetector::new(config)
-        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES));
-    if !halted.is_partial() {
-        return Err(format!(
-            "kill-and-resume fixture degenerated: the max_rounds=1 run at \
-             threads={threads} completed in one round, so the resume path \
-             went unexercised; grow the scenario"
-        ));
-    }
-
-    let json = Checkpoint::capture(&sim.graph, &halted).to_json();
-    let restored = Checkpoint::from_json(&json)
-        .map_err(|e| format!("checkpoint JSON round-trip failed at threads={threads}: {e}"))?;
-    let resumed = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
-        .run(
-            &sim.graph,
-            &Seeds::default(),
-            Termination::SuspectBudget(FAKES),
-            Some(&restored),
-            None,
-        )
-        .map_err(|e| format!("resume rejected its own checkpoint at threads={threads}: {e}"))?;
-    let rr = render_report(&resumed);
-    if rr != full_render {
-        let diff_line = rr
-            .lines()
-            .zip(full_render.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        return Err(format!(
-            "kill-and-resume diverged at threads={threads}: resumed report \
-             differs from the uninterrupted run (first differing line \
-             {diff_line})\n--- resumed ---\n{rr}--- uninterrupted ---\n{full_render}"
-        ));
-    }
-    Ok(())
 }

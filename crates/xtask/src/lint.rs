@@ -102,7 +102,7 @@ pub const NO_HASH_CRATES: &[&str] = &["socialgraph", "kl", "core", "dataflow"];
 
 /// Crates whose runtime paths may not use `assert!` at all (**no-panic**):
 /// `dataflow` because the distributed runtime must degrade through the
-/// `ClusterError` / `RuntimeError` taxonomy, never abort; `kl` because the
+/// `RuntimeError` taxonomy, never abort; `kl` because the
 /// KL/FM kernel sits inside every worker and a release-mode abort there
 /// takes a whole sweep down with it. `debug_assert!` is exempt, and the
 /// `debug-invariants` feature plus the invariants modules carry the

@@ -469,25 +469,24 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
 
     // Degraded-run diagnostics. These lines only appear for interrupted or
     // faulted runs, so clean-run JSON output stays one-group-per-line.
-    if let Completion::Partial { completed_rounds, completed_k_indices, reason } =
-        &report.completion
-    {
+    if let Completion::Partial { completed_k_indices, reason } = &report.completion {
         if json {
             writeln!(
                 out,
                 "{}",
                 serde_json::json!({
                     "partial": interrupt_name(*reason),
-                    "completed_rounds": *completed_rounds,
+                    "completed_rounds": report.rounds,
                     "completed_k_indices": completed_k_indices.clone(),
                 })
             )?;
         } else {
             writeln!(
                 out,
-                "partial result: {} tripped after {completed_rounds} completed round(s); \
+                "partial result: {} tripped after {} completed round(s); \
                  the groups above are all complete",
-                interrupt_name(*reason)
+                interrupt_name(*reason),
+                report.rounds
             )?;
         }
     }
@@ -724,15 +723,34 @@ pub fn run_to_string(command: &str, args: &[&str]) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rejecto-cli-test-{}", std::process::id()));
+    /// A scratch directory, removed when the test ends (also when it fails).
+    struct TempDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A scratch directory of its own for the test `tag`.
+    fn tmpdir(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir()
+            .join(format!("rejecto-cli-test-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 
     #[test]
     fn simulate_then_detect_roundtrip() {
-        let dir = tmpdir();
+        let dir = tmpdir("simulate_then_detect_roundtrip");
         let stem = dir.join("attack");
         let stem_s = stem.to_str().unwrap();
         let out = run_to_string(
@@ -761,7 +779,7 @@ mod tests {
 
     #[test]
     fn detect_json_round_trips_the_exact_k() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_json_round_trips_the_exact_k");
         let stem = dir.join("json");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -791,7 +809,7 @@ mod tests {
 
     #[test]
     fn detect_output_is_independent_of_thread_count() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_output_is_independent_of_thread_count");
         let stem = dir.join("threads");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -810,7 +828,7 @@ mod tests {
 
     #[test]
     fn detect_max_nodes_budget_is_a_typed_error_before_allocation() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_max_nodes_budget_is_a_typed_error_before_allocation");
         let stem = dir.join("res-nodes");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -828,7 +846,7 @@ mod tests {
 
     #[test]
     fn detect_max_suspect_frac_reports_a_resource_budget_partial() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_max_suspect_frac_reports_a_resource_budget_partial");
         let stem = dir.join("res-frac");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -851,7 +869,7 @@ mod tests {
 
     #[test]
     fn detect_max_checkpoint_bytes_degrades_the_save_with_a_typed_failure() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_max_checkpoint_bytes_degrades_the_save_with_a_typed_failure");
         let stem = dir.join("res-ckpt");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -875,7 +893,7 @@ mod tests {
 
     #[test]
     fn detect_checkpoint_then_resume_matches_uninterrupted_run() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_checkpoint_then_resume_matches_uninterrupted_run");
         let stem = dir.join("ckpt");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -912,7 +930,7 @@ mod tests {
 
     #[test]
     fn detect_deadline_zero_reports_a_partial_run() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_deadline_zero_reports_a_partial_run");
         let stem = dir.join("deadline");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();
@@ -926,7 +944,7 @@ mod tests {
 
     #[test]
     fn detect_survives_an_injected_worker_panic() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_survives_an_injected_worker_panic");
         let stem = dir.join("inject");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();
@@ -951,7 +969,7 @@ mod tests {
 
     #[test]
     fn detect_distributed_matches_local_cut_across_worker_counts() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_distributed_matches_local_cut_across_worker_counts");
         let stem = dir.join("dist");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -969,7 +987,7 @@ mod tests {
 
     #[test]
     fn detect_distributed_fault_injection_is_invisible() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_distributed_fault_injection_is_invisible");
         let stem = dir.join("dist-fault");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -999,7 +1017,7 @@ mod tests {
 
     #[test]
     fn detect_distributed_resumes_a_local_checkpoint() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_distributed_resumes_a_local_checkpoint");
         let stem = dir.join("dist-ckpt");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -1030,7 +1048,7 @@ mod tests {
 
     #[test]
     fn distributed_flags_require_distributed_mode() {
-        let dir = tmpdir();
+        let dir = tmpdir("distributed_flags_require_distributed_mode");
         let stem = dir.join("dist-flags");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();
@@ -1044,7 +1062,7 @@ mod tests {
 
     #[test]
     fn detect_lenient_load_counts_skipped_lines() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_lenient_load_counts_skipped_lines");
         let stem = dir.join("lenient");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();
@@ -1068,7 +1086,7 @@ mod tests {
 
     #[test]
     fn detect_metrics_file_is_versioned_and_thread_invariant() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_metrics_file_is_versioned_and_thread_invariant");
         let stem = dir.join("metrics");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "40"]).unwrap();
@@ -1107,7 +1125,7 @@ mod tests {
 
     #[test]
     fn stats_reports_augmented_numbers() {
-        let dir = tmpdir();
+        let dir = tmpdir("stats_reports_augmented_numbers");
         let stem = dir.join("stats");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();
@@ -1119,7 +1137,7 @@ mod tests {
 
     #[test]
     fn votetrust_ranks_from_request_log() {
-        let dir = tmpdir();
+        let dir = tmpdir("votetrust_ranks_from_request_log");
         let stem = dir.join("vt");
         let stem_s = stem.to_str().unwrap();
         run_to_string("simulate", &["--out", stem_s, "--scale", "0.03", "--fakes", "30"]).unwrap();

@@ -1,17 +1,34 @@
 //! End-to-end tests of the compiled `rejecto` binary — the full operator
 //! workflow through real process boundaries and real files.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rejecto"))
 }
 
-fn workdir(name: &str) -> PathBuf {
+/// A scratch directory, removed when the test ends (also when it fails).
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn workdir(name: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("rejecto-bin-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tempdir");
-    dir
+    TempDir(dir)
 }
 
 fn run_ok(cmd: &mut Command) -> String {
@@ -187,14 +204,15 @@ fn assert_error_names(args: &[&str], what: &str) {
     assert!(out.stdout.is_empty(), "{}: {}", args[0], String::from_utf8_lossy(&out.stdout));
 }
 
-fn simulated_graph(name: &str) -> (PathBuf, String) {
+fn simulated_graph(name: &str) -> (TempDir, String) {
     let dir = workdir(name);
     let stem = dir.join("run");
     let stem = stem.to_str().expect("utf-8 temp path");
     run_ok(bin().args([
         "simulate", "--out", stem, "--scale", "0.02", "--fakes", "60", "--seed", "7",
     ]));
-    (dir, format!("{stem}.rjg"))
+    let graph = format!("{stem}.rjg");
+    (dir, graph)
 }
 
 #[test]
@@ -221,7 +239,8 @@ fn defense_names_a_missing_truth_file_before_detecting() {
 
 #[test]
 fn votetrust_names_a_missing_log_file() {
-    let log = workdir("votetrust-no-log").join("absent.requests");
+    let dir = workdir("votetrust-no-log");
+    let log = dir.join("absent.requests");
     let log = log.to_str().expect("utf-8 temp path");
     assert_error_names(&["votetrust", "--log", log], log);
 }
@@ -236,4 +255,41 @@ fn a_truth_line_that_cannot_be_read_names_the_file_and_line() {
         &["detect", "--graph", &graph, "--budget", "60", "--truth", truth],
         &format!("{truth}:2"),
     );
+}
+
+/// A cluster that cannot serve the run fails it with exit 1 and one line
+/// naming why: a config it cannot shard with, or a worker that keeps dying
+/// through its respawn budget of 3 with no survivor to take its shard.
+#[test]
+fn cluster_failures_exit_1_with_their_exact_message() {
+    let (_dir, graph) = simulated_graph("cluster-failed");
+    for (flags, want) in [
+        (
+            &["--workers", "0"][..],
+            "error: distributed cluster failed: invalid cluster config: num_workers must be at \
+             least 1",
+        ),
+        (
+            &[
+                "--workers",
+                "1",
+                "--inject",
+                "worker_death@fetch=1:x40",
+                "--request-deadline-ms",
+                "50",
+            ],
+            "error: distributed cluster failed: worker 0 lost after 3 respawn attempt(s) with no \
+             survivor to rebalance onto",
+        ),
+    ] {
+        let out = bin()
+            .args(["detect", "--graph", &graph, "--distributed", "true"])
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), want, "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?}: {}", String::from_utf8_lossy(&out.stdout));
+    }
 }

@@ -26,13 +26,12 @@ fn scenario() -> SimOutput {
         .run(&host, SEED)
 }
 
-/// A cluster that recovers fast under injection: tight watchdog, zero
-/// respawn backoff. Correctness must be independent of both knobs.
+/// A cluster that recovers fast under injection: a tight watchdog.
+/// Correctness must be independent of it.
 fn snappy(workers: usize) -> ClusterConfig {
     ClusterConfig {
         num_workers: workers,
         request_deadline: Duration::from_millis(50),
-        backoff_base: Duration::ZERO,
         ..ClusterConfig::default()
     }
 }
@@ -101,11 +100,11 @@ fn repeated_deaths_force_rebalance_without_changing_the_report() {
         .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
         .expect("healthy cluster must detect");
 
-    // The same worker dies on every respawn; past the respawn budget its
-    // shard is merged onto a survivor.
-    let cluster = ClusterConfig { max_respawns: 1, ..snappy(4) };
+    // The same worker dies on every respawn; past the respawn budget of 3
+    // its shard is merged onto a survivor (nine deaths: two merges).
+    let cluster = snappy(4);
     let faulted_config = RejectoConfig {
-        faults: plan("worker_death@fetch=2:x5"),
+        faults: plan("worker_death@fetch=2:x9"),
         ..RejectoConfig::default()
     };
     let detector = DistributedDetector::new(cluster, faulted_config);
@@ -256,9 +255,9 @@ fn invalid_cluster_config_is_a_structured_error() {
 #[test]
 fn losing_every_worker_surfaces_as_cluster_failed() {
     let sim = scenario();
-    // Two workers, no respawn budget: the first death rebalances onto the
-    // lone survivor; killing that one too leaves nothing to merge onto.
-    let cluster = ClusterConfig { max_respawns: 0, ..snappy(2) };
+    // Two workers, three respawns each: the first four deaths rebalance
+    // onto the lone survivor; four more leave nothing to merge onto.
+    let cluster = snappy(2);
     let config = RejectoConfig {
         faults: plan("worker_death@fetch=1:x8"),
         ..RejectoConfig::default()
