@@ -14,7 +14,7 @@ fn bench_bucket_list(c: &mut Criterion) {
     let mut group = c.benchmark_group("bucket_list");
     group.sample_size(20);
     for &n in &[1_000usize, 10_000, 100_000] {
-        group.bench_with_input(BenchmarkId::new("insert_update_pop", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("insert_adjust_pop", n), &n, |b, &n| {
             b.iter_batched(
                 || BucketList::new(n, -65, 65),
                 |mut bucket| {
@@ -22,7 +22,7 @@ fn bench_bucket_list(c: &mut Criterion) {
                         bucket.insert(i, (i as i64 % 129) - 64);
                     }
                     for i in 0..n as u32 {
-                        bucket.adjust(i, if i % 2 == 0 { 1 } else { -1 });
+                        black_box(bucket.adjust_if_present(i, if i % 2 == 0 { 1 } else { -1 }));
                     }
                     while let Some(x) = bucket.pop_max() {
                         black_box(x);

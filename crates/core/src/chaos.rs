@@ -4,17 +4,21 @@
 //! A chaos *seed* expands into a [`ChaosPlan`]: a multi-fault
 //! [`FaultPlan`] drawn from a splitmix64 stream, plus classification
 //! predicates telling the harness which invariants each plan can be held
-//! to. The generator honours the same conflict rules as
+//! to. The generator inserts through the same conflict check as
 //! [`FaultPlan::parse`] — one directive per injection point — so every
 //! generated plan round-trips through its textual spec, and the spec is
 //! what the harness prints when a seed fails (reproduce with
-//! `--faults <spec>`).
+//! `rejecto detect --inject '<spec>'`).
 //!
 //! Everything here is a pure function of the seed: no OS entropy, no
 //! clocks, no allocator addresses. Two machines soaking the same seed
 //! range exercise byte-identical schedules.
 
 use crate::faults::{Fault, FaultPlan};
+
+/// Pinned seed base: seed `i` of a soak is `SEED_BASE + i`, so CI runs
+/// and local reproductions always mean the same schedule by "seed 7".
+pub const SEED_BASE: u64 = 0x7E57_5EED;
 
 /// A splitmix64 stream: the 64-bit finalizer recommended by Vigna as a
 /// seeding primitive, tiny and dependency-free. Not cryptographic — it
@@ -72,6 +76,10 @@ const MAX_K_INDEX: u64 = 10;
 /// prefetch batch and a read-ahead, so their longest round makes 2 fetch
 /// batches at 1 and 4 workers alike.
 const MAX_FETCH: u64 = 3;
+/// Death schedules draw `1..=MAX_DEATHS` deaths. 9 = 2 × (1 try + 3
+/// respawns) + 1 is enough to lose a lone worker (a typed error) or to
+/// rebalance a lost shard onto a survivor.
+const MAX_DEATHS: u64 = 9;
 
 /// One seed's expanded schedule plus the invariant classification the
 /// harness keys on.
@@ -91,7 +99,6 @@ impl ChaosPlan {
     pub fn generate(seed: u64) -> ChaosPlan {
         let mut rng = ChaosRng::new(seed);
         let mut faults = FaultPlan::none();
-        let mut taken: Vec<(&'static str, u64)> = Vec::new();
         let want = 1 + usize::try_from(rng.below(MAX_FAULTS)).expect("fault count fits in usize");
         // Bounded rejection sampling: a draw landing on an armed injection
         // point is discarded. The attempt cap keeps generation total.
@@ -110,7 +117,7 @@ impl ChaosPlan {
                 },
                 2 => Fault::WorkerDeath {
                     fetch: rng.range(1, MAX_FETCH),
-                    deaths: u32::try_from(rng.range(1, 4)).expect("death count fits in u32"),
+                    deaths: u32::try_from(rng.range(1, MAX_DEATHS + 1)).expect("deaths fit in u32"),
                 },
                 // Fetch 1 is the one fetch every distributed round makes
                 // (these fixtures often make no second), so the hang fires.
@@ -125,18 +132,13 @@ impl ChaosPlan {
                 },
                 _ => Fault::Deadline { millis: rng.range(5, 120) },
             };
-            let key = fault.injection_point();
-            if taken.contains(&key) {
-                continue;
-            }
-            taken.push(key);
-            faults.push(fault);
+            let _ = faults.push_directive(fault, &fault.to_string());
         }
         ChaosPlan { seed, faults }
     }
 
     /// The textual spec of this schedule, accepted verbatim by
-    /// [`FaultPlan::parse`] (and the CLI's `--faults`).
+    /// [`FaultPlan::parse`] (and the CLI's `--inject`).
     pub fn spec(&self) -> String {
         self.faults.to_string()
     }
@@ -219,15 +221,32 @@ mod tests {
         }
     }
 
+    /// A schedule of more than 3 deaths outlives one lineage's respawn
+    /// budget, so the soak reaches the worker-lost and rebalance paths.
+    #[test]
+    fn the_ci_seeds_outlive_a_respawn_budget() {
+        let most = (SEED_BASE..SEED_BASE + 16)
+            .flat_map(|seed| ChaosPlan::generate(seed).faults.faults().to_vec())
+            .filter_map(|f| match f {
+                Fault::WorkerDeath { deaths, .. } => Some(deaths),
+                _ => None,
+            })
+            .max();
+        assert!(most > Some(3), "the 16 CI seeds draw at most {most:?} deaths in a row");
+    }
+
     #[test]
     fn classification_matches_the_drawn_faults() {
-        let mut plan = ChaosPlan { seed: 0, faults: FaultPlan::none() };
-        plan.faults.push(Fault::WorkerDeath { fetch: 2, deaths: 1 });
-        assert!(plan.cross_runtime_comparable());
-        plan.faults.push(Fault::WorkerPanic { k_index: 1, persistent: true });
-        assert!(plan.locally_comparable());
-        assert!(!plan.cross_runtime_comparable());
-        plan.faults.push(Fault::Deadline { millis: 10 });
-        assert!(!plan.locally_comparable() && !plan.cross_runtime_comparable());
+        let plan = |spec: &str| ChaosPlan {
+            seed: 0,
+            faults: FaultPlan::parse(spec).expect("spec is well-formed"),
+        };
+        let plan_a = plan("worker_death@fetch=2");
+        assert!(plan_a.cross_runtime_comparable());
+        let plan_b = plan("worker_death@fetch=2,worker_panic@k=1:always");
+        assert!(plan_b.locally_comparable());
+        assert!(!plan_b.cross_runtime_comparable());
+        let plan_c = plan("worker_death@fetch=2,worker_panic@k=1:always,deadline=10ms");
+        assert!(!plan_c.locally_comparable() && !plan_c.cross_runtime_comparable());
     }
 }

@@ -59,8 +59,6 @@ pub enum InterruptReason {
     /// was rolled back. Unlike the wall-clock reasons this trip is a pure
     /// function of input and configuration, so it is deterministic.
     ResourceBudget,
-    /// The run was cancelled explicitly.
-    Cancelled,
 }
 
 /// Whether a [`DetectionReport`] covers the full run or was cut short by a

@@ -11,10 +11,12 @@
 //!
 //! A plan is declarative ([`FaultPlan`], parsed from
 //! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms`) and carried
-//! in [`crate::RejectoConfig::faults`]. A run arms it once as one [`Faults`]
-//! table on its [`crate::RunContext`], which the sweep workers, the
-//! pruning loop and the cluster master all probe; the checkpoint store is
-//! armed with the same type. The injected deadline is read off the plan
+//! in [`crate::RejectoConfig::faults`]. One plan arms two [`Faults`]
+//! tables: the [`crate::RunContext`]'s, probed by the sweep workers, the
+//! pruning loop's checkpoint write and the cluster master, and the
+//! [`crate::CheckpointStore`]'s, probed only for torn writes and bit
+//! flips. They probe disjoint fault kinds, so no one-shot fault fires
+//! twice. The injected deadline is read off the plan
 //! ([`FaultPlan::deadline`]) when the context arms its token. An empty
 //! plan is free: every probe is a single cheap check against an empty
 //! table.
@@ -96,8 +98,7 @@ impl Fault {
     /// store mangles share a key — the checkpoint store consumes exactly
     /// one mangle per generation write, so `torn_write` and `bit_flip` at
     /// the same round *conflict* rather than compose. Likewise only one
-    /// deadline directive is admitted; "tightest wins" stays documented
-    /// behavior for plans built programmatically via [`FaultPlan::push`].
+    /// deadline directive is admitted.
     pub(crate) fn injection_point(&self) -> (&'static str, u64) {
         match *self {
             Fault::WorkerPanic { k_index, .. } => {
@@ -176,18 +177,12 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Adds a fault to the plan. Unlike [`FaultPlan::parse`], `push` does
-    /// not police injection-point conflicts: programmatic plans may rely
-    /// on documented runtime semantics (e.g. tightest-deadline-wins).
-    pub fn push(&mut self, fault: Fault) {
-        self.faults.push(fault);
-    }
-
-    /// [`FaultPlan::push`] for parsed directives: rejects a fault whose
-    /// injection point an earlier directive already claimed, instead of
+    /// Adds the fault that directive `part` spells, rejecting it if an
+    /// earlier directive already claimed its injection point, instead of
     /// the silent last-wins (or first-wins, depending on the consumer)
-    /// order-dependence the plan text would otherwise have.
-    fn push_directive(&mut self, fault: Fault, part: &str) -> Result<(), String> {
+    /// order-dependence the plan text would otherwise have. Every plan is
+    /// built through this check, so every plan is conflict-free.
+    pub(crate) fn push_directive(&mut self, fault: Fault, part: &str) -> Result<(), String> {
         let key = fault.injection_point();
         if let Some(prior) = self.faults.iter().find(|f| f.injection_point() == key) {
             return Err(format!(
@@ -305,16 +300,13 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The injected wall-clock deadline: the tightest `deadline` fault of
-    /// the plan, if it has one.
+    /// The injected wall-clock deadline: the plan's one `deadline` fault,
+    /// if it has one.
     pub fn deadline(&self) -> Option<Duration> {
-        self.faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::Deadline { millis } => Some(Duration::from_millis(millis)),
-                _ => None,
-            })
-            .min()
+        self.faults.iter().find_map(|f| match *f {
+            Fault::Deadline { millis } => Some(Duration::from_millis(millis)),
+            _ => None,
+        })
     }
 }
 
@@ -329,13 +321,14 @@ pub(crate) enum Mangle {
     BitFlip,
 }
 
-/// The runtime side of a [`FaultPlan`]: one table of armed faults that
-/// every injection point probes — the sweep workers, the pruning loop's
-/// checkpoint write, the cluster master and the checkpoint store. A probe
-/// takes the first live fault of its own kind at its position; one-shot
-/// faults are spent by that probe, `:always` panics stay live. Clones
-/// share the table, so a one-shot fault fires exactly once per run no
-/// matter how many workers, rounds or clusters probe it.
+/// The runtime side of a [`FaultPlan`]: a table of armed faults that
+/// injection points probe. A run context's table serves the sweep
+/// workers, the pruning loop's checkpoint write and the cluster master; a
+/// checkpoint store's table serves its mangles (see the module docs). A
+/// probe takes the first live fault of its own kind at its position;
+/// one-shot faults are spent by that probe, `:always` panics stay live.
+/// Clones share the table, so a one-shot fault fires exactly once per
+/// table no matter how many workers, rounds or clusters probe it.
 #[derive(Debug, Clone, Default)]
 pub struct Faults {
     armed: Arc<Mutex<Vec<(Fault, bool)>>>,
@@ -589,19 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn tightest_injected_deadline_wins() {
-        // parse() rejects duplicate deadline directives, so multi-deadline
-        // plans can only be built programmatically; the plan still
-        // reports the tightest.
-        let mut plan = FaultPlan::none();
-        plan.push(Fault::Deadline { millis: 80 });
-        plan.push(Fault::Deadline { millis: 50 });
-        plan.push(Fault::Deadline { millis: 90 });
-        assert_eq!(plan.deadline(), Some(Duration::from_millis(50)));
-        assert_eq!(FaultPlan::none().deadline(), None);
-    }
-
-    #[test]
     fn duplicate_directives_for_one_injection_point_are_rejected() {
         for spec in [
             "worker_panic@k=3,worker_panic@k=3:always",
@@ -664,8 +644,8 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// A conflict-free random plan: distinct injection points by
-    /// construction (indices are spread across disjoint ranges per kind).
+    /// A conflict-free random plan: a draw that lands on an injection
+    /// point an earlier draw took is dropped.
     fn arbitrary_plan() -> impl Strategy<Value = FaultPlan> {
         proptest::collection::vec((0u8..7, 1u64..9, any::<bool>()), 0..8).prop_map(|specs| {
             let mut plan = FaultPlan::none();
@@ -687,10 +667,7 @@ mod tests {
                     5 => Fault::TornWrite { round: usize::try_from(at).expect("small round") },
                     _ => Fault::BitFlip { round: usize::try_from(at).expect("small round") },
                 };
-                let key = fault.injection_point();
-                if !plan.faults().iter().any(|f| f.injection_point() == key) {
-                    plan.push(fault);
-                }
+                let _ = plan.push_directive(fault, &fault.to_string());
             }
             plan
         })

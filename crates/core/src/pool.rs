@@ -152,6 +152,7 @@ pub(crate) fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn free() -> CancelToken {
         CancelToken::new()
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn tripped_token_skips_unclaimed_jobs() {
         let token = CancelToken::new();
-        token.cancel();
+        token.set_deadline_in(Duration::ZERO);
         for threads in [1, 4] {
             let out: Vec<JobOutcome<usize>> = run_indexed(threads, 6, &token, |i| i);
             assert!(
@@ -232,7 +233,7 @@ mod tests {
         let token = CancelToken::new();
         let out = run_indexed(1, 5, &token, |i| {
             if i == 2 {
-                token.cancel();
+                token.set_deadline_in(Duration::ZERO);
             }
             i
         });

@@ -180,12 +180,12 @@ impl RunContext {
         RunContext { token, faults: crate::Faults::new(&config.faults), round: 0, obs }
     }
 
-    /// Maps the token's trip cause onto the report vocabulary.
+    /// Maps the token's trip cause onto the report vocabulary. Callers ask
+    /// only after a poll saw the token trip, which records its cause.
     pub fn interrupt_reason(&self) -> crate::InterruptReason {
-        match self.token.reason() {
-            Some(kl::CancelReason::Deadline) => crate::InterruptReason::Deadline,
-            Some(kl::CancelReason::PassBudget) => crate::InterruptReason::PassBudget,
-            _ => crate::InterruptReason::Cancelled,
+        match self.token.reason().expect("a tripped token records its cause") {
+            kl::CancelReason::Deadline => crate::InterruptReason::Deadline,
+            kl::CancelReason::PassBudget => crate::InterruptReason::PassBudget,
         }
     }
 }

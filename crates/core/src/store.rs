@@ -498,11 +498,6 @@ impl CheckpointStore {
         self
     }
 
-    /// The stem every artifact name derives from.
-    pub fn stem(&self) -> &Path {
-        &self.stem
-    }
-
     /// `<stem>.gen-<round>.json`, the generation written after `round`.
     pub fn generation_path(&self, round: usize) -> PathBuf {
         sibling(&self.stem, &format!(".gen-{round}.json"))

@@ -1,9 +1,11 @@
 /// The Fiduccia–Mattheyses *bucket list*: nodes indexed by integer gain.
 ///
 /// An array of intrusive doubly-linked lists, one per possible gain value in
-/// `[min_gain, max_gain]`, plus a moving high-water pointer. All of insert,
-/// remove, and update are `O(1)`; extracting the max-gain node is `O(1)`
+/// `[min_gain, max_gain]`, plus a moving high-water pointer. Insert and
+/// gain adjustment are `O(1)`; extracting the max-gain node is `O(1)`
 /// amortized (the pointer only rescans buckets that inserts have touched).
+/// These are the three operations extended KL asks of it: file a node,
+/// shift a neighbour's gain, pop the max.
 ///
 /// The paper adopts exactly this structure: "an array of linked lists,
 /// called a bucket list, which indexes each node according to its potential
@@ -23,10 +25,11 @@
 /// b.insert(0, 5);
 /// b.insert(1, -2);
 /// b.insert(2, 5);
-/// assert_eq!(b.peek_max_gain(), Some(5));
-/// let (node, gain) = b.pop_max().expect("bucket holds entries");
-/// assert_eq!(gain, 5);
-/// assert!(node == 0 || node == 2);
+/// assert!(b.adjust_if_present(1, 9));
+/// assert_eq!(b.pop_max(), Some((1, 7)));
+/// assert_eq!(b.pop_max(), Some((2, 5)));
+/// assert_eq!(b.pop_max(), Some((0, 5)));
+/// assert_eq!(b.pop_max(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BucketList {
@@ -171,14 +174,6 @@ impl BucketList {
         self.links[ix(link.next)].prev = link.prev;
     }
 
-    /// Takes the indexed `node`, whose record is `link`, out of the index.
-    #[inline]
-    fn unlink(&mut self, node: u32, link: Link) {
-        self.splice_out(link);
-        self.links[ix(node)].prev = ABSENT;
-        self.len -= 1;
-    }
-
     /// Indexes `node` with `gain`, at the head of its gain's chain.
     ///
     /// # Panics
@@ -193,54 +188,6 @@ impl BucketList {
         let head = self.head_of(gain);
         self.splice_in(node, gain, head);
         self.len += 1;
-    }
-
-    /// Removes `node` from the index; a node that is not indexed is left
-    /// alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range; debug builds additionally assert
-    /// that `node` is indexed.
-    pub fn remove(&mut self, node: u32) {
-        debug_assert!(self.contains(node), "node {node} not in bucket list");
-        let link = self.node(node);
-        if link.prev != ABSENT {
-            self.unlink(node, link);
-        }
-    }
-
-    /// Files `node` under `gain`: a node that is not indexed is inserted,
-    /// an indexed one moves to the head of the new gain's chain, and an
-    /// indexed one already at `gain` stays where it is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or `gain` is outside the
-    /// configured range.
-    pub fn update(&mut self, node: u32, gain: i64) {
-        let link = self.node(node);
-        let head = self.head_of(gain);
-        if link.prev == ABSENT {
-            self.len += 1;
-        } else if self.gains[ix(node)] == gain {
-            return;
-        } else {
-            self.splice_out(link);
-        }
-        self.splice_in(node, gain, head);
-    }
-
-    /// Adds `delta` to the gain of an indexed node.
-    ///
-    /// # Panics
-    ///
-    /// Panics as in [`update`](Self::update); debug builds additionally
-    /// assert that `node` is indexed (release builds leave an unindexed
-    /// node alone).
-    pub fn adjust(&mut self, node: u32, delta: i64) {
-        let indexed = self.adjust_if_present(node, delta);
-        debug_assert!(indexed, "node {node} not in bucket list");
     }
 
     /// Adds `delta` to the gain of `node` if it is indexed, moving it to
@@ -286,12 +233,6 @@ impl BucketList {
         self.top = self.end;
     }
 
-    /// The maximum gain among indexed nodes, if any.
-    pub fn peek_max_gain(&mut self) -> Option<i64> {
-        self.settle_top();
-        (self.len > 0).then(|| self.gains[ix(self.links[ix(self.top)].next)])
-    }
-
     /// Removes and returns a node with the maximum gain: the one filed
     /// last among those at that gain.
     pub fn pop_max(&mut self) -> Option<(u32, i64)> {
@@ -301,8 +242,9 @@ impl BucketList {
         }
         let node = self.links[ix(self.top)].next;
         debug_assert!(node < self.end, "the top chain holds a node");
-        let link = self.links[ix(node)];
-        self.unlink(node, link);
+        self.splice_out(self.links[ix(node)]);
+        self.links[ix(node)].prev = ABSENT;
+        self.len -= 1;
         Some((node, self.gains[ix(node)]))
     }
 
@@ -366,45 +308,27 @@ mod tests {
     }
 
     #[test]
-    fn update_moves_between_buckets() {
+    fn adjust_is_relative_and_moves_between_buckets() {
         let mut b = BucketList::new(2, -10, 10);
-        b.insert(0, 0);
+        b.insert(0, 3);
         b.insert(1, 1);
-        b.update(0, 7);
+        assert!(b.adjust_if_present(0, -5));
+        assert_eq!(b.gain_of(0), -2);
+        assert!(b.adjust_if_present(0, 9));
         assert_eq!(b.pop_max().expect("bucket holds entries"), (0, 7));
         assert_eq!(b.pop_max().expect("bucket holds entries"), (1, 1));
-    }
-
-    #[test]
-    fn adjust_is_relative() {
-        let mut b = BucketList::new(1, -10, 10);
-        b.insert(0, 3);
-        b.adjust(0, -5);
-        assert_eq!(b.gain_of(0), -2);
-    }
-
-    #[test]
-    fn remove_from_middle_of_chain() {
-        let mut b = BucketList::new(3, 0, 0);
-        b.insert(0, 0);
-        b.insert(1, 0);
-        b.insert(2, 0);
-        b.remove(1);
-        assert_eq!(b.len(), 2);
-        let mut nodes: Vec<u32> = std::iter::from_fn(|| b.pop_max()).map(|(n, _)| n).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![0, 2]);
     }
 
     #[test]
     fn high_pointer_recovers_after_raise() {
         let mut b = BucketList::new(2, -5, 5);
         b.insert(0, -5);
-        assert_eq!(b.peek_max_gain(), Some(-5));
-        b.insert(1, 5);
-        assert_eq!(b.peek_max_gain(), Some(5));
-        b.remove(1);
-        assert_eq!(b.peek_max_gain(), Some(-5));
+        b.insert(1, -4);
+        assert_eq!(b.pop_max(), Some((1, -4)));
+        assert!(b.adjust_if_present(0, 10));
+        b.insert(1, -5);
+        assert_eq!(b.pop_max(), Some((0, 5)));
+        assert_eq!(b.pop_max(), Some((1, -5)));
     }
 
     #[test]
@@ -413,7 +337,7 @@ mod tests {
         b.insert(0, 0);
         assert!(b.contains(0));
         assert!(!b.contains(1));
-        b.remove(0);
+        assert_eq!(b.pop_max(), Some((0, 0)));
         assert!(!b.contains(0));
     }
 
@@ -449,7 +373,7 @@ mod tests {
         let _ = b.pop_max();
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.peek_max_gain(), None);
+        assert!(b.peek_top(4).is_empty());
         assert!((0..4).all(|n| !b.contains(n)));
         b.insert(1, -4);
         assert_eq!(b.pop_max(), Some((1, -4)));
@@ -459,7 +383,6 @@ mod tests {
     fn empty_pops_none() {
         let mut b = BucketList::new(0, 0, 0);
         assert_eq!(b.pop_max(), None);
-        assert_eq!(b.peek_max_gain(), None);
     }
 }
 
@@ -484,29 +407,28 @@ mod chain_tests {
 
     #[test]
     fn unlinking_the_head_middle_or_tail_keeps_the_rest_in_order() {
-        for (gone, rest) in [(3, [4, 2, 1, 0]), (1, [4, 3, 2, 0]), (0, [4, 3, 2, 1])] {
+        for (gone, rest) in [(3, [4, 2, 1, 0, 3]), (1, [4, 3, 2, 0, 1]), (0, [4, 3, 2, 1, 0])] {
             let mut b = filed();
-            b.remove(gone);
-            assert_eq!(drain(&mut b), rest, "after removing node {gone}");
+            assert!(b.adjust_if_present(gone, -1));
+            assert_eq!(drain(&mut b), rest, "after moving node {gone} down a gain");
         }
     }
 
     #[test]
     fn unlinking_the_only_member_empties_its_chain() {
         let mut b = filed();
-        b.remove(4);
-        assert_eq!(b.peek_max_gain(), Some(0));
+        assert_eq!(b.pop_max(), Some((4, 2)));
+        assert_eq!(b.peek_top(1), [3]);
         b.insert(4, 2);
-        b.adjust(4, -4);
-        assert_eq!(b.peek_max_gain(), Some(0));
+        assert!(b.adjust_if_present(4, -4));
+        assert_eq!(b.peek_top(1), [3]);
         assert_eq!(drain(&mut b), [3, 2, 1, 0, 4]);
     }
 
     #[test]
-    fn a_zero_adjustment_or_same_gain_update_leaves_the_node_in_place() {
+    fn a_zero_adjustment_leaves_the_node_in_place() {
         let mut b = filed();
-        b.adjust(1, 0);
-        b.update(2, 0);
+        assert!(b.adjust_if_present(1, 0));
         assert!(b.adjust_if_present(0, 0));
         assert_eq!(drain(&mut b), [4, 3, 2, 1, 0]);
     }
@@ -514,18 +436,9 @@ mod chain_tests {
     #[test]
     fn a_round_trip_adjustment_refiles_at_the_head() {
         let mut b = filed();
-        b.adjust(1, 1);
-        b.adjust(1, -1);
+        assert!(b.adjust_if_present(1, 1));
+        assert!(b.adjust_if_present(1, -1));
         assert_eq!(drain(&mut b), [4, 1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn updating_an_unindexed_node_files_it_at_the_head() {
-        let mut b = filed();
-        b.remove(2);
-        b.update(2, 0);
-        assert_eq!(b.len(), 5);
-        assert_eq!(drain(&mut b), [4, 2, 3, 1, 0]);
     }
 
     #[test]
@@ -535,30 +448,6 @@ mod chain_tests {
         assert!(!b.adjust_if_present(4, 1));
         assert!(!b.contains(4));
         assert_eq!(drain(&mut b), [3, 2, 1, 0]);
-    }
-
-    /// In release builds `remove` of an unindexed node writes nothing: its
-    /// stale links would otherwise splice a chain it has left.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn removing_an_unindexed_node_changes_nothing() {
-        let mut b = filed();
-        assert_eq!(b.pop_max(), Some((4, 2)));
-        b.remove(3);
-        b.remove(3);
-        b.remove(4);
-        assert_eq!(b.len(), 3);
-        assert_eq!(drain(&mut b), [2, 1, 0]);
-    }
-
-    /// `remove` asserts membership in debug builds only.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "not in bucket list")]
-    fn removing_an_unindexed_node_panics_in_debug() {
-        let mut b = filed();
-        b.remove(3);
-        b.remove(3);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Cooperative cancellation for long-running optimization loops.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle shared between the caller
-//! that sets budgets (wall-clock deadline, global KL pass budget, or an
-//! explicit cancel) and the inner loops that poll it at *pass boundaries*.
+//! that sets budgets (a wall-clock deadline and a global KL pass budget)
+//! and the inner loops that poll it at *pass boundaries*. It trips only
+//! when one of those budgets runs out.
 //! Nothing is ever pre-empted mid-pass: a loop that observes cancellation
 //! finishes nothing further, marks its outcome interrupted, and returns the
 //! best state it had — which is what lets the detection pipeline degrade to
@@ -19,8 +20,6 @@ use std::time::{Duration, Instant};
 /// Why a [`CancelToken`] tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
-    /// [`CancelToken::cancel`] was called explicitly.
-    Cancelled,
     /// The wall-clock deadline passed.
     Deadline,
     /// The global KL pass budget was exhausted.
@@ -28,9 +27,8 @@ pub enum CancelReason {
 }
 
 const REASON_NONE: u8 = 0;
-const REASON_CANCELLED: u8 = 1;
-const REASON_DEADLINE: u8 = 2;
-const REASON_PASS_BUDGET: u8 = 3;
+const REASON_DEADLINE: u8 = 1;
+const REASON_PASS_BUDGET: u8 = 2;
 
 /// Passes-left sentinel meaning "no pass budget configured".
 const UNLIMITED: i64 = i64::MAX;
@@ -77,7 +75,6 @@ impl CancelToken {
 
     fn trip(&self, reason: CancelReason) {
         let code = match reason {
-            CancelReason::Cancelled => REASON_CANCELLED,
             CancelReason::Deadline => REASON_DEADLINE,
             CancelReason::PassBudget => REASON_PASS_BUDGET,
         };
@@ -89,11 +86,6 @@ impl CancelToken {
             Ordering::Acquire,
         );
         self.inner.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Trips the token explicitly.
-    pub fn cancel(&self) {
-        self.trip(CancelReason::Cancelled);
     }
 
     /// Arms a wall-clock deadline `timeout` from now. Replaces any earlier
@@ -180,7 +172,6 @@ impl CancelToken {
     /// The first recorded trip cause, or `None` while untripped.
     pub fn reason(&self) -> Option<CancelReason> {
         match self.inner.reason.load(Ordering::Acquire) {
-            REASON_CANCELLED => Some(CancelReason::Cancelled),
             REASON_DEADLINE => Some(CancelReason::Deadline),
             REASON_PASS_BUDGET => Some(CancelReason::PassBudget),
             _ => None,
@@ -201,12 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cancel_trips_all_clones() {
+    fn a_trip_is_seen_by_all_clones() {
         let t = CancelToken::new();
         let clone = t.clone();
-        t.cancel();
+        t.set_pass_budget(0);
+        assert!(!t.consume_pass());
         assert!(clone.is_cancelled());
-        assert_eq!(clone.reason(), Some(CancelReason::Cancelled));
+        assert_eq!(clone.reason(), Some(CancelReason::PassBudget));
     }
 
     #[test]
@@ -271,7 +263,7 @@ mod tests {
         let t = CancelToken::new();
         t.set_pass_budget(0);
         assert!(!t.consume_pass());
-        t.cancel();
+        t.trip(CancelReason::Deadline);
         assert_eq!(t.reason(), Some(CancelReason::PassBudget));
     }
 }

@@ -720,6 +720,7 @@ impl<A: Adjacency<Error = Infallible> + Clone> ExtendedKl<A> {
 mod tests {
     use super::*;
     use rejection::AugmentedGraphBuilder;
+    use std::time::Duration;
 
     /// 4 legit users in a dense cluster; 3 fakes in a clique; one attack
     /// edge (0–4); legit 1, 2, 3 each rejected fake requests.
@@ -835,7 +836,7 @@ mod tests {
         let g = spam_scenario();
         let mut kl = solver(&g, 1, 1);
         let token = CancelToken::new();
-        token.cancel();
+        token.set_deadline_in(Duration::ZERO);
         kl.set_cancel(token);
         let out = kl.run(Partition::all_legit(&g));
         assert!(out.interrupted);

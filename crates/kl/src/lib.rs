@@ -4,7 +4,7 @@
 //!
 //! * [`BucketList`] — the Fiduccia–Mattheyses gain structure: an array of
 //!   intrusive doubly-linked lists indexed by integer gain, giving `O(1)`
-//!   insert/remove/update and amortized-`O(1)` max-gain extraction. This is
+//!   insert and gain adjustment and amortized-`O(1)` max-gain extraction. This is
 //!   the optimization the paper cites for making KL effectively linear-time
 //!   (§IV-C, \[21\]).
 //! * [`ExtendedKl`] — the paper's Algorithm 1: single-node switches on a

@@ -62,7 +62,7 @@ fn gain_checker_catches_a_corrupted_bucket() {
     // switch_delta derives — exactly the drift a wrong incremental
     // neighbor adjustment in one_pass would produce.
     let victim = NodeId(3);
-    bucket.update(victim.0, true_gain(&g, &p, victim) + 3);
+    assert!(bucket.adjust_if_present(victim.0, 3));
     kl.assert_gain_index(&p, &bucket, &deltas).expect("in-memory source");
 }
 
@@ -99,9 +99,9 @@ fn structural_checker_accepts_a_live_bucket() {
         b.insert(n, gain);
     }
     b.assert_consistent();
-    b.update(1, 4);
-    b.remove(2);
-    b.adjust(0, -1);
+    assert!(b.adjust_if_present(1, 6));
+    assert!(b.adjust_if_present(2, 0));
+    assert!(b.adjust_if_present(0, -1));
     let _ = b.pop_max();
     b.assert_consistent();
 }

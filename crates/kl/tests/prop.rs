@@ -12,8 +12,6 @@ use std::convert::Infallible;
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u32, i64),
-    Remove(u32),
-    Update(u32, i64),
     Adjust(u32, i64),
     PopMax,
     PeekTop(usize),
@@ -22,8 +20,6 @@ enum Op {
 fn op_strategy(nodes: u32, bound: i64) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..nodes, -bound..=bound).prop_map(|(n, g)| Op::Insert(n, g)),
-        (0..nodes).prop_map(Op::Remove),
-        (0..nodes, -bound..=bound).prop_map(|(n, g)| Op::Update(n, g)),
         (0..nodes, -3i64..=3).prop_map(|(n, d)| Op::Adjust(n, d)),
         Just(Op::PopMax),
         (0..16usize).prop_map(Op::PeekTop),
@@ -64,11 +60,11 @@ proptest! {
     /// The bucket list behaves exactly like the filing-order model under
     /// arbitrary operation sequences, down to the node each pop returns
     /// and the order of `peek_top`: the extended-KL kernel's move order,
-    /// and with it every report digest, rests on that tie order. `update`
-    /// of an unindexed node inserts it; `adjust_if_present` of one changes
-    /// nothing. Operations the bucket list treats as caller bugs (double
-    /// insert, removing an unindexed node, a gain out of range) are
-    /// skipped on both sides.
+    /// and with it every report digest, rests on that tie order.
+    /// `adjust_if_present` of an unindexed node changes nothing, and a
+    /// zero delta leaves an indexed node where it is. Operations the
+    /// bucket list treats as caller bugs (double insert, a gain out of
+    /// range) are skipped on both sides.
     ///
     /// Gains are drawn from a narrow range so that ties, and with them
     /// the order within one bucket, come up in most cases.
@@ -84,19 +80,6 @@ proptest! {
                 Op::Insert(n, g) => {
                     if model.gain(n).is_none() {
                         bucket.insert(n, g);
-                        model.file(n, g);
-                    }
-                }
-                Op::Remove(n) => {
-                    if model.gain(n).is_some() {
-                        bucket.remove(n);
-                        model.remove(n);
-                    }
-                }
-                Op::Update(n, g) => {
-                    bucket.update(n, g);
-                    // Re-filing at an unchanged gain keeps the position.
-                    if model.gain(n) != Some(g) {
                         model.file(n, g);
                     }
                 }
@@ -126,8 +109,12 @@ proptest! {
             prop_assert_eq!(bucket.len(), model.0.len());
             for n in 0..12 {
                 prop_assert_eq!(bucket.contains(n), model.gain(n).is_some());
+                if let Some(g) = model.gain(n) {
+                    prop_assert_eq!(bucket.gain_of(n), g);
+                }
             }
-            prop_assert_eq!(bucket.peek_max_gain(), model.pop_order().first().map(|&(_, g)| g));
+            let first: Vec<u32> = model.pop_order().first().map(|&(n, _)| n).into_iter().collect();
+            prop_assert_eq!(bucket.peek_top(1), first);
         }
     }
 }

@@ -284,34 +284,20 @@ pub fn read_augmented_guarded<R: Read>(
     Ok(g)
 }
 
-/// Like [`read_augmented_lenient`], with explicit [`IngestGuards`].
-/// Hostile edges are skipped and counted; budget trips stay fatal.
+/// Like [`read_augmented_guarded`], but malformed, out-of-range and
+/// hostile edge lines are skipped and counted in the returned
+/// [`LoadStats`] instead of failing the load. The header stays strict:
+/// without a trustworthy node count nothing downstream is meaningful.
 ///
 /// # Errors
 ///
-/// Everything [`read_augmented_lenient`] returns, plus
-/// [`AugmentedIoError::ResourceExhausted`] when a guard trips.
+/// Everything [`read_augmented_guarded`] returns except the per-line
+/// errors: a bad header, a read failure or a tripped guard.
 pub fn read_augmented_lenient_guarded<R: Read>(
     reader: R,
     guards: IngestGuards,
 ) -> Result<(AugmentedGraph, LoadStats), AugmentedIoError> {
     read_augmented_impl(reader, true, guards)
-}
-
-/// Like [`read_augmented`], but malformed and out-of-range edge lines are
-/// skipped and counted instead of failing the whole load. The header stays
-/// strict — without a trustworthy node count nothing downstream is
-/// meaningful — and I/O errors remain fatal. The returned [`LoadStats`]
-/// lets the caller report how much input was dropped.
-///
-/// # Errors
-///
-/// Returns [`AugmentedIoError::BadHeader`] on a missing/malformed header
-/// and [`AugmentedIoError::Io`] on read failures.
-pub fn read_augmented_lenient<R: Read>(
-    reader: R,
-) -> Result<(AugmentedGraph, LoadStats), AugmentedIoError> {
-    read_augmented_impl(reader, true, IngestGuards::default())
 }
 
 enum EdgeKind {
@@ -857,7 +843,8 @@ mod tests {
     #[test]
     fn lenient_mode_skips_and_counts_bad_lines() {
         let data = format!("{HEADER_PREFIX}3\nF 0 1\nX 0 1\nR 1 2\nF 0 99\nR 9 bad\n");
-        let (g, stats) = read_augmented_lenient(data.as_bytes()).expect("lenient load");
+        let (g, stats) = read_augmented_lenient_guarded(data.as_bytes(), IngestGuards::unlimited())
+            .expect("lenient load");
         assert_eq!(g.num_friendships(), 1);
         assert_eq!(g.num_rejections(), 1);
         assert_eq!(stats.skipped_lines, 3);
@@ -866,7 +853,8 @@ mod tests {
 
     #[test]
     fn lenient_mode_still_rejects_a_bad_header() {
-        let err = read_augmented_lenient("F 0 1\n".as_bytes()).unwrap_err();
+        let err = read_augmented_lenient_guarded("F 0 1\n".as_bytes(), IngestGuards::unlimited())
+            .unwrap_err();
         assert!(matches!(err, AugmentedIoError::BadHeader { .. }));
     }
 
@@ -876,7 +864,9 @@ mod tests {
         let mut buf = Vec::new();
         write_augmented(&g, &mut buf).expect("write to Vec cannot fail");
         let strict = read_augmented(buf.as_slice()).expect("strict load");
-        let (lenient, stats) = read_augmented_lenient(buf.as_slice()).expect("lenient load");
+        let (lenient, stats) =
+            read_augmented_lenient_guarded(buf.as_slice(), IngestGuards::unlimited())
+                .expect("lenient load");
         assert_eq!(strict, lenient);
         assert!(!stats.is_degraded());
     }
@@ -994,7 +984,8 @@ mod tests {
     #[test]
     fn lenient_mode_skips_and_counts_hostile_edges() {
         let data = format!("{HEADER_PREFIX}3\nF 0 1\nF 0 1\nF 2 2\nR 1 2\nR 1 2\n");
-        let (g, stats) = read_augmented_lenient(data.as_bytes()).expect("lenient load");
+        let (g, stats) = read_augmented_lenient_guarded(data.as_bytes(), IngestGuards::unlimited())
+            .expect("lenient load");
         assert_eq!(g.num_friendships(), 1);
         assert_eq!(g.num_rejections(), 1);
         assert_eq!(stats.skipped_lines, 3);

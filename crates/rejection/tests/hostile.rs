@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rejection::io::{
-    read_augmented, read_augmented_guarded, read_augmented_lenient, read_augmented_lenient_guarded,
+    read_augmented, read_augmented_guarded, read_augmented_lenient_guarded,
     AugmentedIoError, IngestGuards, LoadStats,
 };
 use rejection::AugmentedGraph;
@@ -270,7 +270,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
         let _ = read_augmented(bytes.as_slice());
-        let _ = read_augmented_lenient(bytes.as_slice());
+        let _ = read_augmented_lenient_guarded(bytes.as_slice(), IngestGuards::unlimited());
     }
 
     /// Arbitrary bytes *after a valid header* exercise the per-line paths:
@@ -285,7 +285,7 @@ proptest! {
         let mut input = format!("{HEADER}{n}\n").into_bytes();
         input.extend_from_slice(&bytes);
         let _ = read_augmented(input.as_slice());
-        match read_augmented_lenient(input.as_slice()) {
+        match read_augmented_lenient_guarded(input.as_slice(), IngestGuards::unlimited()) {
             Ok((g, _stats)) => prop_assert_eq!(g.num_nodes(), n as usize),
             Err(AugmentedIoError::Io(_)) => {}
             Err(other) => {

@@ -5,10 +5,10 @@
 //! accumulation order is unspecified (`Iterator::sum`, a parallel tree
 //! reduce) is a silent determinism hazard. The `float-determinism` lint
 //! (`cargo xtask check`) bans such reductions in the kernel crates;
-//! this module is the sanctioned escape hatch. [`ordered_sum`] and
-//! [`ordered_mean`] commit to one explicit order — a single
-//! left-to-right fold over the iterator as given — so the result is a
-//! pure function of the element *sequence*, never of scheduling.
+//! this module is the sanctioned escape hatch. [`ordered_sum`] commits
+//! to one explicit order — a single left-to-right fold over the
+//! iterator as given — so the result is a pure function of the element
+//! *sequence*, never of scheduling.
 //! Callers remain responsible for feeding a deterministic sequence
 //! (iterate a `Vec` or `BTreeMap`, not a hash map).
 
@@ -19,19 +19,6 @@ pub fn ordered_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     // The one blessed order-silent reduction: this fold IS the ordering
     // contract the rest of the workspace points at.
     values.into_iter().fold(0.0, |acc, x| acc + x) // xtask-allow: float-determinism: left-to-right fold is the ordering contract itself
-}
-
-/// Left-to-right mean: [`ordered_sum`] divided by the element count.
-/// Returns `None` for an empty sequence instead of `NaN`.
-pub fn ordered_mean<I: IntoIterator<Item = f64>>(values: I) -> Option<f64> {
-    let mut n = 0u64;
-    let total = ordered_sum(values.into_iter().inspect(|_| n += 1));
-    if n == 0 {
-        None
-    } else {
-        // u64 → f64 is exact for any feasible element count (< 2^53).
-        Some(total / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -49,11 +36,5 @@ mod tests {
     #[test]
     fn ordered_sum_of_empty_is_zero() {
         assert_eq!(ordered_sum(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn ordered_mean_basics() {
-        assert_eq!(ordered_mean([1.0, 2.0, 3.0]), Some(2.0));
-        assert_eq!(ordered_mean(std::iter::empty()), None);
     }
 }

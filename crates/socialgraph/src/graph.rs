@@ -96,16 +96,6 @@ impl Graph {
         EdgesIter { graph: self, u: 0, pos: 0 }
     }
 
-    /// Iterator over neighbors of `u` (equivalent to
-    /// `self.neighbors(u).iter().copied()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn neighbors_iter(&self, u: NodeId) -> NeighborsIter<'_> {
-        NeighborsIter { inner: self.adj[u.index()].iter() }
-    }
-
     /// Validates that `u` names a node of this graph.
     ///
     /// # Errors
@@ -147,26 +137,6 @@ impl Iterator for EdgesIter<'_> {
         None
     }
 }
-
-/// Iterator over the neighbors of a node; see [`Graph::neighbors_iter`].
-#[derive(Debug, Clone)]
-pub struct NeighborsIter<'a> {
-    inner: std::slice::Iter<'a, NodeId>,
-}
-
-impl Iterator for NeighborsIter<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().copied()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for NeighborsIter<'_> {}
 
 /// Incremental constructor for [`Graph`].
 ///
@@ -403,14 +373,6 @@ mod tests {
         assert!(b.add_edge(NodeId(0), NodeId(1)));
         assert!(!b.add_edge(NodeId(1), NodeId(0)));
         assert!(!b.add_edge(NodeId(2), NodeId(2)));
-    }
-
-    #[test]
-    fn neighbors_iter_matches_slice() {
-        let g = triangle_plus_isolate();
-        let via_iter: Vec<_> = g.neighbors_iter(NodeId(0)).collect();
-        assert_eq!(via_iter.as_slice(), g.neighbors(NodeId(0)));
-        assert_eq!(g.neighbors_iter(NodeId(0)).len(), 2);
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub mod metrics;
 pub mod surrogates;
 
 pub use error::GraphError;
-pub use graph::{EdgesIter, Graph, GraphBuilder, NeighborsIter};
+pub use graph::{EdgesIter, Graph, GraphBuilder};
 pub use id::NodeId;

@@ -27,7 +27,7 @@
 //! fault spec (feed it to `detect --inject`).
 
 use crate::determinism::{render_report, same, scratch, stripped, Runtime, RUNTIMES};
-use rejecto_core::chaos::{ChaosPlan, ChaosRng};
+use rejecto_core::chaos::{ChaosPlan, ChaosRng, SEED_BASE};
 use rejecto_core::{
     Checkpoint, CheckpointStore, Completion, DetectionReport, Fault, Faults, InterruptReason,
     RejectoConfig, RunBudget, Termination,
@@ -36,10 +36,6 @@ use rejecto_obs::{json_str, Obs};
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Pinned seed base: seed `i` of a soak is `SEED_BASE + i`, so CI runs
-/// and local reproductions always mean the same schedule by "seed 7".
-pub const SEED_BASE: u64 = 0x7E57_5EED;
 
 /// Same scaled-down fixture family as the determinism harness: big enough
 /// for several pruning rounds, small enough to soak many seeds.
@@ -138,6 +134,7 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
     let mut records = Vec::new();
     let mut legs = 0usize;
     let mut typed_errors = 0usize;
+    let mut rebalances = 0u64;
     let mut resumes_checked = 0usize;
     let mut resumes_skipped = 0usize;
     let mut deadline_plans = 0usize;
@@ -176,6 +173,7 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
                 rt.run(&sim.graph, &config, termination, None, None, &obs)
             }))
             .map_err(|_| format!("{ctx}: {rt} PANICKED"))?;
+            rebalances += obs.volatile("io/shards_rebalanced");
             outcomes.push(match result {
                 Ok(report) => {
                     if !rt.is_local() && hangs && obs.volatile("io/hangs_absorbed") == 0 {
@@ -263,7 +261,8 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
         "chaos: OK — {seeds} seed(s) soaked at threads=1/4 and workers=1/4 \
          ({legs} legs, 0 panics); every leg terminated in \
          Complete/Partial/typed-error ({typed_errors} typed error(s) \
-         absorbed); {resumes_checked} kill-and-resume leg(s) byte-identical \
+         absorbed, {rebalances} shard rebalance(s) on the distributed \
+         legs); {resumes_checked} kill-and-resume leg(s) byte-identical \
          to their uninterrupted runs ({resumes_skipped} skipped: deadline \
          plans, persistent panics, or degenerate fixtures); \
          {deadline_plans} deadline plan(s) soaked for termination only; \

@@ -245,7 +245,6 @@ fn interrupt_name(reason: InterruptReason) -> &'static str {
         InterruptReason::PassBudget => "kl-pass budget",
         InterruptReason::RoundBudget => "round budget",
         InterruptReason::ResourceBudget => "resource budget",
-        InterruptReason::Cancelled => "cancellation",
         _ => "interrupt",
     }
 }
