@@ -63,6 +63,4 @@ pub use faults::{Fault, FaultPlan, Faults};
 pub use kl::KParam;
 pub use maar::{sweep_with_fallback, KResult, MaarCut, SweepOutcome, SweepPlan};
 pub use runtime::{RunContext, RuntimeError};
-pub use store::{
-    CheckpointStore, StoreError, StoreResume, DEFAULT_CHECKPOINT_KEEP,
-};
+pub use store::{CheckpointStore, StoreResume, DEFAULT_CHECKPOINT_KEEP};

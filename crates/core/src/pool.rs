@@ -155,7 +155,7 @@ mod tests {
     use std::time::Duration;
 
     fn free() -> CancelToken {
-        CancelToken::new()
+        CancelToken::new(None, None)
     }
 
     fn done<T>(outcomes: Vec<JobOutcome<T>>) -> Vec<Option<T>> {
@@ -217,8 +217,7 @@ mod tests {
 
     #[test]
     fn tripped_token_skips_unclaimed_jobs() {
-        let token = CancelToken::new();
-        token.set_deadline_in(Duration::ZERO);
+        let token = CancelToken::new(Some(Duration::ZERO), None);
         for threads in [1, 4] {
             let out: Vec<JobOutcome<usize>> = run_indexed(threads, 6, &token, |i| i);
             assert!(
@@ -230,10 +229,10 @@ mod tests {
 
     #[test]
     fn token_tripped_by_a_job_skips_later_serial_jobs() {
-        let token = CancelToken::new();
+        let token = CancelToken::new(None, Some(0));
         let out = run_indexed(1, 5, &token, |i| {
             if i == 2 {
-                token.set_deadline_in(Duration::ZERO);
+                assert!(!token.consume_pass(), "a zero pass budget is spent at once");
             }
             i
         });

@@ -166,17 +166,8 @@ impl RunContext {
     /// the budget's and the plan's injected one) and its global KL pass
     /// budget armed on a fresh token, and its fault plan armed.
     pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
-        let token = kl::CancelToken::new();
-        if let Some(deadline) = config.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(deadline) = config.faults.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = config.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
+        let deadline = config.budget.deadline.into_iter().chain(config.faults.deadline()).min();
+        let token = kl::CancelToken::new(deadline, config.budget.max_kl_passes);
         RunContext { token, faults: crate::Faults::new(&config.faults), round: 0, obs }
     }
 
@@ -215,5 +206,22 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("nodes"), "{s}");
         assert!(s.contains("9 exceeds limit 8"), "{s}");
+    }
+
+    /// The token keeps the tighter of the budget's and the injected
+    /// deadline, whichever of the two it is.
+    #[test]
+    fn armed_keeps_the_tighter_deadline() {
+        use std::time::Duration;
+        for (budget, injected) in
+            [(Duration::from_secs(3600), "deadline=0ms"), (Duration::ZERO, "deadline=3600000ms")]
+        {
+            let mut config = crate::RejectoConfig::default();
+            config.budget.deadline = Some(budget);
+            config.faults = crate::FaultPlan::parse(injected).expect("plan parses");
+            let ctx = RunContext::armed(&config, None);
+            assert!(ctx.token.is_cancelled(), "budget {budget:?}, {injected}: first poll trips");
+            assert_eq!(ctx.token.reason(), Some(kl::CancelReason::Deadline));
+        }
     }
 }

@@ -29,6 +29,11 @@
 //!   as a [`RuntimeError::CheckpointCorrupt`], so one mangled file costs
 //!   one round of progress, never the run.
 //!
+//! Every store failure is the [`RuntimeError`] the run reports, built
+//! where it happens: a failed I/O step is [`RuntimeError::StoreFailed`],
+//! and the byte ceiling is [`RuntimeError::ResourceExhausted`] on a save
+//! and on a load alike.
+//!
 //! Fault injection ([`crate::FaultPlan`] forms `torn_write@round=N` and
 //! `bit_flip@round=N`, probed through the store's [`crate::Faults`] table) mangles
 //! a just-written generation deterministically, which is how the xtask
@@ -49,101 +54,6 @@ pub const FRAME_MAGIC: &str = "rejecto-ckpt-frame/v1";
 
 /// Default number of checkpoint generations retained (`--checkpoint-keep`).
 pub const DEFAULT_CHECKPOINT_KEEP: usize = 3;
-
-/// A structured durable-store failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StoreError {
-    /// An OS-level I/O operation failed.
-    Io {
-        /// Path of the artifact involved.
-        path: String,
-        /// The protocol step that failed (`create temp`, `rename`, ...).
-        op: &'static str,
-        /// The underlying error, rendered.
-        message: String,
-    },
-    /// An artifact exists but failed its integrity check.
-    Corrupt {
-        /// Path of the corrupt artifact.
-        path: String,
-        /// Byte offset of the first offending byte.
-        offset: usize,
-        /// What failed (magic, length, checksum, payload parse).
-        message: String,
-    },
-    /// Every checkpoint generation of a stem was corrupt or missing.
-    NoValidGeneration {
-        /// The checkpoint stem whose chain was exhausted.
-        stem: String,
-        /// How many generations were examined and rejected.
-        skipped: usize,
-    },
-    /// An artifact's size exceeds the store's `max_checkpoint_bytes`
-    /// budget. On save the oversized frame is never written; on load the
-    /// size is gated on file metadata *before* the bytes are read, so a
-    /// hostile multi-gigabyte artifact cannot balloon memory.
-    OverBudget {
-        /// Path of the over-budget artifact.
-        path: String,
-        /// The configured byte budget.
-        limit: u64,
-        /// The artifact's (or encoded frame's) size in bytes.
-        observed: u64,
-    },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io { path, op, message } => {
-                write!(f, "{path}: {op} failed: {message}")
-            }
-            StoreError::Corrupt { path, offset, message } => {
-                write!(f, "{path}: corrupt at byte {offset}: {message}")
-            }
-            StoreError::NoValidGeneration { stem, skipped } => write!(
-                f,
-                "{stem}: no valid checkpoint generation ({skipped} candidate(s) \
-                 corrupt or unreadable)"
-            ),
-            StoreError::OverBudget { path, limit, observed } => write!(
-                f,
-                "{path}: checkpoint size {observed} exceeds the {limit}-byte budget"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<StoreError> for RuntimeError {
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::Io { path, op, message } => RuntimeError::StoreFailed {
-                path,
-                op: op.to_string(),
-                message,
-            },
-            StoreError::Corrupt { path, offset, message } => {
-                RuntimeError::CheckpointCorrupt { path, offset, message }
-            }
-            StoreError::NoValidGeneration { stem, skipped } => RuntimeError::StoreFailed {
-                path: stem,
-                op: "resolve".to_string(),
-                message: format!(
-                    "no valid checkpoint generation ({skipped} candidate(s) corrupt \
-                     or unreadable)"
-                ),
-            },
-            StoreError::OverBudget { limit, observed, .. } => RuntimeError::ResourceExhausted {
-                resource: "checkpoint bytes",
-                limit,
-                observed,
-            },
-        }
-    }
-}
 
 // --- CRC32 (IEEE 802.3 polynomial, reflected table-driven form) ---------
 
@@ -353,8 +263,16 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&[u8], FrameError> {
 /// concurrent processes.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn io_err(path: &Path, op: &'static str, e: &std::io::Error) -> StoreError {
-    StoreError::Io { path: path.display().to_string(), op, message: e.to_string() }
+fn io_err(path: &Path, op: &str, e: &std::io::Error) -> RuntimeError {
+    RuntimeError::StoreFailed {
+        path: path.display().to_string(),
+        op: op.to_string(),
+        message: e.to_string(),
+    }
+}
+
+fn corrupt(path: &Path, offset: usize, message: String) -> RuntimeError {
+    RuntimeError::CheckpointCorrupt { path: path.display().to_string(), offset, message }
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the target
@@ -367,17 +285,18 @@ fn io_err(path: &Path, op: &'static str, e: &std::io::Error) -> StoreError {
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] naming the protocol step that failed; the temp
-/// file is removed best-effort on any failure after its creation.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// [`RuntimeError::StoreFailed`] naming the protocol step that failed;
+/// the temp file is removed best-effort on any failure after its
+/// creation.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), RuntimeError> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
     let Some(file_name) = path.file_name() else {
-        return Err(StoreError::Io {
+        return Err(RuntimeError::StoreFailed {
             path: path.display().to_string(),
-            op: "resolve",
+            op: "resolve".to_string(),
             message: "path has no file name component".to_string(),
         });
     };
@@ -388,7 +307,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         std::process::id()
     ));
 
-    let write_and_sync = || -> Result<(), StoreError> {
+    let write_and_sync = || -> Result<(), RuntimeError> {
         let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create temp", &e))?;
         f.write_all(bytes).map_err(|e| io_err(&tmp, "write temp", &e))?;
         f.sync_all().map_err(|e| io_err(&tmp, "sync temp", &e))?;
@@ -421,9 +340,11 @@ pub struct StoreResume {
     pub checkpoint: Checkpoint,
     /// The file it came from.
     pub path: PathBuf,
-    /// One [`RuntimeError::CheckpointCorrupt`] per newer generation that
-    /// was skipped, newest first. Empty when the newest generation was
-    /// used directly.
+    /// Why each newer generation was skipped, newest first: a
+    /// [`RuntimeError::CheckpointCorrupt`] for a bad frame or payload, a
+    /// [`RuntimeError::ResourceExhausted`] for a file over the byte
+    /// ceiling, a [`RuntimeError::StoreFailed`] for one that could not be
+    /// read. Empty when the newest generation was used directly.
     pub skipped: Vec<RuntimeError>,
 }
 
@@ -511,11 +432,12 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when removing a newer generation or writing
-    /// this one fails; [`StoreError::OverBudget`] when the frame exceeds
-    /// the byte ceiling (nothing is written). Pruning older generations
-    /// is best-effort: a surviving stale file is garbage, not corruption.
-    pub fn save(&self, ckpt: &Checkpoint) -> Result<(), StoreError> {
+    /// [`RuntimeError::StoreFailed`] when removing a newer generation or
+    /// writing this one fails; [`RuntimeError::ResourceExhausted`] (of
+    /// `"checkpoint bytes"`) when the frame exceeds the byte ceiling
+    /// (nothing is written). Pruning older generations is best-effort: a
+    /// surviving stale file is garbage, not corruption.
+    pub fn save(&self, ckpt: &Checkpoint) -> Result<(), RuntimeError> {
         let round = ckpt.rounds;
         let mut generations = self.scan_generations();
         for &newer in generations.iter().filter(|&&g| g > round) {
@@ -532,10 +454,7 @@ impl CheckpointStore {
         let gen_path = self.generation_path(round);
         let payload = format!("{}\n", ckpt.to_json());
         let mut bytes = encode_frame(payload.as_bytes());
-        self.check_budget(
-            &gen_path,
-            u64::try_from(bytes.len()).expect("frame size fits in u64"),
-        )?;
+        self.check_budget(u64::try_from(bytes.len()).expect("frame size fits in u64"))?;
         if let Some(mangle) = self.faults.mangle_at(round) {
             apply_mangle(&mut bytes, mangle);
         }
@@ -555,11 +474,13 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NoValidGeneration`] when generations exist but all
-    /// fail validation; [`StoreError::Corrupt`] when only a plain stem
-    /// file exists and it fails; [`StoreError::Io`] when nothing
-    /// resumable exists at all.
-    pub fn load_latest_valid(&self) -> Result<StoreResume, StoreError> {
+    /// [`RuntimeError::StoreFailed`] with op `resolve` when generations
+    /// exist but all fail validation (its message counts them);
+    /// [`RuntimeError::CheckpointCorrupt`] when only a plain stem file
+    /// exists and it fails, or [`RuntimeError::ResourceExhausted`] when
+    /// it is over the byte ceiling; [`RuntimeError::StoreFailed`] when
+    /// nothing resumable exists at all.
+    pub fn load_latest_valid(&self) -> Result<StoreResume, RuntimeError> {
         let generations = self.scan_generations();
         if generations.is_empty() {
             // No generational artifacts: fall back to a plain (framed or
@@ -582,26 +503,30 @@ impl CheckpointStore {
                     if let Some(obs) = &self.obs {
                         obs.volatile_incr("ckpt/corrupt_skipped", 1);
                     }
-                    skipped.push(e.into());
+                    skipped.push(e);
                 }
             }
         }
-        Err(StoreError::NoValidGeneration {
-            stem: self.stem.display().to_string(),
-            skipped: skipped.len(),
+        Err(RuntimeError::StoreFailed {
+            path: self.stem.display().to_string(),
+            op: "resolve".to_string(),
+            message: format!(
+                "no valid checkpoint generation ({} candidate(s) corrupt or unreadable)",
+                skipped.len()
+            ),
         })
     }
 
     /// Fails when `observed` bytes exceed the armed `max_checkpoint_bytes`
     /// budget, counting the refusal in the volatile `res/*` tallies.
-    fn check_budget(&self, path: &Path, observed: u64) -> Result<(), StoreError> {
+    fn check_budget(&self, observed: u64) -> Result<(), RuntimeError> {
         if let Some(limit) = self.limit {
             if observed > limit {
                 if let Some(obs) = &self.obs {
                     obs.volatile_incr("res/ckpt_over_budget", 1);
                 }
-                return Err(StoreError::OverBudget {
-                    path: path.display().to_string(),
+                return Err(RuntimeError::ResourceExhausted {
+                    resource: "checkpoint bytes",
                     limit,
                     observed,
                 });
@@ -611,49 +536,34 @@ impl CheckpointStore {
     }
 
     /// Reads and fully validates one generation file.
-    fn load_generation(&self, path: &Path) -> Result<Checkpoint, StoreError> {
+    fn load_generation(&self, path: &Path) -> Result<Checkpoint, RuntimeError> {
         let meta = std::fs::metadata(path).map_err(|e| io_err(path, "stat", &e))?;
-        self.check_budget(path, meta.len())?;
+        self.check_budget(meta.len())?;
         let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
-        let payload = decode_frame(&bytes).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset: e.offset,
-            message: e.message,
+        let payload = decode_frame(&bytes).map_err(|e| corrupt(path, e.offset, e.message))?;
+        let text = std::str::from_utf8(payload).map_err(|e| {
+            corrupt(path, e.valid_up_to(), "framed payload is not utf-8".to_string())
         })?;
-        let text = std::str::from_utf8(payload).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset: e.valid_up_to(),
-            message: "framed payload is not utf-8".to_string(),
-        })?;
-        Checkpoint::from_json(text).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset: 0,
-            message: format!("frame verifies but the payload does not parse: {e}"),
+        Checkpoint::from_json(text).map_err(|e| {
+            corrupt(path, 0, format!("frame verifies but the payload does not parse: {e}"))
         })
     }
 
     /// Loads a pre-generational checkpoint at the stem path itself:
     /// framed if it carries the magic, legacy raw JSON otherwise.
-    fn load_plain(&self) -> Result<StoreResume, StoreError> {
+    fn load_plain(&self) -> Result<StoreResume, RuntimeError> {
         let path = &self.stem;
         let meta = std::fs::metadata(path).map_err(|e| io_err(path, "stat", &e))?;
-        self.check_budget(path, meta.len())?;
+        self.check_budget(meta.len())?;
         let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
         let text = if bytes.starts_with(FRAME_MAGIC.as_bytes()) {
-            let payload = decode_frame(&bytes).map_err(|e| StoreError::Corrupt {
-                path: path.display().to_string(),
-                offset: e.offset,
-                message: e.message,
-            })?;
+            let payload = decode_frame(&bytes).map_err(|e| corrupt(path, e.offset, e.message))?;
             String::from_utf8_lossy(payload).into_owned()
         } else {
             String::from_utf8_lossy(&bytes).into_owned()
         };
-        let checkpoint = Checkpoint::from_json(&text).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset: 0,
-            message: e.to_string(),
-        })?;
+        let checkpoint =
+            Checkpoint::from_json(&text).map_err(|e| corrupt(path, 0, e.to_string()))?;
         Ok(StoreResume { checkpoint, path: path.clone(), skipped: Vec::new() })
     }
 
@@ -854,21 +764,23 @@ mod tests {
         let dir = tmpdir("save-budget");
         let store = CheckpointStore::new(dir.join("run.ckpt")).with_limit(Some(16));
         let err = store.save(&sample_checkpoint(1)).expect_err("frame exceeds 16 bytes");
-        match &err {
-            StoreError::OverBudget { limit, observed, .. } => {
-                assert_eq!(*limit, 16);
-                assert!(*observed > 16);
-            }
-            other => panic!("expected OverBudget, got {other:?}"),
-        }
-        assert!(!store.generation_path(1).exists(), "refused frame must not be written");
-        // The refusal maps into the runtime taxonomy as resource exhaustion.
-        let rt: RuntimeError = err.into();
-        match rt {
-            RuntimeError::ResourceExhausted { resource, .. } => {
+        match err {
+            RuntimeError::ResourceExhausted { resource, limit, observed } => {
                 assert_eq!(resource, "checkpoint bytes");
+                assert_eq!(limit, 16);
+                assert!(observed > 16);
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
+        }
+        assert!(!store.generation_path(1).exists(), "refused frame must not be written");
+    }
+
+    /// The resolve failure's message, which counts the rejected
+    /// generations.
+    fn resolve_message(err: RuntimeError) -> String {
+        match err {
+            RuntimeError::StoreFailed { op, message, .. } if op == "resolve" => message,
+            other => panic!("expected a resolve StoreFailed, got {other:?}"),
         }
     }
 
@@ -883,10 +795,10 @@ mod tests {
         // than reading (let alone parsing) oversized bytes.
         let bounded = CheckpointStore::new(&stem).with_limit(Some(4));
         let err = bounded.load_latest_valid().expect_err("all generations over budget");
-        match err {
-            StoreError::NoValidGeneration { skipped, .. } => assert_eq!(skipped, 2),
-            other => panic!("expected NoValidGeneration, got {other:?}"),
-        }
+        assert_eq!(
+            resolve_message(err),
+            "no valid checkpoint generation (2 candidate(s) corrupt or unreadable)"
+        );
         // A budget above the artifact size loads normally.
         let roomy = CheckpointStore::new(&stem).with_limit(Some(1 << 20));
         let resume = roomy.load_latest_valid().expect("within budget loads");
@@ -950,10 +862,11 @@ mod tests {
         let store = CheckpointStore::new(dir.join("run.ckpt"));
         store.save(&sample_checkpoint(1)).expect("save succeeds");
         std::fs::write(store.generation_path(1), b"zeroed").expect("fixture overwrite succeeds");
-        match store.load_latest_valid() {
-            Err(StoreError::NoValidGeneration { skipped, .. }) => assert_eq!(skipped, 1),
-            other => panic!("expected NoValidGeneration, got {other:?}"),
-        }
+        let err = store.load_latest_valid().expect_err("no generation survives");
+        assert_eq!(
+            resolve_message(err),
+            "no valid checkpoint generation (1 candidate(s) corrupt or unreadable)"
+        );
     }
 
     #[test]
@@ -963,13 +876,7 @@ mod tests {
         std::fs::write(&path, b"").expect("fixture file is writable");
         let store = CheckpointStore::new(&path);
         match store.load_latest_valid() {
-            Err(StoreError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        // And folded into the runtime taxonomy it is CheckpointCorrupt.
-        let err = store.load_latest_valid().expect_err("empty file cannot resume");
-        match RuntimeError::from(err) {
-            RuntimeError::CheckpointCorrupt { .. } => {}
+            Err(RuntimeError::CheckpointCorrupt { .. }) => {}
             other => panic!("expected CheckpointCorrupt, got {other:?}"),
         }
     }

@@ -14,7 +14,7 @@
 //!   at `threads = 1` and `threads = 4`.
 
 use proptest::prelude::*;
-use rejecto_core::store::{atomic_write, decode_frame, encode_frame, CheckpointStore, StoreError};
+use rejecto_core::store::{atomic_write, decode_frame, encode_frame, CheckpointStore};
 use rejecto_core::{
     Checkpoint, DetectionReport, FaultPlan, Faults, IterativeDetector, RejectoConfig, RuntimeError,
     Seeds, Termination,
@@ -170,7 +170,7 @@ fn empty_checkpoint_file_resumes_as_checkpoint_corrupt() {
     let err = CheckpointStore::new(&path)
         .load_latest_valid()
         .expect_err("an empty checkpoint cannot resume");
-    match RuntimeError::from(err) {
+    match err {
         RuntimeError::CheckpointCorrupt { path, .. } => {
             assert!(path.contains("zero.ckpt"), "{path}");
         }
@@ -305,7 +305,7 @@ fn fallback_counters_reconcile_with_injected_faults() {
     );
 }
 
-/// Every generation mangled → `NoValidGeneration` with full skip
+/// Every generation mangled → a typed `resolve` failure with full skip
 /// accounting, never a panic or a half-parsed resume.
 #[test]
 fn exhausted_generation_chain_is_a_typed_error() {
@@ -321,10 +321,13 @@ fn exhausted_generation_chain_is_a_typed_error() {
             std::fs::write(&p, b"not a frame").expect("fixture overwrite succeeds");
         }
     }
-    match store.load_latest_valid() {
-        Err(StoreError::NoValidGeneration { skipped, .. }) => {
-            assert!(skipped >= 2, "each corrupt generation must be counted, got {skipped}")
+    let obs = rejecto_obs::Obs::default();
+    match store.with_obs(obs.clone()).load_latest_valid() {
+        Err(RuntimeError::StoreFailed { op, message, .. }) if op == "resolve" => {
+            let skipped = obs.volatile("ckpt/corrupt_skipped");
+            assert!(skipped >= 2, "each corrupt generation must be counted, got {skipped}");
+            assert!(message.contains(&format!("({skipped} candidate(s)")), "{message}");
         }
-        other => panic!("expected NoValidGeneration, got {other:?}"),
+        other => panic!("expected a resolve StoreFailed, got {other:?}"),
     }
 }

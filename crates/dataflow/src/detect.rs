@@ -43,8 +43,8 @@ impl DistributedDetector {
     /// `io/buffer_hits`, `io/buffer_misses`, `io/init_jobs`,
     /// `io/worker_restarts`, `io/shards_rebalanced`, `io/hangs_absorbed`)
     /// and cancellation polls are absorbed into the volatile `timings`
-    /// section when the loop returns, since they vary with worker count
-    /// and fault schedules.
+    /// section when the loop returns (the traffic also when it fails),
+    /// since they vary with worker count and fault schedules.
     pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
         self.obs = Some(obs);
     }
@@ -91,11 +91,12 @@ impl DistributedDetector {
             config: &self.config,
             io: Default::default(),
         };
-        let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink)?;
+        let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink);
+        // A failed run's traffic and recovery work count too.
         if let Some(obs) = &self.obs {
             absorb_io(obs, &rounds.io.get());
         }
-        Ok(report)
+        report
     }
 }
 

@@ -1,9 +1,10 @@
 //! Cooperative cancellation for long-running optimization loops.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle shared between the caller
-//! that sets budgets (a wall-clock deadline and a global KL pass budget)
-//! and the inner loops that poll it at *pass boundaries*. It trips only
-//! when one of those budgets runs out.
+//! that arms its budgets (a wall-clock deadline and a global KL pass
+//! budget, both fixed when the token is made) and the inner loops that
+//! poll it at *pass boundaries*. It trips only when one of those budgets
+//! runs out.
 //! Nothing is ever pre-empted mid-pass: a loop that observes cancellation
 //! finishes nothing further, marks its outcome interrupted, and returns the
 //! best state it had — which is what lets the detection pipeline degrade to
@@ -13,8 +14,8 @@
 //! first cause wins, later causes are ignored, so diagnostics stay stable
 //! even when a deadline and a pass budget expire in the same window.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU8, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a [`CancelToken`] tripped.
@@ -35,9 +36,9 @@ const UNLIMITED: i64 = i64::MAX;
 
 #[derive(Debug)]
 struct Inner {
-    cancelled: AtomicBool,
+    /// The first trip cause; `REASON_NONE` while the token is live.
     reason: AtomicU8,
-    deadline: Mutex<Option<Instant>>,
+    deadline: Option<Instant>,
     passes_left: AtomicI64,
     /// How many times [`CancelToken::is_cancelled`] was polled. Scheduling-
     /// dependent (parallel sweeps poll once per claimed job), so it is only
@@ -53,21 +54,19 @@ pub struct CancelToken {
     inner: Arc<Inner>,
 }
 
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
-    }
-}
-
 impl CancelToken {
-    /// A fresh token with no deadline and an unlimited pass budget.
-    pub fn new() -> Self {
+    /// A token that trips with [`CancelReason::Deadline`] once `deadline`
+    /// (counted from now) has passed, and with
+    /// [`CancelReason::PassBudget`] once `passes` successful
+    /// [`consume_pass`](CancelToken::consume_pass) calls are spent. `None`
+    /// leaves that limit off; `CancelToken::new(None, None)` never trips.
+    pub fn new(deadline: Option<Duration>, passes: Option<u64>) -> Self {
+        let passes_left = passes.map_or(UNLIMITED, |p| i64::try_from(p).unwrap_or(UNLIMITED));
         CancelToken {
             inner: Arc::new(Inner {
-                cancelled: AtomicBool::new(false),
                 reason: AtomicU8::new(REASON_NONE),
-                deadline: Mutex::new(None),
-                passes_left: AtomicI64::new(UNLIMITED),
+                deadline: deadline.map(|d| Instant::now() + d),
+                passes_left: AtomicI64::new(passes_left),
                 polls: AtomicU64::new(0),
             }),
         }
@@ -85,30 +84,6 @@ impl CancelToken {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-        self.inner.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Arms a wall-clock deadline `timeout` from now. Replaces any earlier
-    /// deadline; the *tighter* of repeated deadlines is kept.
-    pub fn set_deadline_in(&self, timeout: Duration) {
-        let at = Instant::now() + timeout;
-        let mut slot = self
-            .inner
-            .deadline
-            .lock()
-            .expect("cancel-token deadline mutex poisoned");
-        match *slot {
-            Some(existing) if existing <= at => {}
-            _ => *slot = Some(at),
-        }
-    }
-
-    /// Arms a global pass budget: after `passes` successful
-    /// [`consume_pass`](CancelToken::consume_pass) calls the token trips
-    /// with [`CancelReason::PassBudget`].
-    pub fn set_pass_budget(&self, passes: u64) {
-        let clamped = i64::try_from(passes).unwrap_or(UNLIMITED);
-        self.inner.passes_left.store(clamped, Ordering::Release);
     }
 
     /// Consumes one unit of the pass budget. Returns `false` (and trips the
@@ -132,21 +107,16 @@ impl CancelToken {
     /// so a passed deadline is observed here without any timer thread.
     pub fn is_cancelled(&self) -> bool {
         self.inner.polls.fetch_add(1, Ordering::Relaxed);
-        if self.inner.cancelled.load(Ordering::Acquire) {
+        if self.inner.reason.load(Ordering::Acquire) != REASON_NONE {
             return true;
         }
-        let deadline = *self
-            .inner
-            .deadline
-            .lock()
-            .expect("cancel-token deadline mutex poisoned");
-        if let Some(at) = deadline {
-            if Instant::now() >= at {
+        match self.inner.deadline {
+            Some(at) if Instant::now() >= at => {
                 self.trip(CancelReason::Deadline);
-                return true;
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Time left until the armed deadline: `None` when no deadline is
@@ -154,12 +124,7 @@ impl CancelToken {
     /// on external events (e.g. a master waiting on a worker response)
     /// bound their wait so a hang can never outlive the run budget.
     pub fn time_remaining(&self) -> Option<Duration> {
-        let deadline = *self
-            .inner
-            .deadline
-            .lock()
-            .expect("cancel-token deadline mutex poisoned");
-        deadline.map(|at| at.saturating_duration_since(Instant::now()))
+        self.inner.deadline.map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// How many times [`is_cancelled`](CancelToken::is_cancelled) was
@@ -185,7 +150,7 @@ mod tests {
 
     #[test]
     fn fresh_token_is_live() {
-        let t = CancelToken::new();
+        let t = CancelToken::new(None, None);
         assert!(!t.is_cancelled());
         assert_eq!(t.reason(), None);
         assert!(t.consume_pass(), "unlimited budget must never exhaust");
@@ -193,9 +158,8 @@ mod tests {
 
     #[test]
     fn a_trip_is_seen_by_all_clones() {
-        let t = CancelToken::new();
+        let t = CancelToken::new(None, Some(0));
         let clone = t.clone();
-        t.set_pass_budget(0);
         assert!(!t.consume_pass());
         assert!(clone.is_cancelled());
         assert_eq!(clone.reason(), Some(CancelReason::PassBudget));
@@ -203,8 +167,7 @@ mod tests {
 
     #[test]
     fn pass_budget_exhausts_after_exact_count() {
-        let t = CancelToken::new();
-        t.set_pass_budget(3);
+        let t = CancelToken::new(None, Some(3));
         assert!(t.consume_pass());
         assert!(t.consume_pass());
         assert!(t.consume_pass());
@@ -215,42 +178,31 @@ mod tests {
 
     #[test]
     fn zero_pass_budget_denies_immediately() {
-        let t = CancelToken::new();
-        t.set_pass_budget(0);
+        let t = CancelToken::new(None, Some(0));
         assert!(!t.consume_pass());
         assert_eq!(t.reason(), Some(CancelReason::PassBudget));
     }
 
     #[test]
     fn elapsed_deadline_trips_on_poll() {
-        let t = CancelToken::new();
-        t.set_deadline_in(Duration::from_millis(0));
+        let t = CancelToken::new(Some(Duration::ZERO), None);
         assert!(t.is_cancelled());
         assert_eq!(t.reason(), Some(CancelReason::Deadline));
     }
 
     #[test]
-    fn tighter_deadline_wins() {
-        let t = CancelToken::new();
-        t.set_deadline_in(Duration::from_secs(3600));
-        t.set_deadline_in(Duration::from_millis(0));
-        assert!(t.is_cancelled());
-    }
-
-    #[test]
     fn time_remaining_tracks_the_armed_deadline() {
-        let t = CancelToken::new();
-        assert_eq!(t.time_remaining(), None, "no deadline armed yet");
-        t.set_deadline_in(Duration::from_secs(3600));
-        let rem = t.time_remaining().expect("deadline was just armed");
+        assert_eq!(CancelToken::new(None, None).time_remaining(), None, "no deadline armed");
+        let t = CancelToken::new(Some(Duration::from_secs(3600)), None);
+        let rem = t.time_remaining().expect("a deadline is armed");
         assert!(rem > Duration::from_secs(3500), "remaining {rem:?}");
-        t.set_deadline_in(Duration::from_millis(0));
-        assert_eq!(t.time_remaining(), Some(Duration::ZERO), "passed deadline saturates");
+        let passed = CancelToken::new(Some(Duration::ZERO), None);
+        assert_eq!(passed.time_remaining(), Some(Duration::ZERO), "passed deadline saturates");
     }
 
     #[test]
     fn poll_count_is_shared_across_clones() {
-        let t = CancelToken::new();
+        let t = CancelToken::new(None, None);
         assert_eq!(t.polls(), 0);
         let clone = t.clone();
         assert!(!t.is_cancelled());
@@ -260,8 +212,7 @@ mod tests {
 
     #[test]
     fn first_reason_is_kept() {
-        let t = CancelToken::new();
-        t.set_pass_budget(0);
+        let t = CancelToken::new(None, Some(0));
         assert!(!t.consume_pass());
         t.trip(CancelReason::Deadline);
         assert_eq!(t.reason(), Some(CancelReason::PassBudget));

@@ -835,9 +835,7 @@ mod tests {
     fn tripped_token_interrupts_before_the_first_pass() {
         let g = spam_scenario();
         let mut kl = solver(&g, 1, 1);
-        let token = CancelToken::new();
-        token.set_deadline_in(Duration::ZERO);
-        kl.set_cancel(token);
+        kl.set_cancel(CancelToken::new(Some(Duration::ZERO), None));
         let out = kl.run(Partition::all_legit(&g));
         assert!(out.interrupted);
         assert_eq!(out.passes, 0);
@@ -851,15 +849,13 @@ mod tests {
         let g = spam_scenario();
 
         let mut unlimited = solver(&g, 1, 1);
-        let free = CancelToken::new();
-        unlimited.set_cancel(free.clone());
+        unlimited.set_cancel(CancelToken::new(None, None));
         let full = unlimited.run(Partition::all_legit(&g));
         assert!(!full.interrupted, "unlimited budget must not interrupt");
         assert_eq!(full.partition.suspects(), vec![NodeId(4), NodeId(5), NodeId(6)]);
 
         let mut kl = solver(&g, 1, 1);
-        let token = CancelToken::new();
-        token.set_pass_budget(1);
+        let token = CancelToken::new(None, Some(1));
         kl.set_cancel(token.clone());
         let out = kl.run(Partition::all_legit(&g));
         assert!(out.passes <= 1);

@@ -1,7 +1,7 @@
 //~ crate: core
 //~ path: crates/core/src/fixture.rs
 
-pub fn durable_metrics(doc: &str) -> Result<(), rejecto_core::StoreError> {
+pub fn durable_metrics(doc: &str) -> Result<(), rejecto_core::RuntimeError> {
     rejecto_core::store::atomic_write(std::path::Path::new("metrics.json"), doc.as_bytes())
 }
 

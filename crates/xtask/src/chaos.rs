@@ -313,13 +313,18 @@ fn resume_leg(
         return Ok(format!("skipped:halted-{}", completion_tag(&halted)));
     }
 
-    let resume = match CheckpointStore::new(dir.join("run.ckpt")).load_latest_valid() {
+    let store_obs = Obs::default();
+    let reader = CheckpointStore::new(dir.join("run.ckpt")).with_obs(store_obs.clone());
+    let resume = match reader.load_latest_valid() {
         Ok(resume) => resume,
-        Err(e) => {
+        Err(_) => {
             // With a tiny byte ceiling or an all-generations mangle the
-            // chain can be empty — a typed outcome, not a failure.
+            // chain can be empty — a typed outcome, not a failure. The tag
+            // counts the rejected generations and names no path, so the
+            // artifact does not depend on where the scratch store lives.
             let _ = std::fs::remove_dir_all(&dir);
-            return Ok(format!("skipped:no-valid-generation:{e}"));
+            let rejected = store_obs.volatile("ckpt/corrupt_skipped");
+            return Ok(format!("skipped:no-valid-generation:{rejected}-rejected"));
         }
     };
 

@@ -174,14 +174,14 @@ fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     let graph_path = format!("{stem}.rjg");
     let mut graph_bytes = Vec::new();
     rejection::io::write_augmented(&sim.graph, &mut graph_bytes)?;
-    atomic_write(Path::new(&graph_path), &graph_bytes).map_err(|e| CliError(e.to_string()))?;
+    atomic_write(Path::new(&graph_path), &graph_bytes)?;
     let req_path = format!("{stem}.requests");
     {
         let mut buf = Vec::new();
         for r in sim.log.requests() {
             writeln!(buf, "{} {} {}", r.from, r.to, u8::from(r.accepted))?;
         }
-        atomic_write(Path::new(&req_path), &buf).map_err(|e| CliError(e.to_string()))?;
+        atomic_write(Path::new(&req_path), &buf)?;
     }
     let truth_path = format!("{stem}.truth");
     {
@@ -189,7 +189,7 @@ fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         for f in &sim.fakes {
             writeln!(buf, "{f}")?;
         }
-        atomic_write(Path::new(&truth_path), &buf).map_err(|e| CliError(e.to_string()))?;
+        atomic_write(Path::new(&truth_path), &buf)?;
     }
 
     writeln!(
@@ -376,9 +376,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
             if let Some(obs) = &obs {
                 resume_store = resume_store.with_obs(obs.clone());
             }
-            let resume = resume_store
-                .load_latest_valid()
-                .map_err(|e| CliError(format!("{}", rejecto_core::RuntimeError::from(e))))?;
+            let resume = resume_store.load_latest_valid()?;
             if resume.fell_back() {
                 for skip in &resume.skipped {
                     eprintln!("resume: {skip}");
@@ -401,7 +399,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         .map(|s| |c: &Checkpoint| s.save(c).map_err(std::io::Error::other));
     let sink = sink.as_mut().map(|s| s as CheckpointSink<'_>);
     let (seeds, resume_from) = (Seeds::default(), resume_from.as_ref());
-    let mut report = if distributed {
+    let run = if distributed {
         let mut cluster = ClusterConfig::default();
         if let Some(w) = workers {
             cluster.num_workers = w;
@@ -413,13 +411,24 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }
-        detector.run(&g, &seeds, termination, resume_from, sink)?
+        detector.run(&g, &seeds, termination, resume_from, sink)
     } else {
         let mut detector = IterativeDetector::new(config);
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }
-        detector.run(&g, &seeds, termination, resume_from, sink)?
+        detector.run(&g, &seeds, termination, resume_from, sink)
+    };
+    let mut report = match run {
+        Ok(report) => report,
+        Err(e) => {
+            // A failed run still reports the work it did before failing;
+            // its own error stays the one the command exits with.
+            if let Err(m) = write_metrics(metrics_path.as_deref(), obs.as_ref(), out) {
+                eprintln!("error: {m}");
+            }
+            return Err(e.into());
+        }
     };
     // Corrupt-generation skips belong to this run's story: they render as
     // the same degraded/failure lines every other runtime failure uses.
@@ -511,15 +520,23 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         )?;
     }
 
-    if let (Some(path), Some(obs)) = (&metrics_path, &obs) {
-        if path == "-" {
-            write!(out, "{}", obs.human_summary())?;
-        } else {
-            let mut doc = obs.to_json();
-            doc.push('\n');
-            atomic_write(Path::new(path), doc.as_bytes())
-                .map_err(|e| CliError(e.to_string()))?;
-        }
+    write_metrics(metrics_path.as_deref(), obs.as_ref(), out)
+}
+
+/// Writes the `--metrics` document to `path`, or its human summary to
+/// `out` when `path` is `-`; nothing without `--metrics`.
+fn write_metrics<W: Write>(
+    path: Option<&str>,
+    obs: Option<&rejecto_obs::Obs>,
+    out: &mut W,
+) -> Result<(), CliError> {
+    let (Some(path), Some(obs)) = (path, obs) else { return Ok(()) };
+    if path == "-" {
+        write!(out, "{}", obs.human_summary())?;
+    } else {
+        let mut doc = obs.to_json();
+        doc.push('\n');
+        atomic_write(Path::new(path), doc.as_bytes())?;
     }
     Ok(())
 }
@@ -886,8 +903,19 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(out.contains("degraded:"), "{out}");
-        assert!(out.contains("exceeds the 32-byte budget"), "{out}");
+        // One ceiling, one message: the save refusal reads as the same
+        // resource exhaustion a resume would report, and names no path.
+        let line = out.lines().find(|l| l.starts_with("degraded: ")).expect("a degraded line");
+        let observed = line
+            .strip_prefix(
+                "degraded: checkpoint write failed after round 1: resource budget exhausted: \
+                 checkpoint bytes: observed ",
+            )
+            .and_then(|rest| rest.strip_suffix(" exceeds limit 32"))
+            .unwrap_or_else(|| panic!("unexpected degraded line: {line}"));
+        assert!(observed.parse::<u64>().is_ok_and(|n| n > 32), "{line}");
+        assert!(!line.contains("res-ckpt"), "{line}");
+        assert!(!line.contains(dir.to_str().unwrap()), "{line}");
     }
 
     #[test]

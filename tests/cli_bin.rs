@@ -260,9 +260,13 @@ fn a_truth_line_that_cannot_be_read_names_the_file_and_line() {
 /// A cluster that cannot serve the run fails it with exit 1 and one line
 /// naming why: a config it cannot shard with, or a worker that keeps dying
 /// through its respawn budget of 3 with no survivor to take its shard.
+/// The failed run still writes its metrics document, so the respawns it
+/// made before giving up are reported.
 #[test]
 fn cluster_failures_exit_1_with_their_exact_message() {
-    let (_dir, graph) = simulated_graph("cluster-failed");
+    let (dir, graph) = simulated_graph("cluster-failed");
+    let metrics = dir.join("m.json");
+    let metrics_s = metrics.to_str().expect("utf-8 temp path");
     for (flags, want) in [
         (
             &["--workers", "0"][..],
@@ -277,6 +281,8 @@ fn cluster_failures_exit_1_with_their_exact_message() {
                 "worker_death@fetch=1:x40",
                 "--request-deadline-ms",
                 "50",
+                "--metrics",
+                metrics_s,
             ],
             "error: distributed cluster failed: worker 0 lost after 3 respawn attempt(s) with no \
              survivor to rebalance onto",
@@ -292,4 +298,6 @@ fn cluster_failures_exit_1_with_their_exact_message() {
         assert_eq!(stderr.trim_end(), want, "{flags:?}");
         assert!(out.stdout.is_empty(), "{flags:?}: {}", String::from_utf8_lossy(&out.stdout));
     }
+    let doc = std::fs::read_to_string(&metrics).expect("the failed run writes its metrics");
+    assert!(doc.contains("\"io/worker_restarts\": 3"), "{doc}");
 }
