@@ -37,14 +37,11 @@ fn sybilfence_suspects(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let (legit, _) = sample_seeds(sim, cfg.num_legit_seeds.max(1), 0, &mut rng);
     let result = SybilFence::new(SybilFenceConfig::default()).rank(&sim.graph, &legit);
-    let mut idx: Vec<usize> = (0..sim.graph.num_nodes()).collect();
-    idx.sort_by(|&a, &b| {
-        result.scores()[a]
-            .partial_cmp(&result.scores()[b])
-            .expect("finite scores")
-            .then(a.cmp(&b))
-    });
-    idx.into_iter().take(budget).map(NodeId::from_index).collect()
+    eval::ascending_by_score(result.scores())
+        .into_iter()
+        .take(budget)
+        .map(NodeId::from_index)
+        .collect()
 }
 
 fn main() {

@@ -282,6 +282,7 @@ impl LoopState {
         let partial =
             |completed_k_indices, reason| Completion::Partial { completed_k_indices, reason };
         let mut completion = Completion::Complete;
+        let mut failed = Ok(());
         let _detect_span = obs.map(|o| o.span("detect"));
 
         while report.rounds < MAX_ROUNDS {
@@ -312,7 +313,13 @@ impl LoopState {
             ctx.round = report.rounds;
             let _round_span = obs.map(|o| o.span("detect/round"));
             let residual = current.as_ref().unwrap_or(g);
-            let outcome = solver.solve_round(residual, &legit, &spammer, &ctx)?;
+            let outcome = match solver.solve_round(residual, &legit, &spammer, &ctx) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    failed = Err(e);
+                    break;
+                }
+            };
             report.failures.extend(outcome.failures);
             if outcome.interrupted {
                 // The round did not finish; it does not count, and the
@@ -397,9 +404,11 @@ impl LoopState {
                 }
             }
         }
+        // A failed run records its polls too.
         if let Some(obs) = obs {
             obs.volatile_incr("cancel/polls", ctx.token.polls());
         }
+        failed?;
         report.completion = completion;
         Ok(report)
     }

@@ -42,9 +42,9 @@ impl DistributedDetector {
     /// (as the `io/*` counters: `io/fetch_batches`, `io/nodes_fetched`,
     /// `io/buffer_hits`, `io/buffer_misses`, `io/init_jobs`,
     /// `io/worker_restarts`, `io/shards_rebalanced`, `io/hangs_absorbed`)
-    /// and cancellation polls are absorbed into the volatile `timings`
-    /// section when the loop returns (the traffic also when it fails),
-    /// since they vary with worker count and fault schedules.
+    /// and cancellation polls (`cancel/polls`) are absorbed into the
+    /// volatile `timings` section when the loop returns, also when it
+    /// fails, since they vary with worker count and fault schedules.
     pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
         self.obs = Some(obs);
     }

@@ -3,6 +3,8 @@
 //! * [`precision_recall`] — the paper's headline metric (§VI-A): both
 //!   schemes declare exactly as many suspects as there are injected fakes,
 //!   so precision and recall coincide;
+//! * [`ascending_by_score`] — the one score order (bottom first) that the
+//!   ranking commands, the harnesses and [`auc`] share;
 //! * [`auc`] — area under the ROC curve of a ranking, used to score
 //!   SybilRank in the defense-in-depth experiment (Fig 16);
 //! * [`Cdf`] — empirical CDFs for the measurement-study figures (Figs 3–5);
@@ -17,7 +19,7 @@ mod stats;
 pub mod table;
 
 pub use cdf::Cdf;
-pub use ranking::{auc, roc_curve};
+pub use ranking::{ascending_by_score, auc, roc_curve};
 pub use stats::Summary;
 
 /// Precision of a declared suspect set against ground truth, with the

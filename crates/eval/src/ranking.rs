@@ -1,4 +1,20 @@
-//! Ranking-quality metrics: ROC curves and AUC.
+//! Score rankings and their quality metrics: ROC curves and AUC.
+
+/// Indices of `score` in ascending score order, ties kept in index order:
+/// the bottom of a trust ranking (the likeliest Sybils) comes first.
+/// `total_cmp` keeps the order total even when a score is NaN (a
+/// positive NaN sorts after every finite value), so no score can abort
+/// the sort.
+///
+/// ```
+/// assert_eq!(eval::ascending_by_score(&[0.5, f64::NAN, 0.25, 0.5]), [2, 0, 3, 1]);
+/// ```
+pub fn ascending_by_score(score: &[f64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..score.len()).collect();
+    // A stable sort: equal scores keep their index order.
+    idx.sort_by(|&a, &b| score[a].total_cmp(&score[b]));
+    idx
+}
 
 /// Area under the ROC curve for a scored ranking.
 ///
@@ -28,8 +44,7 @@ pub fn auc(score: &[f64], is_positive: &[bool]) -> f64 {
         return 0.5;
     }
     // Mann–Whitney U via rank sums (average ranks for ties).
-    let mut idx: Vec<usize> = (0..score.len()).collect();
-    idx.sort_by(|&a, &b| score[a].total_cmp(&score[b]));
+    let idx = ascending_by_score(score);
     let mut rank_sum_pos = 0.0f64;
     let mut i = 0usize;
     while i < idx.len() {
@@ -63,8 +78,7 @@ pub fn roc_curve(score: &[f64], is_positive: &[bool]) -> Vec<(f64, f64)> {
     assert_eq!(score.len(), is_positive.len(), "score and label lengths differ");
     let n_pos = is_positive.iter().filter(|&&p| p).count().max(1) as f64;
     let n_neg = (is_positive.len() - is_positive.iter().filter(|&&p| p).count()).max(1) as f64;
-    let mut idx: Vec<usize> = (0..score.len()).collect();
-    idx.sort_by(|&a, &b| score[a].total_cmp(&score[b]));
+    let idx = ascending_by_score(score);
     let mut pts = vec![(0.0, 0.0)];
     let (mut tp, mut fp) = (0usize, 0usize);
     let mut i = 0usize;

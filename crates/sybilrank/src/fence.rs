@@ -2,17 +2,17 @@
 //! rejection-aware point of comparison (§VIII): "leverage user negative
 //! feedback to improve social-graph-based Sybil defenses".
 //!
-//! SybilFence runs SybilRank-style trust propagation, but **discounts the
-//! edges of users who received negative feedback**: a user who accumulated
-//! rejections passes (and receives) less trust across each of their
-//! links, so attack edges obtained by friend spammers carry less trust
-//! into the Sybil region. Unlike Rejecto it scores individual users, not
-//! aggregate cuts — the paper's critique is that per-user discounting
-//! "does not seek the aggregate acceptance ratio and is susceptible to
-//! attack strategies" (collusion dilutes per-user rejection counts; see
-//! the `ext_baselines` harness).
+//! SybilFence runs SybilRank's own trust propagation (its weighted case),
+//! **discounting the edges of users who received negative feedback**: a
+//! user who accumulated rejections passes (and receives) less trust
+//! across each of their links, so attack edges obtained by friend
+//! spammers carry less trust into the Sybil region. Unlike Rejecto it
+//! scores individual users, not aggregate cuts — the paper's critique is
+//! that per-user discounting "does not seek the aggregate acceptance
+//! ratio and is susceptible to attack strategies" (collusion dilutes
+//! per-user rejection counts; see the `ext_baselines` harness).
 
-use crate::{SybilRankConfig, SybilRankResult};
+use crate::{propagate, SybilRank, SybilRankConfig, SybilRankResult};
 use rejection::AugmentedGraph;
 use socialgraph::NodeId;
 
@@ -46,10 +46,7 @@ impl SybilFence {
     /// Panics if `gamma` is negative or `total_trust` is not positive.
     pub fn new(config: SybilFenceConfig) -> Self {
         assert!(config.gamma >= 0.0, "gamma must be non-negative");
-        assert!(
-            config.rank.total_trust > 0.0 && config.rank.total_trust.is_finite(),
-            "total_trust must be positive and finite"
-        );
+        SybilRank::new(config.rank); // checks `total_trust`
         SybilFence { config }
     }
 
@@ -67,58 +64,12 @@ impl SybilFence {
     ///
     /// Panics if `seeds` is empty or contains an out-of-range id.
     pub fn rank(&self, g: &AugmentedGraph, seeds: &[NodeId]) -> SybilRankResult {
-        assert!(!seeds.is_empty(), "SybilFence requires at least one trust seed");
-        let n = g.num_nodes();
-        for s in seeds {
-            assert!(s.index() < n, "seed {s} out of range");
-        }
         let discount: Vec<f64> = g
             .nodes()
             .map(|u| 1.0 / (1.0 + self.config.gamma * g.rejections_received(u) as f64)) // xtask-allow: lossy-cast: rejection count < 2^53 converts exactly
             .collect();
-        // Per-node weighted degree: Σ over friends of the receiver-side
-        // discount (what the node can emit per round).
-        let weighted_degree: Vec<f64> = g
-            .nodes()
-            .map(|u| socialgraph::det::ordered_sum(g.friends(u).iter().map(|v| discount[v.index()])))
-            .collect();
-
-        let iterations = self
-            .config
-            .rank
-            .iterations
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
-        let mut trust = vec![0.0f64; n];
-        for s in seeds {
-            trust[s.index()] += self.config.rank.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
-        }
-        for _ in 0..iterations {
-            let mut next = vec![0.0f64; n];
-            for u in g.nodes() {
-                let wd = weighted_degree[u.index()];
-                if wd <= 0.0 {
-                    next[u.index()] += trust[u.index()];
-                    continue;
-                }
-                let per_unit = trust[u.index()] / wd;
-                for &v in g.friends(u) {
-                    next[v.index()] += per_unit * discount[v.index()];
-                }
-            }
-            trust = next;
-        }
-
-        let score: Vec<f64> = (0..n)
-            .map(|i| {
-                let wd = weighted_degree[i];
-                if wd <= 0.0 {
-                    0.0
-                } else {
-                    trust[i] / wd
-                }
-            })
-            .collect();
-        SybilRankResult::from_parts(trust, score, iterations)
+        let weight = |v: NodeId| discount[v.index()];
+        propagate(&self.config.rank, g.num_nodes(), |u| g.friends(u), weight, seeds)
     }
 }
 
@@ -131,7 +82,6 @@ impl Default for SybilFence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SybilRank;
     use rejection::AugmentedGraphBuilder;
 
     /// Two 4-cliques bridged by TWO attack edges; the Sybil side carries
@@ -194,14 +144,9 @@ mod tests {
         let cfg = SybilFenceConfig { gamma: 0.0, ..Default::default() };
         let fence = SybilFence::new(cfg).rank(&g, &seeds);
         let plain = SybilRank::default().rank(&g.friendship_graph(), &seeds);
-        for u in g.nodes() {
-            assert!(
-                (fence.score(u) - plain.score(u)).abs() < 1e-12,
-                "node {u}: {} vs {}",
-                fence.score(u),
-                plain.score(u)
-            );
-        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fence.trust()), bits(plain.trust()));
+        assert_eq!(bits(fence.scores()), bits(plain.scores()));
     }
 
     #[test]

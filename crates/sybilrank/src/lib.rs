@@ -31,6 +31,7 @@ mod fence;
 
 pub use fence::{SybilFence, SybilFenceConfig};
 
+use socialgraph::det::ordered_sum;
 use socialgraph::{Graph, NodeId};
 
 /// Tunables of the SybilRank power iteration.
@@ -83,12 +84,6 @@ impl SybilRankResult {
         self.iterations
     }
 
-    /// Assembles a result from raw parts (used by the [`SybilFence`]
-    /// variant, which shares this result shape).
-    pub(crate) fn from_parts(trust: Vec<f64>, score: Vec<f64>, iterations: usize) -> Self {
-        SybilRankResult { trust, score, iterations }
-    }
-
     /// Area under the ROC curve of the ranking against a Sybil mask
     /// (probability a random Sybil scores below a random non-Sybil).
     ///
@@ -131,48 +126,7 @@ impl SybilRank {
     ///
     /// Panics if `seeds` is empty or contains an out-of-range id.
     pub fn rank(&self, g: &Graph, seeds: &[NodeId]) -> SybilRankResult {
-        assert!(!seeds.is_empty(), "SybilRank requires at least one trust seed");
-        let n = g.num_nodes();
-        for s in seeds {
-            assert!(s.index() < n, "seed {s} out of range");
-        }
-        let iterations = self
-            .config
-            .iterations
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
-
-        let mut trust = vec![0.0f64; n];
-        for s in seeds {
-            trust[s.index()] += self.config.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
-        }
-        for _ in 0..iterations {
-            let mut next = vec![0.0f64; n];
-            for u in g.nodes() {
-                let deg = g.degree(u);
-                if deg == 0 {
-                    // Isolated nodes keep their trust (nothing to spread).
-                    next[u.index()] += trust[u.index()];
-                    continue;
-                }
-                let share = trust[u.index()] / deg as f64; // xtask-allow: lossy-cast: degree < 2^53 converts exactly
-                for &v in g.neighbors(u) {
-                    next[v.index()] += share;
-                }
-            }
-            trust = next;
-        }
-
-        let score: Vec<f64> = (0..n)
-            .map(|i| {
-                let deg = g.degree(NodeId::from_index(i));
-                if deg == 0 {
-                    0.0
-                } else {
-                    trust[i] / deg as f64 // xtask-allow: lossy-cast: degree < 2^53 converts exactly
-                }
-            })
-            .collect();
-        SybilRankResult { trust, score, iterations }
+        propagate(&self.config, g.num_nodes(), |u| g.neighbors(u), |_| 1.0, seeds)
     }
 }
 
@@ -180,6 +134,60 @@ impl Default for SybilRank {
     fn default() -> Self {
         SybilRank::new(SybilRankConfig::default())
     }
+}
+
+/// The early-terminated power iteration both rankers share: `n` nodes,
+/// each edge `(u, v)` from `neighbors(u)` carrying the receiving
+/// endpoint's `weight(v)`. Each step a node splits its trust over its
+/// weighted degree `Σ weight(v)` and hands `v` the share times
+/// `weight(v)`; a node of zero weighted degree keeps its trust and
+/// scores 0. The score is trust over weighted degree.
+///
+/// Unit weights are plain SybilRank, bit for bit: the weighted degree of
+/// `deg` ones is exactly `deg`, and `x * 1.0 == x`. Panics if `seeds` is
+/// empty or contains an out-of-range id.
+fn propagate<'g>(
+    config: &SybilRankConfig,
+    n: usize,
+    neighbors: impl Fn(NodeId) -> &'g [NodeId],
+    weight: impl Fn(NodeId) -> f64,
+    seeds: &[NodeId],
+) -> SybilRankResult {
+    assert!(!seeds.is_empty(), "trust propagation requires at least one trust seed");
+    for s in seeds {
+        assert!(s.index() < n, "seed {s} out of range");
+    }
+    let iterations = config
+        .iterations
+        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
+    let weighted_degree: Vec<f64> = (0..n)
+        .map(|i| ordered_sum(neighbors(NodeId::from_index(i)).iter().map(|&v| weight(v))))
+        .collect();
+    let mut trust = vec![0.0f64; n];
+    for s in seeds {
+        trust[s.index()] += config.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
+    }
+    for _ in 0..iterations {
+        let mut next = vec![0.0f64; n];
+        for (i, &wd) in weighted_degree.iter().enumerate() {
+            if wd <= 0.0 {
+                // Isolated nodes keep their trust (nothing to spread).
+                next[i] += trust[i];
+                continue;
+            }
+            let per_unit = trust[i] / wd;
+            for &v in neighbors(NodeId::from_index(i)) {
+                next[v.index()] += per_unit * weight(v);
+            }
+        }
+        trust = next;
+    }
+    let score = trust
+        .iter()
+        .zip(&weighted_degree)
+        .map(|(&t, &wd)| if wd <= 0.0 { 0.0 } else { t / wd })
+        .collect();
+    SybilRankResult { trust, score, iterations }
 }
 
 #[cfg(test)]
@@ -197,6 +205,65 @@ mod tests {
         }
         edges.push((0, 4));
         Graph::from_edges(8, edges)
+    }
+
+    /// The plain unit-weight SybilRank loop, kept as the reference the
+    /// shared [`propagate`] must match bit for bit.
+    fn reference_rank(
+        g: &Graph,
+        seeds: &[NodeId],
+        iterations: Option<usize>,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = g.num_nodes();
+        let iterations = iterations.unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize);
+        let mut trust = vec![0.0f64; n];
+        for s in seeds {
+            trust[s.index()] += 1.0 / seeds.len() as f64;
+        }
+        for _ in 0..iterations {
+            let mut next = vec![0.0f64; n];
+            for u in g.nodes() {
+                let deg = g.degree(u);
+                if deg == 0 {
+                    next[u.index()] += trust[u.index()];
+                    continue;
+                }
+                let share = trust[u.index()] / deg as f64;
+                for &v in g.neighbors(u) {
+                    next[v.index()] += share;
+                }
+            }
+            trust = next;
+        }
+        let score = g
+            .nodes()
+            .map(|u| if g.degree(u) == 0 { 0.0 } else { trust[u.index()] / g.degree(u) as f64 })
+            .collect();
+        (trust, score)
+    }
+
+    fn assert_matches_reference(g: &Graph, seeds: &[NodeId], iterations: Option<usize>) {
+        let cfg = SybilRankConfig { iterations, ..Default::default() };
+        let r = SybilRank::new(cfg).rank(g, seeds);
+        let (trust, score) = reference_rank(g, seeds, iterations);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(r.trust()), bits(&trust), "trust, iterations {iterations:?}");
+        assert_eq!(bits(r.scores()), bits(&score), "score, iterations {iterations:?}");
+    }
+
+    #[test]
+    fn unit_weights_match_the_plain_loop_bitwise() {
+        use rand::SeedableRng;
+        assert_matches_reference(&two_communities(), &[NodeId(1), NodeId(2)], None);
+        let isolated = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)]);
+        assert_matches_reference(&isolated, &[NodeId(0), NodeId(5)], None);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let ba = socialgraph::generators::BarabasiAlbert::new(500, 3).generate(&mut rng);
+        // Three isolated nodes past the BA core.
+        let g = Graph::from_edges(503, ba.edges().map(|(u, v)| (u.0, v.0)));
+        for iterations in [None, Some(1), Some(7)] {
+            assert_matches_reference(&g, &[NodeId(0), NodeId(17), NodeId(501)], iterations);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! 1. **Round-trip**: concatenating `token.text` over [`lex`]'s output
 //!    reproduces the input byte-for-byte (property-tested). Nothing is
-//!    ever skipped or invented, so line numbers and snippets are exact.
+//!    ever skipped or invented, so line numbers are exact.
 //! 2. **Totality**: any input lexes without panicking. Malformed source
 //!    degrades to [`TokenKind::Unknown`] tokens rather than derailing
 //!    the scan.

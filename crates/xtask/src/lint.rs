@@ -224,8 +224,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// The offending source line, trimmed (for `--json` CI annotation).
-    pub snippet: String,
 }
 
 impl fmt::Display for Violation {
@@ -302,7 +300,6 @@ fn collect_pragmas(tokens: &[Token<'_>]) -> Vec<Pragma> {
 /// pragma table, and the violations accumulated so far.
 struct Engine<'a> {
     f: &'a SourceFile<'a>,
-    raw_lines: Vec<&'a str>,
     sig: Vec<Token<'a>>,
     pragmas: Vec<Pragma>,
     pragma_used: Vec<bool>,
@@ -340,7 +337,6 @@ impl<'a> Engine<'a> {
             line,
             rule,
             message,
-            snippet: self.raw_lines.get(line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
         });
     }
 
@@ -436,7 +432,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
     let sig: Vec<Token<'_>> = tokens.into_iter().filter(|t| t.kind.is_significant()).collect();
     let mut e = Engine {
         f,
-        raw_lines: f.text.lines().collect(),
         sig,
         pragmas,
         pragma_used,
@@ -809,7 +804,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                     p.rule,
                     RULES.join(", ")
                 ),
-                snippet: e.raw_lines.get(p.line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
             });
         } else if !e.pragma_used[i] {
             e.out.push(Violation {
@@ -821,7 +815,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                      dead pragmas rot into false confidence — delete it",
                     p.rule
                 ),
-                snippet: e.raw_lines.get(p.line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
             });
         }
     }
@@ -850,7 +843,6 @@ mod tests {
         let v = lint_file(&file("rejection", src));
         assert_eq!(rules(&v), ["no-unwrap"]);
         assert_eq!(v[0].line, 1);
-        assert_eq!(v[0].snippet, "fn f() { let x = opt.unwrap(); }");
     }
 
     #[test]

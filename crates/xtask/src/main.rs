@@ -5,12 +5,6 @@
 //!
 //! * `check` — run the token-level static-analysis pass ([`lint`], built
 //!   on the hand-rolled lexer in [`lexer`]) over the workspace sources.
-//! * `check --json` — emit the diagnostics as a JSON array on stdout
-//!   (`{"file", "line", "rule", "message", "snippet"}` objects) for CI
-//!   annotation; the human summary moves to stderr.
-//! * `check --fix-dry-run` — additionally list mechanically fixable
-//!   sites ([`fix`]), e.g. `partial_cmp(..).expect(..)` → `total_cmp`,
-//!   without editing anything.
 //! * `check --determinism` — additionally run the in-process determinism
 //!   harness ([`determinism`]): simulate → detect twice from one seed,
 //!   diff byte-for-byte.
@@ -22,14 +16,12 @@
 //!
 //! Exit code 0 means clean; 1 means violations (each printed as
 //! `file:line: [rule] message`) or a determinism failure; 2 means usage
-//! error. `--fix-dry-run` findings are informational and never affect
-//! the exit code.
+//! error.
 
 #![forbid(unsafe_code)]
 
 mod chaos;
 mod determinism;
-mod fix;
 mod lexer;
 mod lint;
 
@@ -37,11 +29,10 @@ mod lint;
 mod fixtures_test;
 
 use lint::{SourceFile, Violation};
-use rejecto_obs::json_str;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask check [--determinism] [--json] [--fix-dry-run]\n\
+const USAGE: &str = "usage: cargo xtask check [--determinism]\n\
                      \x20      cargo xtask chaos [--seeds N] [--json <path>]";
 
 fn main() -> ExitCode {
@@ -50,20 +41,16 @@ fn main() -> ExitCode {
     match it.next() {
         Some("check") => {
             let mut with_determinism = false;
-            let mut json = false;
-            let mut fix_dry_run = false;
             for flag in it {
                 match flag {
                     "--determinism" => with_determinism = true,
-                    "--json" => json = true,
-                    "--fix-dry-run" => fix_dry_run = true,
                     other => {
                         eprintln!("unknown flag {other:?}; {USAGE}");
                         return ExitCode::from(2);
                     }
                 }
             }
-            check(with_determinism, json, fix_dry_run)
+            check(with_determinism)
         }
         Some("chaos") => {
             let mut seeds: u64 = 16;
@@ -113,50 +100,26 @@ fn main() -> ExitCode {
     }
 }
 
-fn check(with_determinism: bool, json: bool, fix_dry_run: bool) -> ExitCode {
+fn check(with_determinism: bool) -> ExitCode {
     let root = repo_root();
-    let mut failed = false;
-
     let sources = read_sources(&root);
     let violations = run_lints(&sources);
-    let fixable: Vec<fix::FixCandidate> = if fix_dry_run {
-        sources.iter().flat_map(|(rel, _, _, text)| fix::scan_file(rel, text)).collect()
-    } else {
-        Vec::new()
-    };
-
-    if json {
-        println!("{}", render_json(&violations, fix_dry_run.then_some(&fixable)));
-    } else {
-        for v in &violations {
-            println!("{v}");
-        }
+    for v in &violations {
+        println!("{v}");
     }
-    let summary_line = format!(
+    println!(
         "lint: {} — {} files scanned, {} violation(s)",
         if violations.is_empty() { "OK" } else { "FAILED" },
         sources.len(),
         violations.len()
     );
-    if json {
-        eprintln!("{summary_line}");
-    } else {
-        println!("{summary_line}");
-    }
-    failed |= !violations.is_empty();
-
-    if fix_dry_run && !json {
-        for c in &fixable {
-            println!("{}:{}: {} → {}", c.file, c.line, c.found, c.suggestion);
-        }
-        println!("fix-dry-run: {} mechanically fixable site(s); nothing edited", fixable.len());
-    }
+    let mut failed = !violations.is_empty();
 
     if with_determinism {
         match determinism::run() {
-            Ok(summary) => eprintln_or_println(json, &summary),
+            Ok(summary) => println!("{summary}"),
             Err(why) => {
-                eprintln_or_println(json, &format!("determinism: FAILED — {why}"));
+                println!("determinism: FAILED — {why}");
                 failed = true;
             }
         }
@@ -167,63 +130,6 @@ fn check(with_determinism: bool, json: bool, fix_dry_run: bool) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// In `--json` mode everything except the JSON document goes to stderr,
-/// so stdout stays machine-parseable.
-fn eprintln_or_println(json: bool, line: &str) {
-    if json {
-        eprintln!("{line}");
-    } else {
-        println!("{line}");
-    }
-}
-
-/// The machine-readable diagnostics document. Hand-rolled (the xtask
-/// crate deliberately has no serde dependency): an object with the
-/// violation list and, under `--fix-dry-run`, the fixable sites.
-fn render_json(violations: &[Violation], fixable: Option<&Vec<fix::FixCandidate>>) -> String {
-    let mut s = String::from("{\n  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}",
-            json_str(&v.file),
-            v.line,
-            json_str(v.rule),
-            json_str(&v.message),
-            json_str(&v.snippet),
-        ));
-    }
-    if violations.is_empty() {
-        s.push(']');
-    } else {
-        s.push_str("\n  ]");
-    }
-    if let Some(fixable) = fixable {
-        s.push_str(",\n  \"fixable\": [");
-        for (i, c) in fixable.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"found\": {}, \"suggestion\": {}}}",
-                json_str(&c.file),
-                c.line,
-                json_str(&c.found),
-                json_str(&c.suggestion),
-            ));
-        }
-        if fixable.is_empty() {
-            s.push(']');
-        } else {
-            s.push_str("\n  ]");
-        }
-    }
-    s.push_str("\n}");
-    s
 }
 
 /// The workspace root: two levels above this crate's manifest dir.
@@ -297,7 +203,6 @@ fn run_lints(sources: &[(String, String, bool, String)]) -> Vec<Violation> {
                 line: 0,
                 rule: "io",
                 message: format!("unreadable source file: {err}"),
-                snippet: String::new(),
             });
             continue;
         }
@@ -349,25 +254,6 @@ fn walk_rs(dir: &Path, visit: &mut dyn FnMut(&Path)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_document_shape() {
-        let v = vec![Violation {
-            file: "crates/x/src/a.rs".to_string(),
-            line: 3,
-            rule: "no-unwrap",
-            message: "msg with \"quotes\"".to_string(),
-            snippet: "let x = y.unwrap();".to_string(),
-        }];
-        let doc = render_json(&v, None);
-        assert!(doc.contains("\"violations\""));
-        assert!(doc.contains("\"rule\": \"no-unwrap\""));
-        assert!(doc.contains("\\\"quotes\\\""));
-        assert!(!doc.contains("\"fixable\""));
-        let with_fix = render_json(&[], Some(&vec![]));
-        assert!(with_fix.contains("\"violations\": []"));
-        assert!(with_fix.contains("\"fixable\": []"));
-    }
 
     /// The whole-repo lint pass over the real working tree: this is the
     /// same invariant CI enforces, kept here so `cargo test` fails fast

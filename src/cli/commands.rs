@@ -5,7 +5,7 @@ use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::store::atomic_write;
 use rejecto_core::{
     Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan, Faults,
-    InterruptReason, IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination,
+    InterruptReason, IterativeDetector, RejectoConfig, RunBudget, RuntimeError, Seeds, Termination,
 };
 use rejection::io::{IngestGuards, LoadStats};
 use rejection::AugmentedGraph;
@@ -367,6 +367,15 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         s
     });
 
+    // A run that fails, at resume or in a round, still reports the work
+    // it did before failing; its own error stays the one the command
+    // exits with.
+    let fail = |e: RuntimeError, out: &mut W| -> CliError {
+        if let Err(m) = write_metrics(metrics_path.as_deref(), obs.as_ref(), out) {
+            eprintln!("error: {m}");
+        }
+        e.into()
+    };
     // `--resume` resolves the newest *valid* generation, walking past
     // corrupt or truncated frames. Each skip is surfaced on stderr right
     // away and recorded as a structured failure on the final report.
@@ -376,7 +385,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
             if let Some(obs) = &obs {
                 resume_store = resume_store.with_obs(obs.clone());
             }
-            let resume = resume_store.load_latest_valid()?;
+            let resume = resume_store.load_latest_valid().map_err(|e| fail(e, out))?;
             if resume.fell_back() {
                 for skip in &resume.skipped {
                     eprintln!("resume: {skip}");
@@ -421,14 +430,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     };
     let mut report = match run {
         Ok(report) => report,
-        Err(e) => {
-            // A failed run still reports the work it did before failing;
-            // its own error stays the one the command exits with.
-            if let Err(m) = write_metrics(metrics_path.as_deref(), obs.as_ref(), out) {
-                eprintln!("error: {m}");
-            }
-            return Err(e.into());
-        }
+        Err(e) => return Err(fail(e, out)),
     };
     // Corrupt-generation skips belong to this run's story: they render as
     // the same degraded/failure lines every other runtime failure uses.
@@ -633,16 +635,6 @@ fn votetrust_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> 
     Ok(())
 }
 
-/// Ascending score order with index tie-break, shared by the ranking
-/// commands. `total_cmp` keeps the order total even when a score is NaN
-/// (it sorts after every finite value), where the old
-/// `partial_cmp(..).expect(..)` chain aborted the whole CLI.
-fn ranked_by_score(scores: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-    idx
-}
-
 fn sybilrank_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     let graph_path = args.require("graph")?;
     let seeds = parse_seed_list(&args.require("seeds")?)?;
@@ -656,7 +648,7 @@ fn sybilrank_cmd<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> 
     }
     check_seeds(&seeds, g.num_nodes())?;
     let result = sybilrank::SybilRank::default().rank(&g, &seeds);
-    let idx = ranked_by_score(result.scores());
+    let idx = eval::ascending_by_score(result.scores());
     writeln!(out, "bottom {bottom} users by degree-normalized trust:")?;
     for &i in idx.iter().take(bottom) {
         writeln!(out, "  {}: score {:.6}", i, result.scores()[i])?;
@@ -691,17 +683,7 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     let pruned = report.suspects_top(budget, &g);
     writeln!(out, "rejecto pruned {} suspects in {} round(s)", pruned.len(), report.rounds)?;
 
-    // Sterilized friendship graph: drop pruned nodes with their links.
-    let mut keep = vec![true; g.num_nodes()];
-    for s in &pruned {
-        keep[s.index()] = false;
-    }
-    let (kept_graph, kept) = g.induced_subgraph(&keep);
-    let sterilized = kept_graph.friendship_graph();
-    let mapped_seeds: Vec<NodeId> = seeds
-        .iter()
-        .filter_map(|s| kept.binary_search(s).ok().map(NodeId::from_index))
-        .collect();
+    let (sterilized, kept, mapped_seeds) = crate::pipeline::sterilize(&g, &pruned, &seeds);
     if mapped_seeds.is_empty() {
         return Err(CliError("all seeds were pruned; supply known-legit seeds".to_string()));
     }
@@ -1183,7 +1165,7 @@ mod tests {
     /// index, and no input can abort the process.
     #[test]
     fn score_ranking_survives_nan_scores() {
-        let order = ranked_by_score(&[0.5, f64::NAN, 0.25, 0.5]);
+        let order = eval::ascending_by_score(&[0.5, f64::NAN, 0.25, 0.5]);
         assert_eq!(order, vec![2, 0, 3, 1], "NaN must sort last, ties by index");
     }
 
@@ -1197,10 +1179,10 @@ mod tests {
         b.add_edge(NodeId(2), NodeId(3));
         let g = b.build(); // node 1 has degree zero
         let result = sybilrank::SybilRank::default().rank(&g, &[NodeId(0)]);
-        let order = ranked_by_score(result.scores());
+        let order = eval::ascending_by_score(result.scores());
         assert_eq!(order.len(), 4);
         assert!(order.contains(&1), "isolated node missing from the ranking");
-        assert_eq!(order, ranked_by_score(result.scores()), "order must be stable");
+        assert_eq!(order, eval::ascending_by_score(result.scores()), "order must be stable");
     }
 
     #[test]

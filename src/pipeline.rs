@@ -5,8 +5,9 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rejecto_core::{IterativeDetector, RejectoConfig, Seeds, Termination};
+use rejection::AugmentedGraph;
 use simulator::{sample_seeds, SimOutput};
-use socialgraph::NodeId;
+use socialgraph::{Graph, NodeId};
 use sybilrank::{SybilRank, SybilRankConfig};
 use votetrust::{RequestGraph, VoteTrust, VoteTrustConfig};
 
@@ -94,22 +95,10 @@ pub fn defense_in_depth(sim: &SimOutput, cfg: &PipelineConfig, removed: usize) -
     } else {
         rejecto_suspects(sim, cfg, removed)
     };
-    let mut keep = vec![true; sim.graph.num_nodes()];
-    for s in &pruned {
-        keep[s.index()] = false;
-    }
-
-    // Induce the sterilized friendship graph on the kept nodes.
-    let (kept_graph, kept) = sim.graph.induced_subgraph(&keep);
-    let graph = kept_graph.friendship_graph();
-
-    // Trust seeds: the sampled legitimate seeds that survived pruning.
+    // Trust seeds: the sampled legitimate seeds that survive pruning.
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let (legit, _) = sample_seeds(sim, cfg.num_legit_seeds.max(1), 0, &mut rng);
-    let seeds: Vec<NodeId> = legit
-        .iter()
-        .filter_map(|s| kept.binary_search(s).ok().map(NodeId::from_index))
-        .collect();
+    let (graph, kept, seeds) = sterilize(&sim.graph, &pruned, &legit);
     if seeds.is_empty() {
         return 0.5;
     }
@@ -117,6 +106,27 @@ pub fn defense_in_depth(sim: &SimOutput, cfg: &PipelineConfig, removed: usize) -
     let result = SybilRank::new(SybilRankConfig::default()).rank(&graph, &seeds);
     let is_sybil: Vec<bool> = kept.iter().map(|u| sim.is_fake[u.index()]).collect();
     result.auc(&is_sybil)
+}
+
+/// The §VI-D pruning step: drops the `pruned` users and their links from
+/// `g` and returns the sterilized friendship graph, the original id of
+/// each of its nodes (ascending), and the `seeds` that survive, mapped
+/// onto the new ids.
+pub fn sterilize(
+    g: &AugmentedGraph,
+    pruned: &[NodeId],
+    seeds: &[NodeId],
+) -> (Graph, Vec<NodeId>, Vec<NodeId>) {
+    let mut keep = vec![true; g.num_nodes()];
+    for s in pruned {
+        keep[s.index()] = false;
+    }
+    let (kept_graph, kept) = g.induced_subgraph(&keep);
+    let mapped = seeds
+        .iter()
+        .filter_map(|s| kept.binary_search(s).ok().map(NodeId::from_index))
+        .collect();
+    (kept_graph.friendship_graph(), kept, mapped)
 }
 
 #[cfg(test)]

@@ -300,4 +300,44 @@ fn cluster_failures_exit_1_with_their_exact_message() {
     }
     let doc = std::fs::read_to_string(&metrics).expect("the failed run writes its metrics");
     assert!(doc.contains("\"io/worker_restarts\": 3"), "{doc}");
+    assert!(doc.contains("\"cancel/polls\""), "{doc}");
+}
+
+/// A resume that finds no valid generation exits with its error, and its
+/// `--metrics` file still counts every generation it skipped.
+#[test]
+fn resume_with_no_valid_generation_still_writes_its_metrics() {
+    let dir = workdir("resume-none-valid");
+    let stem = dir.join("crash");
+    let stem = stem.to_str().expect("utf-8 temp path");
+    run_ok(bin().args([
+        "simulate", "--out", stem, "--scale", "0.02", "--fakes", "60", "--seed", "7",
+        "--whitewashed", "30", "--self-requests", "20", "--self-rejection-rate", "0.95",
+    ]));
+    let graph = format!("{stem}.rjg");
+    let ckpt = dir.join("z.ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 temp path");
+    run_ok(bin().args(["detect", "--graph", &graph, "--budget", "60", "--checkpoint", ckpt]));
+    let mut generations = 0;
+    for entry in std::fs::read_dir(&*dir).expect("scratch dir lists") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with("z.ckpt.gen-") {
+            std::fs::write(&path, "overwritten\n").expect("overwrite a generation");
+            generations += 1;
+        }
+    }
+    assert!(generations >= 2, "a multi-round run keeps several generations");
+
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .args(["detect", "--graph", &graph, "--budget", "60", "--resume", ckpt, "--metrics"])
+        .arg(&metrics)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no valid checkpoint generation"), "{stderr}");
+    let doc = std::fs::read_to_string(&metrics).expect("the failed resume writes its metrics");
+    assert!(doc.contains(&format!("\"ckpt/corrupt_skipped\": {generations}")), "{doc}");
 }
