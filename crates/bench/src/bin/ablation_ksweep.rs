@@ -31,6 +31,7 @@ fn main() {
         let mut cfg = PipelineConfig::default();
         cfg.rejecto.k_factor = k_factor;
         let sweep_len = cfg.rejecto.k_sweep().len();
+        #[expect(clippy::disallowed_methods, reason = "the experiment reports wall time")]
         let t0 = Instant::now();
         let suspects = pipeline::rejecto_suspects(&sim, &cfg, budget);
         let seconds = t0.elapsed().as_secs_f64();

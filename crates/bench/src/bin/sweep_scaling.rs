@@ -35,6 +35,7 @@ struct Row {
 fn detect(sim: &SimOutput, threads: usize, budget: usize) -> (DetectionReport, f64) {
     let config = RejectoConfig { threads, ..RejectoConfig::default() };
     let detector = IterativeDetector::new(config);
+    #[expect(clippy::disallowed_methods, reason = "the experiment reports wall time")]
     let start = Instant::now();
     let report = detector.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(budget));
     (report, start.elapsed().as_secs_f64())

@@ -338,8 +338,12 @@ impl LoopState {
                 outcome.cut.as_ref().filter(|c| threshold.is_none_or(|t| c.acceptance_rate <= t));
             if let (Some(frac), Some(cut)) = (config.budget.max_suspect_frac, accepted) {
                 let after = report.num_suspects() + cut.partition.suspect_count();
-                let cap = frac * g.num_nodes() as f64; // xtask-allow: lossy-cast: n < 2^53 converts exactly
-                if after as f64 > cap { // xtask-allow: lossy-cast: suspect count < 2^53 converts exactly
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "node and suspect counts < 2^53 convert exactly"
+                )]
+                let over = after as f64 > frac * g.num_nodes() as f64;
+                if over {
                     report.rounds -= 1;
                     if let Some(obs) = obs {
                         obs.incr("res/suspect_frac_trips", 1);

@@ -28,7 +28,7 @@ pub fn exact_maar_cut(g: &AugmentedGraph, max_suspects: usize) -> Option<(Partit
     );
     let mut best: Option<(u32, Partition, f64)> = None;
     for mask in 1u32..(1u32 << n) {
-        if (mask.count_ones() as usize) > max_suspects { // xtask-allow: lossy-cast: a u32 popcount is at most 32 and always fits usize
+        if (mask.count_ones() as usize) > max_suspects {
             continue;
         }
         let regions: Vec<Region> = (0..n)

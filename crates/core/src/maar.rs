@@ -29,8 +29,14 @@ impl MaarCut {
 /// graph. Clamped to at least 1: on small graphs
 /// `floor(max_suspect_fraction · n)` rounds to 0, which would silently
 /// reject *every* candidate cut — even a single blatant spammer.
+#[expect(
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "n < 2^53 converts exactly and the floored fraction lies in [0, n]"
+)]
 fn suspect_cap(config: &RejectoConfig, n: usize) -> usize {
-    ((config.max_suspect_fraction * n as f64).floor() as usize).max(1) // xtask-allow: lossy-cast: n < 2^53 converts exactly and the floored fraction lies in [0, n]
+    ((config.max_suspect_fraction * n as f64).floor() as usize).max(1)
 }
 
 /// What one `k` of a sweep produced.

@@ -118,6 +118,10 @@ where
     let pool_size = threads.min(jobs);
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<JobOutcome<T>>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deterministic sweep pool: results land in index-ordered slots"
+    )]
     crossbeam::thread::scope(|s| {
         for _ in 0..pool_size {
             s.spawn(|| loop {

@@ -308,6 +308,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), RuntimeError> {
     ));
 
     let write_and_sync = || -> Result<(), RuntimeError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "atomic_write itself: the temp file is fsynced and renamed into place"
+        )]
         let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create temp", &e))?;
         f.write_all(bytes).map_err(|e| io_err(&tmp, "write temp", &e))?;
         f.sync_all().map_err(|e| io_err(&tmp, "sync temp", &e))?;
@@ -816,6 +820,10 @@ mod tests {
         let mut bytes = std::fs::read(&newest).expect("generation readable");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture written in place on purpose; it has no durability contract"
+        )]
         std::fs::write(&newest, bytes).expect("fixture overwrite succeeds");
 
         let resume = store.load_latest_valid().expect("older generation survives");
@@ -839,6 +847,10 @@ mod tests {
         let dir = tmpdir("manifest");
         let stem = dir.join("run.ckpt");
         let manifest = dir.join("run.ckpt.manifest");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture written in place on purpose; it has no durability contract"
+        )]
         std::fs::write(&manifest, b"not a manifest at all").expect("fixture file is writable");
         let store = CheckpointStore::new(&stem).with_keep(2);
         for rounds in 1..=3 {
@@ -861,6 +873,10 @@ mod tests {
         let dir = tmpdir("exhausted");
         let store = CheckpointStore::new(dir.join("run.ckpt"));
         store.save(&sample_checkpoint(1)).expect("save succeeds");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture written in place on purpose; it has no durability contract"
+        )]
         std::fs::write(store.generation_path(1), b"zeroed").expect("fixture overwrite succeeds");
         let err = store.load_latest_valid().expect_err("no generation survives");
         assert_eq!(
@@ -873,6 +889,10 @@ mod tests {
     fn empty_checkpoint_file_is_corrupt_not_a_parse_panic() {
         let dir = tmpdir("empty");
         let path = dir.join("empty.ckpt");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture written in place on purpose; it has no durability contract"
+        )]
         std::fs::write(&path, b"").expect("fixture file is writable");
         let store = CheckpointStore::new(&path);
         match store.load_latest_valid() {
@@ -886,6 +906,10 @@ mod tests {
         let dir = tmpdir("legacy");
         let path = dir.join("legacy.ckpt");
         let ckpt = sample_checkpoint(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture written in place on purpose; it has no durability contract"
+        )]
         std::fs::write(&path, format!("{}\n", ckpt.to_json())).expect("fixture file is writable");
         let resume = CheckpointStore::new(&path).load_latest_valid().expect("legacy loads");
         assert_eq!(resume.checkpoint, ckpt);

@@ -166,6 +166,10 @@ proptest! {
 fn empty_checkpoint_file_resumes_as_checkpoint_corrupt() {
     let dir = tmpdir("empty");
     let path = dir.join("zero.ckpt");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test fixture written in place on purpose; it has no durability contract"
+    )]
     std::fs::write(&path, b"").expect("fixture file is writable");
     let err = CheckpointStore::new(&path)
         .load_latest_valid()
@@ -318,6 +322,10 @@ fn exhausted_generation_chain_is_a_typed_error() {
     for round in 1..=report.rounds {
         let p = store.generation_path(round);
         if p.exists() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test fixture written in place on purpose; it has no durability contract"
+            )]
             std::fs::write(&p, b"not a frame").expect("fixture overwrite succeeds");
         }
     }

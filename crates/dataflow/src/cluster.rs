@@ -278,7 +278,11 @@ impl Shard<'_> {
     }
 
     fn serve(self, rx: Receiver<Request>, tx: Sender<Response>) {
-        while let Ok(req) = rx.recv() { // xtask-allow: channel-discipline: shard serve loop parks until the owner sends a request; shutdown arrives as Request::Shutdown or a hangup, so blocking cannot wedge the cluster
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shard serve loop parks until the owner sends a request; shutdown arrives as Request::Shutdown or a hangup, so blocking cannot wedge the cluster"
+        )]
+        while let Ok(req) = rx.recv() {
             let base = self.lo;
             let _ = tx.send(match req {
                 Request::Shutdown => break,
@@ -320,6 +324,7 @@ fn spawn_worker<'scope, 'g>(
     let (req_tx, req_rx) = unbounded::<Request>();
     let (resp_tx, resp_rx) = unbounded::<Response>();
     let shard = Shard { graph, lo, hi };
+    #[expect(clippy::disallowed_methods, reason = "the cluster's worker threads")]
     let handle = std::thread::Builder::new()
         .name(format!("rejecto-worker-{wi}"))
         .spawn_scoped(scope, move || shard.serve(req_rx, resp_tx))
@@ -350,6 +355,7 @@ fn reap(worker: Worker<'_>) {
 ///
 /// [`RuntimeError::ClusterFailed`] when the config cannot shard `g`
 /// (`invalid cluster config: ...`) or the OS refuses a worker thread.
+#[expect(clippy::disallowed_methods, reason = "the scope the cluster's workers run in")]
 pub(crate) fn with_cluster<T>(
     g: &AugmentedGraph,
     config: &ClusterConfig,
@@ -1462,6 +1468,10 @@ mod fault_tests {
             cluster.workers.borrow_mut()[0].pending = true;
             cluster.arm_hang(1);
             let mut io = IoStats::default();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test bounds the watchdog's wall time"
+            )]
             let start = Instant::now();
             let resp = cluster
                 .exchange(0, &|| Request::Stats, &mut io)

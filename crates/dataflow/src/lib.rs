@@ -31,8 +31,6 @@
 //!   The Table-II harness measures detection time against graph size on
 //!   this runtime.
 
-#![forbid(unsafe_code)]
-
 mod cluster;
 mod detect;
 mod lru;

@@ -11,8 +11,6 @@
 //! * [`Summary`] — mean/std/CI summaries for replicated experiment runs;
 //! * [`table`] — a fixed-width text-table renderer for harness output.
 
-#![forbid(unsafe_code)]
-
 mod cdf;
 mod ranking;
 mod stats;

@@ -60,6 +60,10 @@ impl CancelToken {
     /// [`CancelReason::PassBudget`] once `passes` successful
     /// [`consume_pass`](CancelToken::consume_pass) calls are spent. `None`
     /// leaves that limit off; `CancelToken::new(None, None)` never trips.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the cancel token's deadline arithmetic is scheduling-volatile by nature and predates the obs crate"
+    )]
     pub fn new(deadline: Option<Duration>, passes: Option<u64>) -> Self {
         let passes_left = passes.map_or(UNLIMITED, |p| i64::try_from(p).unwrap_or(UNLIMITED));
         CancelToken {
@@ -105,6 +109,10 @@ impl CancelToken {
 
     /// Whether the token has tripped. Polls the deadline as a side effect,
     /// so a passed deadline is observed here without any timer thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the cancel token's deadline arithmetic is scheduling-volatile by nature and predates the obs crate"
+    )]
     pub fn is_cancelled(&self) -> bool {
         self.inner.polls.fetch_add(1, Ordering::Relaxed);
         if self.inner.reason.load(Ordering::Acquire) != REASON_NONE {
@@ -123,6 +131,10 @@ impl CancelToken {
     /// armed, `Duration::ZERO` once it has passed. Lets callers that block
     /// on external events (e.g. a master waiting on a worker response)
     /// bound their wait so a hang can never outlive the run budget.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the cancel token's deadline arithmetic is scheduling-volatile by nature and predates the obs crate"
+    )]
     pub fn time_remaining(&self) -> Option<Duration> {
         self.inner.deadline.map(|at| at.saturating_duration_since(Instant::now()))
     }

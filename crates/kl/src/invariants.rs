@@ -47,13 +47,13 @@ pub fn assert_bucket_consistent(b: &BucketList) {
     let mut reached = 0usize;
     for (offset, h) in (end + 1..b.links.len()).enumerate() {
         let head = b.links[h];
-        let gain = b.min_gain + offset as i64;
+        let gain = b.min_gain + i64::try_from(offset).expect("head offsets fit i64");
         assert!(
             h <= b.top as usize || head.next as usize == h,
             "chain {gain} non-empty above high-water mark {}",
             b.top
         );
-        let mut prev = h as u32;
+        let mut prev = u32::try_from(h).expect("head records have u32 ids");
         let mut cur = head.next;
         while cur as usize != h {
             assert!(cur < b.end, "chain {gain} links to record {cur}, which is not a node");

@@ -42,7 +42,13 @@ impl KParam {
     pub fn approximate(k: f64, den: u64) -> Self {
         assert!(k.is_finite() && k > 0.0, "k must be finite and positive, got {k}"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
         assert!(den > 0, "denominator resolution must be positive"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
-        let num = ((k * den as f64).round() as u64).max(1); // xtask-allow: lossy-cast: the f64→u64 rounding IS the approximation; k is finite-positive and den ≤ 2^53 converts exactly
+        #[expect(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the f64→u64 rounding IS the approximation; k is finite-positive and den ≤ 2^53 converts exactly"
+        )]
+        let num = ((k * den as f64).round() as u64).max(1);
         KParam::new(num, den)
     }
 
@@ -63,8 +69,12 @@ impl KParam {
     }
 
     /// The value `num/den` as a float.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "display-precision conversion only; exact comparisons go through Ord"
+    )]
     pub fn value(&self) -> f64 {
-        self.num as f64 / self.den as f64 // xtask-allow: lossy-cast: display-precision conversion only; exact comparisons go through Ord
+        self.num as f64 / self.den as f64
     }
 
     /// The geometric sweep `k_min, k_min·factor, …` capped at `k_max`,

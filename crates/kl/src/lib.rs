@@ -16,7 +16,18 @@
 //! gain an exact integer `num·ΔR − den·ΔF` — no floating-point tie-break
 //! instability in the bucket list.
 
-#![forbid(unsafe_code)]
+// lossy-cast (DESIGN.md §8.1): this crate's arithmetic feeds the
+// objective or a compared score; tests cast freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
 
 mod bucket;
 mod cancel;

@@ -37,8 +37,6 @@
 //! is hand-rolled so the byte layout is owned by this file and versioned
 //! by [`SCHEMA`].
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -171,6 +169,10 @@ impl Obs {
     /// drop: the span *count* is deterministic, the wall time goes to the
     /// `timings` section. Bind it (`let _span = ...`) for the scope being
     /// measured.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "spans are the sanctioned clock reads; their time goes to the volatile timings section"
+    )]
     pub fn span(&self, path: &str) -> SpanGuard {
         SpanGuard { obs: self.clone(), path: path.to_string(), start: Instant::now() }
     }
@@ -427,6 +429,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts the clock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Stopwatch is the sanctioned clock read for deadline arithmetic"
+    )]
     pub fn start() -> Self {
         Stopwatch { start: Instant::now() }
     }

@@ -1,3 +1,16 @@
+// lossy-cast (DESIGN.md §8.1): a silently wrapping counter on the
+// hostile-input ingest and cut bookkeeping paths is an attack.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
+
 use socialgraph::{Graph, NodeId};
 
 /// One user's three adjacency lists: everything a switch of that user

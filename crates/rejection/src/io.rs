@@ -45,6 +45,19 @@
 //! within about twice their sum; without one it grows with the input,
 //! as a clean file of that size does.
 
+// lossy-cast (DESIGN.md §8.1): a silently wrapping counter on the
+// hostile-input ingest and cut bookkeeping paths is an attack.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
+
 use crate::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -249,7 +262,7 @@ fn write_edge_line<W: Write>(w: &mut W, kind: u8, u: NodeId, v: NodeId) -> std::
 fn put_decimal_before(buf: &mut [u8], mut end: usize, mut n: u32) -> usize {
     loop {
         end -= 1;
-        buf[end] = b'0' + (n % 10) as u8; // xtask-allow: lossy-cast: a remainder mod 10 fits u8
+        buf[end] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
             return end;

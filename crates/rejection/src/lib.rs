@@ -31,8 +31,6 @@
 //! assert_eq!(p.acceptance_rate(), Some(0.0));
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod augmented;
 pub mod io;
 mod partition;

@@ -1,3 +1,16 @@
+// lossy-cast (DESIGN.md §8.1): a silently wrapping counter on the
+// hostile-input ingest and cut bookkeeping paths is an attack.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
+
 use crate::{AugmentedGraph, Neighbors, NodeId};
 
 /// Which side of the cut a node is on.
@@ -167,9 +180,10 @@ impl Partition {
     /// Aggregate acceptance rate `AC⟨U, Ū⟩` of the requests from the suspect
     /// region to the legit region; `None` when the cut carries neither
     /// friendships nor rejections (the rate is undefined, e.g. `U = ∅`).
+    #[expect(clippy::cast_precision_loss, reason = "edge counts are < 2^53 and convert exactly")]
     pub fn acceptance_rate(&self) -> Option<f64> {
-        let f = self.cross_friendships as f64; // xtask-allow: lossy-cast: edge counts are < 2^53 and convert exactly
-        let r = self.cross_rejections as f64; // xtask-allow: lossy-cast: edge counts are < 2^53 and convert exactly
+        let f = self.cross_friendships as f64;
+        let r = self.cross_rejections as f64;
         if f + r == 0.0 {
             None
         } else {

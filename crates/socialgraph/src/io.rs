@@ -5,6 +5,19 @@
 //! These readers/writers let users run the pipeline on the real datasets
 //! when they have them.
 
+// lossy-cast (DESIGN.md §8.1): a silently wrapping counter on the
+// hostile-input ingest and cut bookkeeping paths is an attack.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
+
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};

@@ -64,9 +64,10 @@ impl SybilFence {
     ///
     /// Panics if `seeds` is empty or contains an out-of-range id.
     pub fn rank(&self, g: &AugmentedGraph, seeds: &[NodeId]) -> SybilRankResult {
+        #[expect(clippy::cast_precision_loss, reason = "rejection count < 2^53 converts exactly")]
         let discount: Vec<f64> = g
             .nodes()
-            .map(|u| 1.0 / (1.0 + self.config.gamma * g.rejections_received(u) as f64)) // xtask-allow: lossy-cast: rejection count < 2^53 converts exactly
+            .map(|u| 1.0 / (1.0 + self.config.gamma * g.rejections_received(u) as f64))
             .collect();
         let weight = |v: NodeId| discount[v.index()];
         propagate(&self.config.rank, g.num_nodes(), |u| g.friends(u), weight, seeds)

@@ -25,7 +25,18 @@
 //! assert!(ranking.score(NodeId(1)) > ranking.score(NodeId(4)));
 //! ```
 
-#![forbid(unsafe_code)]
+// lossy-cast (DESIGN.md §8.1): this crate's arithmetic feeds the
+// objective or a compared score; tests cast freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
 
 mod fence;
 
@@ -157,15 +168,22 @@ fn propagate<'g>(
     for s in seeds {
         assert!(s.index() < n, "seed {s} out of range");
     }
+    #[expect(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer"
+    )]
     let iterations = config
         .iterations
-        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
+        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize);
     let weighted_degree: Vec<f64> = (0..n)
         .map(|i| ordered_sum(neighbors(NodeId::from_index(i)).iter().map(|&v| weight(v))))
         .collect();
     let mut trust = vec![0.0f64; n];
+    #[expect(clippy::cast_precision_loss, reason = "seed count < 2^53 converts exactly")]
     for s in seeds {
-        trust[s.index()] += config.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
+        trust[s.index()] += config.total_trust / seeds.len() as f64;
     }
     for _ in 0..iterations {
         let mut next = vec![0.0f64; n];

@@ -23,7 +23,18 @@
 //! rates, so collusion dilutes it, and fakes that send no requests keep the
 //! default rating and are missed entirely.
 
-#![forbid(unsafe_code)]
+// lossy-cast (DESIGN.md §8.1): this crate's arithmetic feeds the
+// objective or a compared score; tests cast freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_lossless
+    )
+)]
 
 mod request_graph;
 mod trust;

@@ -253,6 +253,10 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
     }
 
     if let Some(path) = json_path {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the soak report is rebuilt on every run; it has no durability contract"
+        )]
         std::fs::write(path, render_records(&records))
             .map_err(|e| format!("chaos: cannot write {path}: {e}"))?;
     }
@@ -276,7 +280,7 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
 /// the newest *valid* generation, and demand byte-identity with the
 /// uninterrupted leg. Returns `"ok"` or a `skipped:` tag for degenerate
 /// fixtures.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one leg's whole configuration, passed as is")]
 fn resume_leg(
     ctx: &str,
     sim: &SimOutput,

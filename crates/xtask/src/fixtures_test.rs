@@ -3,14 +3,10 @@
 //! Each fixture is a standalone Rust source (never compiled — read as
 //! data) with `//~` directives:
 //!
-//! * `//~ crate: <name>` / `//~ path: <rel path>` / `//~ root` headers
-//!   set the [`SourceFile`] context the rules key on;
-//! * `//~ expect: <rule>[@<line>][, <rule>...]` markers state exactly
-//!   which diagnostics the file must produce. Without `@<line>` the
-//!   marker's own line is the expected line; the `@` form exists for
-//!   diagnostics that cannot share a line with a marker (file-level
-//!   `forbid-unsafe`, lines already carrying an `xtask-allow` pragma
-//!   whose reason parse would swallow the marker).
+//! * `//~ crate: <name>` / `//~ path: <rel path>` headers set the
+//!   [`SourceFile`] context the rules key on;
+//! * `//~ expect: <rule>[, <rule>...]` markers state exactly which
+//!   diagnostics the marker's own line must produce.
 //!
 //! The harness lints every fixture and requires the violation set to
 //! match the markers *exactly* — so `*_pass` fixtures (no markers) must
@@ -26,7 +22,6 @@ struct Fixture {
     name: String,
     crate_name: String,
     rel_path: String,
-    is_root: bool,
     expects: Vec<(String, usize)>,
     text: String,
 }
@@ -49,7 +44,6 @@ fn parse_fixture(path: &Path) -> Fixture {
     let text = std::fs::read_to_string(path).expect("fixture is readable utf-8");
     let mut crate_name = String::new();
     let mut rel_path = String::new();
-    let mut is_root = false;
     let mut expects = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -57,29 +51,17 @@ fn parse_fixture(path: &Path) -> Fixture {
             crate_name = rest.trim().to_string();
         } else if let Some(rest) = line.trim().strip_prefix("//~ path:") {
             rel_path = rest.trim().to_string();
-        } else if line.trim() == "//~ root" {
-            is_root = true;
         }
         if let Some(at) = line.find("//~ expect:") {
             let spec = &line[at + "//~ expect:".len()..];
-            for entry in spec.split(',') {
-                let entry = entry.trim();
-                if entry.is_empty() {
-                    continue;
-                }
-                match entry.split_once('@') {
-                    Some((rule, n)) => expects.push((
-                        rule.trim().to_string(),
-                        n.trim().parse().expect("`@<line>` is a line number"),
-                    )),
-                    None => expects.push((entry.to_string(), lineno)),
-                }
+            for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {
+                expects.push((rule.to_string(), lineno));
             }
         }
     }
     assert!(!crate_name.is_empty(), "{name}: missing `//~ crate:` header");
     assert!(!rel_path.is_empty(), "{name}: missing `//~ path:` header");
-    Fixture { name, crate_name, rel_path, is_root, expects, text }
+    Fixture { name, crate_name, rel_path, expects, text }
 }
 
 fn sorted(mut v: Vec<(String, usize)>) -> Vec<(String, usize)> {
@@ -95,7 +77,6 @@ fn corpus_matches_expectations() {
         let got: Vec<(String, usize)> = lint_file(&SourceFile {
             rel_path: &f.rel_path,
             crate_name: &f.crate_name,
-            is_crate_root: f.is_root,
             text: &f.text,
         })
         .iter()

@@ -5,6 +5,8 @@
 //!
 //! * `check` — run the token-level static-analysis pass ([`lint`], built
 //!   on the hand-rolled lexer in [`lexer`]) over the workspace sources.
+//!   It checks the four rules no rustc or clippy lint can; the rest run
+//!   under `cargo clippy` (DESIGN.md §8.1).
 //! * `check --determinism` — additionally run the in-process determinism
 //!   harness ([`determinism`]): simulate → detect twice from one seed,
 //!   diff byte-for-byte.
@@ -17,8 +19,6 @@
 //! Exit code 0 means clean; 1 means violations (each printed as
 //! `file:line: [rule] message`) or a determinism failure; 2 means usage
 //! error.
-
-#![forbid(unsafe_code)]
 
 mod chaos;
 mod determinism;
@@ -142,12 +142,11 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every first-party `.rs` file, as `(absolute path, crate name,
-/// is_crate_root)`. Scans `crates/*/{src,tests,benches}` and the root
+/// Every first-party `.rs` file, as `(absolute path, crate name)`. Scans `crates/*/{src,tests,benches}` and the root
 /// package's `src/`; `vendor/` (third-party stubs), `target/`, and the
 /// lint fixture corpus (`crates/xtask/fixtures/`, deliberately full of
 /// violations) are out of scope. Deterministic order (sorted walk).
-fn collect_sources(root: &Path) -> Vec<(PathBuf, String, bool)> {
+fn collect_sources(root: &Path) -> Vec<(PathBuf, String)> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
     for crate_dir in sorted_dirs(&crates_dir) {
@@ -158,45 +157,33 @@ fn collect_sources(root: &Path) -> Vec<(PathBuf, String, bool)> {
             .to_string();
         for sub in ["src", "tests", "benches"] {
             walk_rs(&crate_dir.join(sub), &mut |path| {
-                let is_root = sub == "src"
-                    && path.parent() == Some(crate_dir.join("src").as_path())
-                    && matches!(
-                        path.file_name().and_then(|n| n.to_str()),
-                        Some("lib.rs") | Some("main.rs")
-                    );
-                out.push((path.to_path_buf(), crate_name.clone(), is_root));
+                out.push((path.to_path_buf(), crate_name.clone()));
             });
         }
     }
-    let root_src = root.join("src");
-    walk_rs(&root_src, &mut |path| {
-        let is_root = path.parent() == Some(root_src.as_path())
-            && matches!(
-                path.file_name().and_then(|n| n.to_str()),
-                Some("lib.rs") | Some("main.rs")
-            );
-        out.push((path.to_path_buf(), "rejecto".to_string(), is_root));
+    walk_rs(&root.join("src"), &mut |path| {
+        out.push((path.to_path_buf(), "rejecto".to_string()));
     });
     out
 }
 
-/// Reads every source file once: `(rel path, crate, is_root, text)`.
+/// Reads every source file once: `(rel path, crate, text)`.
 /// Unreadable files become synthetic entries whose "text" is empty; the
 /// lint runner reports them as `io` violations.
-fn read_sources(root: &Path) -> Vec<(String, String, bool, String)> {
+fn read_sources(root: &Path) -> Vec<(String, String, String)> {
     collect_sources(root)
         .into_iter()
-        .map(|(path, crate_name, is_root)| {
+        .map(|(path, crate_name)| {
             let rel = rel(root, &path);
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| format!("\u{0}io error: {e}"));
-            (rel, crate_name, is_root, text)
+            (rel, crate_name, text)
         })
         .collect()
 }
 
-fn run_lints(sources: &[(String, String, bool, String)]) -> Vec<Violation> {
+fn run_lints(sources: &[(String, String, String)]) -> Vec<Violation> {
     let mut violations = Vec::new();
-    for (rel_path, crate_name, is_crate_root, text) in sources {
+    for (rel_path, crate_name, text) in sources {
         if let Some(err) = text.strip_prefix('\u{0}') {
             violations.push(Violation {
                 file: rel_path.clone(),
@@ -206,12 +193,7 @@ fn run_lints(sources: &[(String, String, bool, String)]) -> Vec<Violation> {
             });
             continue;
         }
-        violations.extend(lint::lint_file(&SourceFile {
-            rel_path,
-            crate_name,
-            is_crate_root: *is_crate_root,
-            text,
-        }));
+        violations.extend(lint::lint_file(&SourceFile { rel_path, crate_name, text }));
     }
     violations
 }
@@ -268,5 +250,45 @@ mod tests {
             "working tree has lint violations:\n{}",
             violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n")
         );
+    }
+
+    /// Whether a manifest has a `[lints]` table saying `workspace = true`.
+    fn inherits_workspace_lints(manifest: &str) -> bool {
+        let mut in_lints = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+            } else if in_lints && line.replace(' ', "") == "workspace=true" {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `forbid(unsafe_code)`, the disallowed-path bans and the `#[allow]`
+    /// ban live in the root manifest's `[workspace.lints]`; a crate that
+    /// does not opt in loses all of them without a single warning.
+    #[test]
+    fn every_first_party_manifest_inherits_the_workspace_lints() {
+        let root = repo_root();
+        let mut manifests = vec![root.join("Cargo.toml")];
+        manifests.extend(sorted_dirs(&root.join("crates")).iter().map(|d| d.join("Cargo.toml")));
+        assert!(manifests.len() > 10, "crate walk found only {} manifests", manifests.len());
+        for path in &manifests {
+            let text = std::fs::read_to_string(path).expect("first-party manifest is readable");
+            assert!(
+                inherits_workspace_lints(&text),
+                "{} lacks `[lints] workspace = true`",
+                rel(&root, path)
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_lints_table_saying_workspace_true_counts() {
+        assert!(inherits_workspace_lints("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"));
+        assert!(!inherits_workspace_lints("[package]\nname = \"x\"\n"));
+        assert!(!inherits_workspace_lints("[lints]\nworkspace = false\n"));
+        assert!(!inherits_workspace_lints("[lints]\n\n[dependencies]\nworkspace = true\n"));
     }
 }

@@ -32,6 +32,7 @@ fn main() {
     let rejecto = RejectoConfig::default();
     let (seeds, one_round) = (Seeds::default(), Termination::SuspectBudget(1));
 
+    #[expect(clippy::disallowed_methods, reason = "the demo prints its own wall time")]
     let t0 = Instant::now();
     let local = IterativeDetector::new(rejecto.clone()).detect(&sim.graph, &seeds, one_round);
     let group = local.groups.first().expect("a cut exists");
@@ -47,6 +48,7 @@ fn main() {
         let mut detector = DistributedDetector::new(cluster, rejecto.clone());
         let obs = Obs::new();
         detector.set_obs(obs.clone());
+        #[expect(clippy::disallowed_methods, reason = "the demo prints its own wall time")]
         let t0 = Instant::now();
         let report = detector
             .detect(&sim.graph, &seeds, one_round)

@@ -4,12 +4,12 @@
 //! declares which keys it understands and unknown keys are rejected with a
 //! helpful message.
 
-use std::collections::HashMap;
-
 /// Parsed `--key value` arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    /// `(key, value)` pairs in command-line order; the last value of a
+    /// repeated flag wins.
+    values: Vec<(String, String)>,
     /// Keys the caller has consumed (for unknown-flag detection).
     known: Vec<String>,
 }
@@ -38,33 +38,33 @@ impl Args {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut values = HashMap::new();
+        let mut values = Vec::new();
         let mut iter = raw.into_iter().map(Into::into);
         while let Some(tok) = iter.next() {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ArgError(format!("unexpected positional argument {tok:?}")));
             };
             if key == "help" {
-                values.insert("help".to_string(), "true".to_string());
+                values.push(("help".to_string(), "true".to_string()));
                 continue;
             }
             let value = iter
                 .next()
                 .ok_or_else(|| ArgError(format!("flag --{key} requires a value")))?;
-            values.insert(key.to_string(), value);
+            values.push((key.to_string(), value));
         }
         Ok(Args { values, known: Vec::new() })
     }
 
     /// Whether `--help` was given.
     pub fn wants_help(&self) -> bool {
-        self.values.contains_key("help")
+        self.values.iter().any(|(k, _)| k == "help")
     }
 
     /// A string flag.
     pub fn get(&mut self, key: &str) -> Option<String> {
         self.known.push(key.to_string());
-        self.values.get(key).cloned()
+        self.values.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.clone())
     }
 
     /// A required string flag.
@@ -109,9 +109,10 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error naming the first unknown flag.
+    /// Returns an error naming the first unknown flag, in command-line
+    /// order.
     pub fn finish(self) -> Result<(), ArgError> {
-        for key in self.values.keys() {
+        for (key, _) in &self.values {
             if key != "help" && !self.known.iter().any(|k| k == key) {
                 return Err(ArgError(format!("unknown flag --{key}")));
             }
@@ -160,6 +161,25 @@ mod tests {
         let mut a = Args::parse(["--graph", "x", "--bogus", "1"]).unwrap();
         let _ = a.get("graph");
         assert!(a.finish().is_err());
+    }
+
+    /// Every parse names the first unknown flag on the command line.
+    #[test]
+    fn the_first_unknown_flag_is_named() {
+        for _ in 0..32 {
+            let mut a =
+                Args::parse(["--graph", "x.rjg", "--zeta", "1", "--alpha", "2", "--mu", "3"])
+                    .unwrap();
+            let _ = a.get("graph");
+            assert_eq!(a.finish().unwrap_err().0, "unknown flag --zeta");
+        }
+    }
+
+    #[test]
+    fn the_last_value_of_a_repeated_flag_wins() {
+        let mut a = Args::parse(["--seed", "1", "--seed", "2"]).unwrap();
+        assert_eq!(a.get_or("seed", 0u64).unwrap(), 2);
+        a.finish().unwrap();
     }
 
     #[test]

@@ -698,14 +698,26 @@ fn defense<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     )?;
 
     if let Some(is_fake) = is_fake {
-        let auc_before = before.auc(&is_fake);
+        let auc_before = auc_text(&before, &is_fake);
         let kept_fake: Vec<bool> = kept.iter().map(|u| is_fake[u.index()]).collect();
-        let auc_after = after.auc(&kept_fake);
+        let auc_after = auc_text(&after, &kept_fake);
         let tp = pruned.iter().filter(|s| is_fake[s.index()]).count();
         writeln!(out, "pruned true fakes: {tp} of {}", pruned.len())?;
-        writeln!(out, "sybilrank AUC: {auc_before:.4} before, {auc_after:.4} after")?;
+        writeln!(out, "sybilrank AUC: {auc_before} before, {auc_after} after")?;
     }
     Ok(())
+}
+
+/// The ranking's AUC against `is_fake` to four places, or `undefined`
+/// when the users hold one class only: `eval::auc` reports 0.5 there,
+/// which would read as a coin-flip ranking (e.g. after pruning removed
+/// every fake).
+fn auc_text(ranking: &sybilrank::SybilRankResult, is_fake: &[bool]) -> String {
+    if is_fake.iter().all(|&f| f) || !is_fake.iter().any(|&f| f) {
+        "undefined".to_string()
+    } else {
+        format!("{:.4}", ranking.auc(is_fake))
+    }
 }
 
 /// Helper for tests: run a command against string args.
@@ -1079,6 +1091,10 @@ mod tests {
         let mangled = format!("{stem_s}-mangled.rjg");
         let mut text = std::fs::read_to_string(&graph).unwrap();
         text.push_str("X 0 1\nF 0 banana\n");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test input in a scratch directory; it has no durability contract"
+        )]
         std::fs::write(&mangled, text).unwrap();
 
         let err = run_to_string("detect", &["--graph", &mangled, "--budget", "30"]).unwrap_err();

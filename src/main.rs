@@ -1,7 +1,5 @@
 //! The `rejecto` CLI entry point; see [`rejecto::cli`] for the commands.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -125,6 +125,10 @@ fn sybilrank_over_edge_list() {
         }
     }
     content.push_str("0 4\n");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test input in a scratch directory; it has no durability contract"
+    )]
     std::fs::write(&path, content).unwrap();
     let out = run_ok(bin().args([
         "sybilrank", "--graph", path.to_str().unwrap(), "--seeds", "0", "--bottom", "3",
@@ -158,6 +162,10 @@ fn invalid_scenario_is_a_usage_error_not_a_panic() {
 fn votetrust_seed_past_the_log_is_a_usage_error_not_a_panic() {
     let dir = workdir("votetrust-seed");
     let log = dir.join("three.requests");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test input in a scratch directory; it has no durability contract"
+    )]
     std::fs::write(&log, "0 1 1\n2 1 0\n").expect("write request log");
     let out = bin()
         .args(["votetrust", "--log", log.to_str().unwrap(), "--seeds", "0,99"])
@@ -181,6 +189,10 @@ fn truth_id_past_the_graph_is_rejected_not_dropped() {
     let mut ids = std::fs::read_to_string(&truth).expect("truth file");
     let line = ids.lines().count() + 1;
     ids.push_str("99999\n");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test input in a scratch directory; it has no durability contract"
+    )]
     std::fs::write(&truth, ids).expect("append to truth file");
     let want = format!("error: {truth}:{line}: node id 99999 out of range (260 nodes)");
     for cmd in [
@@ -213,6 +225,20 @@ fn simulated_graph(name: &str) -> (TempDir, String) {
     ]));
     let graph = format!("{stem}.rjg");
     (dir, graph)
+}
+
+/// On the seed-7 input pruning removes every fake, so the kept users are
+/// all legit and their AUC has no meaning.
+#[test]
+fn defense_reports_the_after_auc_undefined_when_no_fake_is_kept() {
+    let (dir, graph) = simulated_graph("defense-no-fakes-kept");
+    let truth = dir.join("run.truth");
+    let truth = truth.to_str().expect("utf-8 temp path");
+    let out = run_ok(bin().args([
+        "defense", "--graph", &graph, "--seeds", "0,1,2", "--budget", "60", "--truth", truth,
+    ]));
+    assert!(out.contains("pruned true fakes: 60 of 60"), "{out}");
+    assert!(out.contains(" before, undefined after"), "{out}");
 }
 
 #[test]
@@ -249,6 +275,10 @@ fn votetrust_names_a_missing_log_file() {
 fn a_truth_line_that_cannot_be_read_names_the_file_and_line() {
     let (dir, graph) = simulated_graph("truth-not-utf8");
     let truth = dir.join("bad.truth");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test input in a scratch directory; it has no durability contract"
+    )]
     std::fs::write(&truth, b"1\n\xff\xfe\n").expect("write truth file");
     let truth = truth.to_str().expect("utf-8 temp path");
     assert_error_names(
@@ -323,6 +353,10 @@ fn resume_with_no_valid_generation_still_writes_its_metrics() {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
         if name.starts_with("z.ckpt.gen-") {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test input in a scratch directory; it has no durability contract"
+            )]
             std::fs::write(&path, "overwritten\n").expect("overwrite a generation");
             generations += 1;
         }
