@@ -1,4 +1,3 @@
-use crate::faults::FaultPlan;
 use kl::KParam;
 use std::time::Duration;
 
@@ -107,9 +106,6 @@ pub struct RejectoConfig {
     /// cumulative suspect fraction). The default is unlimited, which
     /// reproduces the legacy behavior exactly.
     pub budget: RunBudget,
-    /// Synthetic faults to arm for this run ([`crate::faults`]); empty by
-    /// default. Used by the fault-injection tests and the CI fault matrix.
-    pub faults: FaultPlan,
 }
 
 impl Default for RejectoConfig {
@@ -125,7 +121,6 @@ impl Default for RejectoConfig {
             max_suspect_fraction: 0.6,
             threads: 0,
             budget: RunBudget::unlimited(),
-            faults: FaultPlan::none(),
         }
     }
 }

@@ -1,4 +1,5 @@
 use crate::checkpoint::Checkpoint;
+use crate::faults::FaultPlan;
 use crate::runtime::{RunContext, RuntimeError};
 use crate::{RejectoConfig, SweepOutcome};
 use kl::KParam;
@@ -184,7 +185,7 @@ pub trait CutSolver {
     /// What a failed round reports ([`std::convert::Infallible`] in process).
     type Error;
 
-    /// The configuration the loop reads its caps, budgets and faults from.
+    /// The configuration the loop reads its caps and budgets from.
     fn config(&self) -> &RejectoConfig;
 
     /// The MAAR cut of the residual graph `g` with the seeds (in `g`'s
@@ -253,15 +254,18 @@ impl LoopState {
     /// checkpoint. Budgets stop the loop only at round
     /// boundaries (an interrupted round is rolled back), so a resumed run
     /// is byte-identical to the uninterrupted one. Stops at the first
-    /// round `solver` fails.
+    /// round `solver` fails. The run records into `obs` and arms `faults`
+    /// on a table of its own, so a one-shot fault fires once per run.
     ///
     /// # Panics
     ///
     /// Panics if any seed id is out of range of `g`.
+    #[expect(clippy::too_many_arguments, reason = "one run's inputs, passed as is")]
     pub fn run<S: CutSolver>(
         self,
         solver: &S,
         obs: Option<&rejecto_obs::Obs>,
+        faults: &FaultPlan,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
@@ -269,7 +273,7 @@ impl LoopState {
     ) -> Result<DetectionReport, S::Error> {
         let LoopState { mut report, mut current, mut to_original } = self;
         let config = solver.config();
-        let mut ctx = RunContext::armed(config, obs.cloned());
+        let mut ctx = RunContext::armed(config, faults, obs.cloned());
 
         let (budget, threshold) = match termination {
             Termination::SuspectBudget(b) => (Some(b), None),
@@ -427,12 +431,13 @@ impl LoopState {
 pub struct IterativeDetector {
     pub(crate) config: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
+    faults: FaultPlan,
 }
 
 impl IterativeDetector {
     /// Creates a detector with the given configuration.
     pub fn new(config: RejectoConfig) -> Self {
-        IterativeDetector { config, obs: None }
+        IterativeDetector { config, obs: None, faults: FaultPlan::none() }
     }
 
     /// Attaches a metrics registry shared by the pruning loop, the sweep
@@ -445,6 +450,12 @@ impl IterativeDetector {
         self.obs = Some(obs);
     }
 
+    /// Attaches synthetic faults ([`crate::faults`]) that every run arms
+    /// afresh, so a one-shot fault fires once per run.
+    pub fn set_faults(&mut self, faults: FaultPlan) {
+        self.faults = faults;
+    }
+
     /// Runs the full pipeline on `g` and returns the detected groups.
     pub fn detect(
         &self,
@@ -452,8 +463,8 @@ impl IterativeDetector {
         seeds: &Seeds,
         termination: Termination,
     ) -> DetectionReport {
-        let state = LoopState::fresh(g);
-        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, None);
+        let (obs, faults) = (self.obs.as_ref(), &self.faults);
+        let Ok(report) = LoopState::fresh(g).run(self, obs, faults, g, seeds, termination, None);
         report
     }
 
@@ -467,7 +478,8 @@ impl IterativeDetector {
         sink: CheckpointSink<'_>,
     ) -> DetectionReport {
         let (state, sink) = (LoopState::fresh(g), Some(sink));
-        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, sink);
+        let (obs, faults) = (self.obs.as_ref(), &self.faults);
+        let Ok(report) = state.run(self, obs, faults, g, seeds, termination, sink);
         report
     }
 
@@ -491,7 +503,8 @@ impl IterativeDetector {
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<DetectionReport, RuntimeError> {
         let state = LoopState::start(g, resume)?;
-        let Ok(report) = state.run(self, self.obs.as_ref(), g, seeds, termination, sink);
+        let (obs, faults) = (self.obs.as_ref(), &self.faults);
+        let Ok(report) = state.run(self, obs, faults, g, seeds, termination, sink);
         Ok(report)
     }
 }

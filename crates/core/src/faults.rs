@@ -10,16 +10,16 @@
 //! fault matrix can assert the degraded outputs byte-for-byte.
 //!
 //! A plan is declarative ([`FaultPlan`], parsed from
-//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms`) and carried
-//! in [`crate::RejectoConfig::faults`]. One plan arms two [`Faults`]
-//! tables: the [`crate::RunContext`]'s, probed by the sweep workers, the
-//! pruning loop's checkpoint write and the cluster master, and the
-//! [`crate::CheckpointStore`]'s, probed only for torn writes and bit
-//! flips. They probe disjoint fault kinds, so no one-shot fault fires
-//! twice. The injected deadline is read off the plan
-//! ([`FaultPlan::deadline`]) when the context arms its token. An empty
-//! plan is free: every probe is a single cheap check against an empty
-//! table.
+//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms`), a run
+//! input attached with a detector's `set_faults` and
+//! [`crate::CheckpointStore::with_faults`]. Each run arms a fresh
+//! [`Faults`] table in [`crate::RunContext::armed`], probed by the sweep
+//! workers, the pruning loop's checkpoint write and the cluster master;
+//! the store arms its own, probed only for torn writes and bit flips, so
+//! no one-shot fault fires twice in a run. The injected deadline is read
+//! off the plan ([`FaultPlan::deadline`]) when the context arms its token.
+//! An empty plan is free: every probe is a single cheap check against an
+//! empty table.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -91,29 +91,142 @@ pub enum Fault {
     },
 }
 
+/// What may follow a directive's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Suffix {
+    /// Nothing.
+    Bare,
+    /// `:always`: the panic fires on every retry too.
+    Always,
+    /// `:x<m>`: `m ≥ 1` consecutive deaths; one death renders bare.
+    Repeat,
+    /// `ms`, optional on parse; the value is a duration, not a position.
+    Millis,
+}
+
+/// One directive form of the `--inject` grammar: `name@key=<n>` followed
+/// by its suffix, or `name=<n>ms` for the keyless deadline.
+#[derive(Debug)]
+struct Form {
+    /// Directive name.
+    name: &'static str,
+    /// Trigger key after the `@`; empty for the deadline.
+    key: &'static str,
+    /// What the value counts, for error messages.
+    noun: &'static str,
+    /// Lowest admitted value: 1 for the 1-based rounds and fetch batches.
+    first: u64,
+    /// What may follow the value.
+    suffix: Suffix,
+    /// The injection point the directive occupies. The store consumes
+    /// one mangle per generation, so `torn_write` and `bit_flip` share one.
+    point: &'static str,
+}
+
+/// The `--inject` grammar, one row per [`Fault`] variant in declaration
+/// order; [`FaultPlan::parse`], `Display for Fault` and
+/// [`Fault::injection_point`] all read it. Columns: name, trigger key,
+/// noun, lowest value, suffix, injection point.
+const FORMS: [Form; 7] = [
+    Form::new("worker_panic", "k", "sweep index", 0, Suffix::Always, "worker_panic"),
+    Form::new("io_error", "round", "round", 1, Suffix::Bare, "io_error"),
+    Form::new("deadline", "", "deadline", 0, Suffix::Millis, "deadline"),
+    Form::new("worker_death", "fetch", "fetch number", 1, Suffix::Repeat, "worker_death"),
+    Form::new("worker_hang", "fetch", "fetch number", 1, Suffix::Bare, "worker_hang"),
+    Form::new("torn_write", "round", "round", 1, Suffix::Bare, "store mangle"),
+    Form::new("bit_flip", "round", "round", 1, Suffix::Bare, "store mangle"),
+];
+
+impl Form {
+    const fn new(
+        name: &'static str,
+        key: &'static str,
+        noun: &'static str,
+        first: u64,
+        suffix: Suffix,
+        point: &'static str,
+    ) -> Form {
+        Form { name, key, noun, first, suffix, point }
+    }
+
+    /// The directive text before its value: `name@key=`, or `name=`.
+    fn prefix(&self) -> String {
+        let at = if self.key.is_empty() { "" } else { "@" };
+        format!("{}{at}{}=", self.name, self.key)
+    }
+
+    /// The "expected ..." of a malformed directive: its bare spelling,
+    /// its suffixed one when it has one, and its lowest value.
+    fn usage(&self) -> String {
+        let unit = if self.suffix == Suffix::Millis { "ms" } else { "" };
+        let bare = format!("{}<n>{unit}", self.prefix());
+        let floor = if self.first > 0 { ", n ≥ 1" } else { "" };
+        match self.suffix {
+            Suffix::Always => format!("{bare} or {bare}:always{floor}"),
+            Suffix::Repeat => format!("{bare} or {bare}:x<m>{floor}, m ≥ 1"),
+            Suffix::Bare | Suffix::Millis => format!("{bare}{floor}"),
+        }
+    }
+
+    /// The fault directive `part` spells; it starts with this form's
+    /// prefix, cut off as `rest`.
+    fn read(&self, part: &str, rest: &str) -> Result<Fault, String> {
+        let bad = |what: &str| format!("bad {what} in `{part}`: expected {}", self.usage());
+        // The suffix count: 1 for `:always`, the deaths of `:x<m>` (1
+        // without one), otherwise 0.
+        let (value, count) = match self.suffix {
+            Suffix::Bare => (rest, 0),
+            Suffix::Millis => (rest.strip_suffix("ms").unwrap_or(rest), 0),
+            Suffix::Always => rest.strip_suffix(":always").map_or((rest, 0), |v| (v, 1)),
+            Suffix::Repeat => match rest.split_once(":x") {
+                Some((v, m)) => {
+                    let m = m.parse::<u32>().ok().filter(|&m| m > 0);
+                    (v, m.ok_or_else(|| bad("repeat count"))?)
+                }
+                None => (rest, 1),
+            },
+        };
+        let value = value.parse::<u64>().ok().filter(|&v| v >= self.first);
+        let value = value.ok_or_else(|| bad(self.noun))?;
+        let narrow = || usize::try_from(value).map_err(|_| bad(self.noun));
+        Ok(match self.name {
+            "worker_panic" => Fault::WorkerPanic { k_index: narrow()?, persistent: count > 0 },
+            "io_error" => Fault::CheckpointIoError { round: narrow()? },
+            "deadline" => Fault::Deadline { millis: value },
+            "worker_death" => Fault::WorkerDeath { fetch: value, deaths: count },
+            "worker_hang" => Fault::WorkerHang { fetch: value },
+            "torn_write" => Fault::TornWrite { round: narrow()? },
+            _ => Fault::BitFlip { round: narrow()? },
+        })
+    }
+}
+
 impl Fault {
+    /// This fault as a row of [`FORMS`], its value, and its suffix count
+    /// (as [`Form::read`] counts it).
+    fn spelling(self) -> (&'static Form, u64, u32) {
+        let wide = |i: usize| u64::try_from(i).expect("index fits in u64");
+        match self {
+            Fault::WorkerPanic { k_index, persistent } => {
+                (&FORMS[0], wide(k_index), u32::from(persistent))
+            }
+            Fault::CheckpointIoError { round } => (&FORMS[1], wide(round), 0),
+            Fault::Deadline { millis } => (&FORMS[2], millis, 0),
+            Fault::WorkerDeath { fetch, deaths } => (&FORMS[3], fetch, deaths),
+            Fault::WorkerHang { fetch } => (&FORMS[4], fetch, 0),
+            Fault::TornWrite { round } => (&FORMS[5], wide(round), 0),
+            Fault::BitFlip { round } => (&FORMS[6], wide(round), 0),
+        }
+    }
+
     /// The injection point this fault occupies, as a `(kind, position)`
     /// key. [`FaultPlan::parse`] rejects two directives with the same key:
     /// which one "wins" would otherwise be silent order-dependence. Both
-    /// store mangles share a key — the checkpoint store consumes exactly
-    /// one mangle per generation write, so `torn_write` and `bit_flip` at
-    /// the same round *conflict* rather than compose. Likewise only one
-    /// deadline directive is admitted.
+    /// store mangles share a key, and only one deadline directive is
+    /// admitted.
     pub(crate) fn injection_point(&self) -> (&'static str, u64) {
-        match *self {
-            Fault::WorkerPanic { k_index, .. } => {
-                ("worker_panic", u64::try_from(k_index).expect("sweep index fits in u64"))
-            }
-            Fault::CheckpointIoError { round } => {
-                ("io_error", u64::try_from(round).expect("round fits in u64"))
-            }
-            Fault::Deadline { .. } => ("deadline", 0),
-            Fault::WorkerDeath { fetch, .. } => ("worker_death", fetch),
-            Fault::WorkerHang { fetch } => ("worker_hang", fetch),
-            Fault::TornWrite { round } | Fault::BitFlip { round } => {
-                ("store mangle", u64::try_from(round).expect("round fits in u64"))
-            }
-        }
+        let (form, value, _) = self.spelling();
+        (form.point, if form.suffix == Suffix::Millis { 0 } else { value })
     }
 }
 
@@ -121,22 +234,13 @@ impl fmt::Display for Fault {
     /// Renders the exact [`FaultPlan::parse`] grammar, so plans round-trip:
     /// `parse(plan.to_string()) == plan` for every parseable plan.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Fault::WorkerPanic { k_index, persistent: false } => {
-                write!(f, "worker_panic@k={k_index}")
-            }
-            Fault::WorkerPanic { k_index, persistent: true } => {
-                write!(f, "worker_panic@k={k_index}:always")
-            }
-            Fault::CheckpointIoError { round } => write!(f, "io_error@round={round}"),
-            Fault::Deadline { millis } => write!(f, "deadline={millis}ms"),
-            Fault::WorkerDeath { fetch, deaths: 1 } => write!(f, "worker_death@fetch={fetch}"),
-            Fault::WorkerDeath { fetch, deaths } => {
-                write!(f, "worker_death@fetch={fetch}:x{deaths}")
-            }
-            Fault::WorkerHang { fetch } => write!(f, "worker_hang@fetch={fetch}"),
-            Fault::TornWrite { round } => write!(f, "torn_write@round={round}"),
-            Fault::BitFlip { round } => write!(f, "bit_flip@round={round}"),
+        let (form, value, count) = self.spelling();
+        write!(f, "{}{value}", form.prefix())?;
+        match form.suffix {
+            Suffix::Always if count > 0 => f.write_str(":always"),
+            Suffix::Repeat if count > 1 => write!(f, ":x{count}"),
+            Suffix::Millis => f.write_str("ms"),
+            _ => Ok(()),
         }
     }
 }
@@ -182,7 +286,7 @@ impl FaultPlan {
     /// the silent last-wins (or first-wins, depending on the consumer)
     /// order-dependence the plan text would otherwise have. Every plan is
     /// built through this check, so every plan is conflict-free.
-    pub(crate) fn push_directive(&mut self, fault: Fault, part: &str) -> Result<(), String> {
+    fn push_directive(&mut self, fault: Fault, part: &str) -> Result<(), String> {
         let key = fault.injection_point();
         if let Some(prior) = self.faults.iter().find(|f| f.injection_point() == key) {
             return Err(format!(
@@ -208,94 +312,15 @@ impl FaultPlan {
     /// Returns a human-readable description of the first malformed spec.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some(rest) = part.strip_prefix("worker_panic@k=") {
-                let (num, persistent) = match rest.strip_suffix(":always") {
-                    Some(n) => (n, true),
-                    None => (rest, false),
-                };
-                let k_index = num.parse::<usize>().map_err(|_| {
-                    format!("bad sweep index in `{part}`: expected worker_panic@k=<index>")
-                })?;
-                plan.push_directive(Fault::WorkerPanic { k_index, persistent }, part)?;
-            } else if let Some(rest) = part.strip_prefix("io_error@round=") {
-                let round = rest.parse::<usize>().map_err(|_| {
-                    format!("bad round in `{part}`: expected io_error@round=<round>")
-                })?;
-                if round == 0 {
-                    return Err(format!("bad round in `{part}`: rounds are 1-based"));
-                }
-                plan.push_directive(Fault::CheckpointIoError { round }, part)?;
-            } else if let Some(rest) = part.strip_prefix("deadline=") {
-                let digits = rest.strip_suffix("ms").unwrap_or(rest);
-                let millis = digits.parse::<u64>().map_err(|_| {
-                    format!("bad deadline in `{part}`: expected deadline=<millis>ms")
-                })?;
-                plan.push_directive(Fault::Deadline { millis }, part)?;
-            } else if let Some(rest) = part.strip_prefix("worker_death@fetch=") {
-                let (num, deaths) = match rest.split_once(":x") {
-                    Some((n, m)) => {
-                        let deaths = m.parse::<u32>().map_err(|_| {
-                            format!(
-                                "bad repeat count in `{part}`: expected \
-                                 worker_death@fetch=<n>:x<m>"
-                            )
-                        })?;
-                        if deaths == 0 {
-                            return Err(format!(
-                                "bad repeat count in `{part}`: at least one death"
-                            ));
-                        }
-                        (n, deaths)
-                    }
-                    None => (rest, 1),
-                };
-                let fetch = num.parse::<u64>().map_err(|_| {
-                    format!(
-                        "bad fetch number in `{part}`: expected \
-                         worker_death@fetch=<n> or worker_death@fetch=<n>:x<m>"
-                    )
-                })?;
-                if fetch == 0 {
-                    return Err(format!("bad fetch number in `{part}`: fetches are 1-based"));
-                }
-                plan.push_directive(Fault::WorkerDeath { fetch, deaths }, part)?;
-            } else if let Some(rest) = part.strip_prefix("worker_hang@fetch=") {
-                let fetch = rest.parse::<u64>().map_err(|_| {
-                    format!("bad fetch number in `{part}`: expected worker_hang@fetch=<n>")
-                })?;
-                if fetch == 0 {
-                    return Err(format!("bad fetch number in `{part}`: fetches are 1-based"));
-                }
-                plan.push_directive(Fault::WorkerHang { fetch }, part)?;
-            } else if let Some(rest) = part.strip_prefix("torn_write@round=") {
-                let round = rest.parse::<usize>().map_err(|_| {
-                    format!("bad round in `{part}`: expected torn_write@round=<round>")
-                })?;
-                if round == 0 {
-                    return Err(format!("bad round in `{part}`: rounds are 1-based"));
-                }
-                plan.push_directive(Fault::TornWrite { round }, part)?;
-            } else if let Some(rest) = part.strip_prefix("bit_flip@round=") {
-                let round = rest.parse::<usize>().map_err(|_| {
-                    format!("bad round in `{part}`: expected bit_flip@round=<round>")
-                })?;
-                if round == 0 {
-                    return Err(format!("bad round in `{part}`: rounds are 1-based"));
-                }
-                plan.push_directive(Fault::BitFlip { round }, part)?;
-            } else {
-                return Err(format!(
-                    "unknown fault `{part}`: expected worker_panic@k=<i>[:always], \
-                     io_error@round=<r>, deadline=<ms>ms, \
-                     worker_death@fetch=<n>[:x<m>], worker_hang@fetch=<n>, \
-                     torn_write@round=<r>, or bit_flip@round=<r>"
-                ));
-            }
+        for part in spec.split(',').map(str::trim).filter(|part| !part.is_empty()) {
+            let matched = FORMS.iter().find_map(|form| {
+                part.strip_prefix(form.prefix().as_str()).map(|rest| form.read(part, rest))
+            });
+            let Some(fault) = matched else {
+                let forms: Vec<String> = FORMS.iter().map(Form::usage).collect();
+                return Err(format!("unknown fault `{part}`: expected {}", forms.join("; ")));
+            };
+            plan.push_directive(fault?, part)?;
         }
         Ok(plan)
     }
@@ -308,17 +333,6 @@ impl FaultPlan {
             _ => None,
         })
     }
-}
-
-/// How an armed store fault corrupts a just-encoded frame. The store
-/// applies it to the in-memory bytes right before the atomic write, so the
-/// corruption is deterministic and the write path itself stays honest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mangle {
-    /// Keep only the first half of the bytes (a torn write).
-    TornWrite,
-    /// XOR the low bit of the middle byte (silent media corruption).
-    BitFlip,
 }
 
 /// The runtime side of a [`FaultPlan`]: a table of armed faults that
@@ -336,7 +350,7 @@ pub struct Faults {
 
 impl Faults {
     /// Arms every fault of `plan` for one run.
-    pub fn new(plan: &FaultPlan) -> Self {
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
         let armed = plan.faults().iter().map(|&fault| (fault, false)).collect();
         Faults { armed: Arc::new(Mutex::new(armed)) }
     }
@@ -376,14 +390,12 @@ impl Faults {
         self.take(|f| f == Fault::WorkerHang { fetch }).is_some()
     }
 
-    /// The mangle armed for the checkpoint generation of `round`, if any.
-    pub(crate) fn mangle_at(&self, round: usize) -> Option<Mangle> {
-        let mangle = |f: Fault| match f {
-            Fault::TornWrite { round: r } if r == round => Some(Mangle::TornWrite),
-            Fault::BitFlip { round: r } if r == round => Some(Mangle::BitFlip),
-            _ => None,
-        };
-        self.take(|f| mangle(f).is_some()).and_then(mangle)
+    /// The store mangle (a [`Fault::TornWrite`] or [`Fault::BitFlip`])
+    /// armed for the checkpoint generation of `round`, if any.
+    pub(crate) fn mangle_at(&self, round: usize) -> Option<Fault> {
+        self.take(|f| {
+            matches!(f, Fault::TornWrite { round: r } | Fault::BitFlip { round: r } if r == round)
+        })
     }
 }
 
@@ -393,7 +405,6 @@ impl Faults {
 pub(crate) fn trigger_injected_panic(k_index: usize) -> ! {
     panic!("injected worker panic at sweep index {k_index}") // xtask-allow: no-panic
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,9 +499,9 @@ mod tests {
         let faults = Faults::new(&plan);
         let clone = faults.clone();
         assert_eq!(faults.mangle_at(1), None);
-        assert_eq!(clone.mangle_at(2), Some(Mangle::TornWrite));
+        assert_eq!(clone.mangle_at(2), Some(Fault::TornWrite { round: 2 }));
         assert_eq!(faults.mangle_at(2), None, "clone must consume the shared mangle");
-        assert_eq!(faults.mangle_at(4), Some(Mangle::BitFlip));
+        assert_eq!(faults.mangle_at(4), Some(Fault::BitFlip { round: 4 }));
     }
 
     #[test]

@@ -48,7 +48,6 @@
     )
 )]
 
-pub mod chaos;
 pub mod checkpoint;
 mod config;
 mod detect;
@@ -61,7 +60,6 @@ mod pool;
 mod runtime;
 pub mod store;
 
-pub use chaos::{ChaosPlan, ChaosRng};
 pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_VERSION};
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{

@@ -343,7 +343,7 @@ mod tests {
         legit: &[NodeId],
         spammer: &[NodeId],
     ) -> Option<MaarCut> {
-        let ctx = RunContext::armed(&config, None);
+        let ctx = RunContext::armed(&config, &FaultPlan::none(), None);
         let Ok(out) = IterativeDetector::new(config).solve_round(g, legit, spammer, &ctx);
         out.cut
     }
@@ -459,8 +459,8 @@ mod tests {
         let clean = solve(RejectoConfig::default(), &g, &[], &[]).expect("scenario admits a cut");
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3").expect("spec is well-formed");
-            let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
-            let ctx = RunContext::armed(&config, None);
+            let config = RejectoConfig { threads, ..RejectoConfig::default() };
+            let ctx = RunContext::armed(&config, &plan, None);
             let Ok(out) = IterativeDetector::new(config).solve_round(&g, &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
@@ -476,8 +476,8 @@ mod tests {
         let mut reference: Option<(Vec<NodeId>, Vec<usize>)> = None;
         for threads in [1, 4] {
             let plan = FaultPlan::parse("worker_panic@k=3:always").expect("spec is well-formed");
-            let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
-            let mut ctx = RunContext::armed(&config, None);
+            let config = RejectoConfig { threads, ..RejectoConfig::default() };
+            let mut ctx = RunContext::armed(&config, &plan, None);
             ctx.round = 1;
             let Ok(out) = IterativeDetector::new(config).solve_round(&g, &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");

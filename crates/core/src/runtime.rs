@@ -7,6 +7,7 @@
 //! process abort. Every variant carries enough position context (round,
 //! sweep index, versions) to reproduce the failure deterministically.
 
+use crate::{FaultPlan, Faults, RejectoConfig};
 use std::error::Error;
 use std::fmt;
 
@@ -152,8 +153,8 @@ pub struct RunContext {
     /// deadline and global KL pass budget.
     pub token: kl::CancelToken,
     /// The run's armed [`crate::FaultPlan`], probed by the sweep workers,
-    /// the loop's checkpoint write and the cluster master.
-    pub faults: crate::Faults,
+    /// the loop's checkpoint write and the cluster master; fresh per run.
+    pub faults: Faults,
     /// 1-based pruning round being solved (0 outside the loop).
     pub(crate) round: usize,
     /// Metrics registry shared by the pruning loop and every sweep worker;
@@ -163,12 +164,16 @@ pub struct RunContext {
 
 impl RunContext {
     /// A context for one run under `config`: its deadline (the tighter of
-    /// the budget's and the plan's injected one) and its global KL pass
-    /// budget armed on a fresh token, and its fault plan armed.
-    pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
-        let deadline = config.budget.deadline.into_iter().chain(config.faults.deadline()).min();
+    /// the budget's and `faults`' injected one) and its global KL pass
+    /// budget armed on a fresh token, and `faults` armed on a fresh table.
+    pub fn armed(
+        config: &RejectoConfig,
+        faults: &FaultPlan,
+        obs: Option<rejecto_obs::Obs>,
+    ) -> Self {
+        let deadline = config.budget.deadline.into_iter().chain(faults.deadline()).min();
         let token = kl::CancelToken::new(deadline, config.budget.max_kl_passes);
-        RunContext { token, faults: crate::Faults::new(&config.faults), round: 0, obs }
+        RunContext { token, faults: Faults::new(faults), round: 0, obs }
     }
 
     /// Maps the token's trip cause onto the report vocabulary. Callers ask
@@ -216,10 +221,10 @@ mod tests {
         for (budget, injected) in
             [(Duration::from_secs(3600), "deadline=0ms"), (Duration::ZERO, "deadline=3600000ms")]
         {
-            let mut config = crate::RejectoConfig::default();
+            let mut config = RejectoConfig::default();
             config.budget.deadline = Some(budget);
-            config.faults = crate::FaultPlan::parse(injected).expect("plan parses");
-            let ctx = RunContext::armed(&config, None);
+            let faults = FaultPlan::parse(injected).expect("plan parses");
+            let ctx = RunContext::armed(&config, &faults, None);
             assert!(ctx.token.is_cancelled(), "budget {budget:?}, {injected}: first poll trips");
             assert_eq!(ctx.token.reason(), Some(kl::CancelReason::Deadline));
         }

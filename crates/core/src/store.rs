@@ -35,12 +35,12 @@
 //! and on a load alike.
 //!
 //! Fault injection ([`crate::FaultPlan`] forms `torn_write@round=N` and
-//! `bit_flip@round=N`, probed through the store's [`crate::Faults`] table) mangles
+//! `bit_flip@round=N`, probed through the store's own fault table) mangles
 //! a just-written generation deterministically, which is how the xtask
 //! harness and CI prove the fallback chain end-to-end.
 
 use crate::checkpoint::Checkpoint;
-use crate::faults::{Faults, Mangle};
+use crate::faults::{Fault, FaultPlan, Faults};
 use crate::runtime::RuntimeError;
 use std::fmt;
 use std::fs::File;
@@ -396,12 +396,13 @@ impl CheckpointStore {
         self
     }
 
-    /// Arms a plan's fault table; the store probes its store-level faults
-    /// (`torn_write@round=N`, `bit_flip@round=N`): the matching generation
-    /// is mangled right after encoding, before it reaches disk.
+    /// Arms `plan` on the store's own fault table; the store probes its
+    /// store-level faults (`torn_write@round=N`, `bit_flip@round=N`): the
+    /// matching generation is mangled right after encoding, before it
+    /// reaches disk. Clones of the store share the table.
     #[must_use]
-    pub fn with_faults(mut self, faults: Faults) -> Self {
-        self.faults = faults;
+    pub fn with_faults(mut self, plan: &FaultPlan) -> Self {
+        self.faults = Faults::new(plan);
         self
     }
 
@@ -610,19 +611,12 @@ fn sibling(stem: &Path, suffix: &str) -> PathBuf {
 /// a torn write keeps only the first half of the bytes; a bit flip XORs
 /// the low bit of the middle byte (inside the checksummed payload for
 /// any real checkpoint, whose payload dwarfs the ~35-byte header).
-fn apply_mangle(bytes: &mut Vec<u8>, mangle: Mangle) {
+fn apply_mangle(bytes: &mut Vec<u8>, mangle: Fault) {
+    let half = bytes.len() / 2;
     match mangle {
-        Mangle::TornWrite => {
-            let keep = bytes.len() / 2;
-            bytes.truncate(keep);
-        }
-        Mangle::BitFlip => {
-            if bytes.is_empty() {
-                return;
-            }
-            let at = bytes.len() / 2;
-            bytes[at] ^= 0x01;
-        }
+        Fault::TornWrite { .. } => bytes.truncate(half),
+        Fault::BitFlip { .. } if !bytes.is_empty() => bytes[half] ^= 0x01,
+        _ => {}
     }
 }
 
@@ -919,8 +913,7 @@ mod tests {
     fn injected_torn_write_mangles_exactly_one_generation() {
         let dir = tmpdir("torn");
         let plan = crate::FaultPlan::parse("torn_write@round=2").expect("plan parses");
-        let store = CheckpointStore::new(dir.join("run.ckpt"))
-            .with_faults(Faults::new(&plan));
+        let store = CheckpointStore::new(dir.join("run.ckpt")).with_faults(&plan);
         store.save(&sample_checkpoint(1)).expect("save succeeds");
         store.save(&sample_checkpoint(2)).expect("save succeeds");
         let resume = store.load_latest_valid().expect("fallback survives the tear");
@@ -938,8 +931,7 @@ mod tests {
     fn injected_bit_flip_is_detected_and_skipped() {
         let dir = tmpdir("flip");
         let plan = crate::FaultPlan::parse("bit_flip@round=2").expect("plan parses");
-        let store = CheckpointStore::new(dir.join("run.ckpt"))
-            .with_faults(Faults::new(&plan));
+        let store = CheckpointStore::new(dir.join("run.ckpt")).with_faults(&plan);
         store.save(&sample_checkpoint(1)).expect("save succeeds");
         store.save(&sample_checkpoint(2)).expect("save succeeds");
         let resume = store.load_latest_valid().expect("fallback survives the flip");

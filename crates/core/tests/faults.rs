@@ -23,10 +23,11 @@ fn simulated_scenario(seed: u64) -> SimOutput {
     Scenario::new(config).run(&host, seed)
 }
 
-fn config_with(threads: usize, spec: &str) -> RejectoConfig {
-    let mut config = RejectoConfig { threads, ..RejectoConfig::default() };
-    config.faults = FaultPlan::parse(spec).expect("fault spec in this file parses");
-    config
+/// A detector at `threads` carrying the fault plan `spec`.
+fn faulted(threads: usize, spec: &str) -> IterativeDetector {
+    let mut det = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() });
+    det.set_faults(FaultPlan::parse(spec).expect("fault spec in this file parses"));
+    det
 }
 
 fn detect(sim: &SimOutput, config: RejectoConfig) -> DetectionReport {
@@ -37,13 +38,17 @@ fn detect(sim: &SimOutput, config: RejectoConfig) -> DetectionReport {
     )
 }
 
+fn detect_faulted(sim: &SimOutput, threads: usize, spec: &str) -> DetectionReport {
+    faulted(threads, spec).detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
+}
+
 #[test]
 fn one_shot_worker_panic_is_retried_to_the_clean_report() {
     let sim = simulated_scenario(7);
     for threads in [1, 4] {
         let clean = detect(&sim, RejectoConfig { threads, ..RejectoConfig::default() });
         assert!(!clean.groups.is_empty(), "fixture must detect something");
-        let faulted = detect(&sim, config_with(threads, "worker_panic@k=3"));
+        let faulted = detect_faulted(&sim, threads, "worker_panic@k=3");
         assert_eq!(
             clean, faulted,
             "threads={threads}: a retried one-shot panic must leave no trace"
@@ -56,7 +61,7 @@ fn one_shot_worker_panic_is_retried_to_the_clean_report() {
 #[test]
 fn persistent_worker_panic_degrades_identically_across_thread_counts() {
     let sim = simulated_scenario(7);
-    let serial = detect(&sim, config_with(1, "worker_panic@k=3:always"));
+    let serial = detect_faulted(&sim, 1, "worker_panic@k=3:always");
     assert!(
         serial.failures.iter().any(|f| matches!(
             f,
@@ -68,7 +73,7 @@ fn persistent_worker_panic_degrades_identically_across_thread_counts() {
     // The failed sweep index is skipped deterministically, so the run
     // still completes and the degradation is identical in parallel.
     assert_eq!(serial.completion, Completion::Complete);
-    let parallel = detect(&sim, config_with(4, "worker_panic@k=3:always"));
+    let parallel = detect_faulted(&sim, 4, "worker_panic@k=3:always");
     assert_eq!(serial, parallel, "degraded reports differ across thread counts");
 }
 
@@ -83,13 +88,12 @@ fn injected_checkpoint_io_error_is_recorded_and_the_run_continues() {
             checkpoints.push(ckpt.clone());
             Ok(())
         };
-        let faulted = IterativeDetector::new(config_with(threads, "io_error@round=1"))
-            .detect_with_checkpoints(
-                &sim.graph,
-                &Seeds::default(),
-                Termination::SuspectBudget(FAKES),
-                &mut sink,
-            );
+        let faulted = faulted(threads, "io_error@round=1").detect_with_checkpoints(
+            &sim.graph,
+            &Seeds::default(),
+            Termination::SuspectBudget(FAKES),
+            &mut sink,
+        );
 
         assert_eq!(
             faulted.groups, clean.groups,
@@ -113,11 +117,36 @@ fn injected_checkpoint_io_error_is_recorded_and_the_run_continues() {
     }
 }
 
+/// A detector arms its plan afresh for every run: a one-shot fault spent
+/// by one run fires again in the next. A table armed once per detector
+/// would leave the second run clean.
+#[test]
+fn each_run_of_a_detector_arms_its_plan_afresh() {
+    let sim = simulated_scenario(7);
+    for threads in [1, 4] {
+        let det = faulted(threads, "io_error@round=1");
+        for run in 1..=2 {
+            let mut sink = |_: &Checkpoint| Ok(());
+            let report = det.detect_with_checkpoints(
+                &sim.graph,
+                &Seeds::default(),
+                Termination::SuspectBudget(FAKES),
+                &mut sink,
+            );
+            assert!(
+                matches!(report.failures[..], [RuntimeError::CheckpointIo { round: 1, .. }]),
+                "threads={threads}, run {run}: expected one CheckpointIo{{round: 1}}, got {:?}",
+                report.failures
+            );
+        }
+    }
+}
+
 #[test]
 fn injected_zero_deadline_yields_an_empty_partial_report() {
     let sim = simulated_scenario(7);
     for threads in [1, 4] {
-        let report = detect(&sim, config_with(threads, "deadline=0ms"));
+        let report = detect_faulted(&sim, threads, "deadline=0ms");
         match &report.completion {
             Completion::Partial { reason, .. } => {
                 assert_eq!(*reason, InterruptReason::Deadline, "threads={threads}");
@@ -136,7 +165,7 @@ fn injected_zero_deadline_yields_an_empty_partial_report() {
 fn injected_short_deadline_never_aborts_and_stays_well_formed() {
     let sim = simulated_scenario(7);
     for threads in [1, 4] {
-        let report = detect(&sim, config_with(threads, "deadline=50ms"));
+        let report = detect_faulted(&sim, threads, "deadline=50ms");
         match &report.completion {
             Completion::Complete => {}
             Completion::Partial { reason, .. } => {
@@ -165,14 +194,13 @@ fn combined_fault_plan_still_produces_the_clean_groups() {
     for threads in [1, 4] {
         let clean = detect(&sim, RejectoConfig { threads, ..RejectoConfig::default() });
         let mut sink = |_: &Checkpoint| Ok(());
-        let faulted =
-            IterativeDetector::new(config_with(threads, "worker_panic@k=3,io_error@round=1"))
-                .detect_with_checkpoints(
-                    &sim.graph,
-                    &Seeds::default(),
-                    Termination::SuspectBudget(FAKES),
-                    &mut sink,
-                );
+        let faulted = faulted(threads, "worker_panic@k=3,io_error@round=1")
+            .detect_with_checkpoints(
+                &sim.graph,
+                &Seeds::default(),
+                Termination::SuspectBudget(FAKES),
+                &mut sink,
+            );
         assert_eq!(faulted.groups, clean.groups, "threads={threads}");
         assert_eq!(faulted.failures.len(), 1, "threads={threads}: {:?}", faulted.failures);
         assert!(matches!(

@@ -32,7 +32,7 @@
 
 use kl::{DegreeSummary, ExtendedKl, ExtendedKlConfig, KlStart};
 use rejection::{AugmentedGraph, NodeDegrees, NodeId, Partition};
-use rejecto_core::{KResult, RejectoConfig, RunContext, SweepPlan};
+use rejecto_core::{FaultPlan, KResult, RejectoConfig, RunContext, SweepPlan};
 use simulator::{Scenario, ScenarioConfig};
 use socialgraph::surrogates::Surrogate;
 use std::convert::Infallible;
@@ -124,7 +124,7 @@ fn sweep_trace_from_the_warm_start_is_pinned() {
     let rows: Vec<Row> = (0..plan.num_ks())
         .map(|i| {
             let obs = rejecto_obs::Obs::new();
-            let ctx = RunContext::armed(&config, Some(obs.clone()));
+            let ctx = RunContext::armed(&config, &FaultPlan::none(), Some(obs.clone()));
             let Ok(result) = plan.solve_k(&g, i, &ctx);
             let (k, suspects) = match result {
                 KResult::Cut(cut) => (cut.k, cut.partition.suspects()),

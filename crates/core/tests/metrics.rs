@@ -19,11 +19,10 @@ fn simulated_scenario(seed: u64) -> SimOutput {
 }
 
 fn metrics_with(sim: &SimOutput, threads: usize, faults: Option<&str>) -> String {
-    let mut config = RejectoConfig { threads, ..RejectoConfig::default() };
+    let mut det = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() });
     if let Some(spec) = faults {
-        config.faults = FaultPlan::parse(spec).expect("valid fault spec");
+        det.set_faults(FaultPlan::parse(spec).expect("valid fault spec"));
     }
-    let mut det = IterativeDetector::new(config);
     let obs = rejecto_obs::Obs::default();
     det.set_obs(obs.clone());
     det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(50));

@@ -2,12 +2,14 @@
 //! oracle on small random graphs.
 
 use proptest::prelude::*;
-use rejecto_core::{exact, CutSolver, IterativeDetector, MaarCut, RejectoConfig, RunContext};
+use rejecto_core::{
+    exact, CutSolver, FaultPlan, IterativeDetector, MaarCut, RejectoConfig, RunContext,
+};
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 
 /// The heuristic's cut of `g`: one round of the detector's `k` sweep.
 fn heuristic(config: RejectoConfig, g: &AugmentedGraph) -> Option<MaarCut> {
-    let ctx = RunContext::armed(&config, None);
+    let ctx = RunContext::armed(&config, &FaultPlan::none(), None);
     let Ok(out) = IterativeDetector::new(config).solve_round(g, &[], &[], &ctx);
     out.cut
 }

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rejecto_core::store::{atomic_write, decode_frame, encode_frame, CheckpointStore};
 use rejecto_core::{
-    Checkpoint, DetectionReport, FaultPlan, Faults, IterativeDetector, RejectoConfig, RuntimeError,
+    Checkpoint, DetectionReport, FaultPlan, IterativeDetector, RejectoConfig, RuntimeError,
     Seeds, Termination,
 };
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
@@ -203,8 +203,7 @@ fn mangled_newest_generation_resumes_identically() {
             let form = spec.split('@').next().expect("split yields at least one part");
             let dir = tmpdir(&format!("e2e-{threads}-{form}"));
             let plan = FaultPlan::parse(spec).expect("spec is well-formed");
-            let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(Faults::new(&plan));
+            let store = CheckpointStore::new(dir.join("run.ckpt")).with_faults(&plan);
             let faulted = run_with_store(&detector(threads), &g, &store);
             assert_eq!(faulted, clean, "{spec}: the mangle must not touch the live run");
 
@@ -291,8 +290,7 @@ fn fallback_counters_reconcile_with_injected_faults() {
     let g = multi_round_graph();
     let dir = tmpdir("obs");
     let plan = FaultPlan::parse("bit_flip@round=2").expect("spec is well-formed");
-    let store = CheckpointStore::new(dir.join("run.ckpt"))
-        .with_faults(Faults::new(&plan));
+    let store = CheckpointStore::new(dir.join("run.ckpt")).with_faults(&plan);
     run_with_store(&detector(1), &g, &store);
 
     let obs = rejecto_obs::Obs::default();

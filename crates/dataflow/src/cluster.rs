@@ -914,7 +914,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rejecto_core::{InitialPlacement, IterativeDetector};
+    use rejecto_core::{FaultPlan, InitialPlacement, IterativeDetector};
     use simulator::{Scenario, ScenarioConfig};
     use socialgraph::generators::BarabasiAlbert;
 
@@ -945,7 +945,18 @@ mod tests {
         cluster: Option<&ClusterConfig>,
         killed: &[usize],
     ) -> Result<(SweepOutcome, IoStats), RuntimeError> {
-        let ctx = RunContext::armed(config, None);
+        faulted_round(g, config, &FaultPlan::none(), cluster, killed)
+    }
+
+    /// [`round`] with `faults` armed.
+    pub(super) fn faulted_round(
+        g: &AugmentedGraph,
+        config: &RejectoConfig,
+        faults: &FaultPlan,
+        cluster: Option<&ClusterConfig>,
+        killed: &[usize],
+    ) -> Result<(SweepOutcome, IoStats), RuntimeError> {
+        let ctx = RunContext::armed(config, faults, None);
         let Some(cluster_config) = cluster else {
             let Ok(out) = IterativeDetector::new(config.clone()).solve_round(g, &[], &[], &ctx);
             return Ok((out, IoStats::default()));
@@ -1307,7 +1318,7 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
-    use super::tests::{round, suspects};
+    use super::tests::{faulted_round, round, suspects};
     use super::*;
     use crate::DistributedDetector;
     use rejecto_core::{Completion, InterruptReason, Seeds, Termination};
@@ -1403,13 +1414,11 @@ mod fault_tests {
         let g = sim_graph();
         let (clean, _) = round(&g, &RejectoConfig::default(), Some(&snappy()), &[])
             .expect("clean solve succeeds");
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=1,worker_death@fetch=4")
-                .expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
+        let plan = FaultPlan::parse("worker_death@fetch=1,worker_death@fetch=4")
+            .expect("plan is well-formed");
         let (faulted, io) =
-            round(&g, &faulted_config, Some(&snappy()), &[]).expect("deaths are recovered");
+            faulted_round(&g, &RejectoConfig::default(), &plan, Some(&snappy()), &[])
+                .expect("deaths are recovered");
         assert_eq!(cut_of(&faulted), cut_of(&clean), "injected deaths changed the cut");
         assert!(io.worker_restarts >= 2, "both scheduled deaths must fire");
         assert!(!faulted.interrupted);
@@ -1423,12 +1432,10 @@ mod fault_tests {
         // Three respawns allowed per request; nine consecutive deaths burn
         // through two whole budgets (2 × (1 try + 3 respawns)) and one more
         // try, forcing two rebalances before the request finally lands.
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=2:x9").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let (faulted, io) = round(&g, &faulted_config, Some(&snappy()), &[])
-            .expect("persistent deaths degrade to rebalancing, not failure");
+        let plan = FaultPlan::parse("worker_death@fetch=2:x9").expect("plan is well-formed");
+        let (faulted, io) =
+            faulted_round(&g, &RejectoConfig::default(), &plan, Some(&snappy()), &[])
+                .expect("persistent deaths degrade to rebalancing, not failure");
         assert_eq!(cut_of(&faulted), cut_of(&clean), "rebalancing changed the cut");
         assert_eq!(io.shards_rebalanced, 2, "nine deaths at budget 3 = two merges");
         assert!(io.worker_restarts >= 2);
@@ -1439,12 +1446,10 @@ mod fault_tests {
         let g = sim_graph();
         let (clean, _) = round(&g, &RejectoConfig::default(), Some(&snappy()), &[])
             .expect("clean solve succeeds");
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_hang@fetch=2").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
+        let plan = FaultPlan::parse("worker_hang@fetch=2").expect("plan is well-formed");
         let (faulted, io) =
-            round(&g, &faulted_config, Some(&snappy()), &[]).expect("the hang is recovered");
+            faulted_round(&g, &RejectoConfig::default(), &plan, Some(&snappy()), &[])
+                .expect("the hang is recovered");
         assert_eq!(cut_of(&faulted), cut_of(&clean), "the hang changed the cut");
         assert_eq!(io.hangs_absorbed, 1, "the injected hang must fire");
         assert!(io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
@@ -1494,11 +1499,8 @@ mod fault_tests {
         let cluster_config = ClusterConfig { num_workers: 2, ..snappy() };
         // Enough deaths to chew through both workers at respawn budget 3:
         // 2 × (1 try + 3 respawns).
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=1:x8").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let err = round(&g, &faulted_config, Some(&cluster_config), &[])
+        let plan = FaultPlan::parse("worker_death@fetch=1:x8").expect("plan is well-formed");
+        let err = faulted_round(&g, &RejectoConfig::default(), &plan, Some(&cluster_config), &[])
             .expect_err("no survivor must be a structured failure");
         match err {
             RuntimeError::ClusterFailed { message } => {

@@ -15,6 +15,7 @@ use crate::ClusterConfig;
 use rejection::AugmentedGraph;
 use rejecto_core::checkpoint::Checkpoint;
 pub use rejecto_core::CheckpointSink;
+use rejecto_core::FaultPlan;
 use rejecto_core::{DetectionReport, LoopState, RejectoConfig, RuntimeError, Seeds, Termination};
 
 /// The iterative MAAR-cut detector running on the Spark-substitute
@@ -26,6 +27,7 @@ pub struct DistributedDetector {
     cluster_config: ClusterConfig,
     config: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
+    faults: FaultPlan,
 }
 
 impl DistributedDetector {
@@ -33,7 +35,7 @@ impl DistributedDetector {
     /// `cluster_config` (capped at the residual graph's node count as the
     /// graph shrinks).
     pub fn new(cluster_config: ClusterConfig, config: RejectoConfig) -> Self {
-        DistributedDetector { cluster_config, config, obs: None }
+        DistributedDetector { cluster_config, config, obs: None, faults: FaultPlan::none() }
     }
 
     /// Attaches a metrics registry, shared with every round's cluster
@@ -47,6 +49,12 @@ impl DistributedDetector {
     /// fails, since they vary with worker count and fault schedules.
     pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
         self.obs = Some(obs);
+    }
+
+    /// Attaches synthetic faults that every run arms afresh; the cluster
+    /// master probes worker deaths and hangs at each fetch batch.
+    pub fn set_faults(&mut self, faults: FaultPlan) {
+        self.faults = faults;
     }
 
     /// Runs the full pipeline on `g`.
@@ -91,7 +99,8 @@ impl DistributedDetector {
             config: &self.config,
             io: Default::default(),
         };
-        let report = state.run(&rounds, self.obs.as_ref(), g, seeds, termination, sink);
+        let (obs, faults) = (self.obs.as_ref(), &self.faults);
+        let report = state.run(&rounds, obs, faults, g, seeds, termination, sink);
         // A failed run's traffic and recovery work count too.
         if let Some(obs) = &self.obs {
             absorb_io(obs, &rounds.io.get());

@@ -37,11 +37,10 @@ fn distributed_metrics(sim: &SimOutput, workers: usize, faults: Option<&str>) ->
 }
 
 fn distributed_obs(sim: &SimOutput, workers: usize, faults: Option<&str>) -> rejecto_obs::Obs {
-    let mut config = RejectoConfig::default();
+    let mut det = DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default());
     if let Some(spec) = faults {
-        config.faults = FaultPlan::parse(spec).expect("valid fault spec");
+        det.set_faults(FaultPlan::parse(spec).expect("valid fault spec"));
     }
-    let mut det = DistributedDetector::new(snappy_cluster(workers), config);
     let obs = rejecto_obs::Obs::default();
     det.set_obs(obs.clone());
     det.detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(50))

@@ -25,7 +25,7 @@
 
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
-    Checkpoint, CheckpointSink, CheckpointStore, Completion, DetectionReport, FaultPlan, Faults,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, DetectionReport, FaultPlan,
     IterativeDetector, RejectoConfig, RuntimeError, Seeds, Termination,
 };
 use rejecto_obs::Obs;
@@ -159,13 +159,15 @@ impl Runtime {
     }
 
     /// Runs detection of `g` to `termination` under `config` (its thread
-    /// count replaced on a local runtime), fresh or from `resume`, handing
-    /// `sink` a checkpoint after every completed round and recording into
-    /// `obs`.
+    /// count replaced on a local runtime) with `faults` injected, fresh or
+    /// from `resume`, handing `sink` a checkpoint after every completed
+    /// round and recording into `obs`.
+    #[expect(clippy::too_many_arguments, reason = "one leg's whole configuration, passed as is")]
     pub(crate) fn run(
         self,
         g: &AugmentedGraph,
         config: &RejectoConfig,
+        faults: &FaultPlan,
         termination: Termination,
         resume: Option<&Checkpoint>,
         sink: Option<CheckpointSink<'_>>,
@@ -176,11 +178,13 @@ impl Runtime {
             Runtime::Threads(threads) => {
                 let mut det = IterativeDetector::new(RejectoConfig { threads, ..config.clone() });
                 det.set_obs(obs.clone());
+                det.set_faults(faults.clone());
                 det.run(g, &seeds, termination, resume, sink)
             }
             Runtime::Workers(workers) => {
                 let mut det = DistributedDetector::new(snappy_cluster(workers), config.clone());
                 det.set_obs(obs.clone());
+                det.set_faults(faults.clone());
                 det.run(g, &seeds, termination, resume, sink)
             }
         }
@@ -215,17 +219,18 @@ pub(crate) fn same(what: &str, got: &str, want: &str) -> Result<(), String> {
     ))
 }
 
-/// A fresh leg of `sim` on `rt` under `config`, to the fake budget: its
-/// report and its metrics registry.
+/// A fresh leg of `sim` on `rt` under `config` with `faults` injected, to
+/// the fake budget: its report and its metrics registry.
 fn leg(
     sim: &SimOutput,
     rt: Runtime,
     config: &RejectoConfig,
+    faults: &FaultPlan,
 ) -> Result<(DetectionReport, Obs), String> {
     let obs = Obs::default();
     let termination = Termination::SuspectBudget(FAKES);
     let report = rt
-        .run(&sim.graph, config, termination, None, None, &obs)
+        .run(&sim.graph, config, faults, termination, None, None, &obs)
         .map_err(|e| format!("detect failed at {rt}: {e}"))?;
     Ok((report, obs))
 }
@@ -251,11 +256,11 @@ pub fn run() -> Result<String, String> {
     // run from the same seed must reproduce, and whose textual metrics
     // strip must agree with the structured deterministic rendering it
     // claims to recover.
-    let clean = RejectoConfig::default();
-    let (r1, obs) = leg(&sim1, AUTO, &clean)?;
+    let (clean, none) = (RejectoConfig::default(), FaultPlan::none());
+    let (r1, obs) = leg(&sim1, AUTO, &clean, &none)?;
     let full = render_report(&r1);
     let metrics = stripped(&obs);
-    let (r2, _) = leg(&sim2, AUTO, &clean)?;
+    let (r2, _) = leg(&sim2, AUTO, &clean, &none)?;
     same("detect is nondeterministic: reports differ", &render_report(&r2), &full)?;
     if metrics != obs.deterministic_json() {
         return Err(
@@ -266,18 +271,15 @@ pub fn run() -> Result<String, String> {
     // Neither the k-sweep worker pool, nor the cluster, nor a fault plan
     // whose deaths and hang a survivor absorbs may show in the report or
     // in the metrics outside `timings`; a kill-and-resume must not either.
-    let faulted = RejectoConfig {
-        faults: FaultPlan::parse(DISTRIBUTED_FAULTS)
-            .map_err(|e| format!("fault spec rejected: {e}"))?,
-        ..RejectoConfig::default()
-    };
+    let faulted =
+        FaultPlan::parse(DISTRIBUTED_FAULTS).map_err(|e| format!("fault spec rejected: {e}"))?;
     for rt in RUNTIMES {
-        for (plan, config) in [("failure-free", &clean), ("faulted", &faulted)] {
-            let (report, obs) = leg(&sim1, rt, config)?;
+        for (plan, faults) in [("failure-free", &none), ("faulted", &faulted)] {
+            let (report, obs) = leg(&sim1, rt, &clean, faults)?;
             let differs = |what: &str| format!("{plan} {rt}: {what} from the auto-threads run");
             same(&differs("report differs"), &render_report(&report), &full)?;
             same(&differs("metrics differ"), &stripped(&obs), &metrics)?;
-            if config.faults.faults().is_empty() || rt.is_local() {
+            if faults.is_empty() || rt.is_local() {
                 continue;
             }
             if obs.volatile("io/hangs_absorbed") == 0 {
@@ -330,7 +332,7 @@ pub(crate) fn scratch(tag: &str) -> PathBuf {
 fn kill_and_resume(sim: &SimOutput, rt: Runtime, full: &str) -> Result<(), String> {
     let mut config = RejectoConfig::default();
     config.budget.max_rounds = Some(1);
-    let (halted, _) = leg(sim, rt, &config)?;
+    let (halted, _) = leg(sim, rt, &config, &FaultPlan::none())?;
     if !halted.is_partial() {
         return Err(format!(
             "kill-and-resume fixture degenerated: the max_rounds=1 run at \
@@ -343,9 +345,9 @@ fn kill_and_resume(sim: &SimOutput, rt: Runtime, full: &str) -> Result<(), Strin
     let restored = Checkpoint::from_json(&json)
         .map_err(|e| format!("checkpoint JSON round-trip failed at {rt}: {e}"))?;
     let termination = Termination::SuspectBudget(FAKES);
-    let default = RejectoConfig::default();
+    let (default, none) = (RejectoConfig::default(), FaultPlan::none());
     let resumed = rt
-        .run(&sim.graph, &default, termination, Some(&restored), None, &Obs::default())
+        .run(&sim.graph, &default, &none, termination, Some(&restored), None, &Obs::default())
         .map_err(|e| format!("resume rejected its own checkpoint at {rt}: {e}"))?;
     same(
         &format!(
@@ -366,14 +368,14 @@ fn kill_and_resume(sim: &SimOutput, rt: Runtime, full: &str) -> Result<(), Strin
 /// strip with the timings).
 fn durable_store_legs() -> Result<(), String> {
     let sim = simulate_self_rejection();
-    let default = RejectoConfig::default();
+    let (default, none) = (RejectoConfig::default(), FaultPlan::none());
     let termination = Termination::SuspectBudget(FAKES);
-    let full = render_report(&leg(&sim, AUTO, &default)?.0);
+    let full = render_report(&leg(&sim, AUTO, &default, &none)?.0);
 
     // A fresh run on `rt` saving every generation to `store`.
     let save_run = |rt: Runtime, store: &CheckpointStore| {
         let mut sink = |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
-        rt.run(&sim.graph, &default, termination, None, Some(&mut sink), &Obs::default())
+        rt.run(&sim.graph, &default, &none, termination, None, Some(&mut sink), &Obs::default())
     };
 
     // Discover the generation chain once with a clean store run; the
@@ -405,7 +407,7 @@ fn durable_store_legs() -> Result<(), String> {
             let leg = format!("{spec} {rt}");
             let dir = scratch(&format!("{}-{form}", rt.tag()));
             let stem = dir.join("run.ckpt");
-            save_run(rt, &CheckpointStore::new(&stem).with_faults(Faults::new(&plan)))
+            save_run(rt, &CheckpointStore::new(&stem).with_faults(&plan))
                 .map_err(|e| format!("{leg}: durable-store leg failed: {e}"))?;
 
             // Resume from the mangled stem, demanding a recorded fallback.
@@ -425,8 +427,9 @@ fn durable_store_legs() -> Result<(), String> {
                 let skipped = &resume.skipped;
                 return Err(format!("{leg}: expected exactly one recorded skip, got {skipped:?}"));
             }
+            let from = Some(&resume.checkpoint);
             let report = rt
-                .run(&sim.graph, &default, termination, Some(&resume.checkpoint), None, &obs)
+                .run(&sim.graph, &default, &none, termination, from, None, &obs)
                 .map_err(|e| format!("{leg}: resume failed: {e}"))?;
             same(
                 &format!(

@@ -4,8 +4,8 @@ use super::args::{ArgError, Args};
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::store::atomic_write;
 use rejecto_core::{
-    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan, Faults,
-    InterruptReason, IterativeDetector, RejectoConfig, RunBudget, RuntimeError, Seeds, Termination,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan, InterruptReason,
+    IterativeDetector, RejectoConfig, RunBudget, RuntimeError, Seeds, Termination,
 };
 use rejection::io::{IngestGuards, LoadStats};
 use rejection::AugmentedGraph;
@@ -346,18 +346,15 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
         max_rounds,
         max_suspect_frac,
     };
-    let mut config = RejectoConfig { threads, budget, ..RejectoConfig::default() };
-    if let Some(spec) = &inject_spec {
-        config.faults = FaultPlan::parse(spec).map_err(|e| CliError(format!("--inject: {e}")))?;
-    }
+    let config = RejectoConfig { threads, budget, ..RejectoConfig::default() };
+    let faults = inject_spec.as_deref().map_or(Ok(FaultPlan::none()), FaultPlan::parse);
+    let faults = faults.map_err(|e| CliError(format!("--inject: {e}")))?;
 
     // The durable store behind `--checkpoint`: one framed generation file
     // per productive round, with any armed torn-write/bit-flip mangles and
     // the metrics registry attached.
     let store = checkpoint_path.as_ref().map(|p| {
-        let mut s = CheckpointStore::new(p)
-            .with_faults(Faults::new(&config.faults))
-            .with_limit(max_checkpoint_bytes);
+        let mut s = CheckpointStore::new(p).with_faults(&faults).with_limit(max_checkpoint_bytes);
         if let Some(keep) = checkpoint_keep {
             s = s.with_keep(keep);
         }
@@ -417,12 +414,14 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
             cluster.request_deadline = Duration::from_millis(ms);
         }
         let mut detector = DistributedDetector::new(cluster, config);
+        detector.set_faults(faults);
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }
         detector.run(&g, &seeds, termination, resume_from, sink)
     } else {
         let mut detector = IterativeDetector::new(config);
+        detector.set_faults(faults);
         if let Some(obs) = &obs {
             detector.set_obs(obs.clone());
         }

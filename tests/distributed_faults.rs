@@ -52,8 +52,12 @@ fn detect_observed(
     (report, obs)
 }
 
-fn plan(spec: &str) -> FaultPlan {
-    FaultPlan::parse(spec).expect("test fault spec parses")
+/// A detector on a `snappy(workers)` cluster carrying the fault plan
+/// `spec`.
+fn faulted(workers: usize, spec: &str) -> DistributedDetector {
+    let mut detector = DistributedDetector::new(snappy(workers), RejectoConfig::default());
+    detector.set_faults(FaultPlan::parse(spec).expect("test fault spec parses"));
+    detector
 }
 
 #[test]
@@ -79,12 +83,8 @@ fn injected_deaths_are_invisible_in_the_report() {
         .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
         .expect("healthy cluster must detect");
 
-    let faulted_config = RejectoConfig {
-        // At 3 workers this input's longest round makes 4 fetch batches.
-        faults: plan("worker_death@fetch=2,worker_death@fetch=4"),
-        ..RejectoConfig::default()
-    };
-    let detector = DistributedDetector::new(snappy(3), faulted_config);
+    // At 3 workers this input's longest round makes 4 fetch batches.
+    let detector = faulted(3, "worker_death@fetch=2,worker_death@fetch=4");
     let (report, obs) =
         detect_observed(detector, &sim, "faulted cluster with survivors must detect");
     assert_eq!(report, clean, "worker deaths leaked into the report");
@@ -102,12 +102,7 @@ fn repeated_deaths_force_rebalance_without_changing_the_report() {
 
     // The same worker dies on every respawn; past the respawn budget of 3
     // its shard is merged onto a survivor (nine deaths: two merges).
-    let cluster = snappy(4);
-    let faulted_config = RejectoConfig {
-        faults: plan("worker_death@fetch=2:x9"),
-        ..RejectoConfig::default()
-    };
-    let detector = DistributedDetector::new(cluster, faulted_config);
+    let detector = faulted(4, "worker_death@fetch=2:x9");
     let (report, obs) = detect_observed(detector, &sim, "rebalanced cluster must detect");
     assert_eq!(report, clean, "shard rebalancing leaked into the report");
     let rebalanced = obs.volatile("io/shards_rebalanced");
@@ -121,11 +116,7 @@ fn hung_worker_recovery_is_invisible() {
         .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
         .expect("healthy cluster must detect");
 
-    let faulted_config = RejectoConfig {
-        faults: plan("worker_hang@fetch=2"),
-        ..RejectoConfig::default()
-    };
-    let detector = DistributedDetector::new(snappy(2), faulted_config);
+    let detector = faulted(2, "worker_hang@fetch=2");
     let (report, obs) = detect_observed(detector, &sim, "watchdog must recover the hung worker");
     assert_eq!(report, clean, "hung-worker recovery leaked into the report");
     assert_eq!(obs.volatile("io/hangs_absorbed"), 1, "the injected hang never fired");
@@ -150,12 +141,12 @@ fn zero_deadline_budget_yields_a_partial_report() {
 #[test]
 fn injected_zero_deadline_matches_the_budget_deadline() {
     let sim = scenario();
-    let run = |config| {
-        DistributedDetector::new(snappy(2), config)
+    let run = |detector: DistributedDetector| {
+        detector
             .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
             .expect("a tripped deadline is a partial report, not an error")
     };
-    let injected = run(RejectoConfig { faults: plan("deadline=0ms"), ..RejectoConfig::default() });
+    let injected = run(faulted(2, "deadline=0ms"));
     assert!(
         matches!(
             injected.completion,
@@ -167,7 +158,7 @@ fn injected_zero_deadline_matches_the_budget_deadline() {
     assert!(injected.groups.is_empty());
     let mut budgeted = RejectoConfig::default();
     budgeted.budget.deadline = Some(Duration::ZERO);
-    assert_eq!(injected, run(budgeted));
+    assert_eq!(injected, run(DistributedDetector::new(snappy(2), budgeted)));
 }
 
 #[test]
@@ -220,11 +211,7 @@ fn faults_survive_a_resume_boundary() {
         .expect("budgeted run must yield a partial report");
     let ckpt = Checkpoint::capture(&sim.graph, &halted);
 
-    let faulted_config = RejectoConfig {
-        faults: plan("worker_death@fetch=2"),
-        ..RejectoConfig::default()
-    };
-    let mut detector = DistributedDetector::new(snappy(2), faulted_config);
+    let mut detector = faulted(2, "worker_death@fetch=2");
     let obs = Obs::new();
     detector.set_obs(obs.clone());
     let resumed = detector
@@ -257,12 +244,7 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
     let sim = scenario();
     // Two workers, three respawns each: the first four deaths rebalance
     // onto the lone survivor; four more leave nothing to merge onto.
-    let cluster = snappy(2);
-    let config = RejectoConfig {
-        faults: plan("worker_death@fetch=1:x8"),
-        ..RejectoConfig::default()
-    };
-    let err = DistributedDetector::new(cluster, config)
+    let err = faulted(2, "worker_death@fetch=1:x8")
         .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES))
         .expect_err("losing the whole cluster must be an error, not a panic");
     match err {

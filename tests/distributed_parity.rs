@@ -15,7 +15,8 @@ fn check_parity(cfg: ScenarioConfig, cluster: ClusterConfig, seed: u64) {
     let host = Surrogate::Facebook.generate_scaled(seed, 0.04);
     let sim = Scenario::new(cfg).run(&host, seed);
     let one_round = Termination::SuspectBudget(1);
-    assert_detector_parity(&sim.graph, RejectoConfig::default(), one_round, &[cluster]);
+    let (config, faults) = (RejectoConfig::default(), FaultPlan::none());
+    assert_detector_parity(&sim.graph, config, &faults, one_round, &[cluster]);
 }
 
 #[test]
@@ -84,18 +85,18 @@ fn parity_with_more_workers_than_meaningful_shards() {
 fn assert_detector_parity(
     g: &AugmentedGraph,
     config: RejectoConfig,
+    faults: &FaultPlan,
     termination: Termination,
     clusters: &[ClusterConfig],
 ) {
     let seeds = Seeds::default();
-    let local = IterativeDetector::new(config.clone()).detect_with_checkpoints(
-        g,
-        &seeds,
-        termination,
-        &mut |_| Ok(()),
-    );
+    let mut local = IterativeDetector::new(config.clone());
+    local.set_faults(faults.clone());
+    let local = local.detect_with_checkpoints(g, &seeds, termination, &mut |_| Ok(()));
     for cluster in clusters {
-        let dist = DistributedDetector::new(*cluster, config.clone())
+        let mut dist = DistributedDetector::new(*cluster, config.clone());
+        dist.set_faults(faults.clone());
+        let dist = dist
             .run(g, &seeds, termination, None, Some(&mut |_| Ok(())))
             .expect("healthy cluster must detect");
         assert_eq!(dist, local, "{cluster:?}");
@@ -118,7 +119,8 @@ fn detector_parity_when_one_user_casts_many_rejections() {
     }
     b.add_friendship(NodeId(0), NodeId(11));
     let budget = Termination::SuspectBudget(10);
-    assert_detector_parity(&b.build(), RejectoConfig::default(), budget, &small_clusters());
+    let (config, faults) = (RejectoConfig::default(), FaultPlan::none());
+    assert_detector_parity(&b.build(), config, &faults, budget, &small_clusters());
 }
 
 /// Three legit friends reject one spammer. With `max_suspect_fraction`
@@ -137,16 +139,13 @@ fn single_spammer_graph() -> AugmentedGraph {
 #[test]
 fn detector_parity_on_a_graph_whose_suspect_cap_clamps_to_one() {
     let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
-    let one_round = Termination::SuspectBudget(1);
-    assert_detector_parity(&single_spammer_graph(), config, one_round, &small_clusters());
+    let (faults, one_round) = (FaultPlan::none(), Termination::SuspectBudget(1));
+    assert_detector_parity(&single_spammer_graph(), config, &faults, one_round, &small_clusters());
 }
 
 #[test]
 fn detector_parity_under_an_injected_checkpoint_fault() {
-    let config = RejectoConfig {
-        faults: FaultPlan::parse("io_error@round=1").expect("plan is well-formed"),
-        ..RejectoConfig::default()
-    };
-    let one_round = Termination::SuspectBudget(1);
-    assert_detector_parity(&single_spammer_graph(), config, one_round, &small_clusters());
+    let faults = FaultPlan::parse("io_error@round=1").expect("plan is well-formed");
+    let (config, one_round) = (RejectoConfig::default(), Termination::SuspectBudget(1));
+    assert_detector_parity(&single_spammer_graph(), config, &faults, one_round, &small_clusters());
 }
