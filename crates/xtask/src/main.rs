@@ -8,12 +8,12 @@
 //!   It checks the four rules no rustc or clippy lint can; the rest run
 //!   under `cargo clippy` (DESIGN.md §8.1).
 //! * `check --determinism` — additionally run the in-process determinism
-//!   harness ([`determinism`]): simulate → detect twice from one seed,
-//!   diff byte-for-byte.
+//!   check ([`determinism`]): simulate → detect twice from one seed, diff
+//!   byte-for-byte, then run four pinned cases through [`harness`].
 //! * `chaos --seeds N [--json <path>]` — seeded chaos soak ([`chaos`]):
-//!   expand each seed into a composite multi-fault schedule plus an
-//!   adversarial scenario, run it at threads {1,4} and workers {1,4},
-//!   and hold every leg to the typed-termination / byte-identity /
+//!   expand each of N ≥ 1 seeds into a composite multi-fault schedule plus
+//!   an adversarial scenario and run it through the same [`harness`],
+//!   held to the typed-termination / byte-identity /
 //!   metrics-reconciliation invariants.
 //!
 //! Exit code 0 means clean; 1 means violations (each printed as
@@ -22,6 +22,7 @@
 
 mod chaos;
 mod determinism;
+mod harness;
 mod lexer;
 mod lint;
 
@@ -58,9 +59,9 @@ fn main() -> ExitCode {
             loop {
                 match it.next() {
                     Some("--seeds") => match it.next().map(str::parse) {
-                        Some(Ok(n)) => seeds = n,
+                        Some(Ok(n)) if n > 0 => seeds = n,
                         _ => {
-                            eprintln!("--seeds needs an integer; {USAGE}");
+                            eprintln!("--seeds needs a positive integer; {USAGE}");
                             return ExitCode::from(2);
                         }
                     },
